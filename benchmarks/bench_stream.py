@@ -9,8 +9,9 @@ Three claims, one harness:
    is never materialised.
 2. **Persistent pools beat per-call pools.**  Sustained many-call traffic
    (many small batches) through one warm :class:`repro.core.WorkerPool`
-   is faster than per-call ``solve_batch(jobs=...)``, which forks a fresh
-   ``ProcessPoolExecutor`` every time.
+   (``solve_many(pool=...)``) is faster than per-call
+   ``solve_many(jobs=2)``, which forks a fresh ``ProcessPoolExecutor``
+   every time.
 3. **Repeat traffic hits the cache.**  A :class:`repro.api.SolutionCache`
    keyed on the canonical cotree form answers re-asked instances without
    running anything; the hit-rate and speedup on a skewed request mix are
@@ -38,7 +39,7 @@ from repro.api import (
     solve_stream,
 )
 from repro.cograph import minimum_path_cover_size, random_cotree
-from repro.core import WorkerPool, solve_batch
+from repro.core import WorkerPool
 
 from _util import write_result_table
 
@@ -98,7 +99,7 @@ def run_stream_scale(count: int, *, jobs=None, window=64, chunksize=32):
 
 
 # --------------------------------------------------------------------------- #
-# 2. persistent WorkerPool vs a fresh pool per solve_batch call
+# 2. persistent WorkerPool vs a fresh pool per solve_many call
 # --------------------------------------------------------------------------- #
 
 def run_pool_reuse(batches: int, batch_size: int = POOL_BATCH_SIZE,
@@ -113,21 +114,22 @@ def run_pool_reuse(batches: int, batch_size: int = POOL_BATCH_SIZE,
     with WorkerPool(jobs).warm_up() as pool:
         warm_t0 = time.perf_counter()
         for trees, sizes in zip(batch_trees, expected):
-            results = solve_batch(trees, pool=pool)
+            results = solve_many(trees, backend="fast", pool=pool)
             assert [r.num_paths for r in results] == sizes
         persistent = time.perf_counter() - warm_t0
     persistent_with_startup = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     for trees, sizes in zip(batch_trees, expected):
-        results = solve_batch(trees, jobs=jobs)  # fresh pool every call
+        # a fresh pool every call
+        results = solve_many(trees, backend="fast", jobs=jobs)
         assert [r.num_paths for r in results] == sizes
     per_call = time.perf_counter() - t0
 
     count = batches * batch_size
     speedup = per_call / max(persistent, 1e-9)
     rows = [
-        _row("per-call solve_batch (fresh pool each)", count, jobs,
+        _row("per-call solve_many (fresh pool each)", count, jobs,
              per_call, f"{batches} batches x {batch_size}"),
         _row("persistent WorkerPool (warm)", count, jobs, persistent,
              f"{speedup:.1f}x vs per-call; one-off startup "
@@ -243,7 +245,7 @@ def test_stream_throughput_table(benchmark):
     # the tentpole acceptance criterion: a persistent pool must beat
     # forking a fresh pool per call on repeated small batches
     assert pool_speedup > 1.0, \
-        f"persistent pool {pool_speedup:.2f}x <= per-call solve_batch"
+        f"persistent pool {pool_speedup:.2f}x <= per-call solve_many"
     # and one forest sweep must beat the pooled batch on tiny instances
     assert forest_speedup > 1.0, \
         f"solve_forest {forest_speedup:.2f}x <= pooled solve_many"
@@ -260,7 +262,7 @@ def main(argv=None) -> int:
     rows, pool_speedup, forest_speedup = run_all(smoke=smoke)
     write_result_table("E10", "streaming scale-out — persistent pools + "
                        "solve_stream", rows, COLUMNS)
-    print(f"persistent pool vs per-call solve_batch: {pool_speedup:.2f}x")
+    print(f"persistent pool vs per-call solve_many: {pool_speedup:.2f}x")
     print(f"solve_forest vs pooled solve_many: {forest_speedup:.2f}x")
     if pool_speedup <= 1.0:
         print("FAIL: the persistent WorkerPool did not beat per-call pools")

@@ -41,15 +41,11 @@ True
 ...                                  for s in range(4)]
 True
 
-The pre-1.1 entry points (``minimum_path_cover``, ``solve_batch``, the four
-Hamiltonicity functions, ...) still work but emit ``DeprecationWarning`` —
-see MIGRATION.md for the mapping onto :func:`solve`.
+The pre-1.1 entry points were removed in 2.0 — MIGRATION.md maps each onto
+:func:`solve` / :func:`solve_many`.
 """
 
 from __future__ import annotations
-
-import warnings
-from typing import List, Optional, Union
 
 from ._version import __version__
 from .cograph import (
@@ -88,17 +84,7 @@ from .backends import (
     make_backend,
     resolve_context,
 )
-from .core import (
-    BatchResult,
-    ParallelPathCoverResult,
-    PathCoverSolver,
-    Pipeline,
-    PipelineRun,
-    WorkerPool,
-)
-from .core import hamiltonian as _hamiltonian
-from .core import solver as _solver
-from .baselines import sequential_path_cover as _sequential_path_cover
+from .core import ParallelPathCoverResult, Pipeline, PipelineRun, WorkerPool
 from .pram import PRAM, AccessMode, CostReport
 from .api import (
     METHOD_NAMES,
@@ -134,132 +120,7 @@ __all__ = [
     "PRAM", "AccessMode", "CostReport",
     "ExecutionContext", "PRAMBackend", "FastBackend",
     "make_backend", "resolve_context", "BACKEND_NAMES",
-    # engine types (results of the deprecated shims; also used by repro.core)
-    "ParallelPathCoverResult", "PathCoverSolver",
-    "Pipeline", "PipelineRun", "BatchResult",
-    # deprecated shims (each warns and delegates to solve())
-    "minimum_path_cover", "minimum_path_cover_parallel",
-    "sequential_path_cover", "solve_batch",
-    "has_hamiltonian_path", "has_hamiltonian_cycle", "hamiltonian_path",
-    "hamiltonian_cycle",
+    # engine types (repro.core.minimum_path_cover_parallel results, stages)
+    "ParallelPathCoverResult", "Pipeline", "PipelineRun",
 ]
 
-
-# --------------------------------------------------------------------------- #
-# deprecated pre-1.1 entry points — thin shims over solve()
-# --------------------------------------------------------------------------- #
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    """Emit the shim deprecation warning, attributed to the caller of the
-    shim (so internal use trips the CI filterwarnings tripwire while user
-    call sites warn exactly once each)."""
-    warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} instead "
-        f"(see MIGRATION.md)", DeprecationWarning, stacklevel=3)
-
-
-def minimum_path_cover(tree: Union[Cotree, BinaryCotree], *,
-                       method: str = "parallel",
-                       backend: Optional[str] = None) -> PathCover:
-    """Deprecated: use :func:`repro.solve` (``solve(tree).cover``).
-
-    ``method="sequential"`` together with an explicit ``backend`` used to be
-    silently ignored; it now raises :class:`ValueError` (via
-    :class:`~repro.api.SolveOptions` validation).
-    """
-    _warn_deprecated(
-        "minimum_path_cover",
-        'solve(tree, options=SolveOptions(method=..., backend=...)).cover')
-    options = SolveOptions(method=method, backend=backend)
-    return solve(tree, "path_cover", options=options).cover
-
-
-def minimum_path_cover_parallel(tree, *, machine=None, backend=None,
-                                num_processors=None,
-                                mode=AccessMode.EREW,
-                                work_efficient: bool = True,
-                                validate: bool = False,
-                                record_steps: bool = False
-                                ) -> ParallelPathCoverResult:
-    """Deprecated: use :func:`repro.solve`, or
-    :func:`repro.core.minimum_path_cover_parallel` for direct engine access
-    (custom machines / ExecutionContext instances)."""
-    _warn_deprecated("minimum_path_cover_parallel",
-                     "solve(tree, options=SolveOptions(backend=...))")
-    if machine is not None or isinstance(backend, ExecutionContext):
-        # escape hatches solve() deliberately does not model
-        return _solver.minimum_path_cover_parallel(
-            tree, machine=machine, backend=backend,
-            num_processors=num_processors, mode=mode,
-            work_efficient=work_efficient, validate=validate,
-            record_steps=record_steps)
-    options = SolveOptions(method="parallel", backend=backend,
-                           num_processors=num_processors, mode=mode,
-                           work_efficient=work_efficient, validate=validate,
-                           record_steps=record_steps)
-    s = solve(tree, "path_cover", options=options)
-    return ParallelPathCoverResult(
-        cover=s.cover, num_paths=s.num_paths,
-        p_root=s.provenance["p_root"], report=s.report, machine=s.machine,
-        exchanges=s.provenance["exchanges"], backend=s.backend,
-        stage_seconds=s.stage_seconds)
-
-
-def sequential_path_cover(tree, *, return_stats: bool = False):
-    """Deprecated: use ``solve(tree, method="sequential")`` (or
-    :func:`repro.baselines.sequential_path_cover` for the stats)."""
-    _warn_deprecated("sequential_path_cover",
-                     "solve(tree, method='sequential').cover")
-    if return_stats:  # stats stay a baseline-layer concern
-        return _sequential_path_cover(tree, return_stats=True)
-    return solve(tree, "path_cover", method="sequential").cover
-
-
-def solve_batch(trees, *, backend: str = "fast", jobs: Optional[int] = None,
-                work_efficient: bool = True, validate: bool = False,
-                chunksize: Optional[int] = None) -> List[BatchResult]:
-    """Deprecated: use :func:`repro.solve_many` (returns
-    :class:`~repro.api.Solution` records instead of ``BatchResult``)."""
-    _warn_deprecated("solve_batch", "solve_many(trees, backend=...)")
-    options = SolveOptions(backend=backend, work_efficient=work_efficient,
-                           validate=validate)
-    solutions = solve_many(trees, "path_cover", options=options, jobs=jobs,
-                           chunksize=chunksize)
-    return [BatchResult(index=s.provenance["batch_index"], cover=s.cover,
-                        num_paths=s.num_paths, p_root=s.provenance["p_root"],
-                        backend=s.backend, stage_seconds=s.stage_seconds)
-            for s in solutions]
-
-
-def has_hamiltonian_path(tree) -> bool:
-    """Deprecated: use ``solve(tree, task="hamiltonian_path").ok``."""
-    _warn_deprecated("has_hamiltonian_path",
-                     "solve(tree, task='hamiltonian_path').ok")
-    # count-only decision: no witness construction (matches legacy cost)
-    return solve(tree, "path_cover_size").answer == 1
-
-
-def has_hamiltonian_cycle(tree) -> bool:
-    """Deprecated: use ``solve(tree, task="hamiltonian_cycle").ok``."""
-    _warn_deprecated("has_hamiltonian_cycle",
-                     "solve(tree, task='hamiltonian_cycle').ok")
-    # the analytic O(n) decider, not the witness pipeline (legacy cost)
-    return _hamiltonian.has_hamiltonian_cycle(tree)
-
-
-def hamiltonian_path(tree, *, machine=None) -> Optional[List[int]]:
-    """Deprecated: use ``solve(tree, task="hamiltonian_path").answer``."""
-    _warn_deprecated("hamiltonian_path",
-                     "solve(tree, task='hamiltonian_path').answer")
-    if machine is not None:
-        return _hamiltonian.hamiltonian_path(tree, machine=machine)
-    return solve(tree, "hamiltonian_path").answer
-
-
-def hamiltonian_cycle(tree, *, machine=None) -> Optional[List[int]]:
-    """Deprecated: use ``solve(tree, task="hamiltonian_cycle").answer``."""
-    _warn_deprecated("hamiltonian_cycle",
-                     "solve(tree, task='hamiltonian_cycle').answer")
-    if machine is not None:
-        return _hamiltonian.hamiltonian_cycle(tree, machine=machine)
-    return solve(tree, "hamiltonian_cycle").answer

@@ -49,38 +49,10 @@ from .backends import BACKEND_NAMES
 from .io import render_cover
 
 
-def _backend_report() -> str:
-    """Which backends are live, with the compiled tier's mode — shared by
-    ``--version`` and the ``version`` subcommand (the server's ``/healthz``
-    reports the same structured facts)."""
-    from .kernels import kernel_status
-    status = kernel_status()
-    parts = []
-    for name in BACKEND_NAMES:
-        if name != "kernel":
-            parts.append(name)
-        elif status["numba_available"]:
-            parts.append(f"kernel[jit, numba {status['numba_version']}]")
-        else:
-            parts.append("kernel[fallback]")
-    return ", ".join(parts)
-
-
 def _version_line() -> str:
-    return f"repro {__version__} (backends: {_backend_report()})"
-
-
-class _VersionAction(argparse.Action):
-    """``--version`` with the backend report, composed lazily (probing the
-    kernel tier imports numba; only the version paths should pay that)."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        kwargs.setdefault("nargs", 0)
-        super().__init__(option_strings, dest, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(_version_line())
-        parser.exit()
+    """Shared by ``--version`` and the ``version`` subcommand (the server's
+    ``/healthz`` reports the same facts)."""
+    return f"repro {__version__} (backends: {', '.join(BACKEND_NAMES)})"
 
 
 def _task_help_lines() -> str:
@@ -104,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Minimum path cover on cographs (Nakano-Olariu-Zomaya) "
                     "— one front door over every task.")
-    parser.add_argument("--version", action=_VersionAction,
+    parser.add_argument("--version", action="version",
+                        version=_version_line(),
                         help="print version and live backends, then exit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -87,7 +87,7 @@ EXPERIMENTS: List[ExperimentSpec] = [
         "E9", "backend separation (engineering)",
         "The pipeline's outputs are backend-independent: the fast vectorized "
         "backend produces the same covers as the PRAM simulator while being "
-        ">= 5x faster wall-clock at n = 10^4; solve_batch adds "
+        ">= 5x faster wall-clock at n = 10^4; solve_many adds "
         "multi-instance throughput on top.",
         "all generator families, n = 10^3 .. 10^4, plus instance batches",
         ("repro.backends", "repro.core.pipeline", "repro.core.batch"),
@@ -96,7 +96,7 @@ EXPERIMENTS: List[ExperimentSpec] = [
         "E10", "streaming scale-out (engineering)",
         "solve_stream consumes instance streams lazily with a bounded "
         "in-flight window (no full materialisation even at 100k "
-        "instances); a persistent WorkerPool beats per-call solve_batch "
+        "instances); a persistent WorkerPool beats per-call solve_many "
         "on repeated small batches; the canonical-form solution cache "
         "absorbs repeat traffic.",
         "lazily generated cotree streams, many small batches, skewed "
@@ -109,7 +109,7 @@ EXPERIMENTS: List[ExperimentSpec] = [
         "CSR form plus the C-level DFS numbering kernel keep every stage "
         "free of per-node Python loops; the end-to-end FastBackend solve "
         "at n = 10^5 is >= 3x faster than the pre-flat hot path, and the "
-        "checked-in BENCH_PR4.json gives every future PR a per-stage "
+        "checked-in BENCH_PR10.json gives every future PR a per-stage "
         "regression baseline.",
         "random cotrees, n = 10^3 / 10^4 / 10^5, both backends",
         ("repro.cograph.flat", "repro._dfs", "repro.core.pipeline"),
@@ -164,26 +164,24 @@ EXPERIMENTS: List[ExperimentSpec] = [
         "result (the executor is rebuilt, lost in-flight chunks are "
         "resubmitted under a capped-backoff RetryPolicy, repeat killers "
         "are quarantined as structured ErrorOutcomes in their ordered "
-        "slot), and on the healthy path the healing loop stays within 5% "
-        "of the legacy fail-fast loop.",
-        "3000 small instances (n <= 60) streamed over a warm 2-worker "
-        "pool, healing vs fail-fast interleaved, no fault armed",
+        "slot).  Its healthy-path timing against the legacy fail-fast loop "
+        "(0.949x) retired with that loop in 2.0; the chaos suite keeps the "
+        "healing guarantees.",
+        "SIGKILLed workers, poison items, in-worker MemoryError and "
+        "deadline overruns injected through REPRO_FAULTS",
         ("repro.core.batch", "repro.core.retry", "repro.core.faults",
          "repro.server.app"),
-        "benchmarks/bench_profile.py"),
+        "tests/test_resilience.py"),
     ExperimentSpec(
-        "E17", "compiled kernels + wire format (engineering)",
-        "The compiled kernel tier (backend='kernel': fused gather+reduce "
-        "level sweeps, jitted when numba is present, bit-identical NumPy "
-        "fallbacks otherwise) yields >= 3x over the fast backend at "
-        "n = 100k when jitted and never regresses in fallback mode; "
-        "zero-copy binary wire ingestion (repro.io.wire.from_bytes) is "
-        ">= 10x faster than JSON parsing of the same instance in either "
-        "mode.",
-        "pinned random cotrees, n = 10k / 100k, pipeline end to end on "
-        "fast vs kernel + ingestion-to-FlatCotree microbench",
-        ("repro.kernels", "repro.backends", "repro.io.wire",
-         "repro.core.dp"),
+        "E17", "wire format (engineering)",
+        "Zero-copy binary wire ingestion (repro.io.wire.from_bytes) is "
+        ">= 10x faster than JSON parsing of the same instance.  (The "
+        "compiled kernel half of E17 retired with the kernel tier in 2.0: "
+        "only NumPy-fallback runs were ever measured, at 0.94x / 0.99x of "
+        "the fast backend.)",
+        "pinned random cotrees, n = 10k / 100k, ingestion-to-FlatCotree "
+        "microbench",
+        ("repro.io.wire", "repro.cograph.flat"),
         "benchmarks/bench_profile.py"),
     ExperimentSpec(
         "A1", "leftist condition (ablation)",

@@ -1,11 +1,10 @@
 """Typed, validated solver configuration.
 
 :class:`SolveOptions` replaces the ``method`` / ``backend`` / ``mode`` /
-``num_processors`` string soup that used to be spread across
-``minimum_path_cover``, ``minimum_path_cover_parallel`` and ``solve_batch``.
-It is a *frozen* dataclass: one immutable value describes a complete solver
-configuration, and every incompatible combination is rejected at construction
-time — never silently ignored.  The historical bug this fixes:
+``num_processors`` string soup that used to be spread across the pre-1.1
+entry points.  It is a *frozen* dataclass: one immutable value describes a
+complete solver configuration, and every incompatible combination is
+rejected at construction time — never silently ignored.  The historical bug this fixes:
 ``minimum_path_cover(tree, method="sequential", backend="fast")`` used to
 drop ``backend`` on the floor; now it raises :class:`ValueError`.
 """

@@ -1,9 +1,9 @@
 """The unified result type of :func:`repro.api.solve`.
 
-One :class:`Solution` replaces the three result shapes the library used to
-return (:class:`~repro.cograph.PathCover` from ``minimum_path_cover``,
-``ParallelPathCoverResult`` from the parallel engine, ``BatchResult`` from
-``solve_batch``): whatever the task, a solve hands back the same record —
+One :class:`Solution` replaces the result shapes the pre-1.1 entry points
+returned (a bare :class:`~repro.cograph.PathCover`, the parallel engine's
+``ParallelPathCoverResult``, a per-instance batch record): whatever the
+task, a solve hands back the same record —
 the task-specific ``answer``, the cover when one was built, the PRAM cost
 report when the run accounted, per-stage wall-clock timings, the backend
 name, and a ``provenance`` dict tying the result to its input.

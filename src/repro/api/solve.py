@@ -217,7 +217,7 @@ def solve_stream(problems: Iterable[Any], task: str = "path_cover", *,
     retry:
         the :class:`~repro.core.RetryPolicy` for worker-crash recovery
         (``None`` — the default — heals with ``RetryPolicy()``;
-        ``RetryPolicy.off()`` restores fail-fast ``BrokenProcessPool``).
+        ``RetryPolicy(max_retries=0)`` quarantines a crashed item at once).
         A SIGKILLed worker mid-stream loses zero results: lost in-flight
         items are re-run on a rebuilt pool and still yield in order.
     on_error:

@@ -38,7 +38,7 @@ __all__ = ["ExecutionContext", "ContextLike", "resolve_context", "make_backend",
            "BACKEND_NAMES"]
 
 #: the names accepted by ``backend="..."`` knobs throughout the package
-BACKEND_NAMES = ("pram", "fast", "kernel")
+BACKEND_NAMES = ("pram", "fast")
 
 
 class ExecutionContext(abc.ABC):
@@ -47,7 +47,7 @@ class ExecutionContext(abc.ABC):
     Attributes
     ----------
     name:
-        short identifier (``"pram"``, ``"fast"`` or ``"kernel"``).
+        short identifier (``"pram"`` or ``"fast"``).
     simulates:
         ``True`` when per-step PRAM simulation is in effect (steps are
         accounted, shared accesses are conflict-checked).  Primitives consult
@@ -100,15 +100,13 @@ ContextLike = Union[None, str, "PRAM", ExecutionContext]
 
 
 def make_backend(name: str, **kwargs) -> ExecutionContext:
-    """Instantiate a backend by name (``"pram"``, ``"fast"`` or
-    ``"kernel"``).
+    """Instantiate a backend by name (``"pram"`` or ``"fast"``).
 
     Keyword arguments are forwarded to the backend constructor (e.g.
     ``num_processors=...`` / ``mode=...`` / ``record_steps=...`` for the PRAM
     backend).
     """
     from .fast_backend import FastBackend
-    from .kernel_backend import KernelBackend
     from .pram_backend import PRAMBackend
 
     if name == "pram":
@@ -118,11 +116,6 @@ def make_backend(name: str, **kwargs) -> ExecutionContext:
             raise TypeError("the fast backend takes no configuration: "
                             f"{sorted(kwargs)}")
         return FastBackend()
-    if name == "kernel":
-        if kwargs:
-            raise TypeError("the kernel backend takes no configuration: "
-                            f"{sorted(kwargs)}")
-        return KernelBackend()
     raise ValueError(f"unknown backend {name!r}; expected one of "
                      f"{BACKEND_NAMES}")
 
@@ -136,7 +129,7 @@ def resolve_context(ctx: ContextLike) -> ExecutionContext:
     * a :class:`~repro.pram.PRAM` machine → wrapped in a
       :class:`PRAMBackend` accounting on that machine (the historical
       ``machine=...`` calling convention keeps working);
-    * a string (``"pram"`` / ``"fast"`` / ``"kernel"``) → :func:`make_backend`.
+    * a string (``"pram"`` / ``"fast"``) → :func:`make_backend`.
     """
     if ctx is None:
         from .fast_backend import FAST_BACKEND

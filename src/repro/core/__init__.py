@@ -46,15 +46,7 @@ from .lower_bound import (
     or_instance_cotree,
     parallel_or_rounds,
 )
-from .batch import (
-    BatchResult,
-    Resolved,
-    WorkerPool,
-    fan_out,
-    resolve_jobs,
-    solve_batch,
-    stream_out,
-)
+from .batch import Resolved, WorkerPool, resolve_jobs, stream_out
 from .faults import CORRUPT_SENTINEL, FaultPlan
 from .retry import CircuitBreaker, ErrorOutcome, RetryPolicy, WorkerCrashError
 from .path_trees import PathForest, build_pseudo_forest, legalize_forest, remove_dummies
@@ -67,11 +59,7 @@ from .pipeline import (
     StageTiming,
 )
 from .reduce import ReducedCotree, VertexClass, reduce_cotree
-from .solver import (
-    ParallelPathCoverResult,
-    PathCoverSolver,
-    minimum_path_cover_parallel,
-)
+from .solver import ParallelPathCoverResult, minimum_path_cover_parallel
 
 __all__ = [
     "binarize_parallel",
@@ -81,11 +69,10 @@ __all__ = [
     "ROLE_P", "ROLE_L", "ROLE_R",
     "build_pseudo_forest", "legalize_forest", "remove_dummies", "PathForest",
     "extract_paths",
-    "minimum_path_cover_parallel", "ParallelPathCoverResult", "PathCoverSolver",
+    "minimum_path_cover_parallel", "ParallelPathCoverResult",
     "Pipeline", "PipelineRun", "PipelineState", "PipelineError",
     "StageTiming", "STAGE_ORDER",
-    "solve_batch", "BatchResult", "WorkerPool", "Resolved",
-    "fan_out", "stream_out", "resolve_jobs",
+    "WorkerPool", "Resolved", "stream_out", "resolve_jobs",
     "RetryPolicy", "ErrorOutcome", "WorkerCrashError", "CircuitBreaker",
     "FaultPlan", "CORRUPT_SENTINEL",
     "or_instance_cotree", "or_from_path_count", "or_from_cover",

@@ -1,21 +1,18 @@
-"""Batch and streaming fan-out: one engine behind every multi-instance call.
+"""Streaming fan-out: one engine behind every multi-instance call.
 
 The PRAM simulator answers "what does this cost on the paper's machine?";
 the fast backend answers "what is the cover?" as quickly as NumPy allows.
-This module adds the third axis — throughput across *instances* — in two
-shapes:
+This module adds the third axis — throughput across *instances*.
 
-* :func:`stream_out` — the streaming engine.  It consumes an *iterable* of
-  payloads lazily, keeps at most ``window`` payloads in flight
-  (backpressure: a million-instance stream never materialises a
-  million-payload list), and yields results in input order as they
-  complete.  Work is fanned out over processes (CPython's GIL rules out
-  thread-level parallelism for this workload, so the fan-out uses
-  ``multiprocessing`` via :class:`concurrent.futures`).
-* :func:`fan_out` — the eager wrapper: materialise the payload list, run
-  the same engine with the window thrown wide open, return a list.
+:func:`stream_out` is the streaming engine.  It consumes an *iterable* of
+payloads lazily, keeps at most ``window`` payloads in flight
+(backpressure: a million-instance stream never materialises a
+million-payload list), and yields results in input order as they
+complete.  Work is fanned out over processes (CPython's GIL rules out
+thread-level parallelism for this workload, so the fan-out uses
+``multiprocessing`` via :class:`concurrent.futures`).
 
-Sustained many-call traffic should hand both of them a :class:`WorkerPool`:
+Sustained many-call traffic should hand it a :class:`WorkerPool`:
 a persistent, reusable ``ProcessPoolExecutor`` whose workers stay warm
 across calls, instead of paying pool startup on every batch.
 
@@ -25,7 +22,8 @@ is rebuilt, lost in-flight chunks are resubmitted under a
 :class:`~repro.core.retry.RetryPolicy` (capped exponential backoff with
 jitter), and items that repeatedly kill workers are quarantined as
 structured :class:`~repro.core.retry.ErrorOutcome` records *in their
-ordered slot*.  ``RetryPolicy.off()`` restores the legacy fail-fast loop.
+ordered slot*.  ``RetryPolicy(max_retries=0)`` quarantines a crashed item
+at once instead of retrying it.
 
 Results come back in input order as lightweight picklable records — no
 machines or reports cross process boundaries.
@@ -40,20 +38,13 @@ import time
 from collections import deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional
 
-from ..backends import BACKEND_NAMES
-from ..cograph import BinaryCotree, Cotree, PathCover
 from . import faults as _faults
 from .retry import ErrorOutcome, RetryPolicy, WorkerCrashError
-from .solver import minimum_path_cover_parallel
 
-__all__ = ["BatchResult", "ErrorOutcome", "Resolved", "RetryPolicy",
-           "WorkerCrashError", "WorkerPool", "solve_batch", "fan_out",
-           "stream_out", "resolve_jobs"]
-
-TreeLike = Union[Cotree, BinaryCotree]
+__all__ = ["ErrorOutcome", "Resolved", "RetryPolicy", "WorkerCrashError",
+           "WorkerPool", "stream_out", "resolve_jobs"]
 
 #: Executor-breakage family: ``BrokenProcessPool`` (a worker died) is a
 #: subclass of :class:`concurrent.futures.BrokenExecutor`.
@@ -113,12 +104,11 @@ class WorkerPool:
     Every per-call ``ProcessPoolExecutor`` pays interpreter startup and
     module imports in each worker; sustained traffic amortises that once by
     creating one :class:`WorkerPool` and passing it to
-    :func:`repro.api.solve_many`, :func:`repro.api.solve_stream` or
-    :func:`solve_batch`::
+    :func:`repro.api.solve_many` or :func:`repro.api.solve_stream`::
 
         with WorkerPool(jobs=4) as pool:
             for batch in request_batches:
-                results = solve_batch(batch, pool=pool)
+                results = solve_many(batch, pool=pool)
 
     ``jobs=0`` (the default) means one worker per CPU; ``jobs=1`` degrades
     to in-process execution (no processes are ever spawned), which makes
@@ -338,8 +328,8 @@ def stream_out(worker, payloads: Iterable, *, jobs: Optional[int] = None,
                retry: Optional[RetryPolicy] = None) -> Iterator:
     """Stream ``worker`` over ``payloads`` lazily, in input order.
 
-    The streaming engine behind :func:`fan_out`, :func:`solve_batch`,
-    :func:`repro.api.solve_many` and :func:`repro.api.solve_stream`.
+    The streaming engine behind :func:`repro.api.solve_many` and
+    :func:`repro.api.solve_stream`.
 
     Parameters
     ----------
@@ -365,8 +355,8 @@ def stream_out(worker, payloads: Iterable, *, jobs: Optional[int] = None,
     retry:
         the :class:`RetryPolicy` governing worker-crash recovery, item
         retries, and deadlines.  ``None`` (default) heals with
-        ``RetryPolicy()``; ``RetryPolicy.off()`` restores the legacy
-        fail-fast loop where a crash raises ``BrokenProcessPool``.
+        ``RetryPolicy()``; ``RetryPolicy(max_retries=0)`` still heals the
+        pool but quarantines a crashed item at once.
 
     Yields
     ------
@@ -396,13 +386,8 @@ def stream_out(worker, payloads: Iterable, *, jobs: Optional[int] = None,
     if owned:
         pool = WorkerPool(n_jobs)
     try:
-        if policy.enabled:
-            yield from _pump(worker, iter(payloads), pool,
-                             window=window, chunksize=chunksize,
-                             policy=policy)
-        else:
-            yield from _pump_fast(worker, iter(payloads), pool.executor,
-                                  window=window, chunksize=chunksize)
+        yield from _pump(worker, iter(payloads), pool, window=window,
+                         chunksize=chunksize, policy=policy)
     finally:
         if owned:
             pool.close()
@@ -527,8 +512,7 @@ def _pump(worker, it: Iterator, pool: WorkerPool, *, window: int,
           chunksize: int, policy: RetryPolicy) -> Iterator:
     """The self-healing streaming loop: fill the window, settle the oldest.
 
-    Same shape as the legacy loop (:func:`_pump_fast`), but in-flight work
-    is tracked as resubmittable :class:`_Entry` records: a
+    In-flight work is tracked as resubmittable :class:`_Entry` records: a
     ``BrokenProcessPool`` at the head triggers :func:`_heal` instead of
     tearing the stream down, and delivered chunks pass through
     :func:`_settle` so retry/quarantine outcomes land in order.
@@ -589,176 +573,3 @@ def _pump(worker, it: Iterator, pool: WorkerPool, *, window: int,
         for result in _settle(entry, results, pool, worker, policy):
             buffered -= 1
             yield result
-
-
-def _pump_fast(worker, it: Iterator, executor, *, window: int,
-               chunksize: int) -> Iterator:
-    """The legacy fail-fast loop (``RetryPolicy.off()``): no healing.
-
-    A worker crash raises ``BrokenProcessPool`` out of the stream exactly
-    as before the resilience layer existed.  This is also the zero-overhead
-    baseline the E16 bench compares the healing loop against.
-    """
-    pending: deque = deque()   # _Done / Future, in submission order
-    buf: List = []
-    buffered = 0
-    exhausted = False
-    draw_error: Optional[Exception] = None
-
-    def flush() -> None:
-        if buf:
-            pending.append(executor.submit(_apply_chunk, worker, list(buf)))
-            buf.clear()
-
-    while True:
-        while not exhausted and buffered < window:
-            try:
-                p = next(it)
-            except StopIteration:
-                exhausted = True
-                break
-            except Exception as exc:
-                draw_error = exc
-                exhausted = True
-                break
-            buffered += 1
-            if isinstance(p, Resolved):
-                flush()
-                pending.append(_Done([p.value]))
-            else:
-                buf.append(p)
-                if len(buf) >= chunksize:
-                    flush()
-        if exhausted:
-            flush()
-        if not pending:
-            if exhausted:
-                if draw_error is not None:
-                    raise draw_error
-                return
-            continue  # pragma: no cover - fill loop always queues work
-        for result in pending.popleft().result():
-            buffered -= 1
-            if isinstance(result, _ItemFailure):
-                # fail-fast semantics: an in-worker MemoryError propagates
-                raise MemoryError(result.error)
-            yield result
-
-
-def fan_out(worker, payloads: Iterable, *, jobs: Optional[int] = None,
-            chunksize: Optional[int] = None,
-            pool: Optional[WorkerPool] = None,
-            retry: Optional[RetryPolicy] = None) -> List:
-    """Map ``worker`` over ``payloads``, optionally across processes.
-
-    The eager wrapper over :func:`stream_out` (one fan-out code path):
-    payloads are materialised, the window is the whole batch, and results
-    come back as a list in payload order.  ``worker`` must be a
-    module-level callable and every payload picklable.  ``jobs=None``/``1``
-    runs in-process, ``0`` means one worker per CPU; passing a persistent
-    :class:`WorkerPool` overrides ``jobs`` and keeps the workers warm for
-    the next call.
-
-    This is a strict path: an item quarantined by the healing engine
-    raises :class:`WorkerCrashError` (callers that want per-item degraded
-    errors stream instead).
-    """
-    payloads = list(payloads)
-    n_jobs = pool.jobs if pool is not None else resolve_jobs(jobs)
-    if n_jobs <= 1 or len(payloads) <= 1:
-        return [p.value if isinstance(p, Resolved) else worker(p)
-                for p in payloads]
-    n_jobs = min(n_jobs, len(payloads))
-    if chunksize is None:
-        chunksize = max(1, len(payloads) // (n_jobs * 4))
-    out = list(stream_out(worker, payloads, jobs=n_jobs,
-                          window=max(1, len(payloads)),
-                          chunksize=chunksize, pool=pool, retry=retry))
-    for result in out:
-        if isinstance(result, ErrorOutcome):
-            raise WorkerCrashError(result)
-    return out
-
-
-@dataclass
-class BatchResult:
-    """One instance's outcome within a batch.
-
-    Attributes
-    ----------
-    index:
-        position of the instance in the input sequence.
-    cover:
-        the minimum path cover.
-    num_paths:
-        ``len(cover.paths)``.
-    p_root:
-        the analytic Lemma 2.4 count (always equals ``num_paths``).
-    backend:
-        execution backend the instance was solved with.
-    stage_seconds:
-        per-stage wall-clock of the solve (empty for trivial instances).
-    """
-
-    index: int
-    cover: PathCover
-    num_paths: int
-    p_root: int
-    backend: str
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-
-
-def _solve_one(payload) -> BatchResult:
-    """Worker body (module level so it pickles under multiprocessing)."""
-    index, tree, backend, work_efficient, validate = payload
-    result = minimum_path_cover_parallel(
-        tree, backend=backend, work_efficient=work_efficient,
-        validate=validate)
-    return BatchResult(index=index, cover=result.cover,
-                       num_paths=result.num_paths, p_root=result.p_root,
-                       backend=result.backend,
-                       stage_seconds=result.stage_seconds)
-
-
-def solve_batch(trees: Iterable[TreeLike], *, backend: str = "fast",
-                jobs: Optional[int] = None, work_efficient: bool = True,
-                validate: bool = False, chunksize: Optional[int] = None,
-                pool: Optional[WorkerPool] = None) -> List[BatchResult]:
-    """Solve a batch of cotrees, optionally across worker processes.
-
-    Parameters
-    ----------
-    trees:
-        the instances; consumed eagerly (results preserve this order).
-        For lazily-generated streams use :func:`repro.api.solve_stream`.
-    backend:
-        ``"fast"`` (default — the throughput path) or ``"pram"``; must be a
-        backend *name* because it has to cross process boundaries.
-    jobs:
-        worker processes.  ``None`` or ``1`` solves in-process (no pool);
-        ``0`` means "one per CPU".  A fresh pool only pays for itself when
-        the per-instance work dwarfs the fork+pickle overhead; for
-        sustained many-call traffic pass a persistent ``pool`` instead.
-    validate:
-        validate every produced cover against the LCA adjacency oracle
-        (raises on the first failure).
-    chunksize:
-        instances handed to a worker at a time (default: spread the batch
-        evenly, at least 1).
-    pool:
-        a persistent :class:`WorkerPool` (overrides ``jobs``; workers stay
-        warm across calls).
-
-    Returns
-    -------
-    list[BatchResult]
-        one record per input tree, in input order.
-    """
-    if backend not in BACKEND_NAMES:
-        raise ValueError(f"backend must be one of {BACKEND_NAMES} (a name, "
-                         f"so it can cross process boundaries); "
-                         f"got {backend!r}")
-    payloads = [(i, tree, backend, work_efficient, validate)
-                for i, tree in enumerate(trees)]
-    return fan_out(_solve_one, payloads, jobs=jobs, chunksize=chunksize,
-                   pool=pool)

@@ -66,25 +66,18 @@ def leftist_reorder(ctx, tree: BinaryCotree, *,
     L = numbers.subtree_leaves
     internal = tree.internal_nodes
     out = tree.copy()
-    kernels = getattr(machine, "kernels", None)
-    if kernels is not None:
-        # compiled tier: detect-and-swap in one in-place pass over the
-        # internal nodes (out.copy() above owns its arrays)
-        with machine.step(active=len(internal), label=f"{label}:swap"):
-            kernels.leftist_swap(out.left, out.right, L, internal)
-    else:
-        # nodes violating the leftist condition
-        viol = internal[L[tree.left[internal]] < L[tree.right[internal]]]
-        if len(viol):
-            left_arr = machine.array(out.left, name=f"{label}.left")
-            right_arr = machine.array(out.right, name=f"{label}.right")
-            with machine.step(active=len(viol), label=f"{label}:swap"):
-                l = left_arr.gather(viol)
-                r = right_arr.gather(viol)
-                left_arr.scatter(viol, r)
-                right_arr.scatter(viol, l)
-            out.left = left_arr.data
-            out.right = right_arr.data
+    # nodes violating the leftist condition
+    viol = internal[L[tree.left[internal]] < L[tree.right[internal]]]
+    if len(viol):
+        left_arr = machine.array(out.left, name=f"{label}.left")
+        right_arr = machine.array(out.right, name=f"{label}.right")
+        with machine.step(active=len(viol), label=f"{label}:swap"):
+            l = left_arr.gather(viol)
+            r = right_arr.gather(viol)
+            left_arr.scatter(viol, r)
+            right_arr.scatter(viol, l)
+        out.left = left_arr.data
+        out.right = right_arr.data
 
     # renumber after the swap (inorder changes; L(u) and depth do not, so
     # the depths are handed back in)

@@ -54,10 +54,6 @@ class RetryPolicy:
         item's first submission.  An item that exceeds it degrades to an
         :class:`ErrorOutcome` of kind ``"deadline"`` (never retried — its
         time is up by definition).
-    enabled:
-        ``False`` restores the legacy fail-fast streaming loop (a worker
-        crash raises ``BrokenProcessPool`` out of the stream).  Build one
-        with :meth:`off`.
     """
 
     max_retries: int = 3
@@ -65,7 +61,6 @@ class RetryPolicy:
     max_delay: float = 2.0
     jitter: float = 0.1
     deadline: Optional[float] = None
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -80,12 +75,6 @@ class RetryPolicy:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(f"deadline must be > 0, got {self.deadline}")
-
-    @classmethod
-    def off(cls) -> "RetryPolicy":
-        """The escape hatch: no healing, legacy fail-fast semantics."""
-        return cls(max_retries=0, base_delay=0.0, max_delay=0.0,
-                   jitter=0.0, enabled=False)
 
     def delay_for(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based); 0.0 for attempt 0."""

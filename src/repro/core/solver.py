@@ -32,8 +32,7 @@ from ..cograph import (
 from ..pram import PRAM, AccessMode, CostReport, optimal_processor_count
 from .pipeline import Pipeline
 
-__all__ = ["ParallelPathCoverResult", "minimum_path_cover_parallel",
-           "PathCoverSolver"]
+__all__ = ["ParallelPathCoverResult", "minimum_path_cover_parallel"]
 
 
 @dataclass
@@ -176,38 +175,3 @@ def minimum_path_cover_parallel(
         cover.validate(oracle, expected_num_vertices=n,
                        expected_num_paths=p_root)
     return result
-
-
-class PathCoverSolver:
-    """Object-oriented facade over :func:`minimum_path_cover_parallel`.
-
-    Useful when solving many instances with the same configuration::
-
-        solver = PathCoverSolver(mode="EREW", work_efficient=True)
-        result = solver.solve(cotree)
-
-        fast = PathCoverSolver(backend="fast")      # throughput path
-        result = fast.solve(cotree)
-    """
-
-    def __init__(self, *, num_processors: Optional[int] = None,
-                 mode: Union[AccessMode, str] = AccessMode.EREW,
-                 backend: Union[None, str] = None,
-                 work_efficient: bool = True, validate: bool = False,
-                 record_steps: bool = False) -> None:
-        self.num_processors = num_processors
-        self.mode = mode
-        self.backend = backend
-        self.work_efficient = work_efficient
-        self.validate = validate
-        self.record_steps = record_steps
-
-    def solve(self, tree: Union[Cotree, FlatCotree, BinaryCotree],
-              machine: Optional[PRAM] = None) -> ParallelPathCoverResult:
-        """Solve one instance; a fresh context is created unless a machine
-        is given."""
-        return minimum_path_cover_parallel(
-            tree, machine=machine, backend=self.backend,
-            num_processors=self.num_processors,
-            mode=self.mode, work_efficient=self.work_efficient,
-            validate=self.validate, record_steps=self.record_steps)

@@ -15,7 +15,7 @@ import json
 from typing import Dict, List, Union
 
 from ..cograph import Cotree, Graph, PathCover
-from ..cograph.cotree import JOIN, LEAF, UNION
+from ..cograph.cotree import JOIN, LEAF, UNION, _compact
 
 __all__ = [
     "cotree_to_json", "cotree_from_json",
@@ -50,56 +50,116 @@ def cotree_from_json(data: Dict) -> Cotree:
 
 
 def cotree_to_text(tree: Cotree) -> str:
-    """Compact text form: ``*`` = join, ``+`` = union, leaves by vertex id."""
-    def rec(u: int) -> str:
-        if tree.kind[u] == LEAF:
-            return str(int(tree.leaf_vertex[u]))
-        sep = " * " if tree.kind[u] == JOIN else " + "
-        return "(" + sep.join(rec(c) for c in tree.children[u]) + ")"
-    return rec(tree.root)
+    """Compact text form: ``*`` = join, ``+`` = union, leaves by vertex id.
+
+    Iterative (an explicit stack of nodes and literal pieces), so any tree
+    height is fine.
+    """
+    out: List[str] = []
+    stack: List[Union[int, str]] = [tree.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif tree.kind[item] == LEAF:
+            out.append(str(int(tree.leaf_vertex[item])))
+        else:
+            sep = " * " if tree.kind[item] == JOIN else " + "
+            stack.append(")")
+            for i, c in enumerate(reversed(tree.children[item])):
+                if i:
+                    stack.append(sep)
+                stack.append(c)
+            stack.append("(")
+    return "".join(out)
 
 
 def cotree_from_text(text: str) -> Cotree:
-    """Parse the compact text form produced by :func:`cotree_to_text`."""
+    """Parse the compact text form produced by :func:`cotree_to_text`.
+
+    Iterative (one pass over the tokens with an explicit stack of open
+    groups), so any nesting depth is fine.  Groups are canonicalized as
+    they close, so the one tree built is already canonical.  A tree with
+    two or more leaves must number them ``0..n-1`` — vertex ids index every
+    per-vertex array downstream — and any other numbering is refused with a
+    :class:`ValueError` naming the first missing id.  A lone leaf keeps its
+    id (``"5"`` is the one-vertex cograph on vertex 5).
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ") \
                  .replace("*", " * ").replace("+", " + ").split()
+    kind: List[int] = []
+    children: List[List[int]] = []
+    leaf_vertex: List[int] = []
+    groups: List[list] = []      # open groups: [child node ids, op kind]
+    num_tokens = len(tokens)
     pos = 0
-
-    def parse():
-        nonlocal pos
+    while True:
+        # one expression: open groups until a leaf completes a node
+        if pos >= num_tokens:
+            raise ValueError(
+                f"truncated cotree text (unbalanced parentheses?): {text!r}")
         token = tokens[pos]
-        if token == "(":
-            pos += 1
-            children = [parse()]
-            op = None
-            while tokens[pos] != ")":
-                if tokens[pos] in ("*", "+"):
-                    new_op = "join" if tokens[pos] == "*" else "union"
-                    if op is not None and new_op != op:
-                        raise ValueError("mixed operators inside one group")
-                    op = new_op
-                    pos += 1
-                children.append(parse())
-            pos += 1
-            if op is None:
-                if len(children) != 1:
-                    raise ValueError("group without operator")
-                return children[0]
-            return tuple([op] + children)
         pos += 1
-        return int(token)
-
-    try:
-        spec = parse()
-    except IndexError:
-        raise ValueError(
-            f"truncated cotree text (unbalanced parentheses?): {text!r}"
-        ) from None
-    if pos != len(tokens):
+        if token == "(":
+            groups.append([[], None])
+            continue
+        node = len(kind)
+        kind.append(LEAF)
+        children.append([])
+        leaf_vertex.append(int(token))
+        # hand the node to its group; close every group that ends here
+        while groups:
+            group = groups[-1]
+            group[0].append(node)
+            if pos >= num_tokens:
+                raise ValueError(
+                    f"truncated cotree text (unbalanced parentheses?): "
+                    f"{text!r}")
+            token = tokens[pos]
+            if token != ")":
+                if token in ("*", "+"):
+                    op = JOIN if token == "*" else UNION
+                    if group[1] is not None and group[1] != op:
+                        raise ValueError("mixed operators inside one group")
+                    group[1] = op
+                    pos += 1
+                break
+            pos += 1
+            groups.pop()
+            members, op = group
+            if op is None:
+                if len(members) != 1:
+                    raise ValueError("group without operator")
+                node = members[0]
+            else:
+                # canonical on the fly: a same-operator member (already
+                # canonical itself) hands its children up to this group
+                flat: List[int] = []
+                for member in members:
+                    if kind[member] == op:
+                        flat.extend(children[member])
+                    else:
+                        flat.append(member)
+                node = len(kind)
+                kind.append(op)
+                children.append(flat)
+                leaf_vertex.append(-1)
+        else:
+            break
+    if pos != num_tokens:
         raise ValueError("trailing input after cotree expression")
-    if isinstance(spec, int):
-        return Cotree.single_vertex(spec)
-    return Cotree.from_nested(spec).canonicalize()
+    if len(kind) == 1:
+        return Cotree.single_vertex(leaf_vertex[0])
+    # renumber the reachable nodes in preorder (spliced members drop out)
+    tree = _compact(kind, children, leaf_vertex, node)
+    ids = [v for k, v in zip(kind, leaf_vertex) if k == LEAF]
+    if max(ids) >= len(ids):
+        missing = min(set(range(len(ids))).difference(ids))
+        raise ValueError(
+            f"cotree text must number its {len(ids)} leaves 0..{len(ids) - 1}"
+            f" (vertex ids index per-vertex arrays); vertex id {missing} is "
+            f"missing")
+    return tree
 
 
 # --------------------------------------------------------------------------- #

@@ -18,9 +18,12 @@ from repro.analysis import (
     log2ceil,
     loglog_slope,
 )
+from repro.api import solve
 from repro.cograph import (
+    Cotree,
     Graph,
     PathCover,
+    caterpillar_cotree,
     clique,
     complete_bipartite,
     random_cotree,
@@ -169,6 +172,56 @@ class TestSerialisation:
     def test_text_form_rejects_mixed_ops(self):
         with pytest.raises(ValueError):
             cotree_from_text("(0 * 1 + 2)")
+
+    def test_text_round_trip_at_depth_5000(self):
+        t = caterpillar_cotree(5000)
+        text = cotree_to_text(t)
+        back = cotree_from_text(text)
+        assert back.height() == t.height() == 4999
+        assert cotree_to_text(back) == text
+        assert np.array_equal(back.leaf_vertex, t.leaf_vertex)
+        assert back.children == t.children
+
+    @pytest.mark.parametrize("text, spec", [
+        ("((0 * 1) * 2)", ("join", ("join", 0, 1), 2)),
+        ("(((0)) + ((1 + (2 * 3))))",
+         ("union", 0, ("union", 1, ("join", 2, 3)))),
+        ("((0 * (1 * (2 + 3))) * (4 + (5 + 6)))",
+         ("join", ("join", 0, ("join", 1, ("union", 2, 3))),
+          ("union", 4, ("union", 5, 6)))),
+    ])
+    def test_text_parses_to_the_canonical_tree(self, text, spec):
+        back = cotree_from_text(text)
+        want = Cotree.from_nested(spec).canonicalize()
+        assert back.is_canonical()
+        assert back.kind.tolist() == want.kind.tolist()
+        assert back.children == want.children
+        assert back.leaf_vertex.tolist() == want.leaf_vertex.tolist()
+        assert back.root == want.root
+
+    @pytest.mark.parametrize("text, message", [
+        ("(0 + 1", "truncated cotree text"),
+        ("", "truncated cotree text"),
+        ("(0 + 1 * 2)", "mixed operators inside one group"),
+        ("(0 1)", "group without operator"),
+        ("(0 + 1))", "trailing input after cotree expression"),
+    ])
+    def test_text_form_error_messages(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            cotree_from_text(text)
+
+    @pytest.mark.parametrize("text, missing", [
+        ("(0 * 2)", 1), ("(1 + 2)", 0), ("((0 * 1) + 3)", 2),
+    ])
+    @pytest.mark.parametrize("task", [
+        "path_cover", "path_cover_size", "chromatic_number", "max_clique",
+    ])
+    def test_text_leaf_ids_must_be_0_to_n_minus_1(self, text, missing, task):
+        match = f"vertex id {missing} is missing"
+        with pytest.raises(ValueError, match=match):
+            cotree_from_text(text)
+        with pytest.raises(ValueError, match=match):
+            solve(text, task=task, backend="fast")
 
     def test_cover_json_roundtrip(self):
         c = PathCover([[0, 1], [2]])

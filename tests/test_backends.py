@@ -1,10 +1,11 @@
 """Backend layer tests: context resolution, primitive parity, end-to-end
 cover parity across PRAM / fast / sequential, the named-stage pipeline, and
-the batch API."""
+the batch front door (``solve_many``)."""
 
 import numpy as np
 import pytest
 
+from repro.api import solve_many
 from repro.backends import (
     BACKEND_NAMES,
     FAST_BACKEND,
@@ -33,7 +34,6 @@ from repro.core import (
     Pipeline,
     PipelineError,
     minimum_path_cover_parallel,
-    solve_batch,
 )
 from repro.pram import PRAM, AccessMode
 from repro.primitives import (
@@ -96,7 +96,7 @@ class TestContextResolution:
         assert FastBackend().machine is None
         assert FastBackend().report() is None
         assert isinstance(PRAMBackend(), ExecutionContext)
-        assert set(BACKEND_NAMES) == {"pram", "fast", "kernel"}
+        assert BACKEND_NAMES == ("pram", "fast")
 
     def test_pram_backend_for_input_size(self):
         ctx = PRAMBackend.for_input_size(1024)
@@ -285,36 +285,42 @@ class TestSolveBatch:
 
     def test_serial_round_trip(self):
         trees = self._trees()
-        results = solve_batch(trees, backend="fast", validate=True)
-        assert [r.index for r in results] == list(range(len(trees)))
+        results = solve_many(trees, backend="fast", validate=True)
+        assert [r.provenance["batch_index"] for r in results] == \
+            list(range(len(trees)))
         for tree, r in zip(trees, results):
-            assert r.num_paths == r.p_root == minimum_path_cover_size(tree)
+            assert r.num_paths == r.provenance["p_root"] == \
+                minimum_path_cover_size(tree)
             assert r.backend == "fast"
 
     def test_parallel_jobs_match_serial(self):
         trees = self._trees()
-        serial = solve_batch(trees, backend="fast", jobs=1)
-        parallel = solve_batch(trees, backend="fast", jobs=2)
+        serial = solve_many(trees, backend="fast", jobs=1)
+        parallel = solve_many(trees, backend="fast", jobs=2)
         assert [r.cover.paths for r in serial] == \
             [r.cover.paths for r in parallel]
 
     def test_pram_backend_batch(self):
         trees = self._trees(3)
-        results = solve_batch(trees, backend="pram")
+        results = solve_many(trees, backend="pram")
         for tree, r in zip(trees, results):
             assert r.num_paths == minimum_path_cover_size(tree)
             assert r.backend == "pram"
+            # and bit-identical to the fast backend's covers
+            assert r.cover.paths == \
+                minimum_path_cover_parallel(tree, backend="fast").cover.paths
 
     def test_rejects_non_name_backend(self):
         with pytest.raises(ValueError):
-            solve_batch(self._trees(2), backend=FastBackend())
+            solve_many(self._trees(2), backend=FastBackend())
 
     def test_empty_and_single(self):
-        assert solve_batch([]) == []
-        [r] = solve_batch([clique(4)], jobs=4)
+        assert solve_many([]) == []
+        [r] = solve_many([clique(4)], jobs=4)
         assert r.num_paths == 1
 
     def test_jobs_zero_means_cpu_count(self):
         trees = self._trees(2)
-        results = solve_batch(trees, jobs=0)
-        assert len(results) == 2
+        results = solve_many(trees, backend="fast", jobs=0)
+        assert [r.num_paths for r in results] == \
+            [minimum_path_cover_size(t) for t in trees]

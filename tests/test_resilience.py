@@ -3,7 +3,7 @@
 Drives :class:`repro.core.FaultPlan` scripts through every layer that is
 supposed to survive them:
 
-* the streaming engine (``stream_out`` / ``fan_out``) — workers SIGKILLed
+* the streaming engine (``stream_out``) — workers SIGKILLed
   mid-stream, poison items, in-worker ``MemoryError``, slow items past
   their deadline;
 * the API front door (``solve_stream`` / ``solve_many``) — quarantined
@@ -26,11 +26,10 @@ import json
 import os
 import re
 import time
-from concurrent.futures import BrokenExecutor
 
 import pytest
 
-from repro.api import SolutionCache, solve, solve_stream
+from repro.api import SolutionCache, solve, solve_many, solve_stream
 from repro.cograph import random_cotree
 from repro.core import (
     CORRUPT_SENTINEL,
@@ -42,7 +41,7 @@ from repro.core import (
     WorkerPool,
 )
 from repro.core.batch import Resolved, _apply_chunk, _ItemFailure, \
-    fan_out, stream_out
+    stream_out
 from repro.core.faults import FAULTS_ENV, GENERATION_ENV, active_plan, \
     clear_active_plan
 from repro.io import cotree_to_text
@@ -101,12 +100,6 @@ class TestRetryPolicy:
         p = RetryPolicy(base_delay=0.1, max_delay=0.1, jitter=0.5)
         for _ in range(50):
             assert 0.1 <= p.delay_for(1) <= 0.15 + 1e-9
-
-    def test_off_restores_fail_fast_semantics(self):
-        off = RetryPolicy.off()
-        assert not off.enabled
-        assert off.max_retries == 0
-        assert off.delay_for(5) == 0.0
 
     def test_validation_rejects_nonsense(self):
         with pytest.raises(ValueError, match="max_retries"):
@@ -303,20 +296,29 @@ class TestWorkerPoolHealing:
         assert out[:2] == [(0, 0), (1, 1)]
         assert out[3:] == [(i, i * i) for i in range(3, 6)]
 
-    def test_retry_off_restores_fail_fast(self, arm):
-        arm(kill_task=1, once=False)
+    def test_zero_retries_quarantines_at_once(self, arm):
+        # max_retries=0 still heals the pool and never raises: the crashed
+        # item (and any item that may have shared its dying worker) degrades
+        # to an ErrorOutcome on its first failure instead of being retried
+        arm(kill_index=1, once=False)
         payloads = [(i, i) for i in range(6)]
         with WorkerPool(2) as pool:
-            with pytest.raises(BrokenExecutor):
-                list(stream_out(_square, payloads, pool=pool,
-                                retry=RetryPolicy.off()))
+            out = list(stream_out(_square, payloads, pool=pool,
+                                  retry=RetryPolicy(max_retries=0)))
+            failed = [r for r in out if isinstance(r, ErrorOutcome)]
+            assert pool.retries == 0
+            assert pool.quarantined == len(failed) <= pool.jobs
+        assert isinstance(out[1], ErrorOutcome)
+        assert all(r.kind == "crash" and r.attempts == 1 for r in failed)
+        assert all(r == (i, i * i) for i, r in enumerate(out)
+                   if not isinstance(r, ErrorOutcome))
 
     def test_fan_out_is_strict_about_quarantine(self, arm):
+        # the eager front door (solve_many) raises on a quarantined item
         arm(kill_index=2, once=False)
-        payloads = [(i, i) for i in range(8)]
         with WorkerPool(2) as pool:
             with pytest.raises(WorkerCrashError) as info:
-                fan_out(_square, payloads, pool=pool, retry=FAST)
+                solve_many(_trees(8), pool=pool, retry=FAST)
         assert info.value.outcome.kind == "crash"
 
     def test_resolved_passthrough_survives_healing(self, arm):

@@ -31,7 +31,8 @@ import pytest
 from repro._version import __version__
 from repro.api import SolutionCache, SolveOptions, as_problem, solve, \
     task_names
-from repro.cograph import as_flat_cotree, pack, random_cotree
+from repro.cograph import as_flat_cotree, caterpillar_cotree, pack, \
+    random_cotree
 from repro.io import cotree_to_text
 from repro.io.wire import frame as wire_frame
 from repro.io.wire import to_bytes as wire_to_bytes
@@ -325,10 +326,10 @@ class TestWireSchemas:
 
     def test_query_task_and_options(self):
         query = "task=max_clique&options=" + urllib.parse.quote(
-            json.dumps({"backend": "kernel"}))
+            json.dumps({"backend": "fast"}))
         req = parse_wire_solve_request(wire_buf(), query)
         assert req.task == "max_clique"
-        assert req.options.backend == "kernel"
+        assert req.options.backend == "fast"
 
     def test_bad_query_parameters_are_schema_errors(self):
         with pytest.raises(SchemaError, match="unknown query parameter"):
@@ -395,6 +396,35 @@ class TestDispatch:
         assert data["type"] == "solution" and data["num_paths"] == 2
         assert data["provenance"]["route"] == "serial"
         assert data["provenance"]["cache"] == "miss"
+
+    def test_deep_cotree_text_is_solved_not_a_500(self):
+        deep = cotree_to_text(caterpillar_cotree(1500))
+
+        async def scenario(app):
+            return await app.dispatch(
+                "POST", "/v1/solve",
+                solve_body(deep, options={"backend": "fast"}))
+
+        response = run_app(scenario)
+        assert response.status == 200
+        assert response.json()["num_paths"] == solve(
+            caterpillar_cotree(1500), backend="fast").num_paths
+
+    @pytest.mark.parametrize("task", [
+        "path_cover", "path_cover_size", "chromatic_number", "max_clique",
+    ])
+    def test_text_leaf_ids_outside_0_to_n_minus_1_are_a_400(self, task):
+        async def scenario(app):
+            response = await app.dispatch(
+                "POST", "/v1/solve", solve_body("(0 * 2)", task=task))
+            return response, app.breaker.snapshot()
+
+        response, breaker = run_app(scenario)
+        assert response.status == 400
+        [detail] = response.json()["error"]["details"]
+        assert detail["field"] == "problem"
+        assert "vertex id 1 is missing" in detail["error"]
+        assert breaker["consecutive_failures"] == 0
 
     def test_solve_cache_miss_then_hit(self):
         async def scenario(app):
@@ -484,13 +514,13 @@ class TestBinaryDispatch:
         async def scenario(app):
             return await app.dispatch(
                 "POST", "/v1/solve?task=max_clique&options=" +
-                urllib.parse.quote(json.dumps({"backend": "kernel"})),
+                urllib.parse.quote(json.dumps({"backend": "fast"})),
                 wire_buf(), self.OCTET)
 
         response = run_app(scenario)
         assert response.status == 200
         data = response.json()
-        assert data["backend"] == "kernel"
+        assert data["backend"] == "fast"
         assert data["answer"]["size"] == 2
 
     def test_binary_batch_matches_json_batch(self):
@@ -537,8 +567,7 @@ class TestBinaryDispatch:
             return await app.dispatch("GET", "/healthz")
 
         data = run_app(scenario).json()
-        assert data["backends"]["available"] == ["pram", "fast", "kernel"]
-        assert data["backends"]["kernel"]["mode"] in ("jit", "fallback")
+        assert data["backends"] == {"available": ["pram", "fast"]}
 
     def test_batch_routes_through_the_forest_sweep(self):
         async def scenario(app):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import minimum_path_cover
+from repro import solve
 from repro.analysis import log2ceil
 from repro.baselines import brute_force_path_cover_size, sequential_path_cover
 from repro.cograph import (
@@ -23,7 +23,7 @@ from repro.cograph import (
     threshold_cograph,
     union_of_cliques,
 )
-from repro.core import PathCoverSolver, minimum_path_cover_parallel
+from repro.core import minimum_path_cover_parallel
 from repro.pram import PRAM, AccessMode, optimal_processor_count
 from conftest import nested_cotree_specs
 
@@ -169,18 +169,17 @@ class TestMachineBehaviour:
 
 class TestSolverFacade:
     def test_solver_reuse(self):
-        solver = PathCoverSolver(validate=True)
         for seed in range(3):
             tree = random_cotree(25, seed=seed)
-            result = solver.solve(tree)
+            result = solve(tree, validate=True)
             assert result.num_paths == minimum_path_cover_size(tree)
 
     def test_top_level_helper(self):
         tree = random_cotree(30, seed=18)
-        a = minimum_path_cover(tree, method="parallel")
-        b = minimum_path_cover(tree, method="sequential")
+        a = solve(tree, method="parallel").cover
+        b = solve(tree, method="sequential").cover
         assert a.num_paths == b.num_paths == minimum_path_cover_size(tree)
 
     def test_top_level_helper_rejects_unknown_method(self):
         with pytest.raises(ValueError):
-            minimum_path_cover(clique(3), method="magic")
+            solve(clique(3), method="magic")

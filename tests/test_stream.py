@@ -21,7 +21,7 @@ from repro.cograph import (
     minimum_path_cover_size,
     random_cotree,
 )
-from repro.core import Resolved, WorkerPool, fan_out, solve_batch, stream_out
+from repro.core import Resolved, WorkerPool, stream_out
 from repro.core.batch import resolve_jobs
 from repro.io import cotree_from_text
 
@@ -47,7 +47,8 @@ class TestWorkerPool:
     def test_serial_pool_never_spawns(self):
         with WorkerPool(1) as pool:
             assert pool.executor is None
-            assert fan_out(_square, [1, 2, 3], pool=pool) == [1, 4, 9]
+            assert list(stream_out(_square, [1, 2, 3], pool=pool)) == \
+                [1, 4, 9]
 
     def test_executor_is_lazy_and_reused(self):
         with WorkerPool(2) as pool:
@@ -66,7 +67,7 @@ class TestWorkerPool:
 
     def test_warm_up_chains_and_serves(self):
         with WorkerPool(2).warm_up() as pool:
-            assert fan_out(_square, list(range(8)), pool=pool) == \
+            assert list(stream_out(_square, range(8), pool=pool)) == \
                 [i * i for i in range(8)]
 
     def test_resolve_jobs(self):
@@ -134,40 +135,50 @@ class TestStreamOut:
 
 
 # --------------------------------------------------------------------------- #
-# fan_out: the eager wrapper (chunksize / ordering under jobs > 1)
+# solve_many: the eager wrapper (chunksize / ordering under jobs > 1)
 # --------------------------------------------------------------------------- #
+
+def _sizes(solutions):
+    return [(s.provenance["batch_index"], s.answer) for s in solutions]
+
 
 class TestFanOut:
+    TREES = [random_cotree(8 + s, seed=s) for s in range(23)]
+
     @pytest.mark.parametrize("chunksize", [None, 1, 5, 100])
     def test_chunksize_never_changes_results(self, chunksize):
-        expected = [i * i for i in range(23)]
-        assert fan_out(_square, range(23), jobs=2,
-                       chunksize=chunksize) == expected
+        expected = [(i, minimum_path_cover_size(t))
+                    for i, t in enumerate(self.TREES)]
+        assert _sizes(solve_many(self.TREES, "path_cover_size", jobs=2,
+                                 chunksize=chunksize)) == expected
 
     def test_serial_matches_parallel(self):
-        serial = fan_out(_square, range(17), jobs=1)
-        parallel = fan_out(_square, range(17), jobs=3)
-        assert serial == parallel
+        serial = solve_many(self.TREES[:17], "path_cover_size", jobs=1)
+        parallel = solve_many(self.TREES[:17], "path_cover_size", jobs=3)
+        assert _sizes(serial) == _sizes(parallel)
 
     def test_single_payload_stays_in_process(self):
-        assert fan_out(_square, [6], jobs=8) == [36]
+        [solution] = solve_many([clique(6)], "path_cover_size", jobs=8)
+        assert solution.answer == 1
+        assert solution.provenance["route"] == "serial"
 
 
 # --------------------------------------------------------------------------- #
-# solve_batch on a pool
+# solve_many on a pool
 # --------------------------------------------------------------------------- #
 
 class TestSolveBatchPool:
     def test_pool_reuse_matches_per_call(self):
         trees = [random_cotree(25, seed=s) for s in range(6)]
-        per_call = solve_batch(trees, jobs=2)
+        per_call = solve_many(trees, backend="fast", jobs=2)
         with WorkerPool(2) as pool:
-            pooled_a = solve_batch(trees, pool=pool)
-            pooled_b = solve_batch(trees, pool=pool)  # warm second call
+            pooled_a = solve_many(trees, backend="fast", pool=pool)
+            pooled_b = solve_many(trees, backend="fast", pool=pool)  # warm
         for results in (pooled_a, pooled_b):
-            assert [r.num_paths for r in results] == \
-                [r.num_paths for r in per_call]
-            assert [r.index for r in results] == list(range(6))
+            assert [r.cover.paths for r in results] == \
+                [r.cover.paths for r in per_call]
+            assert [r.provenance["batch_index"] for r in results] == \
+                list(range(6))
 
 
 # --------------------------------------------------------------------------- #
@@ -243,7 +254,7 @@ class TestSolutionCache:
         a = cotree_from_text("(0 + (1 * 2))")
         b = cotree_from_text("((2 * 1) + 0)")
         assert canonical_cotree_key(a) == canonical_cotree_key(b)
-        c = cotree_from_text("(0 + (1 * 3))")
+        c = cotree_from_text("(1 + (0 * 2))")
         assert canonical_cotree_key(a) != canonical_cotree_key(c)
 
     def test_canonical_key_canonicalises(self):
