@@ -236,9 +236,9 @@ def profile_forest(task: str, instances: int, n_max: int, repeats: int):
 
     Both sides run the fast engine explicitly (``backend="fast"``, the route
     the deprecated ``solve_batch`` always took) so the comparison isolates
-    per-instance dispatch overhead — for ``path_cover_size`` the *default*
-    options would instead hit the sequential analytic shortcut, a different
-    algorithm entirely.  The GC is paused around each timed region (as
+    per-instance dispatch overhead: both sides run the same engine for
+    every task (default options would put the baseline's ``max_clique``
+    on the PRAM simulator).  The GC is paused around each timed region (as
     ``timeit`` does) for both sides alike: the 10k held Solution objects
     otherwise make collector pauses the dominant noise term."""
     trees = _e13_instances(instances, n_max)

@@ -24,7 +24,8 @@ def main() -> None:
     # -- 2. the paper's parallel algorithm -------------------------------- #
     result = solve(tree, validate=True)      # backend="pram" is the default
     print(f"minimum path cover size: {result.num_paths} "
-          f"(analytic p(root) = {solve(tree, task='path_cover_size').answer})")
+          f"(Lemma 2.4 DP p(root) = "
+          f"{solve(tree, task='path_cover_size').answer})")
     print(render_cover(result.cover))
     print()
 

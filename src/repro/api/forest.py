@@ -48,7 +48,6 @@ from ..core.dp import (
     run_cotree_dp,
 )
 from ..core.pipeline import Pipeline
-from ..pram import AccessMode
 from .adapters import Problem, as_problem
 from .options import SolveOptions
 from .solution import Solution
@@ -77,14 +76,8 @@ def _forest_supported(task: str, options: SolveOptions) -> bool:
     accounting, no per-instance validation.  Any option that asks for one
     of those sends every instance down the serial fallback instead.
     """
-    return (task in FOREST_TASKS
-            and options.method == "parallel"
-            and options.backend in (None, "fast")
-            and options.num_processors is None
-            and options.mode is AccessMode.EREW
-            and options.work_efficient
-            and not options.validate
-            and not options.record_steps)
+    return (task in FOREST_TASKS and options.backend in (None, "fast")
+            and not options.with_(backend=None).picks_engine)
 
 
 def _eligible_flat(prob: Problem):

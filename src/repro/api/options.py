@@ -168,6 +168,13 @@ class SolveOptions:
             return "sequential"
         return self.backend if self.backend is not None else "pram"
 
+    @property
+    def picks_engine(self) -> bool:
+        """True when a backend, a PRAM knob, ``validate`` or the sequential
+        method is set (``cache`` and ``batch_small`` pick no engine)."""
+        return (self.method != "parallel" or self.backend is not None
+                or self.validate or bool(self._non_default_parallel_knobs()))
+
     def solver_kwargs(self) -> Dict[str, Any]:
         """Keyword arguments for the parallel engine
         (:func:`repro.core.minimum_path_cover_parallel`)."""

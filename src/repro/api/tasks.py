@@ -7,8 +7,8 @@ for out-of-tree tasks:
 =============================  ============================================
 ``path_cover``                 the minimum path cover itself (the paper's
                                main theorem)
-``path_cover_size``            just ``p(root)`` — analytic by default, via
-                               the pipeline when a backend is forced
+``path_cover_size``            just ``p(root)`` — the Lemma 2.4 cotree DP,
+                               fast unless the options pick an engine
 ``hamiltonian_path``           a Hamiltonian path witness, or ``None``
 ``hamiltonian_cycle``          a Hamiltonian cycle witness, or ``None``
 ``recognition``                is the input graph a cograph at all?
@@ -22,8 +22,9 @@ for out-of-tree tasks:
 ``count_independent_sets``     exact #IS (arbitrary precision)
 =============================  ============================================
 
-The last seven (and the size computations behind ``lower_bound`` and
-``path_cover_size``) all run on the declarative cotree-DP engine
+The last seven (and ``path_cover_size``, the Hamiltonicity decisions and
+the path count behind ``lower_bound``) all run on the declarative
+cotree-DP engine
 (:mod:`repro.core.dp`): one :class:`~repro.core.CotreeDP` spec per task,
 executed level-wise over :class:`~repro.cograph.FlatCotree` CSR arrays on
 whichever backend the options select.  The extremal-set tasks
@@ -42,20 +43,14 @@ import numpy as np
 
 from ..baselines import sequential_path_cover
 from ..cograph import (
-    BinaryCotree,
     CographAdjacencyOracle,
     FlatCotree,
     NotACographError,
-    binarize_cotree,
     graph_from_md_tree,
-    make_leftist,
     minimum_path_cover_size,
-    path_cover_sizes_per_node,
 )
 from ..core import (
     expected_path_count,
-    hamiltonian_cycle,
-    hamiltonian_path,
     minimum_path_cover_parallel,
     or_from_path_count,
 )
@@ -73,6 +68,7 @@ from ..core.dp import (
     run_cotree_dp,
     run_cotree_dp_sequential,
 )
+from ..core.hamiltonian import cycle_witness, path_witness
 from ..core.solver import _build_context
 from .adapters import Problem
 from .options import SolveOptions
@@ -83,38 +79,11 @@ __all__ = []  # tasks are reached through the registry, not by name
 
 
 def _cover_solver(options: SolveOptions):
-    """``tree -> PathCover`` bound to the options' engine choice."""
+    """``FlatCotree -> PathCover`` bound to the options' engine choice."""
     if options.method == "sequential":
-        return sequential_path_cover
+        return lambda flat: sequential_path_cover(flat.to_cotree())
     kwargs = options.solver_kwargs()
     return lambda tree: minimum_path_cover_parallel(tree, **kwargs).cover
-
-
-def _solve_cover(problem: Problem, options: SolveOptions,
-                 task: str) -> Solution:
-    """Run the configured cover engine and wrap the outcome."""
-    if options.method == "sequential":
-        tree = problem.cotree()
-        cover = sequential_path_cover(tree)
-        if options.validate:
-            cover.validate(CographAdjacencyOracle(tree),
-                           expected_num_vertices=tree.num_vertices,
-                           expected_num_paths=int(
-                               minimum_path_cover_size(tree)))
-        return Solution(task=task, answer=cover, backend="sequential",
-                        options=options, cover=cover,
-                        num_paths=cover.num_paths)
-    # the parallel pipeline consumes FlatCotree inputs natively — no
-    # object-per-node conversion on the hot path
-    result = minimum_path_cover_parallel(problem.pipeline_tree(),
-                                         **options.solver_kwargs())
-    return Solution(task=task, answer=result.cover, backend=result.backend,
-                    options=options, cover=result.cover,
-                    num_paths=result.num_paths, report=result.report,
-                    stage_seconds=result.stage_seconds,
-                    machine=result.machine,
-                    provenance={"p_root": result.p_root,
-                                "exchanges": result.exchanges})
 
 
 # --------------------------------------------------------------------------- #
@@ -124,26 +93,43 @@ def _solve_cover(problem: Problem, options: SolveOptions,
 @register_task("path_cover",
                summary="minimum path cover of the cograph (Theorem 5.3)")
 def _task_path_cover(problem: Problem, options: SolveOptions) -> Solution:
-    return _solve_cover(problem, options, "path_cover")
+    if options.method == "sequential":
+        tree = problem.cotree()
+        cover = sequential_path_cover(tree)
+        if options.validate:
+            cover.validate(CographAdjacencyOracle(tree),
+                           expected_num_vertices=tree.num_vertices,
+                           expected_num_paths=int(
+                               minimum_path_cover_size(tree)))
+        return Solution(task="path_cover", answer=cover, backend="sequential",
+                        options=options, cover=cover,
+                        num_paths=cover.num_paths)
+    # the parallel pipeline consumes FlatCotree inputs natively — no
+    # object-per-node conversion on the hot path
+    result = minimum_path_cover_parallel(problem.pipeline_tree(),
+                                         **options.solver_kwargs())
+    return Solution(task="path_cover", answer=result.cover,
+                    backend=result.backend,
+                    options=options, cover=result.cover,
+                    num_paths=result.num_paths, report=result.report,
+                    stage_seconds=result.stage_seconds,
+                    machine=result.machine,
+                    provenance={"p_root": result.p_root,
+                                "exchanges": result.exchanges})
 
 
 @register_task("path_cover_size",
-               summary="p(root) only — analytic recurrence with default "
-                       "options, the configured engine otherwise")
+               summary="p(root) only (Lemma 2.4 cotree DP; the fast "
+                       "engine unless the options pick one)")
 def _task_path_cover_size(problem: Problem,
                           options: SolveOptions) -> Solution:
-    if options.with_(cache=None, batch_small=None) == SolveOptions():
-        # all-default options: the cheap Lemma 2.4 recurrence, no pipeline.
-        # Any non-default option (a backend, PRAM knobs, validate, a
-        # method) runs the configured engine instead, so nothing the
-        # caller asked for is silently dropped.  A cache or a batch
-        # routing threshold is not an engine choice, so neither forces
-        # the pipeline.
-        size = int(minimum_path_cover_size(problem.cotree()))
-        return Solution(task="path_cover_size", answer=size,
-                        backend="analytic", options=options, num_paths=size)
-    solution = _solve_cover(problem, options, "path_cover_size")
-    solution.answer = solution.num_paths
+    run, seconds = _run_dp(problem, options, PATH_COVER_SIZE_DP,
+                           fast_default=True)
+    size = run.root("p")
+    if options.validate:
+        _check_sequential(problem, PATH_COVER_SIZE_DP, "p", size)
+    solution = _dp_solution("path_cover_size", run, size, options, seconds)
+    solution.num_paths = size
     return solution
 
 
@@ -151,39 +137,36 @@ def _task_path_cover_size(problem: Problem,
 # Hamiltonicity
 # --------------------------------------------------------------------------- #
 
-def _leftist_binary_and_size(problem: Problem):
-    """One leftist binarization + one analytic pass, shared by both
-    Hamiltonicity tasks (the witness constructions reuse the binary)."""
-    tree = problem.cotree()
-    binary = tree if isinstance(tree, BinaryCotree) else binarize_cotree(tree)
-    binary = make_leftist(binary)
-    size = int(path_cover_sizes_per_node(binary)[binary.root])
-    return binary, size
+def _hamiltonicity_task(problem: Problem, options: SolveOptions, task: str,
+                        witness_of) -> Solution:
+    """Decide from the ``path_cover_size`` run; build the witness with the
+    configured cover engine."""
+    run, seconds = _run_dp(problem, options, PATH_COVER_SIZE_DP,
+                           fast_default=True)
+    t0 = time.perf_counter()
+    witness = witness_of(run, _cover_solver(options))
+    seconds["witness"] = time.perf_counter() - t0
+    size = run.root("p")
+    return Solution(task=task, answer=witness,
+                    backend=options.resolved_backend, options=options,
+                    num_paths=size, stage_seconds=seconds,
+                    provenance={"min_path_cover": size})
 
 
 @register_task("hamiltonian_path",
                summary="a Hamiltonian path witness, or None")
 def _task_hamiltonian_path(problem: Problem,
                            options: SolveOptions) -> Solution:
-    binary, size = _leftist_binary_and_size(problem)
-    witness = hamiltonian_path(binary, cover_solver=_cover_solver(options)) \
-        if size == 1 else None
-    return Solution(task="hamiltonian_path", answer=witness,
-                    backend=options.resolved_backend, options=options,
-                    num_paths=size,
-                    provenance={"min_path_cover": size})
+    return _hamiltonicity_task(problem, options, "hamiltonian_path",
+                               path_witness)
 
 
 @register_task("hamiltonian_cycle",
                summary="a Hamiltonian cycle witness, or None")
 def _task_hamiltonian_cycle(problem: Problem,
                             options: SolveOptions) -> Solution:
-    binary, size = _leftist_binary_and_size(problem)
-    witness = hamiltonian_cycle(binary, cover_solver=_cover_solver(options))
-    return Solution(task="hamiltonian_cycle", answer=witness,
-                    backend=options.resolved_backend, options=options,
-                    num_paths=size,
-                    provenance={"min_path_cover": size})
+    return _hamiltonicity_task(problem, options, "hamiltonian_cycle",
+                               cycle_witness)
 
 
 # --------------------------------------------------------------------------- #
@@ -216,7 +199,8 @@ def _task_recognition(problem: Problem, options: SolveOptions) -> Solution:
 # --------------------------------------------------------------------------- #
 
 def _run_dp(problem: Problem, options: SolveOptions, dp: CotreeDP, *,
-            md: bool = False) -> Tuple[CotreeDPRun, Dict[str, float]]:
+            md: bool = False, fast_default: bool = False
+            ) -> Tuple[CotreeDPRun, Dict[str, float]]:
     """Execute one :class:`~repro.core.CotreeDP` under the options' engine.
 
     ``method="sequential"`` runs the generic postorder evaluator;
@@ -231,13 +215,19 @@ def _run_dp(problem: Problem, options: SolveOptions, dp: CotreeDP, *,
     instead of the plain cotree, so non-cograph graphs are solved through
     their modular decomposition.  Cograph inputs take the exact same path
     either way — bit-identical answers.
+
+    ``fast_default=True`` runs on the fast engine, with no machine, when
+    the options pick no engine (``path_cover_size``, as the forest sweep
+    runs it).
     """
+    backend = "fast" if fast_default and not options.picks_engine \
+        else options.backend
     tree = problem.decomposition_tree() if md else problem.pipeline_tree()
     t0 = time.perf_counter()
     if options.method == "sequential":
         run = run_cotree_dp_sequential(dp, tree)
     else:
-        ctx = _build_context(tree.num_vertices, None, options.backend,
+        ctx = _build_context(tree.num_vertices, None, backend,
                              options.num_processors, options.mode,
                              options.record_steps)
         run = run_cotree_dp(dp, tree, ctx)
@@ -253,6 +243,16 @@ def _dp_solution(task: str, run: CotreeDPRun, answer: Any,
                     report=ctx.report() if ctx is not None else None,
                     machine=ctx.machine if ctx is not None else None,
                     stage_seconds=stage_seconds)
+
+
+def _check_sequential(problem: Problem, dp: CotreeDP, field: str,
+                      value: Any) -> None:
+    """Cross-check a root value against the sequential evaluator."""
+    reference = run_cotree_dp_sequential(dp, problem.pipeline_tree()).root(
+        field)
+    if value != reference:
+        raise ValueError(f"{field} {value} disagrees with the sequential "
+                         f"evaluator ({reference})")
 
 
 def _witness(run: CotreeDPRun, stage_seconds: Dict[str, float]):
@@ -465,11 +465,7 @@ def _task_count_independent_sets(problem: Problem,
     run, seconds = _run_dp(problem, options, COUNT_INDEPENDENT_SETS_DP)
     count = int(run.root("count"))
     if options.validate:
-        reference = int(run_cotree_dp_sequential(
-            COUNT_INDEPENDENT_SETS_DP, problem.pipeline_tree()).root("count"))
-        if count != reference:
-            raise ValueError(f"count {count} disagrees with the sequential "
-                             f"evaluator ({reference})")
+        _check_sequential(problem, COUNT_INDEPENDENT_SETS_DP, "count", count)
     return _dp_solution("count_independent_sets", run,
                         {"count": count, "includes_empty_set": True},
                         options, seconds)

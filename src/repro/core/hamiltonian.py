@@ -1,48 +1,45 @@
 """Hamiltonian path and Hamiltonian cycle queries on cographs.
 
 The paper's introduction notes that the path-cover machinery answers both
-questions with the same optimal bounds:
+questions with the same optimal bounds.  Both decisions read one run of
+:data:`~repro.core.dp.PATH_COVER_SIZE_DP` (``p`` and the leaf count ``L``
+of every node):
 
-* a cograph has a **Hamiltonian path** iff its minimum path cover has exactly
-  one path (``p(root) = 1``);
-* a cograph has a **Hamiltonian cycle** iff, in addition, the vertices that
-  close the cycle are available — for cographs the classic characterisation
-  (Lin–Olariu–Pruesse / Adhar–Peng) is that the root must be a 1-node whose
-  join can absorb one extra "bridge": with the leftist children ``v`` (left)
-  and ``w`` (right), a Hamiltonian cycle exists iff ``n >= 3`` and
-  ``p(v) <= L(w)`` — i.e. the join is rich enough to need no leftover path
-  end (equivalently ``max(p(v) − L(w), 1)`` is reached at the cap **and**
-  there is at least one spare vertex of ``G(w)`` beyond the ``p(v) − 1``
-  bridges, which is exactly ``L(w) >= p(v)``).
+* a **Hamiltonian path** exists iff ``p(root) = 1``;
+* a **Hamiltonian cycle** exists iff ``n >= 3``, the root is a join and
+  every root child ``X`` has ``p(X) + L(X) <= L(root)`` (the join's own
+  ``best`` term).  The rule holds for any child order and for
+  non-canonical trees; DESIGN.md §7 has the proof.
 
-Both deciders come in two flavours: a count-only one (cheap, used by the
-benchmarks) and one that also returns the witness path / cycle.
+Witnesses come from a cover engine (any ``FlatCotree -> PathCover``
+callable) on flat arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from itertools import chain
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..cograph import (
-    BinaryCotree,
-    CographAdjacencyOracle,
-    Cotree,
-    PathCover,
-    binarize_cotree,
-    make_leftist,
-    minimum_path_cover_size,
-    path_cover_sizes_per_node,
-)
-from ..cograph.cotree import JOIN
+from ..cograph import FlatCotree, PathCover
+from ..cograph.cotree import JOIN, LEAF, CotreeError
 from ..pram import PRAM
+from .dp import (
+    PATH_COVER_SIZE_DP,
+    CotreeDPRun,
+    _gather_level_children,
+    run_cotree_dp,
+)
 from .solver import minimum_path_cover_parallel
 
 __all__ = ["has_hamiltonian_path", "has_hamiltonian_cycle",
            "hamiltonian_path", "hamiltonian_cycle", "HamiltonicityReport",
-           "hamiltonicity_report"]
+           "hamiltonicity_report", "cycle_bridge", "path_witness",
+           "cycle_witness"]
+
+CoverSolver = Callable[[FlatCotree], PathCover]
 
 
 @dataclass
@@ -55,178 +52,165 @@ class HamiltonicityReport:
     has_cycle: bool
 
 
-def _leftist_binary(tree: Union[Cotree, BinaryCotree]) -> BinaryCotree:
-    if isinstance(tree, BinaryCotree):
-        return make_leftist(tree)
-    return make_leftist(binarize_cotree(tree))
+# --------------------------------------------------------------------------- #
+# decisions and witnesses on one PATH_COVER_SIZE_DP run
+# --------------------------------------------------------------------------- #
+
+def cycle_bridge(run: CotreeDPRun) -> Optional[int]:
+    """The root child with the fewest leaves, through which a Hamiltonian
+    cycle is closed; ``None`` when there is no Hamiltonian cycle."""
+    flat = run.tree
+    root = flat.root
+    kids = flat.children_of(root)
+    if flat.kind[root] != LEAF and len(kids) < 2:
+        raise CotreeError(f"internal node {root} has 1 child(ren); "
+                          f"canonicalize the cotree first")
+    if flat.num_vertices < 3 or flat.kind[root] != JOIN:
+        return None
+    p, L = run.values["p"], run.values["L"]
+    if int((p[kids] + L[kids]).max()) > int(L[root]):
+        return None
+    return int(kids[np.argmin(L[kids])])
 
 
-def has_hamiltonian_path(tree: Union[Cotree, BinaryCotree]) -> bool:
-    """True iff the cograph admits a Hamiltonian path (``p(root) = 1``)."""
-    binary = _leftist_binary(tree)
-    return int(path_cover_sizes_per_node(binary)[binary.root]) == 1
+def path_witness(run: CotreeDPRun,
+                 cover_solver: CoverSolver) -> Optional[List[int]]:
+    """The single path of the tree's minimum cover, or ``None``."""
+    if run.root("p") != 1:
+        return None
+    return list(cover_solver(run.tree).paths[0])
 
 
-def has_hamiltonian_cycle(tree: Union[Cotree, BinaryCotree]) -> bool:
-    """True iff the cograph admits a Hamiltonian cycle.
+def cycle_witness(run: CotreeDPRun,
+                  cover_solver: CoverSolver) -> Optional[List[int]]:
+    """A Hamiltonian cycle listed from its smallest vertex, or ``None``.
 
-    Characterisation on the leftist binarized cotree: the root must be a
-    1-node with ``p(v) <= L(w)`` (left child ``v``, right child ``w``) and the
-    graph must have at least three vertices.
+    With ``B`` the :func:`cycle_bridge` child and ``A = G - B``, a minimum
+    cover ``P_1 .. P_k`` of ``A`` has ``k <= |B|`` paths, so ``k`` vertices
+    of ``B`` close it into the ring ``P_1 b_1 ... P_k b_k``.  Each spare
+    ``B`` vertex goes between two consecutive vertices of a path: there
+    are ``|A| - k >= |B| - k`` such slots.
     """
-    binary = _leftist_binary(tree)
-    n = binary.num_vertices
-    if n < 3:
-        return False
-    root = binary.root
-    if binary.kind[root] != JOIN:
-        return False
-    p = path_cover_sizes_per_node(binary)
-    L = binary.subtree_leaf_counts()
-    return bool(p[binary.left[root]] <= L[binary.right[root]])
+    bridge = cycle_bridge(run)
+    if bridge is None:
+        return None
+    sub, back, b_vertices = _split_root_child(run.tree, bridge)
+    paths = cover_solver(sub).paths
+    k = len(paths)
+    if k > len(b_vertices):  # pragma: no cover - excluded by cycle_bridge
+        raise AssertionError(f"cover of G - B has {k} paths, B only "
+                             f"{len(b_vertices)} vertices")
+    a = back[np.fromiter(chain.from_iterable(paths), dtype=np.int64,
+                         count=len(back))]
+    is_end = np.zeros(len(a), dtype=bool)
+    is_end[np.cumsum([len(path) for path in paths]) - 1] = True
+    spare_after = np.zeros(len(a), dtype=bool)
+    spare_after[np.flatnonzero(~is_end)[:len(b_vertices) - k]] = True
+    # each A vertex, then its spare B vertex, then the ring B vertex that
+    # closes its path
+    width = 1 + spare_after + is_end
+    start = np.cumsum(width) - width
+    cycle = np.empty(len(a) + len(b_vertices), dtype=np.int64)
+    cycle[start] = a
+    cycle[start[spare_after] + 1] = b_vertices[k:]
+    cycle[start[is_end] + 1] = b_vertices[:k]
+    return np.roll(cycle, -int(np.argmin(cycle))).tolist()
 
 
-def _default_cover_solver(machine: Optional[PRAM], backend):
-    """The cover solver the witness constructions run on: the parallel
-    pipeline, bound to the caller's machine/backend choice."""
-    def solver(tree):
-        return minimum_path_cover_parallel(tree, machine=machine,
-                                           backend=backend).cover
-    return solver
+def _split_root_child(flat: FlatCotree,
+                      child: int) -> Tuple[FlatCotree, np.ndarray,
+                                           np.ndarray]:
+    """``(sub, back, dropped)``: the cotree of ``G - G(child)`` with its
+    vertices renumbered ``0..k-1`` in node order (``back[new] = old``),
+    and the vertex ids of ``G(child)``.  A root left with one child is
+    spliced out.  One CSR gather per level of ``G(child)``, then ``O(n)``
+    array work."""
+    n = flat.num_nodes
+    root = flat.root
+    kids = flat.children_of(root)
+    drop = np.zeros(n, dtype=bool)
+    level = np.array([child], dtype=np.int64)
+    while len(level):
+        drop[level] = True
+        level = _gather_level_children(flat, level)[0]
+    is_leaf = flat.kind == LEAF
+    dropped = flat.leaf_vertex[drop & is_leaf]
+    new_root = root
+    if len(kids) == 2:
+        drop[root] = True
+        new_root = int(kids[kids != child][0])
+    keep = np.flatnonzero(~drop)
+    remap = np.full(n, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep), dtype=np.int64)
+
+    kept_child = ~(drop[flat.child_index]
+                   | drop[flat.parent[flat.child_index]])
+    prefix = np.concatenate(([0], np.cumsum(kept_child)))
+    offset = np.append(prefix[flat.child_offset[keep]], prefix[-1])
+    parent = flat.parent[keep]
+    parent = np.where(parent >= 0, remap[np.maximum(parent, 0)], -1)
+    leaf_vertex = flat.leaf_vertex[keep]
+    kept_leaf = is_leaf[keep]
+    back = leaf_vertex[kept_leaf]
+    leaf_vertex[kept_leaf] = np.arange(len(back), dtype=np.int64)
+    sub = FlatCotree(flat.kind[keep], offset,
+                     remap[flat.child_index[kept_child]], parent,
+                     leaf_vertex, int(remap[new_root]))
+    return sub, back, dropped
 
 
-def hamiltonian_path(tree: Union[Cotree, BinaryCotree], *,
-                     machine: Optional[PRAM] = None,
-                     backend=None,
-                     cover_solver=None) -> Optional[List[int]]:
+# --------------------------------------------------------------------------- #
+# the tree-level API: thin wrappers over the above
+# --------------------------------------------------------------------------- #
+
+def _size_run(tree) -> CotreeDPRun:
+    return run_cotree_dp(PATH_COVER_SIZE_DP, tree)
+
+
+def _solver(machine: Optional[PRAM], backend,
+            cover_solver: Optional[CoverSolver]) -> CoverSolver:
+    if cover_solver is not None:
+        return cover_solver
+    return lambda tree: minimum_path_cover_parallel(
+        tree, machine=machine, backend=backend).cover
+
+
+def has_hamiltonian_path(tree) -> bool:
+    """True iff the cograph admits a Hamiltonian path (``p(root) = 1``)."""
+    return _size_run(tree).root("p") == 1
+
+
+def has_hamiltonian_cycle(tree) -> bool:
+    """True iff the cograph admits a Hamiltonian cycle."""
+    return cycle_bridge(_size_run(tree)) is not None
+
+
+def hamiltonian_path(tree, *, machine: Optional[PRAM] = None, backend=None,
+                     cover_solver: Optional[CoverSolver] = None
+                     ) -> Optional[List[int]]:
     """Return a Hamiltonian path (as a vertex list) or ``None``.
 
-    By default uses the parallel solver, so the witness construction
-    inherits the optimal bounds of Theorem 5.3; pass ``backend="fast"`` for
-    the vectorized path, or ``cover_solver`` (any ``tree -> PathCover``
-    callable, e.g. the sequential baseline) to swap the engine entirely.
+    The witness comes from the parallel solver on the given machine or
+    backend (so it inherits the bounds of Theorem 5.3), or from
+    ``cover_solver`` (any ``FlatCotree -> PathCover`` callable).
     """
-    if cover_solver is None:
-        cover_solver = _default_cover_solver(machine, backend)
-    cover = cover_solver(tree)
-    if cover.num_paths != 1:
-        return None
-    return list(cover.paths[0])
+    return path_witness(_size_run(tree),
+                        _solver(machine, backend, cover_solver))
 
 
-def hamiltonian_cycle(tree: Union[Cotree, BinaryCotree], *,
-                      machine: Optional[PRAM] = None,
-                      backend=None,
-                      cover_solver=None) -> Optional[List[int]]:
-    """Return a Hamiltonian cycle (as a vertex list whose last vertex is
-    adjacent to its first) or ``None``.
-
-    Construction (the Case-2 argument of Section 2, closed into a cycle): at
-    the root join ``A ∨ B`` (``A = G(v)`` the leftist side, ``B = G(w)``) a
-    minimum path cover ``P_1 .. P_k`` of ``A`` has ``k = p(v) <= |B|`` paths;
-    ``k`` vertices of ``B`` close the paths into a ring
-    ``P_1 b_1 P_2 b_2 ... P_k b_k`` and every remaining ``B`` vertex is
-    inserted between two consecutive ``A`` vertices (there are
-    ``|A| - k >= |B| - k`` such slots because the tree is leftist).
-    """
-    binary = _leftist_binary(tree)
-    if not has_hamiltonian_cycle(binary):
-        return None
-    root = binary.root
-    a_root = int(binary.left[root])
-    b_leaves = _leaf_vertices(binary, int(binary.right[root]))
-
-    # minimum path cover of A = G(v), via the configured solver on the subtree
-    if cover_solver is None:
-        cover_solver = _default_cover_solver(machine, backend)
-    sub, back = _subtree_binary(binary, a_root)
-    sub_cover = cover_solver(sub)
-    a_paths = [[back[v] for v in p] for p in sub_cover.paths]
-    k = len(a_paths)
-    if k > len(b_leaves):  # pragma: no cover - excluded by has_hamiltonian_cycle
-        return None
-
-    ring_b, spare_b = b_leaves[:k], b_leaves[k:]
-    cycle: List[int] = []
-    for path, b in zip(a_paths, ring_b):
-        cycle.extend(path)
-        cycle.append(b)
-
-    if spare_b:
-        # insert the spare B vertices into A-A adjacencies of the ring
-        out: List[int] = []
-        spare = list(spare_b)
-        a_vertices = set(v for p in a_paths for v in p)
-        for i, v in enumerate(cycle):
-            out.append(v)
-            nxt = cycle[(i + 1) % len(cycle)]
-            if spare and v in a_vertices and nxt in a_vertices:
-                out.append(spare.pop())
-        if spare:  # pragma: no cover - leftist condition guarantees room
-            return None
-        cycle = out
-    return cycle
+def hamiltonian_cycle(tree, *, machine: Optional[PRAM] = None, backend=None,
+                      cover_solver: Optional[CoverSolver] = None
+                      ) -> Optional[List[int]]:
+    """Return a Hamiltonian cycle (its last vertex is adjacent to its
+    first) or ``None``; engine arguments as for :func:`hamiltonian_path`."""
+    return cycle_witness(_size_run(tree),
+                         _solver(machine, backend, cover_solver))
 
 
-def hamiltonicity_report(tree: Union[Cotree, BinaryCotree]) -> HamiltonicityReport:
+def hamiltonicity_report(tree) -> HamiltonicityReport:
     """Convenience bundle of the Hamiltonicity facts of a cograph."""
-    binary = _leftist_binary(tree)
-    p = int(path_cover_sizes_per_node(binary)[binary.root])
-    return HamiltonicityReport(
-        num_vertices=binary.num_vertices,
-        min_path_cover=p,
-        has_path=(p == 1),
-        has_cycle=has_hamiltonian_cycle(binary),
-    )
-
-
-# --------------------------------------------------------------------------- #
-# helpers
-# --------------------------------------------------------------------------- #
-
-def _leaf_vertices(binary: BinaryCotree, node: int) -> List[int]:
-    out: List[int] = []
-    stack = [node]
-    while stack:
-        u = stack.pop()
-        if binary.kind[u] == 0:  # LEAF
-            out.append(int(binary.leaf_vertex[u]))
-        else:
-            stack.append(int(binary.left[u]))
-            stack.append(int(binary.right[u]))
-    return out
-
-
-def _subtree_binary(binary: BinaryCotree, node: int):
-    """The binary cotree of the subgraph ``G(node)``, with nodes re-indexed
-    and vertices renumbered ``0..k-1``; returns ``(subtree, back)`` where
-    ``back[new_vertex] = original_vertex``."""
-    # collect the subtree nodes
-    order: List[int] = []
-    stack = [int(node)]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        if binary.kind[u] != 0:  # not LEAF
-            stack.append(int(binary.left[u]))
-            stack.append(int(binary.right[u]))
-    remap = {old: new for new, old in enumerate(order)}
-    m = len(order)
-    kind = np.array([binary.kind[u] for u in order], dtype=np.int8)
-    left = np.array([remap.get(int(binary.left[u]), -1) if binary.left[u] != -1
-                     else -1 for u in order], dtype=np.int64)
-    right = np.array([remap.get(int(binary.right[u]), -1) if binary.right[u] != -1
-                      else -1 for u in order], dtype=np.int64)
-    original_vertices = [int(binary.leaf_vertex[u]) for u in order
-                         if binary.kind[u] == 0]
-    vertex_remap = {v: i for i, v in enumerate(original_vertices)}
-    back = {i: v for v, i in vertex_remap.items()}
-    leaf_vertex = np.array([vertex_remap.get(int(binary.leaf_vertex[u]), -1)
-                            for u in order], dtype=np.int64)
-    parent = np.full(m, -1, dtype=np.int64)
-    for u in range(m):
-        if left[u] != -1:
-            parent[left[u]] = u
-            parent[right[u]] = u
-    sub = BinaryCotree(kind, left, right, parent, leaf_vertex, remap[int(node)])
-    return sub, back
+    run = _size_run(tree)
+    p = run.root("p")
+    return HamiltonicityReport(num_vertices=run.tree.num_vertices,
+                               min_path_cover=p, has_path=(p == 1),
+                               has_cycle=cycle_bridge(run) is not None)

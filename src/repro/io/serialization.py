@@ -41,10 +41,19 @@ def cotree_to_json(tree: Cotree) -> Dict:
     }
 
 
+def _require(data: Dict, what: str, keys) -> None:
+    """A ``ValueError`` naming the missing keys, never a raw ``KeyError``."""
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ValueError(f"serialised {what} is missing key(s) "
+                         f"{', '.join(repr(k) for k in missing)}")
+
+
 def cotree_from_json(data: Dict) -> Cotree:
     """Inverse of :func:`cotree_to_json`."""
     if data.get("type") != "cotree":
         raise ValueError("not a serialised cotree")
+    _require(data, "cotree", ("kind", "children", "leaf_vertex", "root"))
     return Cotree(data["kind"], data["children"], data["leaf_vertex"],
                   data["root"])
 
@@ -175,6 +184,7 @@ def cover_from_json(data: Dict) -> PathCover:
     """Inverse of :func:`cover_to_json`."""
     if data.get("type") != "path_cover":
         raise ValueError("not a serialised path cover")
+    _require(data, "path cover", ("paths",))
     return PathCover([list(p) for p in data["paths"]])
 
 
@@ -188,6 +198,7 @@ def graph_from_json(data: Dict) -> Graph:
     """Inverse of :func:`graph_to_json`."""
     if data.get("type") != "graph":
         raise ValueError("not a serialised graph")
+    _require(data, "graph", ("n", "edges"))
     return Graph(data["n"], [tuple(e) for e in data["edges"]])
 
 

@@ -584,6 +584,9 @@ def _parse_json_body(body: bytes) -> Any:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise HTTPError(400, f"request body is not valid JSON: {exc}") \
             from None
+    except RecursionError:
+        raise HTTPError(400, "request body is not valid JSON: JSON nesting "
+                             "too deep") from None
 
 
 def _json_response(status: int, data: Any) -> Response:

@@ -257,10 +257,12 @@ def _parse_query_defaults(query: str) -> Tuple[str, SolveOptions]:
     if "options" in params:
         try:
             data = json.loads(params["options"])
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            reason = "JSON nesting too deep" \
+                if isinstance(exc, RecursionError) else exc
             errors.append({"field": "?options",
                            "error": f"must be a JSON object of SolveOptions "
-                                    f"fields: {exc}"})
+                                    f"fields: {reason}"})
         else:
             try:
                 options = _parse_options(data, "?options")

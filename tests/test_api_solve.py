@@ -94,12 +94,12 @@ def test_path_cover_size_parity(small_named_cotrees, backend):
     for name, tree in small_named_cotrees.items():
         new = solve(tree, "path_cover_size", backend=backend)
         assert new.answer == minimum_path_cover_size(tree), name
-        assert new.backend == ("analytic" if backend is None else backend)
+        assert new.backend == ("fast" if backend is None else backend)
 
 
 def test_path_cover_size_honours_every_non_default_knob():
     tree = independent_set(6)
-    # any non-default option must run the engine, not the analytic shortcut
+    # any engine option must run that engine, not the fast default
     traced = solve(tree, "path_cover_size", record_steps=True)
     assert traced.backend == "pram" and traced.report.by_label
     checked = solve(tree, "path_cover_size", validate=True)

@@ -296,10 +296,10 @@ class TestBatchSmallOption:
         with pytest.raises(ValueError, match="batch_small"):
             SolveOptions(batch_small=-3)
 
-    def test_analytic_path_cover_size_shortcut_survives(self):
+    def test_path_cover_size_stays_fast_with_batch_small(self):
         solution = solve(clique(5), "path_cover_size",
                          options=SolveOptions(batch_small=16))
-        assert solution.backend == "analytic"
+        assert solution.backend == "fast"
         assert solution.answer == 1
 
     def test_welcome_on_non_pipeline_tasks(self):

@@ -469,16 +469,42 @@ class TestDispatch:
         (json.dumps({"task": "path_cover"}).encode(), "is required"),
         (solve_body(options={"cache": 4}), "server configuration"),
         (solve_body("((0+1)"), "problem"),
+        (solve_body({"type": "graph", "edges": [[0, 1]]}),
+         "missing key(s) 'n'"),
+        (solve_body({"type": "cotree", "root": 0}),
+         "missing key(s) 'kind', 'children', 'leaf_vertex'"),
     ])
     def test_solve_bad_requests_are_structured_400s(self, body, fragment):
         async def scenario(app):
-            return await app.dispatch("POST", "/v1/solve", body)
+            response = await app.dispatch("POST", "/v1/solve", body)
+            return response, app.breaker.snapshot()
 
-        response = run_app(scenario)
+        response, breaker = run_app(scenario)
         assert response.status == 400
         error = response.json()["error"]
         assert error["status"] == 400
         assert fragment in json.dumps(error)
+        assert breaker["state"] == "closed"
+        assert breaker["consecutive_failures"] == 0
+
+    def test_deeply_nested_json_is_a_400_and_spares_the_breaker(self):
+        deep = b"[" * 1500
+
+        async def scenario(app):
+            refused = [await app.dispatch("POST", "/v1/solve", deep)
+                       for _ in range(5)]
+            query = await app.dispatch(
+                "POST", "/v1/solve?options=" + "[" * 1500, wire_buf(),
+                {"content-type": "application/octet-stream"})
+            return refused, query, await app.dispatch(
+                "POST", "/v1/solve", solve_body())
+
+        refused, query, valid = run_app(scenario)
+        assert [r.status for r in refused] == [400] * 5
+        assert "JSON nesting too deep" in refused[0].json()["error"]["message"]
+        assert query.status == 400
+        assert "JSON nesting too deep" in json.dumps(query.json())
+        assert valid.status == 200
 
     def test_unknown_route_404_and_wrong_method_405(self):
         async def scenario(app):

@@ -306,9 +306,9 @@ class TestSolutionCache:
         assert SolveOptions.from_dict(opts.to_dict()) == \
             opts.with_(cache=None)
 
-    def test_path_cover_size_stays_analytic_with_cache(self):
+    def test_path_cover_size_stays_fast_with_cache(self):
         sol = solve("(0 + 1)", "path_cover_size", cache=SolutionCache())
-        assert sol.backend == "analytic"
+        assert sol.backend == "fast"
 
     def test_recognition_of_non_cograph_bypasses_cache(self):
         cache = SolutionCache()
