@@ -1,4 +1,4 @@
-"""E11 + E12 + E13 + E15 + E17 — wall-clock profiles of the hot paths.
+"""E11 + E12 + E13 + E15 + E17 + E19 — wall-clock profiles of the hot paths.
 
 Every future PR needs a trajectory to compare against: this harness runs
 
@@ -24,21 +24,27 @@ Every future PR needs a trajectory to compare against: this harness runs
 * **E17** — the binary wire format: zero-copy ``repro.io.wire.from_bytes``
   ingestion vs JSON parsing of the same instance at n ∈ {10k, 100k} must
   be **>= 10x** faster,
+* **E19** — tree shape: the six DP tasks (witness included) through
+  ``solve(wire bytes)`` on random, balanced and caterpillar cotrees of the
+  same n ∈ {10k, 100k}; at n = 10k the caterpillar's six-task total must
+  stay within **3x** of the random tree's (a within-run ratio, no
+  baseline; the per-level DP cliff it guards against was ~100x),
 
 and writes everything as machine-readable JSON
 (``benchmarks/results/BENCH_PR10.json``) next to the human-readable
 ``benchmarks/results/E11.md`` / ``E12.md`` / ``E13.md`` / ``E15.md`` /
-``E17.md`` tables.  (E16, the healing-vs-fail-fast stream loop comparison,
-was retired with the fail-fast loop in 2.0; the pre-2.0 baseline still
-carries its rows, which ``--check`` ignores.)
+``E17.md`` / ``E19.md`` tables.  (E16, the healing-vs-fail-fast stream
+loop comparison, was retired with the fail-fast loop in 2.0; the pre-2.0
+baseline still carries its rows, which ``--check`` ignores.)
 
 The JSON also stores a *calibration* measurement (a fixed NumPy workload),
 so a later run on a different machine can scale the baseline before
 comparing: ``--check BASELINE.json`` fails (exit 1) when any pipeline stage
 or DP task is more than ``--factor`` (default 2.0) slower than the
 calibrated baseline, when an E13 forest-vs-batch ratio collapses, or when
-the E15 cograph rows exceed 1.1x the baseline's E12 budgets — the CI
-``perf-smoke`` job runs exactly that against the checked-in baseline.
+the E15 cograph rows exceed 1.1x the baseline's E12 budgets, or when
+E17 or E19 break their within-run ratios — the CI ``perf-smoke`` job runs
+exactly that against the checked-in baseline.
 
 Usage::
 
@@ -59,7 +65,9 @@ import numpy as np
 
 from repro._version import __version__
 from repro.api import SolveOptions, solve, solve_forest, solve_many
-from repro.cograph import FlatCotree, md_tree, random_cotree, random_p4_sparse
+from repro.cograph import (FlatCotree, caterpillar_cotree, md_tree,
+                           random_cotree, random_p4_sparse)
+from repro.cograph.cotree import JOIN, LEAF, UNION
 from repro.core.pipeline import Pipeline
 from repro.io.serialization import cotree_from_json, cotree_to_json
 from repro.io.wire import from_bytes, to_bytes
@@ -135,6 +143,20 @@ SMOKE_E17_GRID = [(10_000, 3)]
 #: the E17 headline bound: wire ingestion beats JSON parsing >= 10x.
 E17_WIRE_RATIO = 10.0
 
+#: the E19 shape grid: (n, repeats).  Every DP task, witness included,
+#: through ``solve(wire bytes)`` on the fast backend, on a random, a
+#: balanced and a caterpillar cotree of the same ``n``.
+E19_TASKS = ("path_cover_size", "max_clique", "max_independent_set",
+             "chromatic_number", "clique_cover", "count_independent_sets")
+E19_SHAPES = ("random", "balanced", "caterpillar")
+FULL_E19_GRID = [(10_000, 5), (100_000, 3)]
+SMOKE_E19_GRID = [(10_000, 5)]
+#: the E19 bound, checked at the smoke size: the caterpillar's six tasks
+#: together cost at most 3x the random tree's (the per-level DP cliff this
+#: guards against was ~100x).
+E19_SHAPE_RATIO = 3.0
+E19_GATE_N = 10_000
+
 SEED = 7
 DEFAULT_OUT = os.path.join(RESULTS_DIR, "BENCH_PR10.json")
 COLUMNS = ["backend", "n", "input", "total_s"] + list(
@@ -143,6 +165,7 @@ DP_COLUMNS = ["backend", "n"] + list(DP_TASKS)
 E13_COLUMNS = ["task", "instances", "max_n", "batch_s", "forest_s", "ratio"]
 MD_COLUMNS = ["family", "backend", "n", "md_build_s"] + list(MD_TASKS)
 E17_COLUMNS = ["n", "json_parse_s", "wire_load_s", "wire_ratio"]
+E19_COLUMNS = ["n", "shape"] + list(E19_TASKS) + ["total_s", "vs_random"]
 
 
 def calibrate() -> float:
@@ -380,6 +403,78 @@ def run_e17_grid(grid):
     return results
 
 
+def _balanced_flat(n: int) -> FlatCotree:
+    """A complete binary cotree over ``n`` vertices, heap-numbered (node
+    ``i`` has children ``2i+1, 2i+2``), labels alternating by depth."""
+    total = 2 * n - 1
+    internal = np.arange(n - 1)
+    kind = np.full(total, LEAF, dtype=np.int8)
+    kind[internal] = np.where(
+        np.floor(np.log2(internal + 1)).astype(np.int64) % 2 == 0,
+        JOIN, UNION)
+    offset = np.append(2 * internal, np.full(n + 1, 2 * (n - 1)))
+    parent = (np.arange(total) - 1) // 2
+    parent[0] = -1
+    leaf_vertex = np.arange(total) - (n - 1)
+    leaf_vertex[internal] = -1
+    return FlatCotree(kind, offset, np.arange(1, total), parent,
+                      leaf_vertex, 0)
+
+
+def _e19_tree(shape: str, n: int) -> FlatCotree:
+    if shape == "random":
+        return FlatCotree.from_cotree(random_cotree(n, seed=SEED))
+    if shape == "balanced":
+        return _balanced_flat(n)
+    return FlatCotree.from_cotree(caterpillar_cotree(n))
+
+
+def profile_e19(n: int, repeats: int):
+    """Best-of-``repeats`` seconds per DP task and shape (E19)."""
+    rows = []
+    for shape in E19_SHAPES:
+        wire = to_bytes(_e19_tree(shape, n))
+        task_seconds = {}
+        for task in E19_TASKS:
+            best = float("inf")
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                solve(wire, task, backend="fast")
+                best = min(best, time.perf_counter() - t0)
+            task_seconds[task] = round(best, 6)
+        rows.append({"n": n, "shape": shape, "repeats": repeats,
+                     "task_seconds": task_seconds,
+                     "total_seconds": round(sum(task_seconds.values()), 6)})
+    return rows
+
+
+def run_e19_grid(grid):
+    results = []
+    for n, repeats in grid:
+        rows = profile_e19(n, repeats)
+        random_total = rows[0]["total_seconds"]
+        for row in rows:
+            row["vs_random"] = round(row["total_seconds"]
+                                     / max(random_total, 1e-9), 2)
+            print(f"  e19 n={n:>7} {row['shape']:<11s} "
+                  f"total={row['total_seconds']:.4f}s "
+                  f"({row['vs_random']:.2f}x random)", flush=True)
+        results += rows
+    return results
+
+
+def check_e19_bound(payload: dict) -> list:
+    """E19 acceptance: at ``E19_GATE_N`` the caterpillar's task total must
+    stay within ``E19_SHAPE_RATIO`` of the random tree's — a within-run
+    ratio, so no baseline calibration applies."""
+    return [f"E19 caterpillar at n={row['n']} costs {row['vs_random']:.2f}x "
+            f"the random tree (bound {E19_SHAPE_RATIO:.0f}x): "
+            f"{row['task_seconds']}"
+            for row in payload.get("e19_results", [])
+            if row["shape"] == "caterpillar" and row["n"] == E19_GATE_N
+            and row["vs_random"] > E19_SHAPE_RATIO]
+
+
 def check_e17_bound(payload: dict) -> list:
     """E17 acceptance: wire ingestion must beat JSON parsing by
     ``E17_WIRE_RATIO`` — a within-run ratio of same-machine timings, so no
@@ -530,6 +625,8 @@ def check_against(base: dict, current: dict, factor: float) -> int:
     failures += check_e15_bound(current, base)
     failures += check_e17_bound(current)
     compared += len(current.get("e17_results", []))
+    failures += check_e19_bound(current)
+    compared += len(current.get("e19_results", []))
     e13_failures = check_e13_bound(current, base, factor)
     compared += sum(1 for row in current.get("e13_results", [])
                     if row["task"] in {r["task"]
@@ -586,12 +683,13 @@ def main(argv=None) -> int:
     e13_grid = SMOKE_E13_GRID if args.smoke else FULL_E13_GRID
     md_grid = SMOKE_MD_GRID if args.smoke else FULL_MD_GRID
     e17_grid = SMOKE_E17_GRID if args.smoke else FULL_E17_GRID
+    e19_grid = SMOKE_E19_GRID if args.smoke else FULL_E19_GRID
     label = "smoke" if args.smoke else "full"
     print(f"[E11] per-stage profile ({label}):")
     t0 = time.perf_counter()
     payload = {
         "schema": 7,
-        "experiment": "E11+E12+E13+E15+E17",
+        "experiment": "E11+E12+E13+E15+E17+E19",
         "version": __version__,
         "seed": SEED,
         "smoke": bool(args.smoke),
@@ -606,6 +704,8 @@ def main(argv=None) -> int:
     payload["md_results"] = run_md_grid(md_grid)
     print(f"[E17] wire ingestion vs JSON parsing ({label}):")
     payload["e17_results"] = run_e17_grid(e17_grid)
+    print(f"[E19] DP tasks by tree shape ({label}):")
+    payload["e19_results"] = run_e19_grid(e19_grid)
     payload["harness_seconds"] = round(time.perf_counter() - t0, 3)
 
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
@@ -661,6 +761,18 @@ def main(argv=None) -> int:
         write_result_table("E17", "zero-copy wire ingestion vs JSON "
                            "parsing of the same pinned instance (seconds, "
                            "best of repeats)", e17_rows, E17_COLUMNS)
+        e19_rows = []
+        for r in payload["e19_results"]:
+            row = {"n": r["n"], "shape": r["shape"],
+                   "total_s": round(r["total_seconds"], 4),
+                   "vs_random": f"{r['vs_random']:.2f}x"}
+            row.update({t: round(sec, 4)
+                        for t, sec in r["task_seconds"].items()})
+            e19_rows.append(row)
+        write_result_table("E19", "DP tasks by tree shape: solve(wire "
+                           "bytes), fast backend, witness included "
+                           "(seconds, best of repeats)", e19_rows,
+                           E19_COLUMNS)
 
     # E13 acceptance target: the full run must show >= 10x on every task
     # (the smoke run is gated relative to the stored baseline instead).
@@ -684,10 +796,11 @@ def main(argv=None) -> int:
     # on the same machine, same instant)
     failures = check_e12_bound(payload, payload, args.factor)
     failures += check_e15_bound(payload, payload)
-    # E17's gate is a within-run ratio with no baseline at all
+    # E17's and E19's gates are within-run ratios with no baseline at all
     failures += check_e17_bound(payload)
+    failures += check_e19_bound(payload)
     if failures:
-        print("E12/E15/E17 bound FAILED:")
+        print("E12/E15/E17/E19 bound FAILED:")
         for f in failures:
             print("  " + f)
         return 1
@@ -697,6 +810,8 @@ def main(argv=None) -> int:
           f"of the E12 budgets at n={E15_TOP_N}")
     print(f"E17 bound OK: wire ingestion >= {E17_WIRE_RATIO:.0f}x JSON "
           f"parsing")
+    print(f"E19 bound OK: caterpillar within {E19_SHAPE_RATIO:.0f}x of the "
+          f"random tree at n={E19_GATE_N}")
     return rc
 
 

@@ -38,7 +38,7 @@ except ImportError:  # pragma: no cover - numpy-only environments
     HAVE_SPARSE_DFS = False
 
 __all__ = ["HAVE_SPARSE_DFS", "chase_pointers", "depth_by_doubling",
-           "binary_forest_numbering"]
+           "binary_forest_numbering", "multiway_numbering"]
 
 
 def chase_pointers(g: np.ndarray) -> np.ndarray:
@@ -51,18 +51,25 @@ def chase_pointers(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def depth_by_doubling(parent: np.ndarray) -> np.ndarray:
-    """Depth of every forest node (``O(log height)`` doubling rounds)."""
+def depth_by_doubling(parent: np.ndarray,
+                      cap: Optional[int] = None) -> np.ndarray:
+    """Depth of every forest node (``O(log height)`` doubling rounds).
+
+    With ``cap`` the result is ``min(depth, cap)``, in at most
+    ``ceil(log2 cap)`` rounds: after ``r`` rounds every node has climbed
+    ``min(depth, 2**r)`` levels.
+    """
     n = len(parent)
     depth = (parent >= 0).astype(np.int64)
     anc = np.where(parent >= 0, parent, np.arange(n, dtype=np.int64))
-    for _ in range(64):
-        anc2 = anc[anc]
-        if np.array_equal(anc2, anc):
-            break
-        depth = depth + depth[anc]
-        anc = anc2
-    return depth
+    rounds = 64 if cap is None else max(1, int(cap - 1).bit_length())
+    for _ in range(rounds):
+        step = depth[anc]
+        if not step.any():                  # every jump reached a root
+            return depth
+        depth += step
+        anc = anc[anc]
+    return depth if cap is None else np.minimum(depth, cap)
 
 
 def _dfs_preorder_from_keys(left: np.ndarray, right: np.ndarray,
@@ -165,3 +172,74 @@ def binary_forest_numbering(
         else depth_by_doubling(parent)
     size = post - pre + depth + 1
     return pre, post, depth, size
+
+
+def multiway_numbering(child_offset, child_index, roots
+                       ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(preorder, subtree_size)`` of a multiway CSR forest.
+
+    Siblings are visited in CSR order, except that every node's last leaf
+    child swaps places with its last child; the roots' tours are chained
+    in the given order (``-1`` entries, empty instances, are skipped).
+    One C-level DFS runs on the first-child / next-sibling binary form:
+    scipy's DFS rescans a node's adjacency row on every return to it, so a
+    node with ``d`` children would cost ``O(d**2)``, while in the binary
+    form every node has at most two.  A subtree ends where the next
+    sibling of its nearest ancestor-or-self that has one begins; visiting
+    a leaf last keeps the last-child chains that pointer jumping climbs
+    short (one step on a caterpillar).  Returns ``None`` when scipy is
+    unavailable or the arrays are not a forest rooted at ``roots``.
+    """
+    if not HAVE_SPARSE_DFS:
+        return None
+    child_offset = np.asarray(child_offset, dtype=np.int64)
+    child_index = np.asarray(child_index, dtype=np.int64)
+    roots = np.asarray(roots, dtype=np.int64)
+    roots = roots[roots >= 0]
+    n = len(child_offset) - 1
+    if len(roots) == 0 or 2 * n + 3 > np.iinfo(np.int32).max:
+        return None
+    # the binary form's keys are unique only if every node is exactly one
+    # root or one child slot; reachability is checked by the DFS itself
+    slots = np.concatenate([child_index, roots])
+    if len(slots) != n or slots.min() < 0 or slots.max() >= n or \
+            np.bincount(slots, minlength=n).max() != 1:
+        return None
+    deg = np.diff(child_offset)
+    has_kids = np.flatnonzero(deg > 0)
+    ends = child_offset[has_kids + 1] - 1
+    leaf_slot = np.maximum.reduceat(
+        np.where(deg[child_index] == 0,
+                 np.arange(len(child_index), dtype=np.int64), -1),
+        child_offset[has_kids]) if len(has_kids) else ends
+    swap = leaf_slot >= 0
+    kids = child_index.copy()
+    kids[ends[swap]] = child_index[leaf_slot[swap]]
+    kids[leaf_slot[swap]] = child_index[ends[swap]]
+
+    first = np.full(n, -1, dtype=np.int64)
+    first[has_kids] = kids[child_offset[has_kids]]
+    linked = np.ones(len(kids), dtype=bool)
+    linked[ends] = False
+    pos = np.flatnonzero(linked)
+    older = np.append(kids[pos], roots[:-1])
+    nxt = np.full(n, -1, dtype=np.int64)
+    nxt[older] = np.append(kids[pos + 1], roots[1:])
+    # left children take even keys, right ones odd: ascending key order is
+    # the visit order (see _dfs_preorder_from_keys)
+    key = np.empty(n, dtype=np.int64)
+    key[roots[0]] = 0
+    key[first[has_kids]] = 2 + 2 * has_kids
+    key[nxt[older]] = 3 + 2 * older
+    pre = _dfs_preorder_from_keys(first, nxt, key, 1, 2 + 2 * n,
+                                  mirror=False)
+    if pre is None:
+        return None
+    # climb from every last child to its parent, up to the nearest node
+    # with a next sibling (or the last root)
+    up = np.arange(n, dtype=np.int64)
+    up[kids[ends]] = has_kids
+    top = chase_pointers(up)
+    after = nxt[top]
+    end = np.where(after >= 0, pre[np.maximum(after, 0)], n)
+    return pre, end - pre

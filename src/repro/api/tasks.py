@@ -311,7 +311,7 @@ def _check_vertex_set(problem: Problem, vertices, size: int, *,
 def _task_max_clique(problem: Problem, options: SolveOptions) -> Solution:
     run, seconds = _run_dp(problem, options, MAX_CLIQUE_DP, md=True)
     size = run.root("omega")
-    vertices = [int(v) for v in _witness(run, seconds)]
+    vertices = _witness(run, seconds).tolist()
     if options.validate:
         _check_vertex_set(problem, vertices, size, adjacent=True,
                           what="max_clique")
@@ -327,7 +327,7 @@ def _task_max_independent_set(problem: Problem,
                               options: SolveOptions) -> Solution:
     run, seconds = _run_dp(problem, options, MAX_INDEPENDENT_SET_DP, md=True)
     size = run.root("alpha")
-    vertices = [int(v) for v in _witness(run, seconds)]
+    vertices = _witness(run, seconds).tolist()
     if options.validate:
         _check_vertex_set(problem, vertices, size, adjacent=False,
                           what="max_independent_set")
@@ -375,7 +375,7 @@ def _task_max_weight_independent_set(problem: Problem,
     run, seconds = _run_dp(problem, options,
                            max_weight_independent_set_dp(weights), md=True)
     weight = run.root("alpha")
-    vertices = [int(v) for v in _witness(run, seconds)]
+    vertices = _witness(run, seconds).tolist()
     if options.validate:
         _check_weighted_set(problem, vertices, weights, weight,
                             adjacent=False,
@@ -395,7 +395,7 @@ def _task_max_weight_clique(problem: Problem,
     run, seconds = _run_dp(problem, options,
                            max_weight_clique_dp(weights), md=True)
     weight = run.root("omega")
-    vertices = [int(v) for v in _witness(run, seconds)]
+    vertices = _witness(run, seconds).tolist()
     if options.validate:
         _check_weighted_set(problem, vertices, weights, weight,
                             adjacent=True, what="max_weight_clique")
@@ -411,7 +411,7 @@ def _task_chromatic_number(problem: Problem,
                            options: SolveOptions) -> Solution:
     run, seconds = _run_dp(problem, options, CHROMATIC_NUMBER_DP)
     chi = run.root("chi")
-    coloring = [int(c) for c in _witness(run, seconds)]
+    coloring = _witness(run, seconds).tolist()
     if options.validate:
         if sorted(set(coloring)) != list(range(chi)):
             raise ValueError(f"colouring uses {len(set(coloring))} colours, "
@@ -440,9 +440,10 @@ def _task_clique_cover(problem: Problem, options: SolveOptions) -> Solution:
     theta = run.root("theta")
     classes = _witness(run, seconds)
     order = np.argsort(classes, kind="stable")
-    bounds = np.searchsorted(classes[order], np.arange(theta + 1))
-    cliques = [[int(v) for v in order[lo:hi]]
-               for lo, hi in zip(bounds[:-1], bounds[1:])]
+    bounds = np.searchsorted(classes[order],
+                             np.arange(theta + 1)).tolist()
+    members = order.tolist()
+    cliques = [members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     if options.validate:
         covered = sorted(v for clique in cliques for v in clique)
         if covered != list(range(len(classes))):

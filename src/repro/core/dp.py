@@ -11,25 +11,37 @@ This module captures that shape once:
   ``prepare`` over child values, a set of named segmented reductions drawn
   from ``sum`` / ``max`` / ``min`` / ``prod``, and an optional elementwise
   ``finish``), with an optional witness reconstruction;
-* :func:`run_cotree_dp` executes a spec level-wise over
-  :class:`~repro.cograph.FlatCotree` CSR arrays on any execution backend.
-  On the :class:`~repro.backends.FastBackend` each level is **loop-free**:
-  the children of all the level's nodes are gathered with one fancy-index
-  expression and reduced with one ``np.ufunc.reduceat`` call per named
-  reduction.  On the :class:`~repro.backends.PRAMBackend` the same
-  reductions run as ``ceil(log2 max_arity)`` accounted halving rounds per
-  level, so every DP inherits the EREW cost model for free — the engine's
-  time is ``O(height + sum_level log arity)``, the cost profile of the
-  "naive level-by-level parallelisation" the paper discusses after
-  Lemma 2.3 (the bracket pipeline exists precisely to beat this on deep
-  trees; the engine is the general workhorse, not the headline algorithm);
+* :func:`run_cotree_dp` executes a spec over
+  :class:`~repro.cograph.FlatCotree` CSR arrays on any execution backend,
+  on one of two schedules:
+
+  - the **level sweep**: on the :class:`~repro.backends.FastBackend` each
+    level is loop-free — the children of all the level's nodes are
+    gathered with one fancy-index expression and reduced with one
+    ``np.ufunc.reduceat`` call per named reduction.  On the
+    :class:`~repro.backends.PRAMBackend` the same reductions run as
+    ``ceil(log2 max_arity)`` accounted halving rounds per level, so every
+    DP inherits the EREW cost model for free — accounted time
+    ``O(height + sum_level log arity)``, the cost profile of the "naive
+    level-by-level parallelisation" the paper discusses after Lemma 2.3;
+  - the **heavy-path contraction** (fast backend, trees at least
+    ``max(64, nodes / 128)`` deep): one DFS numbering gives leaf counts,
+    heavy children and light depths; each round folds the light children
+    of one light depth into one-child maps of the heavy children
+    (:attr:`Combine.chain`) and composes them up the heavy chains, so any
+    shape costs ``O(log n)`` rounds of ``O(1)`` dispatches;
 * :func:`run_cotree_dp_sequential` is the one generic postorder reference
   evaluator (the ``method="sequential"`` path of the DP tasks) — no task
-  carries a bespoke traversal of its own.
+  carries a bespoke traversal of its own;
+* the witness helpers (:func:`selected_subtree_vertices`,
+  :func:`class_assignment`) follow the run's schedule: top-down level by
+  level, or one interval pass (difference array + cumulative sum over the
+  preorder) after a contraction.
 
-Outputs are bit-identical across all three execution paths (the reduction
+Outputs are bit-identical across every execution path (the reduction
 operators are associative over exact integers), which
-``tests/test_dp_engine.py`` pins for every built-in spec.
+``tests/test_dp_engine.py`` and ``tests/test_dp_contraction.py`` pin for
+every built-in spec.
 
 The built-in specs live at the bottom of the module; the engine is public,
 so out-of-tree DPs get the backends, the witness helpers and the
@@ -44,10 +56,12 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .._dfs import depth_by_doubling as _depth_by_doubling
+from .._dfs import multiway_numbering as _multiway_numbering
 from ..backends import ExecutionContext, resolve_context
 from ..cograph import FlatCotree, as_flat_cotree
-from ..cograph.cotree import JOIN, LEAF, PRIME, UNION
+from ..cograph.cotree import JOIN, LEAF, PRIME, UNION, CotreeError
 from ..cograph.md import SPIDER_THIN
+from ..primitives.tree_contraction import NEG_INF
 
 __all__ = [
     "Combine",
@@ -105,6 +119,20 @@ class Combine:
         optional elementwise map from the reduced outputs to the node's DP
         fields, ``finish(reduced) -> dict of field arrays``.  When omitted
         the reduction outputs must already carry the DP field names.
+    chain:
+        optional one-child map for the heavy-path contraction,
+        ``chain(light, leaves) -> {field: (a, b)}``: given ``light``, the
+        ``reduce`` outputs over all children but one (each reduction's
+        identity where there are none), and ``leaves``, the nodes' leaf
+        counts, every field of the node as a map of the remaining child's
+        same field — ``x -> max(x + a, b)`` for ``int64`` specs (``a``
+        finite, ``b`` possibly
+        :data:`~repro.primitives.tree_contraction.NEG_INF`), ``x -> a * x +
+        b`` for ``object`` specs.  Omit it when the only
+        reductions are ``(f, op, f)`` per field with no ``prepare`` /
+        ``finish``: ``max`` and ``sum`` (``int64``) or ``sum`` and
+        ``prod`` (``object``) derive their map.  A spec with neither always
+        runs the level sweep.
     """
 
     reduce: Tuple[Tuple[str, str, str], ...]
@@ -112,6 +140,8 @@ class Combine:
                                Dict[str, np.ndarray]]] = None
     finish: Optional[Callable[[Dict[str, np.ndarray]],
                               Dict[str, np.ndarray]]] = None
+    chain: Optional[Callable[[Dict[str, np.ndarray], np.ndarray],
+                             Dict[str, Tuple[np.ndarray, np.ndarray]]]] = None
 
     def __post_init__(self) -> None:
         for out, op, _src in self.reduce:
@@ -209,13 +239,23 @@ class CotreeDPRun:
     dp: CotreeDP
     tree: FlatCotree
     values: Dict[str, np.ndarray]
-    depth: np.ndarray
+    #: node depths; ``None`` after a ``"contraction"`` run, which needs
+    #: only the height bound its schedule rule checks
+    depth: Optional[np.ndarray]
     ctx: Optional[ExecutionContext] = None
     backend: str = "fast"
     #: per-node winning selection of prime nodes (``None`` on prime-free
     #: trees): the best subset's bitmask for generic primes, ``-1`` (base
     #: option) or the winning pair index for spider primes.
     prime_choice: Optional[np.ndarray] = None
+    #: how the values were computed: ``"levels"`` (one round per tree
+    #: level), ``"contraction"`` (one round per light depth of the heavy
+    #: paths) or ``"sequential"``; the witness follows the same choice.
+    schedule: str = "levels"
+    #: bottom-up rounds the schedule ran.
+    rounds: int = 0
+    #: the heavy-path numbering of a ``"contraction"`` run.
+    paths: Optional["HeavyPaths"] = None
 
     def root(self, field_name: Optional[str] = None):
         """The DP value at the root (first declared field by default)."""
@@ -481,6 +521,243 @@ def _generic_prime_values(flat: FlatCotree, value: np.ndarray,
     return out_val, out_choice
 
 
+# --------------------------------------------------------------------------- #
+# heavy-path contraction
+# --------------------------------------------------------------------------- #
+
+@dataclass
+class HeavyPaths:
+    """The heavy-path decomposition a ``"contraction"`` run sweeps.
+
+    Every internal node's *heavy* child is the child with the most leaves
+    (smallest node id on ties); its other children are *light*.  A light
+    child has at most half its parent's leaves, so a node's light depth —
+    the light nodes on its root path, itself included — is at most
+    ``log2(leaves)``, and the nodes of one light depth form disjoint
+    heavy chains, each ending in a leaf.
+    """
+
+    pre: np.ndarray          #: preorder position
+    size: np.ndarray         #: subtree size, in nodes
+    leaves: np.ndarray       #: leaf count of every subtree
+    heavy: np.ndarray        #: heavy child (``-1`` at leaves)
+    light_depth: np.ndarray
+
+
+def heavy_paths(flat: FlatCotree) -> Optional[HeavyPaths]:
+    """Number ``flat`` once (one C-level DFS) and derive leaf counts, heavy
+    children and light depths in a constant number of array passes.
+    ``None`` without scipy, or when an internal node has no children."""
+    internal = flat.internal_nodes
+    if len(flat.child_index) == 0 or \
+            np.any(flat.degrees()[internal] == 0):
+        return None
+    roots = getattr(flat, "roots", None)
+    numbering = _multiway_numbering(
+        flat.child_offset, flat.child_index,
+        [flat.root] if roots is None else roots)
+    if numbering is None:
+        return None
+    pre, size = numbering
+    n = flat.num_nodes
+    leaf_at = np.zeros(n + 1, dtype=np.int64)
+    leaf_at[pre[flat.leaves] + 1] = 1
+    np.cumsum(leaf_at, out=leaf_at)
+    leaves = leaf_at[pre + size] - leaf_at[pre]
+    # heavy child: one packed segmented argmax over the CSR child array
+    # (every internal node owns a non-empty segment, leaves empty ones)
+    kids = flat.child_index
+    packed = leaves[kids] * np.int64(n) + (np.int64(n - 1) - kids)
+    best = np.maximum.reduceat(packed, flat.child_offset[internal])
+    heavy = np.full(n, -1, dtype=np.int64)
+    heavy[internal] = np.int64(n - 1) - best % np.int64(n)
+    light = np.ones(n, dtype=bool)
+    light[heavy[internal]] = False
+    light = kids[light[kids]]
+    return HeavyPaths(
+        pre=pre, size=size, leaves=leaves, heavy=heavy,
+        light_depth=_root_path_sums(pre, size, light, np.ones_like(light)))
+
+
+def _root_path_sums(pre: np.ndarray, size: np.ndarray, nodes: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """Per node, the sum of ``weights[i]`` over the ``nodes[i]`` on its
+    root path (itself included): a difference array over preorder, ``+w``
+    where a subtree interval opens and ``-w`` where it closes, then one
+    cumulative sum."""
+    diff = np.zeros(len(pre) + 1, dtype=np.int64)
+    diff[pre[nodes]] = weights
+    np.subtract.at(diff, pre[nodes] + size[nodes], weights)
+    return np.cumsum(diff[:-1])[pre]
+
+
+#: identity of every reduction, for nodes whose only child is the heavy one
+_REDUCE_IDENTITY = {"sum": 0, "max": int(NEG_INF), "min": -int(NEG_INF),
+                    "prod": 1}
+
+#: the one-child maps that ``(f, op, f)`` reductions derive, per algebra
+_DERIVED_MAPS = {
+    "max-plus": {
+        "max": lambda r: (np.zeros_like(r), r),
+        "sum": lambda r: (r, np.full_like(r, NEG_INF)),
+    },
+    "affine": {
+        "sum": lambda r: (np.ones_like(r), r),
+        "prod": lambda r: (r, np.zeros_like(r)),
+    },
+}
+
+
+def _algebra(dp: CotreeDP) -> Optional[str]:
+    if dp.dtype is object:
+        return "affine"
+    return "max-plus" if np.dtype(dp.dtype) == np.int64 else None
+
+
+def _one_child_map(dp: CotreeDP, combine: Combine):
+    """The combine's declared ``chain``, else the derived one, else
+    ``None`` (the spec then runs the level sweep)."""
+    derived = _DERIVED_MAPS.get(_algebra(dp))
+    if derived is None:                 # no map algebra for this dtype
+        return None
+    if combine.chain is not None:
+        return combine.chain
+    if combine.prepare is not None or combine.finish is not None:
+        return None
+    ops = {out: op for out, op, src in combine.reduce if out == src}
+    if len(ops) != len(combine.reduce) or set(ops) != set(dp.fields) \
+            or any(op not in derived for op in ops.values()):
+        return None
+    return lambda light, leaves: {f: derived[ops[f]](light[f])
+                                  for f in dp.fields}
+
+
+#: The schedule rule.  The level sweep pays a few NumPy dispatches per
+#: level, the contraction one DFS numbering of the whole tree plus a few
+#: dispatches per light depth.  Measured on brooms (a spine of ``h``
+#: levels over a random cotree) with the witness included, the
+#: contraction wins from ``h`` ~ 45 at 1.5k nodes, ~ 120 at 15k and ~ 1100
+#: at 150k: so contract when the height reaches both a floor and one level
+#: per ``CONTRACTION_NODES_PER_LEVEL`` nodes.
+CONTRACTION_MIN_HEIGHT = 64
+CONTRACTION_NODES_PER_LEVEL = 128
+
+
+def _contraction_height(num_nodes: int) -> int:
+    """The smallest height at which a tree of ``num_nodes`` contracts."""
+    return max(CONTRACTION_MIN_HEIGHT,
+               num_nodes // CONTRACTION_NODES_PER_LEVEL)
+
+
+def _contract(dp: CotreeDP, flat: FlatCotree, values: Dict[str, np.ndarray],
+              paths: HeavyPaths, maps) -> int:
+    """Evaluate every internal node, one light depth per round (deepest
+    first); returns the number of rounds.
+
+    In a round every node folds its light children — all computed in
+    earlier rounds — into a one-child map of its heavy child, then the
+    maps compose up each heavy chain.  A round lists its nodes by
+    descending preorder position: each chain is then one contiguous run,
+    bottom (the node above the chain's leaf) to top.
+    """
+    n = flat.num_nodes
+    by_pre = np.empty(n, dtype=np.int64)
+    by_pre[paths.pre] = np.arange(n, dtype=np.int64)
+    desc = by_pre[::-1]
+    desc = desc[flat.kind[desc] != LEAF]
+    ld = paths.light_depth[desc].astype(np.int16)
+    order = np.argsort(-ld, kind="stable")
+    rounds = np.split(desc[order], np.flatnonzero(np.diff(ld[order])) + 1)
+    for nodes in rounds:
+        a = {f: np.empty(len(nodes), dtype=dp.dtype) for f in dp.fields}
+        b = {f: np.empty(len(nodes), dtype=dp.dtype) for f in dp.fields}
+        for kind, combine in ((UNION, dp.union), (JOIN, dp.join)):
+            idx = np.flatnonzero(flat.kind[nodes] == kind)
+            if len(idx):
+                sel = nodes[idx]
+                light = _fold_light(dp, flat, values, sel, combine,
+                                    paths.heavy)
+                for f, (fa, fb) in maps[kind](
+                        light, paths.leaves[sel]).items():
+                    a[f][idx] = fa
+                    b[f][idx] = fb
+        heavy = paths.heavy[nodes]
+        if dp.dtype is object:
+            # a left fold: a doubling or scan would multiply big integers
+            # the fold never forms; Python lists index faster than object
+            # arrays, and identity coefficients skip a big-integer pass
+            for f in dp.fields:
+                val = values[f].tolist()
+                for u, h, fa, fb in zip(nodes.tolist(), heavy.tolist(),
+                                        a[f].tolist(), b[f].tolist()):
+                    x = val[h] if fa == 1 else fa * val[h]
+                    val[u] = x + fb if fb else x
+                values[f][:] = val
+        else:
+            bottom = flat.kind[heavy] == LEAF
+            for f in dp.fields:
+                values[f][nodes] = _max_plus_chains(
+                    a[f], b[f], values[f][heavy], bottom)
+    return len(rounds)
+
+
+def _fold_light(dp: CotreeDP, flat: FlatCotree, values, nodes: np.ndarray,
+                combine: Combine, heavy: np.ndarray) -> Dict[str, np.ndarray]:
+    """``combine``'s reductions over every node's light children."""
+    child_nodes, seg = _gather_level_children(flat, nodes)
+    counts = np.diff(seg)
+    child_nodes = child_nodes[child_nodes != np.repeat(heavy[nodes], counts)]
+    counts -= 1
+    child_values = {f: values[f][child_nodes] for f in dp.fields}
+    if combine.prepare is not None:
+        child_values.update(combine.prepare(child_values))
+    some = counts > 0
+    starts = (np.cumsum(counts) - counts)[some]
+    light = {}
+    for out, op, src in combine.reduce:
+        r = np.full(len(nodes), _REDUCE_IDENTITY[op], dtype=dp.dtype)
+        if len(starts):
+            r[some] = _REDUCE_UFUNCS[op].reduceat(child_values[src], starts)
+        light[out] = r
+    return light
+
+
+def _max_plus_chains(a: np.ndarray, b: np.ndarray, below: np.ndarray,
+                     bottom: np.ndarray) -> np.ndarray:
+    """Values along chains of maps ``x -> max(x + a, b)`` (``a`` finite).
+
+    The chains are contiguous runs, each starting where ``bottom`` is set;
+    ``below`` holds every node's heavy-child value, known at each bottom.
+    Unrolled, node ``i`` of a chain over leaf value ``x`` is worth
+    ``A_i + x + max(0, max_{j <= i} (b_j - A_j - x))`` with ``A`` the
+    chain's prefix sum of ``a``: one segmented sum and one segmented
+    running max.  The running max is one ``maximum.accumulate`` once each
+    chain is lifted above the values of all chains before it; should the
+    lifts overflow (values near ``2**62``), pairwise doubling over slices
+    takes ``log2(longest chain)`` steps instead.
+    """
+    starts = np.flatnonzero(bottom)
+    pos = np.arange(len(a), dtype=np.int64)
+    first = np.maximum.accumulate(np.where(bottom, pos, 0))
+    A = np.cumsum(a)
+    A += a[first] - A[first]
+    x = below[first]
+    best = np.maximum(b - A - x, 0)
+    span = np.maximum.reduceat(best, starts) + 1
+    if span.sum(dtype=np.float64) < 2.0 ** 61:
+        lift = np.repeat(np.cumsum(span) - span, np.diff(np.append(
+            starts, len(a))))
+        best = np.maximum.accumulate(best + lift) - lift
+    else:
+        pos -= first                                # index within the chain
+        h = 1
+        while h <= int(pos.max()):
+            best[h:] = np.where(pos[h:] >= h,
+                                np.maximum(best[h:], best[:-h]), best[h:])
+            h *= 2
+    return A + x + best
+
+
 def run_cotree_dp(dp: CotreeDP, tree, ctx=None, *,
                   label: Optional[str] = None) -> CotreeDPRun:
     """Execute a :class:`CotreeDP` bottom-up, level by level.
@@ -522,13 +799,34 @@ def run_cotree_dp(dp: CotreeDP, tree, ctx=None, *,
             values[f][leaves] = leaf_values[f]
 
     prime_choice = _check_prime_support(dp, flat)
-    depth = _depth_by_doubling(flat.parent)
     internal = flat.internal_nodes
+    maps = {UNION: _one_child_map(dp, dp.union),
+            JOIN: _one_child_map(dp, dp.join)}
+    deep = None
+    if not context.simulates and prime_choice is None \
+            and None not in maps.values():
+        deep = _contraction_height(n)
+    # the height decides the schedule, so doubling stops once it is known
+    # to reach the contraction threshold
+    depth = _depth_by_doubling(flat.parent, cap=deep)
+    paths = None
+    if deep is not None and int(depth.max()) >= deep:
+        paths = heavy_paths(flat)
+        if paths is None:
+            depth = _depth_by_doubling(flat.parent)
+    if paths is not None:
+        rounds = _contract(dp, flat, values, paths, maps)
+        return CotreeDPRun(dp=dp, tree=flat, values=values, depth=None,
+                           ctx=context, backend=context.name,
+                           schedule="contraction", rounds=rounds,
+                           paths=paths)
+    rounds = 0
     if len(internal):
         order = internal[np.argsort(-depth[internal], kind="stable")]
         level_starts = np.flatnonzero(
             np.diff(depth[order], prepend=depth[order[0]] + 1))
         bounds = np.append(level_starts, len(order))
+        rounds = len(level_starts)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             level_nodes = order[lo:hi]
             d = int(depth[level_nodes[0]])
@@ -549,7 +847,7 @@ def run_cotree_dp(dp: CotreeDP, tree, ctx=None, *,
                         prime_choice[sel] = choices
     return CotreeDPRun(dp=dp, tree=flat, values=values, depth=depth,
                        ctx=context, backend=context.name,
-                       prime_choice=prime_choice)
+                       prime_choice=prime_choice, rounds=rounds)
 
 
 def run_cotree_dp_sequential(dp: CotreeDP, tree) -> CotreeDPRun:
@@ -599,7 +897,8 @@ def run_cotree_dp_sequential(dp: CotreeDP, tree) -> CotreeDPRun:
             values[f][u] = reduced[f]
     return CotreeDPRun(dp=dp, tree=flat, values=values, depth=depth,
                        ctx=None, backend="sequential",
-                       prime_choice=prime_choice)
+                       prime_choice=prime_choice, schedule="sequential",
+                       rounds=len(order))
 
 
 # --------------------------------------------------------------------------- #
@@ -668,28 +967,39 @@ def selected_subtree_vertices(run: CotreeDPRun, pick_at: int,
             np.arange(len(flat.child_index), dtype=np.int64)
             - np.repeat(flat.child_offset[:-1], np.diff(flat.child_offset)))
 
-    selected = np.zeros(n, dtype=bool)
-    roots = getattr(flat, "roots", None)
-    if roots is None:
-        selected[flat.root] = True
+    def keep(child_nodes: np.ndarray) -> np.ndarray:
+        parents = flat.parent[child_nodes]
+        kept = (flat.kind[parents] != pick_at) | \
+            (chosen[parents] == child_nodes)
+        if has_primes:
+            pk = flat.kind[parents] == PRIME
+            if pk.any():
+                kept[pk] = _prime_keep(run, child_nodes[pk], parents[pk],
+                                       slot_of)
+        return kept
+
+    if run.paths is not None:
+        # selected iff no dropped edge lies on the root path
+        dropped = flat.child_index[~keep(flat.child_index)]
+        selected = _root_path_sums(
+            run.paths.pre, run.paths.size, dropped,
+            np.ones(len(dropped), dtype=np.int64)) == 0
     else:
-        roots = np.asarray(roots, dtype=np.int64)
-        selected[roots[roots >= 0]] = True
-    for level_nodes in _levels_top_down(run):
-        sel = level_nodes[selected[level_nodes]]
-        if not len(sel):
-            continue
-        child_nodes, _ = _gather_level_children(flat, sel)
-        with _step(run, len(child_nodes), f"dp.{run.dp.name}:witness-select"):
-            parents = flat.parent[child_nodes]
-            keep = (flat.kind[parents] != pick_at) | \
-                (chosen[parents] == child_nodes)
-            if has_primes:
-                pk = flat.kind[parents] == PRIME
-                if pk.any():
-                    keep[pk] = _prime_keep(run, child_nodes[pk],
-                                           parents[pk], slot_of)
-            selected[child_nodes[keep]] = True
+        selected = np.zeros(n, dtype=bool)
+        roots = getattr(flat, "roots", None)
+        if roots is None:
+            selected[flat.root] = True
+        else:
+            roots = np.asarray(roots, dtype=np.int64)
+            selected[roots[roots >= 0]] = True
+        for level_nodes in _levels_top_down(run):
+            sel = level_nodes[selected[level_nodes]]
+            if not len(sel):
+                continue
+            child_nodes, _ = _gather_level_children(flat, sel)
+            with _step(run, len(child_nodes),
+                       f"dp.{run.dp.name}:witness-select"):
+                selected[child_nodes[keep(child_nodes)]] = True
 
     picked_leaves = flat.leaves[selected[flat.leaves]]
     return np.sort(flat.leaf_vertex[picked_leaves])
@@ -776,23 +1086,34 @@ def class_assignment(run: CotreeDPRun, accumulate_at: int,
             base = np.repeat(excl[starts[counts > 0]], counts[counts > 0])
             sib_prefix = excl - base
 
-    # slot index of every node under its parent (CSR position)
-    slot_of = np.full(n, -1, dtype=np.int64)
-    slot_of[flat.child_index] = np.arange(len(flat.child_index),
-                                          dtype=np.int64)
-
-    offset = np.zeros(n, dtype=np.int64)
-    for level_nodes in _levels_top_down(run):
-        child_nodes, _ = _gather_level_children(flat, level_nodes)
-        with _step(run, len(child_nodes), f"dp.{run.dp.name}:witness-offset"):
-            parents = flat.parent[child_nodes]
-            shift = np.where(flat.kind[parents] == accumulate_at,
-                             sib_prefix[slot_of[child_nodes]], 0)
-            offset[child_nodes] = offset[parents] + shift
-
     leaves = flat.leaves
-    classes = np.empty(flat.num_vertices, dtype=np.int64)
-    classes[flat.leaf_vertex[leaves]] = offset[leaves]
+    vertex_ids = flat.leaf_vertex[leaves]
+    bad = (vertex_ids < 0) | (vertex_ids >= len(leaves))
+    if bad.any():
+        raise CotreeError(
+            f"dp.{run.dp.name}: vertex id {int(vertex_ids[bad][0])} is out "
+            f"of range: vertex ids must be 0..n-1 (n = {len(leaves)})")
+
+    # the offset shift of every child slot of the CSR array; a node's
+    # offset is the sum of the shifts on its root path
+    kids = flat.child_index
+    shift = np.where(flat.kind[flat.parent[kids]] == accumulate_at,
+                     sib_prefix, 0)
+    if run.paths is not None:
+        offset = _root_path_sums(run.paths.pre, run.paths.size, kids, shift)
+    else:
+        slot_of = np.full(n, -1, dtype=np.int64)
+        slot_of[kids] = np.arange(len(kids), dtype=np.int64)
+        offset = np.zeros(n, dtype=np.int64)
+        for level_nodes in _levels_top_down(run):
+            child_nodes, _ = _gather_level_children(flat, level_nodes)
+            with _step(run, len(child_nodes),
+                       f"dp.{run.dp.name}:witness-offset"):
+                offset[child_nodes] = offset[flat.parent[child_nodes]] + \
+                    shift[slot_of[child_nodes]]
+
+    classes = np.empty(len(leaves), dtype=np.int64)
+    classes[vertex_ids] = offset[leaves]
     return classes
 
 
@@ -823,6 +1144,10 @@ PATH_COVER_SIZE_DP = CotreeDP(
         reduce=(("best", "max", "p_plus_L"), ("L", "sum", "L")),
         finish=lambda red: {"p": np.maximum(red["best"] - red["L"], 1),
                             "L": red["L"]},
+        # the heavy child's term is p_h + L_h - L = p_h - (light L)
+        chain=lambda light, leaves: {
+            "p": (-light["L"], np.maximum(light["best"] - leaves, 1)),
+            "L": (light["L"], np.full_like(leaves, NEG_INF))},
     ),
 )
 
@@ -931,6 +1256,8 @@ COUNT_INDEPENDENT_SETS_DP = CotreeDP(
         prepare=lambda cv: {"nonempty": cv["count"] - 1},
         reduce=(("total", "sum", "nonempty"),),
         finish=lambda red: {"count": red["total"] + 1},
+        chain=lambda light, leaves: {
+            "count": (np.ones_like(light["total"]), light["total"])},
     ),
     dtype=object,
 )

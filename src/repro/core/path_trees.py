@@ -11,7 +11,9 @@ dummy removal.
   *illegal* when its inorder neighbour within its path tree is a bridge
   vertex of the same 1-node — exactly the ``2p(v) − 2`` bad slots of
   Section 3.  Illegal insert vertices are exchanged (together with their
-  subtrees) with legal dummy vertices of the same 1-node.
+  subtrees) with legal dummy vertices of the same 1-node.  A dummy's
+  slot is judged by the neighbours outside the dummy's subtree, since
+  that subtree leaves with it.
 
 * **Step 7** (:func:`remove_dummies`): dummy vertices (which by construction
   have at most one child, on the right) are spliced out, turning the pseudo
@@ -207,10 +209,22 @@ def legalize_forest(ctx, forest: PathForest,
         out[ok & same] = node_at_pos[q[ok & same]]
         return out
 
+    # An insert keeps its subtree when it moves, so it is judged by its own
+    # nearest real neighbours.  A dummy leaves with its subtree (later
+    # inserts hanging off it), so its slot is judged by the nearest real
+    # nodes outside that subtree: those become the neighbours of whatever
+    # insert takes the slot.
     pos = inorder[movable]
+    is_insert = node_class[movable] == VertexClass.INSERT
+    size = numbers.subtree_size
+    kids = (forest.left[movable], forest.right[movable])
+    below_left, below_right = (
+        np.where(k >= 0, size[np.maximum(k, 0)], 0) for k in kids)
     with machine.step(active=len(movable), label=f"{label}:check"):
-        prev_nb = real_neighbour(pos, True)
-        next_nb = real_neighbour(pos, False)
+        prev_nb = real_neighbour(np.where(is_insert, pos, pos - below_left),
+                                 True)
+        next_nb = real_neighbour(np.where(is_insert, pos, pos + below_right),
+                                 False)
 
         def is_bad(nb):
             bad = np.zeros(len(movable), dtype=bool)
@@ -221,7 +235,6 @@ def legalize_forest(ctx, forest: PathForest,
 
         illegal = is_bad(prev_nb) | is_bad(next_nb)
 
-    is_insert = node_class[movable] == VertexClass.INSERT
     illegal_inserts = movable[illegal & is_insert]
     legal_dummies = movable[(~illegal) & (~is_insert)]
 

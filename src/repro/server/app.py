@@ -62,6 +62,7 @@ from ..api import SolutionCache, SolveOptions, solve, solve_many, task_names
 from ..api.registry import TASKS
 from ..api.solution import Solution
 from ..api.solve import _from_cache
+from ..cograph.cotree import CotreeError
 from ..core import faults as _faults
 from ..core.batch import WorkerPool
 from ..core.retry import CircuitBreaker, RetryPolicy
@@ -482,6 +483,9 @@ class ServerApp:
                 400, "request failed validation", errors=exc.errors))
         except HTTPError as exc:
             response = _error_response(exc)
+        except CotreeError as exc:
+            # a malformed input tree found mid-solve: the client's fault
+            response = _error_response(HTTPError(400, f"problem: {exc}"))
         except Exception as exc:
             self.log.exception("unhandled error", extra={"path": path})
             # never a bodyless 500: the client gets a structured JSON

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.cograph import (
+    Cotree,
     Graph,
     JOIN,
     LEAF,
@@ -257,6 +259,33 @@ class TestSteps5to7Forest:
         red, seq, forest, nex = pipeline_to(t, "legal")
         forest2, nex2 = legalize_forest(None, forest, red)
         assert nex2 == 0
+
+    def test_dummy_slot_is_judged_without_its_subtree(self):
+        """A dummy leaves its slot together with the later inserts hanging
+        off it, so the slot's legality must not count them: here an insert
+        moved into such a slot ended next to a bridge of its own 1-node
+        (a 76-vertex shrink of a 65k-vertex random cotree)."""
+        spec = (
+            ('join', ('union', ('union', ('join', ('union', ('join',
+            ('union', ('join', ('union', 8, 23), 74, 49), 42, 35), 21),
+            ('join', 60, 22, 13, 64), ('join', 45, 67, 55)), ('union',
+            ('join', ('union', 51, 66), ('union', 33, 36), 16, 17, 6),
+            ('join', ('union', 58, 27, 9), 69))), ('union', 20, 39, 54)),
+            ('join', ('union', ('join', ('union', 19, 53, 14), 62, 70, 34),
+            37, 7, 28, 24), ('union', ('join', 5, 32, 1, 26, 4), ('join',
+            ('union', 56, 25, 48, 47), 10), ('join', 57, 65, 63), ('join',
+            75, 73), ('join', 41, 30), 29)), ('union', ('join', 46, 15), 18,
+            50), ('union', ('join', 43, 0), 31)), ('union', ('join',
+            ('union', 2, 52, 68, 11, 40), 72, 38), ('join', 44, 61, 71)),
+            ('union', 12, 59, 3)))
+        tree = Cotree.from_nested(spec).canonicalize()
+        red, seq, forest, nex = pipeline_to(tree, "legal")
+        assert nex > 0
+        assert legalize_forest(None, forest, red)[1] == 0
+        for backend in ("fast", "pram"):
+            cover = solve(tree, "path_cover", backend=backend,
+                          validate=True)
+            assert cover.num_paths == 1
 
     def test_dummies_removed_completely(self):
         t = random_cotree(60, seed=14, join_prob=0.4)

@@ -506,6 +506,25 @@ class TestDispatch:
         assert "JSON nesting too deep" in json.dumps(query.json())
         assert valid.status == 200
 
+    def test_lone_leaf_with_a_foreign_id_is_a_400_and_spares_the_breaker(self):
+        async def scenario(app):
+            refused = [await app.dispatch("POST", "/v1/solve",
+                                          solve_body("5", task=task))
+                       for task in ("chromatic_number", "clique_cover") * 3]
+            clique = await app.dispatch("POST", "/v1/solve",
+                                        solve_body("5", task="max_clique"))
+            return refused, clique, app.breaker.snapshot()
+
+        refused, clique, breaker = run_app(scenario)
+        assert [r.status for r in refused] == [400] * 6
+        error = refused[0].json()["error"]
+        assert "vertex id 5" in error["message"]
+        assert "vertex ids must be 0..n-1" in error["message"]
+        assert clique.status == 200
+        assert clique.json()["answer"]["vertices"] == [5]
+        assert breaker["state"] == "closed"
+        assert breaker["consecutive_failures"] == 0
+
     def test_unknown_route_404_and_wrong_method_405(self):
         async def scenario(app):
             return (await app.dispatch("GET", "/v1/nope"),
