@@ -4,8 +4,8 @@ The throughput (``fast``) backend is licensed to replace simulated PRAM
 loops by any direct computation with bit-identical output.  For tree
 numberings the direct computation of choice is a depth-first search run in
 compiled code: :func:`scipy.sparse.csgraph.depth_first_order` visits the
-children of every node in *node-id order*, so after relabelling the nodes
-with ids that realise the desired child order, one C call yields the exact
+children of every node in the order its CSR row stores them, so once each
+row lists the children in the desired order, one C call yields the exact
 preorder the simulated Euler-tour machinery produces.
 
 Everything else follows analytically:
@@ -81,11 +81,14 @@ def _dfs_preorder_from_keys(left: np.ndarray, right: np.ndarray,
     ascending key order realises the desired visit order: roots first (keys
     ``0 .. num_roots-1`` in visit order), then ``base + 2*parent + side``
     for the children, where the child to be visited first holds the even
-    key.  The key space is used directly as the node-id space of the sparse
-    graph — unused ids are isolated nodes the DFS never sees — so no
-    compaction pass is needed.  int32 indices and float64 weights are the
-    dtypes csgraph uses internally, so passing them directly skips one
-    conversion copy per call.
+    key.  (The DFS scans each row in stored order and every row lists the
+    child to visit first before the other, so any unique keys with the
+    roots at ``0 .. num_roots-1`` visit the same order; this scheme also
+    keeps every row sorted.)  The key space is used directly as the node-id
+    space of the sparse graph — unused ids are isolated nodes the DFS never
+    sees — so no compaction pass is needed.  int32 indices and float64
+    weights are the dtypes csgraph uses internally, so passing them
+    directly skips one conversion copy per call.
     """
     n = len(left)
     N = key_space + 1                               # + the super-root S
@@ -118,6 +121,25 @@ def _dfs_preorder_from_keys(left: np.ndarray, right: np.ndarray,
     pre_by_key[np.asarray(seq, dtype=np.int64)] = np.arange(n + 1,
                                                             dtype=np.int64)
     return pre_by_key[key] - 1                      # drop the super-root
+
+
+def sibling_chain_preorder(first: np.ndarray, nxt: np.ndarray,
+                           root: int) -> Optional[np.ndarray]:
+    """Preorder of a tree in first-child / next-sibling form.
+
+    ``first[u]`` is the child of ``u`` visited first and ``nxt[u]`` the
+    sibling visited after ``u`` (``-1`` for none); every node but ``root``
+    must be exactly one node's ``first`` or ``nxt``.  Every node of the
+    binary form has at most two children, so the C-level DFS stays linear
+    however wide the multiway tree is.  Returns ``None`` when some node is
+    unreachable from ``root``.
+    """
+    n = len(first)
+    # keys only name the CSR rows (the row order is the visit order); the
+    # root must hold key 0, the super-root's only child
+    key = np.arange(n, dtype=np.int64)
+    key[[0, root]] = key[[root, 0]]
+    return _dfs_preorder_from_keys(first, nxt, key, 1, n, mirror=False)
 
 
 def binary_forest_numbering(
@@ -225,14 +247,7 @@ def multiway_numbering(child_offset, child_index, roots
     older = np.append(kids[pos], roots[:-1])
     nxt = np.full(n, -1, dtype=np.int64)
     nxt[older] = np.append(kids[pos + 1], roots[1:])
-    # left children take even keys, right ones odd: ascending key order is
-    # the visit order (see _dfs_preorder_from_keys)
-    key = np.empty(n, dtype=np.int64)
-    key[roots[0]] = 0
-    key[first[has_kids]] = 2 + 2 * has_kids
-    key[nxt[older]] = 3 + 2 * older
-    pre = _dfs_preorder_from_keys(first, nxt, key, 1, 2 + 2 * n,
-                                  mirror=False)
+    pre = sibling_chain_preorder(first, nxt, int(roots[0]))
     if pre is None:
         return None
     # climb from every last child to its parent, up to the nearest node

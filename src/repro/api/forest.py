@@ -5,18 +5,24 @@ pipeline walk, many small NumPy dispatches) that dwarfs the useful work when
 instances are tiny.  :func:`solve_forest` amortises all of it: the batch is
 packed into one :class:`~repro.cograph.FlatForest` (a single CSR holding
 every instance side by side) and the whole forest is processed by **one**
-run of the level-wise cotree-DP engine, or one run of the eight-stage
-path-cover pipeline, whose vectorized sweeps now stride over thousands of
-instances at once.  Root values and witnesses are then split back per
-instance, bit-identical to what a solo :func:`~repro.api.solve` would have
-produced.
+run of the cotree-DP engine (:func:`~repro.core.run_cotree_dp`, level by
+level or by heavy-path contraction, whichever the forest's height calls
+for), or one run of the eight-stage path-cover pipeline, whose vectorized
+sweeps now stride over thousands of instances at once.  Root values and
+witnesses are then split back per instance, bit-identical to what a solo
+:func:`~repro.api.solve` would have produced.
 
-Supported tasks (:data:`FOREST_TASKS`): ``path_cover`` plus the six
-cotree-DP tasks.  Anything the sweep cannot take — an unsupported task,
-non-default engine options, a non-cograph input, an instance whose vertex
-ids are not ``0..n-1`` — silently falls back to a per-instance
-:func:`~repro.api.solve` (``provenance["route"] == "serial"``); swept
-solutions report ``"forest"``.  A configured
+This module knows no DP task by name.  It reads each task's spec, root
+field, witness shape and ``answer`` builder from the task table in
+:mod:`repro.api.tasks`, the same row the solo route uses, so the two
+routes build every answer with one function.
+
+Supported tasks (:data:`FOREST_TASKS`): ``path_cover`` plus the table's
+unweighted cotree-DP tasks.  Anything the sweep cannot take — an
+unsupported task, non-default engine options, a non-cograph input, an
+instance whose vertex ids are not ``0..n-1`` — silently falls back to a
+per-instance :func:`~repro.api.solve` (``provenance["route"] ==
+"serial"``); swept solutions report ``"forest"``.  A configured
 :class:`~repro.api.SolutionCache` is consulted per instance *before*
 packing, so repeat instances skip the sweep entirely.
 
@@ -27,7 +33,7 @@ through here automatically when ``SolveOptions(batch_small=...)`` is set.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,35 +44,20 @@ from ..cograph import (
     as_flat_cotree,
     pack,
 )
-from ..core.dp import (
-    CHROMATIC_NUMBER_DP,
-    CLIQUE_COVER_DP,
-    COUNT_INDEPENDENT_SETS_DP,
-    MAX_CLIQUE_DP,
-    MAX_INDEPENDENT_SET_DP,
-    PATH_COVER_SIZE_DP,
-    run_cotree_dp,
-)
+from ..core.dp import run_cotree_dp
 from ..core.pipeline import Pipeline
 from .adapters import Problem, as_problem
 from .options import SolveOptions
 from .solution import Solution
 from .solve import _from_cache, _resolve_options, solve
+from .tasks import _DP_TASKS
 
 __all__ = ["solve_forest", "FOREST_TASKS"]
 
-#: cotree-DP spec per sweepable DP task.
-_TASK_DP = {
-    "path_cover_size": PATH_COVER_SIZE_DP,
-    "max_clique": MAX_CLIQUE_DP,
-    "max_independent_set": MAX_INDEPENDENT_SET_DP,
-    "chromatic_number": CHROMATIC_NUMBER_DP,
-    "clique_cover": CLIQUE_COVER_DP,
-    "count_independent_sets": COUNT_INDEPENDENT_SETS_DP,
-}
-
-#: every task the forest sweep can take.
-FOREST_TASKS = ("path_cover",) + tuple(_TASK_DP)
+#: every task the forest sweep can take: the path cover and every
+#: unweighted cotree-DP task.
+FOREST_TASKS = ("path_cover",) + tuple(
+    name for name, entry in _DP_TASKS.items() if not entry.weighted)
 
 
 def _forest_supported(task: str, options: SolveOptions) -> bool:
@@ -108,62 +99,36 @@ def _eligible_flat(prob: Problem):
 
 def _sweep_dp(flats, task: str, options: SolveOptions) -> List[Solution]:
     """One DP-engine pass over the packed forest; one Solution per input."""
-    dp = _TASK_DP[task]
-    needs_witness = task not in ("path_cover_size", "count_independent_sets")
+    entry = _DP_TASKS[task]
     t0 = time.perf_counter()
     forest = pack(flats)
-    run = run_cotree_dp(dp, forest, "fast")
-    root_vals = run.root_values()
-    witness = run.witness() if needs_witness else None
+    run = run_cotree_dp(entry.spec, forest, "fast")
+    values = run.root_values(entry.field).tolist()
+    witness = run.witness() if entry.witness is not None else None
     seconds = {"forest_sweep": time.perf_counter() - t0}
+    # rebase the whole witness in one pass and split it with plain-list
+    # slicing: a sorted vertex set is located per instance by one
+    # searchsorted, per-vertex labels split at the vertex bases
     vb = forest.vertex_base
-    vb_list = vb.tolist()
-    vals = list(root_vals) if isinstance(root_vals, list) \
-        else root_vals.tolist()
-    # extremal-set witnesses come back as one sorted global vertex array;
-    # locate every instance's slice with a single searchsorted, rebase the
-    # whole array in one pass, and split with plain-list slicing
     cuts = wit_list = None
-    if task in ("max_clique", "max_independent_set"):
+    if entry.witness == "set":
         cuts = np.searchsorted(witness, vb)
-        rebased = witness - np.repeat(vb[:-1], np.diff(cuts))
+        wit_list = (witness - np.repeat(vb[:-1], np.diff(cuts))).tolist()
         cuts = cuts.tolist()
-        wit_list = rebased.tolist()
-    elif needs_witness:
-        wit_list = witness.tolist()         # one entry per global vertex
+    elif entry.witness == "labels":
+        cuts = vb.tolist()
+        wit_list = witness.tolist()
 
-    def emit(answer: Any, num_paths: Optional[int] = None) -> Solution:
-        return Solution(task=task, answer=answer, backend="fast",
-                        options=options, num_paths=num_paths,
-                        stage_seconds=dict(seconds),
-                        provenance={"route": "forest"})
-
-    k = len(flats)
-    if task == "path_cover_size":
-        return [emit(int(vals[i]), int(vals[i])) for i in range(k)]
-    if task in ("max_clique", "max_independent_set"):
-        return [emit({"size": int(vals[i]),
-                      "vertices": wit_list[cuts[i]:cuts[i + 1]]})
-                for i in range(k)]
-    if task == "chromatic_number":
-        return [emit({"chromatic_number": int(vals[i]),
-                      "coloring": wit_list[vb_list[i]:vb_list[i + 1]]})
-                for i in range(k)]
-    if task == "clique_cover":
-        out = []
-        for i in range(k):
-            theta = int(vals[i])
-            classes = witness[vb_list[i]:vb_list[i + 1]]
-            order = np.argsort(classes, kind="stable")
-            bounds = np.searchsorted(classes[order], np.arange(theta + 1))
-            out.append(emit({"num_cliques": theta,
-                             "cliques": [order[lo:hi].tolist()
-                                         for lo, hi in zip(bounds[:-1],
-                                                           bounds[1:])]}))
-        return out
-    # count_independent_sets
-    return [emit({"count": int(vals[i]), "includes_empty_set": True})
-            for i in range(k)]
+    out = []
+    for i, value in enumerate(values):
+        answer, num_paths = entry.answer(
+            int(value),
+            None if wit_list is None else wit_list[cuts[i]:cuts[i + 1]])
+        out.append(Solution(task=task, answer=answer, backend="fast",
+                            options=options, num_paths=num_paths,
+                            stage_seconds=dict(seconds),
+                            provenance={"route": "forest"}))
+    return out
 
 
 def _sweep_cover(flats, options: SolveOptions) -> List[Solution]:

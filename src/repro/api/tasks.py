@@ -1,8 +1,9 @@
 """The built-in tasks of the :func:`repro.api.solve` front door.
 
-Thirteen tasks ship with the library; each is a plain function registered
-with :func:`~repro.api.registry.register_task`, so they double as examples
-for out-of-tree tasks:
+Thirteen tasks ship with the library, all registered with
+:func:`~repro.api.registry.register_task`.  Five are plain functions that
+double as examples for out-of-tree tasks; the eight cotree-DP tasks are
+rows of one private table (see below):
 
 =============================  ============================================
 ``path_cover``                 the minimum path cover itself (the paper's
@@ -22,22 +23,26 @@ for out-of-tree tasks:
 ``count_independent_sets``     exact #IS (arbitrary precision)
 =============================  ============================================
 
-The last seven (and ``path_cover_size``, the Hamiltonicity decisions and
-the path count behind ``lower_bound``) all run on the declarative
-cotree-DP engine
-(:mod:`repro.core.dp`): one :class:`~repro.core.CotreeDP` spec per task,
-executed level-wise over :class:`~repro.cograph.FlatCotree` CSR arrays on
-whichever backend the options select.  The extremal-set tasks
-(``max_clique``, ``max_independent_set`` and both weighted variants) are
-**MD-capable**: their DP specs carry prime combiners, so they consume the
-modular decomposition tree of *any* graph whose prime quotients are
-spiders (P4-sparse graphs) or small (arity <= 16) — not just cographs.
+The last seven and ``path_cover_size`` are the rows of one private
+table, ``_DP_TASKS`` (``_DPTask`` lists a row's fields).  ``_solve_dp``
+registers every row, and the forest sweep (:mod:`repro.api.forest`)
+reads the same rows, so both routes build each answer with one function.
+Those tasks, the Hamiltonicity decisions and the path count behind
+``lower_bound`` run :func:`~repro.core.run_cotree_dp` over
+:class:`~repro.cograph.FlatCotree` CSR arrays on whichever backend the
+options select, level by level or, on deep trees, by heavy-path
+contraction.  The extremal-set tasks (``max_clique``,
+``max_independent_set`` and both weighted variants) are **MD-capable**:
+their DP specs carry prime combiners, so they consume the modular
+decomposition tree of *any* graph whose prime quotients are spiders
+(P4-sparse graphs) or small (arity <= 16) — not just cographs.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -118,21 +123,6 @@ def _task_path_cover(problem: Problem, options: SolveOptions) -> Solution:
                                 "exchanges": result.exchanges})
 
 
-@register_task("path_cover_size",
-               summary="p(root) only (Lemma 2.4 cotree DP; the fast "
-                       "engine unless the options pick one)")
-def _task_path_cover_size(problem: Problem,
-                          options: SolveOptions) -> Solution:
-    run, seconds = _run_dp(problem, options, PATH_COVER_SIZE_DP,
-                           fast_default=True)
-    size = run.root("p")
-    if options.validate:
-        _check_sequential(problem, PATH_COVER_SIZE_DP, "p", size)
-    solution = _dp_solution("path_cover_size", run, size, options, seconds)
-    solution.num_paths = size
-    return solution
-
-
 # --------------------------------------------------------------------------- #
 # Hamiltonicity
 # --------------------------------------------------------------------------- #
@@ -204,11 +194,11 @@ def _run_dp(problem: Problem, options: SolveOptions, dp: CotreeDP, *,
     """Execute one :class:`~repro.core.CotreeDP` under the options' engine.
 
     ``method="sequential"`` runs the generic postorder evaluator;
-    ``method="parallel"`` runs the level-wise engine on the configured
-    backend (the paper's PRAM machine by default, so the DP inherits the
-    EREW accounting).  The ``work_efficient`` knob has no effect here —
-    the engine has a single variant — and is deliberately tolerated so
-    option sets can sweep across tasks.
+    ``method="parallel"`` runs :func:`~repro.core.run_cotree_dp` on the
+    configured backend (the paper's PRAM machine by default, so the DP
+    inherits the EREW accounting).  The ``work_efficient`` knob has no
+    effect here — the engine has a single variant — and is deliberately
+    tolerated so option sets can sweep across tasks.
 
     ``md=True`` (the MD-capable tasks: their DP specs carry a prime
     combiner) feeds the engine :meth:`~repro.api.Problem.decomposition_tree`
@@ -235,11 +225,11 @@ def _run_dp(problem: Problem, options: SolveOptions, dp: CotreeDP, *,
 
 
 def _dp_solution(task: str, run: CotreeDPRun, answer: Any,
-                 options: SolveOptions,
-                 stage_seconds: Dict[str, float]) -> Solution:
+                 options: SolveOptions, stage_seconds: Dict[str, float],
+                 num_paths: Optional[int] = None) -> Solution:
     ctx = run.ctx
     return Solution(task=task, answer=answer, backend=run.backend,
-                    options=options,
+                    options=options, num_paths=num_paths,
                     report=ctx.report() if ctx is not None else None,
                     machine=ctx.machine if ctx is not None else None,
                     stage_seconds=stage_seconds)
@@ -253,13 +243,6 @@ def _check_sequential(problem: Problem, dp: CotreeDP, field: str,
     if value != reference:
         raise ValueError(f"{field} {value} disagrees with the sequential "
                          f"evaluator ({reference})")
-
-
-def _witness(run: CotreeDPRun, stage_seconds: Dict[str, float]):
-    t0 = time.perf_counter()
-    witness = run.witness()
-    stage_seconds["witness"] = time.perf_counter() - t0
-    return witness
 
 
 class _GraphOracle:
@@ -305,37 +288,6 @@ def _check_vertex_set(problem: Problem, vertices, size: int, *,
                     f"{'not ' if adjacent else ''}adjacent")
 
 
-@register_task("max_clique", graph_classes=MD_GRAPH_CLASSES,
-               summary="omega(G) and a maximum-clique vertex witness "
-                       "(cotree DP; MD-capable)")
-def _task_max_clique(problem: Problem, options: SolveOptions) -> Solution:
-    run, seconds = _run_dp(problem, options, MAX_CLIQUE_DP, md=True)
-    size = run.root("omega")
-    vertices = _witness(run, seconds).tolist()
-    if options.validate:
-        _check_vertex_set(problem, vertices, size, adjacent=True,
-                          what="max_clique")
-    return _dp_solution("max_clique", run,
-                        {"size": size, "vertices": vertices},
-                        options, seconds)
-
-
-@register_task("max_independent_set", graph_classes=MD_GRAPH_CLASSES,
-               summary="alpha(G) and a maximum-independent-set vertex "
-                       "witness (cotree DP; MD-capable)")
-def _task_max_independent_set(problem: Problem,
-                              options: SolveOptions) -> Solution:
-    run, seconds = _run_dp(problem, options, MAX_INDEPENDENT_SET_DP, md=True)
-    size = run.root("alpha")
-    vertices = _witness(run, seconds).tolist()
-    if options.validate:
-        _check_vertex_set(problem, vertices, size, adjacent=False,
-                          what="max_independent_set")
-    return _dp_solution("max_independent_set", run,
-                        {"size": size, "vertices": vertices},
-                        options, seconds)
-
-
 def _task_weights(problem: Problem, options: SolveOptions,
                   task: str) -> np.ndarray:
     """The validated per-vertex weight vector of a weighted task."""
@@ -352,124 +304,175 @@ def _task_weights(problem: Problem, options: SolveOptions,
     return np.asarray(options.weights, dtype=np.int64)
 
 
-def _check_weighted_set(problem: Problem, vertices, weights: np.ndarray,
-                        claimed: int, *, adjacent: bool, what: str) -> None:
-    """Weighted-witness validation: the set is extremal-feasible *and* its
-    weight sum matches the DP's root value."""
-    _check_vertex_set(problem, vertices, len(vertices), adjacent=adjacent,
-                      what=what)
-    total = int(weights[np.asarray(vertices, dtype=np.int64)].sum()) \
-        if len(vertices) else 0
-    if total != claimed:
-        raise ValueError(f"{what} witness weighs {total}, "
-                         f"claimed {claimed}")
+# answer builders, ``(root value, witness list) -> (answer, num_paths)``,
+# are shared by the solo route below and the forest sweep
+
+def _vertex_set_answer(key: str):
+    return lambda value, vertices: ({key: value, "vertices": vertices}, None)
 
 
-@register_task("max_weight_independent_set", graph_classes=MD_GRAPH_CLASSES,
-               uses_weights=True,
-               summary="a maximum-weight independent set under per-vertex "
-                       "weights (cotree DP; MD-capable)")
-def _task_max_weight_independent_set(problem: Problem,
-                                     options: SolveOptions) -> Solution:
-    weights = _task_weights(problem, options, "max_weight_independent_set")
-    run, seconds = _run_dp(problem, options,
-                           max_weight_independent_set_dp(weights), md=True)
-    weight = run.root("alpha")
-    vertices = _witness(run, seconds).tolist()
+def _clique_cover_answer(theta: int, classes: list) -> Tuple[Any, None]:
+    cliques: List[List[int]] = [[] for _ in range(theta)]
+    for v, c in enumerate(classes):
+        cliques[c].append(v)
+    return {"num_cliques": theta, "cliques": cliques}, None
+
+
+# ``validate=True`` checks, ``(problem, answer, weights) -> None``
+
+def _sequential_check(dp: CotreeDP, field: str, key: Optional[str] = None):
+    return lambda problem, answer, _weights: _check_sequential(
+        problem, dp, field, answer if key is None else answer[key])
+
+
+def _vertex_set_check(*, adjacent: bool, what: str):
+    """The check of an extremal-set task; a weighted set must also weigh
+    what the DP's root value claims."""
+    def check(problem: Problem, answer, weights) -> None:
+        vertices = answer["vertices"]
+        size = answer.get("size", len(vertices))
+        _check_vertex_set(problem, vertices, size, adjacent=adjacent,
+                          what=what)
+        if weights is not None:
+            total = int(weights[np.asarray(vertices, dtype=np.int64)].sum())
+            if total != answer["weight"]:
+                raise ValueError(f"{what} witness weighs {total}, "
+                                 f"claimed {answer['weight']}")
+    return check
+
+
+def _check_coloring(problem: Problem, answer, _weights) -> None:
+    chi, coloring = answer["chromatic_number"], answer["coloring"]
+    if sorted(set(coloring)) != list(range(chi)):
+        raise ValueError(f"colouring uses {len(set(coloring))} colours, "
+                         f"claimed chi = {chi}")
+    oracle = _oracle(problem)
+    by_color: Dict[int, list] = {}
+    for v, c in enumerate(coloring):
+        by_color.setdefault(c, []).append(v)
+    for members in by_color.values():
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                if oracle.adjacent(u, v):
+                    raise ValueError(
+                        f"colouring is not proper: adjacent vertices "
+                        f"{u} and {v} share a colour")
+
+
+def _check_clique_cover(problem: Problem, answer, _weights) -> None:
+    cliques = answer["cliques"]
+    covered = sorted(v for clique in cliques for v in clique)
+    if covered != list(range(problem.num_vertices)):
+        raise ValueError("clique cover is not a partition of the "
+                         "vertex set")
+    oracle = _oracle(problem)          # built once, shared by every clique
+    for clique in cliques:
+        _check_vertex_set(problem, clique, len(clique), adjacent=True,
+                          what="clique_cover", oracle=oracle)
+
+
+class _DPTask(NamedTuple):
+    """One cotree-DP task: everything both routes need to answer it."""
+
+    #: the DP spec, or ``weights -> spec`` when ``weighted``
+    spec: Any
+    #: the root field holding the task's value
+    field: str
+    #: ``None``, ``"set"`` (a sorted vertex-id array) or ``"labels"``
+    #: (one label per vertex)
+    witness: Optional[str]
+    #: ``(value, witness list) -> (answer, num_paths)``
+    answer: Callable[[Any, Any], Tuple[Any, Optional[int]]]
+    #: the ``validate=True`` check, ``(problem, answer, weights) -> None``
+    check: Callable[[Problem, Any, Any], None]
+    summary: str
+    #: run on the modular decomposition tree (prime combiners in the spec)
+    md: bool = False
+    #: run on the fast engine when the options pick none
+    fast_default: bool = False
+    weighted: bool = False
+
+
+#: every cotree-DP task, in registration order.  The forest sweep takes the
+#: unweighted ones (:data:`repro.api.FOREST_TASKS`).
+_DP_TASKS: Dict[str, _DPTask] = {
+    "path_cover_size": _DPTask(
+        PATH_COVER_SIZE_DP, "p", None, lambda p, _: (p, p),
+        _sequential_check(PATH_COVER_SIZE_DP, "p"), fast_default=True,
+        summary="p(root) only (Lemma 2.4 cotree DP; the fast engine "
+                "unless the options pick one)"),
+    "max_clique": _DPTask(
+        MAX_CLIQUE_DP, "omega", "set", _vertex_set_answer("size"),
+        _vertex_set_check(adjacent=True, what="max_clique"), md=True,
+        summary="omega(G) and a maximum-clique vertex witness "
+                "(cotree DP; MD-capable)"),
+    "max_independent_set": _DPTask(
+        MAX_INDEPENDENT_SET_DP, "alpha", "set", _vertex_set_answer("size"),
+        _vertex_set_check(adjacent=False, what="max_independent_set"),
+        md=True,
+        summary="alpha(G) and a maximum-independent-set vertex witness "
+                "(cotree DP; MD-capable)"),
+    "max_weight_independent_set": _DPTask(
+        max_weight_independent_set_dp, "alpha", "set",
+        _vertex_set_answer("weight"),
+        _vertex_set_check(adjacent=False,
+                          what="max_weight_independent_set"),
+        md=True, weighted=True,
+        summary="a maximum-weight independent set under per-vertex "
+                "weights (cotree DP; MD-capable)"),
+    "max_weight_clique": _DPTask(
+        max_weight_clique_dp, "omega", "set", _vertex_set_answer("weight"),
+        _vertex_set_check(adjacent=True, what="max_weight_clique"),
+        md=True, weighted=True,
+        summary="a maximum-weight clique under per-vertex weights "
+                "(cotree DP; MD-capable)"),
+    "chromatic_number": _DPTask(
+        CHROMATIC_NUMBER_DP, "chi", "labels",
+        lambda chi, coloring: (
+            {"chromatic_number": chi, "coloring": coloring}, None),
+        _check_coloring,
+        summary="chi(G) and a proper colouring witness (cotree DP; "
+                "chi = omega — cographs are perfect)"),
+    "clique_cover": _DPTask(
+        CLIQUE_COVER_DP, "theta", "labels", _clique_cover_answer,
+        _check_clique_cover,
+        summary="theta(G) and a partition into cliques (cotree DP; "
+                "theta = alpha — cographs are perfect)"),
+    "count_independent_sets": _DPTask(
+        COUNT_INDEPENDENT_SETS_DP, "count", None,
+        lambda count, _: ({"count": count, "includes_empty_set": True},
+                          None),
+        _sequential_check(COUNT_INDEPENDENT_SETS_DP, "count", "count"),
+        summary="the exact number of independent sets, empty set "
+                "included (cotree DP, arbitrary precision)"),
+}
+
+
+def _solve_dp(task: str, entry: _DPTask, problem: Problem,
+              options: SolveOptions) -> Solution:
+    """Solve one instance of a table task under the options' engine."""
+    weights = _task_weights(problem, options, task) if entry.weighted \
+        else None
+    dp = entry.spec(weights) if entry.weighted else entry.spec
+    run, seconds = _run_dp(problem, options, dp, md=entry.md,
+                           fast_default=entry.fast_default)
+    witness = None
+    if entry.witness is not None:
+        t0 = time.perf_counter()
+        witness = run.witness().tolist()
+        seconds["witness"] = time.perf_counter() - t0
+    answer, num_paths = entry.answer(int(run.root(entry.field)), witness)
     if options.validate:
-        _check_weighted_set(problem, vertices, weights, weight,
-                            adjacent=False,
-                            what="max_weight_independent_set")
-    return _dp_solution("max_weight_independent_set", run,
-                        {"weight": weight, "vertices": vertices},
-                        options, seconds)
+        entry.check(problem, answer, weights)
+    return _dp_solution(task, run, answer, options, seconds, num_paths)
 
 
-@register_task("max_weight_clique", graph_classes=MD_GRAPH_CLASSES,
-               uses_weights=True,
-               summary="a maximum-weight clique under per-vertex weights "
-                       "(cotree DP; MD-capable)")
-def _task_max_weight_clique(problem: Problem,
-                            options: SolveOptions) -> Solution:
-    weights = _task_weights(problem, options, "max_weight_clique")
-    run, seconds = _run_dp(problem, options,
-                           max_weight_clique_dp(weights), md=True)
-    weight = run.root("omega")
-    vertices = _witness(run, seconds).tolist()
-    if options.validate:
-        _check_weighted_set(problem, vertices, weights, weight,
-                            adjacent=True, what="max_weight_clique")
-    return _dp_solution("max_weight_clique", run,
-                        {"weight": weight, "vertices": vertices},
-                        options, seconds)
-
-
-@register_task("chromatic_number",
-               summary="chi(G) and a proper colouring witness (cotree DP; "
-                       "chi = omega — cographs are perfect)")
-def _task_chromatic_number(problem: Problem,
-                           options: SolveOptions) -> Solution:
-    run, seconds = _run_dp(problem, options, CHROMATIC_NUMBER_DP)
-    chi = run.root("chi")
-    coloring = _witness(run, seconds).tolist()
-    if options.validate:
-        if sorted(set(coloring)) != list(range(chi)):
-            raise ValueError(f"colouring uses {len(set(coloring))} colours, "
-                             f"claimed chi = {chi}")
-        oracle = _oracle(problem)
-        by_color: Dict[int, list] = {}
-        for v, c in enumerate(coloring):
-            by_color.setdefault(c, []).append(v)
-        for members in by_color.values():
-            for i, u in enumerate(members):
-                for v in members[i + 1:]:
-                    if oracle.adjacent(u, v):
-                        raise ValueError(
-                            f"colouring is not proper: adjacent vertices "
-                            f"{u} and {v} share a colour")
-    return _dp_solution("chromatic_number", run,
-                        {"chromatic_number": chi, "coloring": coloring},
-                        options, seconds)
-
-
-@register_task("clique_cover",
-               summary="theta(G) and a partition into cliques (cotree DP; "
-                       "theta = alpha — cographs are perfect)")
-def _task_clique_cover(problem: Problem, options: SolveOptions) -> Solution:
-    run, seconds = _run_dp(problem, options, CLIQUE_COVER_DP)
-    theta = run.root("theta")
-    classes = _witness(run, seconds)
-    order = np.argsort(classes, kind="stable")
-    bounds = np.searchsorted(classes[order],
-                             np.arange(theta + 1)).tolist()
-    members = order.tolist()
-    cliques = [members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if options.validate:
-        covered = sorted(v for clique in cliques for v in clique)
-        if covered != list(range(len(classes))):
-            raise ValueError("clique cover is not a partition of the "
-                             "vertex set")
-        oracle = _oracle(problem)      # built once, shared by every clique
-        for clique in cliques:
-            _check_vertex_set(problem, clique, len(clique), adjacent=True,
-                              what="clique_cover", oracle=oracle)
-    return _dp_solution("clique_cover", run,
-                        {"num_cliques": theta, "cliques": cliques},
-                        options, seconds)
-
-
-@register_task("count_independent_sets",
-               summary="the exact number of independent sets, empty set "
-                       "included (cotree DP, arbitrary precision)")
-def _task_count_independent_sets(problem: Problem,
-                                 options: SolveOptions) -> Solution:
-    run, seconds = _run_dp(problem, options, COUNT_INDEPENDENT_SETS_DP)
-    count = int(run.root("count"))
-    if options.validate:
-        _check_sequential(problem, COUNT_INDEPENDENT_SETS_DP, "count", count)
-    return _dp_solution("count_independent_sets", run,
-                        {"count": count, "includes_empty_set": True},
-                        options, seconds)
+for _task, _entry in _DP_TASKS.items():
+    register_task(_task, summary=_entry.summary,
+                  graph_classes=MD_GRAPH_CLASSES if _entry.md
+                  else ("cograph",),
+                  uses_weights=_entry.weighted)(
+        functools.partial(_solve_dp, _task, _entry))
 
 
 # --------------------------------------------------------------------------- #
@@ -493,11 +496,9 @@ def _task_lower_bound(problem: Problem, options: SolveOptions) -> Solution:
     if options.validate and num_paths != expected:
         raise ValueError(f"path count {num_paths} disagrees with the "
                          f"paper's formula n - k + 2 = {expected}")
-    solution = _dp_solution("lower_bound", run, {
+    return _dp_solution("lower_bound", run, {
         "or": or_from_path_count(num_paths, instance.n),
         "bits": bits,
         "num_paths": num_paths,
         "expected_num_paths": expected,
-    }, options, seconds)
-    solution.num_paths = num_paths
-    return solution
+    }, options, seconds, num_paths)

@@ -31,12 +31,9 @@ from .._dfs import (
     HAVE_SPARSE_DFS as _HAVE_SPARSE_DFS,
     chase_pointers as _chase,
     depth_by_doubling as _depth_by_doubling,
+    sibling_chain_preorder as _sibling_chain_preorder,
 )
 from .cotree import LEAF, PRIME, Cotree, CotreeError
-
-if _HAVE_SPARSE_DFS:  # pragma: no branch - scipy ships in CI and dev
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import depth_first_order as _depth_first_order
 
 __all__ = ["FlatCotree", "as_flat_cotree", "canonical_key"]
 
@@ -401,30 +398,26 @@ def _preorder_with_sibling_keys(parent: np.ndarray, root: int,
                                 sibling_key: np.ndarray) -> np.ndarray:
     """Preorder numbers of an n-ary tree visiting siblings by ascending key.
 
-    Uses the C-level sparse DFS when scipy is present (after relabelling the
-    nodes so that id order realises the requested sibling order), otherwise
-    an explicit-stack traversal — both recursion-free.
+    Uses the C-level sparse DFS on the first-child / next-sibling form when
+    scipy is present (linear however wide a node is), otherwise an
+    explicit-stack traversal — both recursion-free.
     """
     n = len(parent)
     order = np.lexsort((sibling_key, parent))   # children grouped per parent
-    if _HAVE_SPARSE_DFS and n > 1:
-        pi = np.empty(n, dtype=np.int64)
-        pi[order] = np.arange(n, dtype=np.int64)
-        child = np.flatnonzero(parent != -1)
-        rows = pi[parent[child]]
-        cols = pi[child]
-        g = _csr_matrix((np.ones(len(child), dtype=np.int8), (rows, cols)),
-                        shape=(n, n))
-        seq = _depth_first_order(g, int(pi[root]), directed=True,
-                                 return_predecessors=False)
-        if len(seq) == n:
-            pre_new = np.empty(n, dtype=np.int64)
-            pre_new[np.asarray(seq, dtype=np.int64)] = np.arange(
-                n, dtype=np.int64)
-            return pre_new[pi]
+    child_sorted = order[parent[order] != -1]
+    if _HAVE_SPARSE_DFS and n > 1 and len(child_sorted) == n - 1:
+        owner = parent[child_sorted]
+        same = owner[1:] == owner[:-1]
+        eldest = np.flatnonzero(np.r_[True, ~same])
+        first = np.full(n, -1, dtype=np.int64)
+        first[owner[eldest]] = child_sorted[eldest]
+        nxt = np.full(n, -1, dtype=np.int64)
+        nxt[child_sorted[:-1]] = np.where(same, child_sorted[1:], -1)
+        pre = _sibling_chain_preorder(first, nxt, int(root))
+        if pre is not None:
+            return pre
         # fall through (unreachable nodes) to the stack traversal
     # CSR of children in sibling-key order for the explicit stack
-    child_sorted = order[parent[order] != -1]
     counts = np.bincount(parent[child_sorted], minlength=n)
     offset = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offset[1:])

@@ -24,6 +24,7 @@ from repro.cograph import (
     BinaryCotree,
     Cotree,
     FlatCotree,
+    Graph,
     balanced_cotree,
     binarize_cotree,
     canonical_key,
@@ -32,6 +33,7 @@ from repro.cograph import (
     complete_bipartite,
     independent_set,
     join_of_independent_sets,
+    md_tree,
     random_cotree,
     threshold_cograph,
     union_of_cliques,
@@ -213,6 +215,14 @@ class TestCanonicalKey:
         import repro.cograph.flat as flatmod
         trees = [random_cotree(30, seed=s) for s in range(4)]
         trees.append(caterpillar_cotree(15))
+        # wide nodes (the sparse DFS runs on the first-child / next-sibling
+        # form), deep and larger random trees, and a prime node: P5 with a
+        # false twin of its middle vertex, all joined to one apex
+        trees += [independent_set(3000), join_of_independent_sets([1500, 2]),
+                  caterpillar_cotree(2000), random_cotree(1500, seed=11)]
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 3)]
+        trees.append(md_tree(Graph(7, edges + [(6, v) for v in range(6)])))
+        assert FlatCotree.from_cotree(trees[-1]).has_primes
         with_scipy = [canonical_key(t) for t in trees]
         monkeypatch.setattr(flatmod, "_HAVE_SPARSE_DFS", False)
         without = [canonical_key(t) for t in trees]

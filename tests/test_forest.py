@@ -24,6 +24,7 @@ from repro.cograph import (
     FlatCotree,
     FlatForest,
     as_flat_cotree,
+    caterpillar_cotree,
     clique,
     independent_set,
     pack,
@@ -31,6 +32,7 @@ from repro.cograph import (
     single_vertex,
     unpack,
 )
+from repro.core.dp import MAX_CLIQUE_DP, run_cotree_dp
 from repro.core.pipeline import Pipeline
 from repro.core.solver import minimum_path_cover_parallel
 from repro.__main__ import main
@@ -137,6 +139,33 @@ class TestForestParity:
                 assert solution.num_paths == solo.num_paths
             else:
                 assert solution.answer == solo.answer
+
+    def test_forest_tasks_are_the_seven_sweepable_tasks(self):
+        assert FOREST_TASKS == ("path_cover", "path_cover_size",
+                                "max_clique", "max_independent_set",
+                                "chromatic_number", "clique_cover",
+                                "count_independent_sets")
+
+    @pytest.mark.parametrize("task", [t for t in FOREST_TASKS
+                                      if t != "path_cover"])
+    def test_mixed_forest_with_deep_member_matches_solo(self, task):
+        # tiny, deep and random members in one pack: the caterpillar makes
+        # the whole forest run the contraction schedule
+        trees = [single_vertex(), clique(2), caterpillar_cotree(3000),
+                 independent_set(2)]
+        trees[2:2] = _random_trees(6, 40, seed=5, min_n=3)
+        trees += _random_trees(6, 40, seed=6, min_n=3)
+        forest = pack([as_flat_cotree(t) for t in trees])
+        assert run_cotree_dp(MAX_CLIQUE_DP, forest, "fast").schedule \
+            == "contraction"
+        swept = solve_forest(trees, task, backend="fast")
+        for tree, solution in zip(trees, swept):
+            assert solution.provenance["route"] == "forest"
+            for backend in ("fast", "pram"):
+                solo = solve(tree, task, backend=backend)
+                assert solution.answer == solo.answer, (backend,
+                                                        tree.num_vertices)
+                assert solution.num_paths == solo.num_paths
 
     def test_cover_paths_are_valid_per_instance(self):
         trees = _random_trees(20, 25, seed=77)
