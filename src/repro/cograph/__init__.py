@@ -9,7 +9,7 @@ join, complement), recognition from a plain graph, adjacency oracles, and the
 from .binary import BinaryCotree, binarize_cotree
 from .cotree import JOIN, LEAF, PRIME, UNION, Cotree, CotreeError, kind_name
 from .flat import FlatCotree, as_flat_cotree, canonical_key
-from .forest import BinaryForest, FlatForest, pack, unpack
+from .forest import FlatForest, pack, unpack
 from .generators import (
     balanced_cotree,
     caterpillar_cotree,
@@ -47,7 +47,7 @@ __all__ = [
     "LEAF", "UNION", "JOIN", "PRIME", "kind_name",
     "Cotree", "CotreeError", "BinaryCotree", "binarize_cotree",
     "FlatCotree", "as_flat_cotree", "canonical_key",
-    "FlatForest", "BinaryForest", "pack", "unpack",
+    "FlatForest", "pack", "unpack",
     "Graph", "CographAdjacencyOracle",
     "md_tree", "graph_from_md_tree",
     "PathCover", "PathCoverError",

@@ -42,10 +42,14 @@ class BinaryCotree:
     leaf_vertex:
         vertex id carried by each leaf node (``-1`` for internal nodes).
     root:
-        root node id.
+        root node id (the first of ``roots``).
+    roots:
+        ``int64`` array of every root node id: ``[root]`` for a single
+        tree (the default), one root per instance for the binarized form
+        of a packed :class:`~repro.cograph.forest.FlatForest`.
 
-    A binary cotree over ``n`` vertices has exactly ``2n - 1`` nodes when
-    ``n >= 1`` (every internal node has two children).
+    A binary cotree over ``n`` vertices in ``k`` trees has exactly
+    ``2n - k`` nodes (every internal node has two children).
     """
 
     kind: np.ndarray
@@ -54,6 +58,7 @@ class BinaryCotree:
     parent: np.ndarray
     leaf_vertex: np.ndarray
     root: int
+    roots: np.ndarray = None
 
     def __post_init__(self) -> None:
         self.kind = np.asarray(self.kind, dtype=np.int8)
@@ -62,6 +67,11 @@ class BinaryCotree:
         self.parent = np.asarray(self.parent, dtype=np.int64)
         self.leaf_vertex = np.asarray(self.leaf_vertex, dtype=np.int64)
         self.root = int(self.root)
+        self.roots = np.asarray([self.root] if self.roots is None
+                                else self.roots, dtype=np.int64)
+        if len(self.roots) == 0 or int(self.roots[0]) != self.root:
+            raise CotreeError(f"root {self.root} must be the first of "
+                              f"roots {self.roots.tolist()[:8]}")
 
     # ------------------------------------------------------------------ #
     # properties
@@ -110,9 +120,9 @@ class BinaryCotree:
     # ------------------------------------------------------------------ #
 
     def postorder(self) -> List[int]:
-        """Node ids in postorder."""
+        """Node ids in postorder (tree by tree, in ``roots`` order)."""
         order: List[int] = []
-        stack: List[int] = [self.root]
+        stack: List[int] = [int(r) for r in self.roots]
         while stack:
             u = stack.pop()
             order.append(u)
@@ -123,9 +133,9 @@ class BinaryCotree:
         return order
 
     def preorder(self) -> List[int]:
-        """Node ids in preorder."""
+        """Node ids in preorder (tree by tree, in ``roots`` order)."""
         order: List[int] = []
-        stack: List[int] = [self.root]
+        stack: List[int] = [int(r) for r in self.roots[::-1]]
         while stack:
             u = stack.pop()
             order.append(u)
@@ -137,7 +147,8 @@ class BinaryCotree:
     def inorder_leaves(self) -> List[int]:
         """Vertex ids of the leaves in left-to-right order."""
         out: List[int] = []
-        stack: List[Tuple[int, bool]] = [(self.root, False)]
+        stack: List[Tuple[int, bool]] = [(int(r), False)
+                                         for r in self.roots[::-1]]
         while stack:
             u, expanded = stack.pop()
             if self.kind[u] == LEAF:
@@ -179,12 +190,17 @@ class BinaryCotree:
     # ------------------------------------------------------------------ #
 
     def validate(self) -> None:
-        """Check structural invariants; raise :class:`CotreeError` on failure."""
+        """Check structural invariants of every tree; raise
+        :class:`CotreeError` on failure."""
         n = self.num_nodes
         if not (len(self.left) == len(self.right) == len(self.parent)
                 == len(self.leaf_vertex) == n):
             raise CotreeError("array length mismatch in BinaryCotree")
-        if self.parent[self.root] != -1:
+        roots = self.roots
+        if len(roots) == 0 or np.any((roots < 0) | (roots >= n)):
+            raise CotreeError(f"root ids {roots.tolist()[:8]} out of range "
+                              f"for {n} nodes")
+        if np.any(self.parent[roots] != -1):
             raise CotreeError("root has a parent")
         for u in range(n):
             if self.kind[u] == LEAF:
@@ -201,12 +217,16 @@ class BinaryCotree:
         # reachability
         if len(self.postorder()) != n:
             raise CotreeError("unreachable nodes in BinaryCotree")
-        if self.num_vertices >= 1 and n != 2 * self.num_vertices - 1:
-            raise CotreeError("a full binary tree over k leaves must have "
-                              "2k-1 nodes")
+        if self.num_vertices >= 1 and \
+                n != 2 * self.num_vertices - len(roots):
+            raise CotreeError("a full binary forest over k leaves in t trees "
+                              "must have 2k-t nodes")
 
     def to_cotree(self) -> Cotree:
         """Convert back to an arbitrary-arity :class:`Cotree` (same shape)."""
+        if len(self.roots) > 1:
+            raise CotreeError(f"a forest of {len(self.roots)} trees has no "
+                              f"single-Cotree form")
         children = [[] for _ in range(self.num_nodes)]
         for u in range(self.num_nodes):
             if self.kind[u] != LEAF:
@@ -217,7 +237,8 @@ class BinaryCotree:
         """Deep copy."""
         return BinaryCotree(self.kind.copy(), self.left.copy(),
                             self.right.copy(), self.parent.copy(),
-                            self.leaf_vertex.copy(), self.root)
+                            self.leaf_vertex.copy(), self.root,
+                            self.roots.copy())
 
     def swap_children(self, nodes: Sequence[int]) -> "BinaryCotree":
         """Return a copy with left/right swapped at the given nodes."""

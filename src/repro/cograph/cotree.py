@@ -60,6 +60,14 @@ class CotreeError(ValueError):
     """Raised when a structure is not a valid cotree."""
 
 
+def prime_refusal(what: str) -> CotreeError:
+    """The error raised when ``what``, exact on cographs only, is handed a
+    modular decomposition tree with prime nodes."""
+    return CotreeError(
+        f"{what} has no prime combine: it is exact on cographs only, but "
+        f"the input is a modular decomposition tree with prime nodes")
+
+
 # A nested specification of a cotree:  either an ``int`` (a leaf holding that
 # vertex id), the string "v<k>" form is not supported -- just ints -- or a
 # tuple ``(op, child, child, ...)`` where ``op`` is "union"/"0" or "join"/"1".

@@ -57,6 +57,11 @@ class FlatCotree:
         vertex id carried by each leaf (``-1`` for internal nodes).
     root:
         root node id.
+    roots:
+        ``int64`` array of the root node id of every tree in the arrays:
+        ``[root]`` for a single tree (a
+        :class:`~repro.cograph.forest.FlatForest` lists one per packed
+        instance).
     q_offset / q_edge_u / q_edge_v:
         packed quotient-edge payload for :data:`~repro.cograph.cotree.PRIME`
         nodes (modular decomposition trees).  The quotient graph of prime
@@ -82,7 +87,7 @@ class FlatCotree:
     """
 
     __slots__ = ("kind", "child_offset", "child_index", "parent",
-                 "leaf_vertex", "root", "pre_validated",
+                 "leaf_vertex", "root", "roots", "pre_validated",
                  "q_offset", "q_edge_u", "q_edge_v", "spider",
                  "_leaves", "_internal", "_vertices", "_degrees",
                  "_has_primes")
@@ -96,6 +101,7 @@ class FlatCotree:
         self.parent = np.asarray(parent, dtype=np.int64)
         self.leaf_vertex = np.asarray(leaf_vertex, dtype=np.int64)
         self.root = int(root)
+        self.roots = np.array([self.root], dtype=np.int64)
         # set True only by trusted producers (a verified wire-format load,
         # canonicalize output): lets the pipeline skip redundant full-array
         # re-validation on the hot path

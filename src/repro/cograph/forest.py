@@ -19,8 +19,12 @@ disjoint forest and swept in a single pass:
   ``instance_id`` recover the per-instance view.
 * :func:`pack` builds a forest from a list of trees; :func:`unpack` inverts
   it exactly (``unpack(pack(ts))[i] == as_flat_cotree(ts[i])``).
-* :class:`BinaryForest` is the binarized counterpart produced by
-  :func:`repro.core.binarize.binarize_parallel` when it is fed a forest.
+
+Every tree already exposes its ``roots`` array (``[root]`` for a single
+tree), and every pipeline stage and the DP engine run over that array, so
+a forest needs no code path of its own: binarizing one gives a
+:class:`~repro.cograph.binary.BinaryCotree` whose ``roots`` lists every
+instance.
 
 ``leaf_vertex`` holds the *globally shifted* vertex ids (instance ``i``'s
 vertices live in ``[vertex_base[i], vertex_base[i+1])``) so that pipeline
@@ -31,16 +35,14 @@ initialisers see exactly the values a solo run would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
-from .binary import BinaryCotree
 from .cotree import LEAF
 from .flat import FlatCotree, as_flat_cotree
 
-__all__ = ["FlatForest", "BinaryForest", "pack", "unpack"]
+__all__ = ["FlatForest", "pack", "unpack"]
 
 
 class FlatForest(FlatCotree):
@@ -67,7 +69,7 @@ class FlatForest(FlatCotree):
     use ``roots`` instead.
     """
 
-    __slots__ = ("roots", "instance_id", "node_base", "vertex_base",
+    __slots__ = ("instance_id", "node_base", "vertex_base",
                  "leaf_vertex_local")
 
     def __init__(self, kind, child_offset, child_index, parent, leaf_vertex,
@@ -105,30 +107,6 @@ class FlatForest(FlatCotree):
         return (f"FlatForest(num_instances={self.num_instances}, "
                 f"num_vertices={self.num_vertices}, "
                 f"num_nodes={self.num_nodes})")
-
-
-@dataclass
-class BinaryForest(BinaryCotree):
-    """A binarized :class:`FlatForest`: disjoint full binary cotrees.
-
-    ``roots`` lists every instance's root node id; the inherited scalar
-    ``root`` is the first of them (kept meaningful so single-root helpers
-    keep working on the first tree).  Produced by
-    :func:`repro.core.binarize.binarize_parallel` when its input carries a
-    ``roots`` array; consumed by the forest-aware pipeline stages.
-    """
-
-    roots: np.ndarray = None
-
-    def __post_init__(self) -> None:
-        BinaryCotree.__post_init__(self)
-        self.roots = np.asarray(self.roots, dtype=np.int64)
-
-    def copy(self) -> "BinaryForest":
-        return BinaryForest(self.kind.copy(), self.left.copy(),
-                            self.right.copy(), self.parent.copy(),
-                            self.leaf_vertex.copy(), self.root,
-                            roots=self.roots.copy())
 
 
 def pack(trees: Sequence) -> FlatForest:

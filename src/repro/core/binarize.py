@@ -44,7 +44,8 @@ def binarize_parallel(ctx, tree: Union[Cotree, FlatCotree], *,
     Returns
     -------
     BinaryCotree
-        the binarized cotree ``Tb(G)``.
+        the binarized cotree ``Tb(G)``; its ``roots`` holds one root per
+        input tree (one per instance of a packed forest).
     """
     machine = resolve_context(ctx)
     flat = FlatCotree.from_cotree(tree)
@@ -149,22 +150,13 @@ def binarize_parallel(ctx, tree: Union[Cotree, FlatCotree], *,
         parent_new[left_new[has_l]] = has_l
         parent_new[right_new[has_r]] = has_r
 
-    root_new = int(rep[flat.root])
-    old_roots = getattr(flat, "roots", None)
-    if old_roots is not None:
-        # forest input: keep the per-instance root map (the structural
-        # validate below is single-root-only, but the forest path runs on
-        # the fast backend, which skips it)
-        from ..cograph.forest import BinaryForest
-        old_roots = np.asarray(old_roots, dtype=np.int64)
-        if np.any(old_roots < 0):
-            raise CotreeError("cannot binarize a forest with empty instances")
-        out = BinaryForest(kind_new, left_new, right_new, parent_new,
-                           leaf_vertex_new, root_new,
-                           roots=rep[old_roots])
-        return out
+    # one root per tree: a packed forest keeps its per-instance root map
+    roots = flat.roots
+    if np.any(roots < 0):
+        raise CotreeError("cannot binarize an empty instance (root -1)")
+    roots_new = rep[roots]
     out = BinaryCotree(kind_new, left_new, right_new, parent_new,
-                       leaf_vertex_new, root_new)
+                       leaf_vertex_new, int(roots_new[0]), roots_new)
     if machine.simulates:
         # the defensive structural check is a sequential Python traversal;
         # the fidelity path keeps it, the throughput path trusts the

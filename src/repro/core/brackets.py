@@ -126,11 +126,11 @@ def generate_brackets(ctx, reduced: ReducedCotree, *,
     # preorder numbers are chained per instance in roots order, so instance i
     # occupies one contiguous preorder interval and hence one contiguous
     # bracket interval; its boundaries fall out of the same offset prefix.
-    forest_roots = getattr(tree, "roots", None)
+    # A single tree stays unsegmented: the PRAM bracket matcher has no
+    # segment support.
     segment_of = None
-    if forest_roots is not None:
-        roots_arr = np.asarray(forest_roots, dtype=np.int64)
-        sizes = reduced.numbers.subtree_size[roots_arr]
+    if len(tree.roots) > 1:
+        sizes = reduced.numbers.subtree_size[tree.roots]
         pre_bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=pre_bounds[1:])
         off = np.append(offset_by_pre, total)

@@ -59,7 +59,8 @@ from .._dfs import depth_by_doubling as _depth_by_doubling
 from .._dfs import multiway_numbering as _multiway_numbering
 from ..backends import ExecutionContext, resolve_context
 from ..cograph import FlatCotree, as_flat_cotree
-from ..cograph.cotree import JOIN, LEAF, PRIME, UNION, CotreeError
+from ..cograph.cotree import JOIN, LEAF, PRIME, UNION, CotreeError, \
+    prime_refusal
 from ..cograph.md import SPIDER_THIN
 from ..primitives.tree_contraction import NEG_INF
 
@@ -266,10 +267,7 @@ class CotreeDPRun:
     def root_values(self, field_name: Optional[str] = None) -> np.ndarray:
         """Per-instance root values (length-1 unless the tree is a forest)."""
         name = field_name if field_name is not None else self.dp.fields[0]
-        roots = getattr(self.tree, "roots", None)
-        if roots is None:
-            roots = np.asarray([self.tree.root], dtype=np.int64)
-        return self.values[name][np.asarray(roots, dtype=np.int64)]
+        return self.values[name][self.tree.roots]
 
     def witness(self) -> Any:
         """Run the spec's witness reconstruction (``None`` when absent)."""
@@ -360,10 +358,7 @@ def _check_prime_support(dp: CotreeDP, flat) -> Optional[np.ndarray]:
     if not getattr(flat, "has_primes", False):
         return None
     if dp.prime is None:
-        raise ValueError(
-            f"cotree DP {dp.name!r} has no prime combine: it is exact on "
-            f"cographs only, but the input is a modular decomposition tree "
-            f"with prime nodes")
+        raise prime_refusal(f"cotree DP {dp.name!r}")
     return np.full(flat.num_nodes, -2, dtype=np.int64)
 
 
@@ -552,10 +547,8 @@ def heavy_paths(flat: FlatCotree) -> Optional[HeavyPaths]:
     if len(flat.child_index) == 0 or \
             np.any(flat.degrees()[internal] == 0):
         return None
-    roots = getattr(flat, "roots", None)
-    numbering = _multiway_numbering(
-        flat.child_offset, flat.child_index,
-        [flat.root] if roots is None else roots)
+    numbering = _multiway_numbering(flat.child_offset, flat.child_index,
+                                    flat.roots)
     if numbering is None:
         return None
     pre, size = numbering
@@ -986,12 +979,8 @@ def selected_subtree_vertices(run: CotreeDPRun, pick_at: int,
             np.ones(len(dropped), dtype=np.int64)) == 0
     else:
         selected = np.zeros(n, dtype=bool)
-        roots = getattr(flat, "roots", None)
-        if roots is None:
-            selected[flat.root] = True
-        else:
-            roots = np.asarray(roots, dtype=np.int64)
-            selected[roots[roots >= 0]] = True
+        roots = flat.roots
+        selected[roots[roots >= 0]] = True
         for level_nodes in _levels_top_down(run):
             sel = level_nodes[selected[level_nodes]]
             if not len(sel):

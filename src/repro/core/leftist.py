@@ -54,12 +54,9 @@ def leftist_reorder(ctx, tree: BinaryCotree, *,
     """
     machine = resolve_context(ctx)
 
-    # a BinaryForest carries all its roots; their tours are chained so the
-    # numbering stays global but per-tree consistent
-    forest_roots = getattr(tree, "roots", None)
-    roots = [int(r) for r in forest_roots] if forest_roots is not None \
-        else [tree.root]
-
+    # one tour per root, chained in roots order: the numbering is global
+    # but per-tree consistent
+    roots = tree.roots
     numbers = compute_tree_numbers(machine, tree.left, tree.right, tree.parent,
                                    roots, work_efficient=work_efficient,
                                    label=f"{label}.numbers")

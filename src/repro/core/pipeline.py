@@ -29,8 +29,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..backends import ExecutionContext, resolve_context
 from ..cograph import BinaryCotree, Cotree, FlatCotree, PathCover
+from ..cograph.cotree import PRIME, prime_refusal
 from .binarize import binarize_parallel
 from .brackets import BracketSequence, generate_brackets
 from .extract import extract_paths
@@ -241,7 +244,15 @@ class Pipeline:
             :func:`~repro.backends.resolve_context` accepts.
         collect_timings:
             record per-stage wall-clock in the returned run.
+
+        Raises
+        ------
+        CotreeError
+            if ``tree`` is a modular decomposition tree with prime nodes:
+            the Lemma 2.4 recurrence is exact on cographs only.
         """
+        if np.any(tree.kind == PRIME):
+            raise prime_refusal("the path-cover pipeline")
         context = resolve_context(ctx)
         state = PipelineState(ctx=context, work_efficient=work_efficient)
         if isinstance(tree, BinaryCotree):

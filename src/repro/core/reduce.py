@@ -4,7 +4,9 @@ Two things happen here:
 
 1. ``p(u)`` is computed for every node of the leftist binarized cotree by the
    tree-contraction evaluator (Lemma 2.4; see
-   :mod:`repro.primitives.tree_contraction`).
+   :mod:`repro.primitives.tree_contraction`), in its one schedule over the
+   tree's root array — a single tree is a forest of one, and a packed
+   forest's instances contract side by side.
 
 2. The *reduction* of the paper (Fig. 5) is carried out: for every 1-node
    whose right subtree has not already been swallowed by a higher 1-node, the
@@ -123,9 +125,6 @@ def reduce_cotree(ctx, leftist: LeftistCotree, *,
     n_vertices = tree.num_vertices
     kind = np.asarray(tree.kind, dtype=np.int64)
     L = numbers.subtree_leaves
-    forest_roots = getattr(tree, "roots", None)
-    roots = np.asarray(forest_roots, dtype=np.int64) if forest_roots is not None \
-        else None
 
     # ---- p(u) by tree contraction (Lemma 2.4) --------------------------- #
     join_const = np.zeros(n_nodes, dtype=np.int64)
@@ -133,8 +132,7 @@ def reduce_cotree(ctx, leftist: LeftistCotree, *,
     join_const[internal] = L[tree.right[internal]]
     leaf_values = np.ones(n_nodes, dtype=np.int64)
     p = evaluate_max_plus_tree(machine, tree.left, tree.right, tree.parent,
-                               roots if roots is not None else tree.root,
-                               kind, join_const, leaf_values,
+                               tree.roots, kind, join_const, leaf_values,
                                leaf_inorder=numbers.inorder,
                                label=f"{label}.p-values")
 
@@ -147,9 +145,8 @@ def reduce_cotree(ctx, leftist: LeftistCotree, *,
     # reused; the simulated path still builds its own so the PRAM cost
     # report accounts every step the paper's Step 3 performs.
     shared_tour = None if machine.simulates else numbers.tour
-    root_list = [int(r) for r in roots] if roots is not None else [tree.root]
     top_mark = topmost_marked_ancestor(machine, tree.left, tree.right,
-                                       tree.parent, root_list, marked,
+                                       tree.parent, tree.roots, marked,
                                        work_efficient=work_efficient,
                                        tour=shared_tour,
                                        label=f"{label}.regions")

@@ -22,9 +22,11 @@ stop paying JSON/text parsing entirely:
   ``application/octet-stream`` bodies reuse them).
 
 Every malformed input — truncated buffer, wrong magic, byte-swapped
-(big-endian) header, unknown version, CRC mismatch, inconsistent lengths —
-raises :class:`ValueError` with a message naming the offending field; the
-decoder never crashes into NumPy index errors.
+(big-endian) header, unknown version, CRC mismatch, inconsistent lengths,
+and in the body a kind code outside LEAF/UNION/JOIN (PRIME only under the
+prime flag) or a ``child_index`` / ``parent`` / forest ``roots`` entry
+outside the node range — raises :class:`ValueError` with a message naming
+the offending field; the decoder never crashes into NumPy index errors.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from typing import BinaryIO, Iterator, Union
 
 import numpy as np
 
+from ..cograph.cotree import JOIN, LEAF, PRIME
 from ..cograph.flat import FlatCotree
 from ..cograph.forest import FlatForest
 
@@ -132,6 +135,16 @@ def _fail(what: str) -> ValueError:
     return ValueError(f"invalid wire buffer: {what}")
 
 
+def _check_range(values: np.ndarray, field: str, lo: int, hi: int,
+                 hint: str = "") -> None:
+    """Refuse any entry of ``values`` outside ``lo..hi`` (two O(n)
+    reductions; the failing entry is located only on the error path)."""
+    if len(values) and (int(values.min()) < lo or int(values.max()) > hi):
+        pos = int(np.flatnonzero((values < lo) | (values > hi))[0])
+        raise _fail(f"{field}[{pos}] = {int(values[pos])} is outside "
+                    f"{lo}..{hi}{hint}")
+
+
 def from_bytes(buf) -> WireTree:
     """Decode wire bytes into a :class:`FlatCotree` / :class:`FlatForest`.
 
@@ -205,10 +218,18 @@ def from_bytes(buf) -> WireTree:
                                 offset=offset))
         offset += length
 
+    # the CRC covers only the header: range-check the body's kind codes and
+    # node indices so a bad buffer is refused here, not answered wrongly or
+    # crashed into a NumPy IndexError downstream
     kind = i8[0]
+    _check_range(kind, "kind", LEAF, PRIME if has_prime else JOIN,
+                 "" if has_prime else " (prime kinds need the prime flag)")
+    _check_range(i64[1], "child_index", 0, n - 1)
+    _check_range(i64[2], "parent", -1, n - 1)
     if is_forest:
         child_offset, child_index, parent, leaf_vertex, roots, \
             instance_id, node_base, vertex_base, leaf_vertex_local = i64
+        _check_range(roots, "roots", -1, n - 1)
         out: WireTree = FlatForest(kind, child_offset, child_index, parent,
                                    leaf_vertex, roots, instance_id,
                                    node_base, vertex_base, leaf_vertex_local)

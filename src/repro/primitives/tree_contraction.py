@@ -16,7 +16,10 @@ contraction [1, 13].  This module implements that computation from scratch:
   Przytycka [1]: in each round all odd-ranked leaves that are left children
   are raked simultaneously, then all odd-ranked right children, after which
   leaf ranks are recompacted; ``O(log n)`` rounds, geometrically decreasing
-  work;
+  work.  There is one schedule, over a *root array*: a single tree is a
+  forest of one.  Each round first retires the leaves whose parent is a
+  root (they are that root's final children), and one vectorized combine
+  over all internal roots ends the contraction;
 * the matching *expansion* phase that replays the rakes backwards to recover
   the value of every internal node (not only the root), which is what
   Lemma 2.4 needs.
@@ -34,7 +37,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..backends import resolve_context
-from ..cograph.cotree import JOIN, LEAF, UNION
+from ..cograph.cotree import LEAF, UNION
 
 __all__ = [
     "NEG_INF",
@@ -134,18 +137,17 @@ def evaluate_max_plus_tree(
         binary-tree arrays (``-1`` where absent); every internal node must
         have both children.
     root:
-        root node id — or an array of root ids when the arrays hold a
-        *forest* of disjoint trees (all ids must be valid nodes).  The
-        multi-root schedule retires leaves whose parent is a root before
-        ranking each round, rakes the rest exactly as in the single-tree
-        schedule (the rake-safety invariant is per subtree, so it is
-        unaffected by other trees), and finishes with one vectorized
-        combine over all internal roots.
+        the root array: every root id when the arrays hold a *forest* of
+        disjoint trees (all ids must be valid nodes); a scalar root id is
+        a forest of one.  The rake-safety invariant is per subtree, so the
+        trees do not interact.
     kind:
         per-node operator: :data:`~repro.cograph.cotree.LEAF`,
         :data:`~repro.cograph.cotree.UNION` (value = sum of children) or
         :data:`~repro.cograph.cotree.JOIN`
-        (value = ``max(left_child_value - join_const, 1)``).
+        (value = ``max(left_child_value - join_const, 1)``).  Prime
+        nodes have no such operator; :meth:`repro.core.Pipeline.run`
+        refuses trees that carry them.
     join_const:
         per-node constant used by JOIN nodes (ignored elsewhere); for the
         paper's recurrence this is ``L(w)``, the leaf count of the right
@@ -173,16 +175,11 @@ def evaluate_max_plus_tree(
     machine = resolve_context(ctx)
 
     roots_arr = np.atleast_1d(np.asarray(root, dtype=np.int64))
-    multi = len(roots_arr) > 1
 
     val = np.full(n, NEG_INF, dtype=np.int64)
     is_leaf = kind == LEAF
     val[is_leaf] = leaf_values[is_leaf]
-    if not multi:
-        root = int(roots_arr[0])
-        if n == 1 or is_leaf[root]:
-            return val
-    elif bool(np.all(is_leaf[roots_arr])):
+    if bool(np.all(is_leaf[roots_arr])):
         return val
 
     # ---- leaf order ---------------------------------------------------- #
@@ -209,81 +206,42 @@ def evaluate_max_plus_tree(
     fb = machine.array(fb0, name=f"{label}.fb")
 
     events: List[_RakeEvent] = []
+    is_root = np.zeros(n, dtype=bool)
+    is_root[roots_arr] = True
+    # a leaf that is itself a root never rakes
+    alive_leaves = alive_leaves[parent[alive_leaves] != -1]
+    # the alive leaves halve every round; the bound only stops malformed
+    # arrays (not a full binary forest) from looping forever
     max_rounds = 4 * max(1, int(np.ceil(np.log2(max(n, 2))))) + 8
-
-    if multi:
-        # forest schedule: each round first retires alive leaves whose
-        # current parent is a root (they are that root's final contracted
-        # children and must not rake), then ranks and rakes the rest.
-        is_root = np.zeros(n, dtype=bool)
-        is_root[roots_arr] = True
-        for _ in range(max_rounds):
-            if len(alive_leaves):
-                p_alive = cur_parent.data[alive_leaves]
-                retire = (p_alive == -1) | is_root[np.maximum(p_alive, 0)]
-                if retire.any():
-                    alive_leaves = alive_leaves[~retire]
-            if len(alive_leaves) == 0:
-                break
-            ranks = np.arange(len(alive_leaves), dtype=np.int64)
-            odd = alive_leaves[ranks % 2 == 1]
-            raked_this_round = np.zeros(n, dtype=bool)
-            for want_left in (True, False):
-                cand = _select_rake_candidates_forest(
-                    odd, cur_parent.data, cur_side.data, is_root, want_left,
-                    raked_this_round)
-                if len(cand) == 0:
-                    continue
-                event = _rake(machine, cand, cur_left, cur_right, cur_parent,
-                              cur_side, fa, fb, kind, join_const, val,
-                              label=label)
-                events.append(event)
-                raked_this_round[cand] = True
-            alive_leaves = alive_leaves[~raked_this_round[alive_leaves]]
+    for _ in range(max_rounds):
+        # retire the leaves whose current parent is a root: they are that
+        # root's final contracted children.  Every other odd-ranked leaf
+        # rakes this round (left children first, then right children; a
+        # raked leaf's sibling is never odd-ranked, so one side read serves
+        # both sub-steps), which halves the alive leaves.
+        alive_leaves = alive_leaves[~is_root[cur_parent.data[alive_leaves]]]
+        if len(alive_leaves) == 0:
+            break
+        odd = alive_leaves[1::2]
+        odd_is_left = cur_side.data[odd] == 1
+        for cand in (odd[odd_is_left], odd[~odd_is_left]):
+            if len(cand):
+                events.append(_rake(machine, cand, cur_left, cur_right,
+                                    cur_parent, cur_side, fa, fb, kind,
+                                    join_const, val, label=label))
+        alive_leaves = alive_leaves[::2]
     else:
-        for _ in range(max_rounds):
-            if len(alive_leaves) <= 2:
-                break
-            ranks = np.arange(len(alive_leaves), dtype=np.int64)
-            odd = alive_leaves[ranks % 2 == 1]
-            raked_this_round = np.zeros(n, dtype=bool)
-            for want_left in (True, False):
-                cand = _select_rake_candidates(odd, cur_parent.data,
-                                               cur_side.data,
-                                               root, want_left,
-                                               raked_this_round)
-                if len(cand) == 0:
-                    continue
-                event = _rake(machine, cand, cur_left, cur_right, cur_parent,
-                              cur_side, fa, fb, kind, join_const, val,
-                              label=label)
-                events.append(event)
-                raked_this_round[cand] = True
-            if not raked_this_round.any():
-                # only root-children leaves remain unraked at odd ranks;
-                # the even ranks will become odd after recompaction below
-                if len(alive_leaves) <= 3:
-                    break
-            alive_leaves = alive_leaves[~raked_this_round[alive_leaves]]
+        raise ValueError("rake contraction did not finish: the arrays are "
+                         "not a full binary forest")
 
-    # ---- root value(s) --------------------------------------------------- #
-    if multi:
-        internal_roots = roots_arr[~is_leaf[roots_arr]]
-        if len(internal_roots):
-            rl = cur_left.data[internal_roots]
-            rr = cur_right.data[internal_roots]
-            xl = mp_apply(fa.data[rl], fb.data[rl], val[rl])
-            xr = mp_apply(fa.data[rr], fb.data[rr], val[rr])
-            is_union = kind[internal_roots] == UNION
-            val[internal_roots] = np.where(
-                is_union, xl + xr,
-                np.maximum(xl - join_const[internal_roots], 1))
-    else:
-        rl, rr = int(cur_left.data[root]), int(cur_right.data[root])
-        xl = mp_apply(fa.data[rl], fb.data[rl], val[rl])
-        xr = mp_apply(fa.data[rr], fb.data[rr], val[rr])
-        val[root] = _combine_scalar(int(kind[root]), int(join_const[root]),
-                                    xl, xr)
+    # ---- root values ----------------------------------------------------- #
+    internal_roots = roots_arr[~is_leaf[roots_arr]]
+    rl = cur_left.data[internal_roots]
+    rr = cur_right.data[internal_roots]
+    xl = mp_apply(fa.data[rl], fb.data[rl], val[rl])
+    xr = mp_apply(fa.data[rr], fb.data[rr], val[rr])
+    val[internal_roots] = _combine(kind[internal_roots],
+                                   join_const[internal_roots], xl, xr)
 
     # ---- expansion ------------------------------------------------------ #
     for event in reversed(events):
@@ -293,9 +251,7 @@ def evaluate_max_plus_tree(
             xl = np.where(event.leaf_is_left, xleaf, xs)
             xr = np.where(event.leaf_is_left, xs, xleaf)
             u = event.parent
-            is_union = kind[u] == UNION
-            val[u] = np.where(is_union, xl + xr,
-                              np.maximum(xl - join_const[u], 1))
+            val[u] = _combine(kind[u], join_const[u], xl, xr)
     return val
 
 
@@ -327,38 +283,11 @@ def _sequential_leaf_order(left: np.ndarray, right: np.ndarray, roots,
     return order
 
 
-def _select_rake_candidates_forest(odd_leaves: np.ndarray, parent: np.ndarray,
-                                   side: np.ndarray, is_root: np.ndarray,
-                                   want_left: bool,
-                                   already_raked: np.ndarray) -> np.ndarray:
-    """Forest variant of :func:`_select_rake_candidates`: excludes leaves
-    whose parent is *any* root (the retire pass normally removes those
-    before ranking; the mask keeps the selection safe regardless)."""
-    if len(odd_leaves) == 0:
-        return odd_leaves
-    p = parent[odd_leaves]
-    mask = ((p != -1) & ~is_root[np.maximum(p, 0)]
-            & (~already_raked[odd_leaves]))
-    if want_left:
-        mask &= side[odd_leaves] == 1
-    else:
-        mask &= side[odd_leaves] == 0
-    return odd_leaves[mask]
-
-
-def _select_rake_candidates(odd_leaves: np.ndarray, parent: np.ndarray,
-                            side: np.ndarray, root: int, want_left: bool,
-                            already_raked: np.ndarray) -> np.ndarray:
-    """Odd-ranked leaves on the requested side whose parent is not the root."""
-    if len(odd_leaves) == 0:
-        return odd_leaves
-    p = parent[odd_leaves]
-    mask = (p != root) & (p != -1) & (~already_raked[odd_leaves])
-    if want_left:
-        mask &= side[odd_leaves] == 1
-    else:
-        mask &= side[odd_leaves] == 0
-    return odd_leaves[mask]
+def _combine(kind: np.ndarray, join_const: np.ndarray, xl: np.ndarray,
+             xr: np.ndarray) -> np.ndarray:
+    """The node operator, elementwise: ``xl + xr`` at a UNION node,
+    ``max(xl - join_const, 1)`` at a JOIN node."""
+    return np.where(kind == UNION, xl + xr, np.maximum(xl - join_const, 1))
 
 
 def _rake(machine, cand: np.ndarray, cur_left, cur_right, cur_parent,
@@ -432,10 +361,3 @@ def _rake(machine, cand: np.ndarray, cur_left, cur_right, cur_parent,
             cur_right.scatter(g[right_slots], s[right_slots])
     return event
 
-
-def _combine_scalar(kind_u: int, jc_u: int, xl: int, xr: int) -> int:
-    if kind_u == UNION:
-        return int(xl + xr)
-    if kind_u == JOIN:
-        return int(max(xl - jc_u, 1))
-    raise ValueError(f"cannot combine at a node of kind {kind_u}")

@@ -18,7 +18,7 @@ from repro.api import (
     solve_stream,
 )
 from repro.cograph import (
-    BinaryForest,
+    BinaryCotree,
     CographAdjacencyOracle,
     CotreeError,
     FlatCotree,
@@ -189,9 +189,19 @@ class TestForestParity:
         forest = pack([as_flat_cotree(clique(3)),
                        as_flat_cotree(independent_set(2))])
         binary = binarize_parallel("fast", forest)
-        assert isinstance(binary, BinaryForest)
         assert len(binary.roots) == 2
+        assert binary.roots[0] == binary.root
+        assert np.all(binary.parent[binary.roots] == -1)
+        binary.validate()
         assert np.array_equal(binary.copy().roots, binary.roots)
+        # one source of truth: root is roots[0], and a forest has no
+        # single-Cotree form
+        with pytest.raises(CotreeError, match="first of roots"):
+            BinaryCotree(binary.kind, binary.left, binary.right,
+                         binary.parent, binary.leaf_vertex,
+                         int(binary.roots[1]), binary.roots)
+        with pytest.raises(CotreeError, match="forest of 2 trees"):
+            binary.to_cotree()
 
 
 # --------------------------------------------------------------------------- #

@@ -30,6 +30,7 @@ from repro.baselines import (
     brute_force_max_weight_independent_set,
 )
 from repro.cograph import (
+    CotreeError,
     Graph,
     NotACographError,
     PRIME,
@@ -43,6 +44,7 @@ from repro.cograph import (
     random_p4_sparse,
 )
 from repro.cograph.md import SPIDER_NONE, SPIDER_THICK, SPIDER_THIN
+from repro.core import Pipeline
 from repro.core.dp import (
     CHROMATIC_NUMBER_DP,
     MAX_CLIQUE_DP,
@@ -271,6 +273,27 @@ class TestGuardRails:
         with pytest.raises(NotACographError):
             solve(P4, "path_cover")
 
+    @pytest.mark.parametrize("graph", [
+        P4,                                     # prime root
+        Graph(5, [(0, 1), (1, 2), (2, 3)]),     # prime under a union root
+    ], ids=["root", "internal"])
+    @pytest.mark.parametrize("task, options", [
+        ("path_cover", {}),
+        ("path_cover", {"backend": "fast"}),
+        ("path_cover", {"method": "sequential"}),
+        ("path_cover_size", {}),
+        ("hamiltonian_path", {"backend": "fast"}),
+    ])
+    def test_path_cover_tasks_refuse_primed_trees(self, graph, task,
+                                                  options):
+        # the Lemma 2.4 recurrence has no prime operator: a prime node
+        # must not be combined as a join (P4 used to get four paths)
+        md = md_tree(graph)
+        with pytest.raises(CotreeError, match="prime nodes"):
+            solve(md, task, **options)
+        with pytest.raises(CotreeError, match="cographs only"):
+            Pipeline.default().run(md, "fast")
+
     def test_generic_prime_arity_cap(self):
         n = MAX_GENERIC_PRIME + 2
         cycle = Graph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -285,7 +308,6 @@ class TestGuardRails:
             pack([md])
 
     def test_primed_trees_have_no_plain_cotree_form(self):
-        from repro.cograph import CotreeError
         md = md_tree(P4)
         with pytest.raises(CotreeError):
             md.to_cotree()

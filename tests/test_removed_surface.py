@@ -1,6 +1,6 @@
-"""The 2.0 removals stay removed: the kernel tier, the fail-fast stream loop
-and the pre-1.1 compatibility layer (MIGRATION.md maps each name to its
-replacement)."""
+"""Removals stay removed: the 2.0 kernel tier, fail-fast stream loop and
+pre-1.1 compatibility layer, and 2.3's ``BinaryForest`` (MIGRATION.md maps
+each name to its replacement)."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from repro.__main__ import main
 from repro.api import SolveOptions
 from repro.server import ServerApp, Settings
 
-#: (module, attribute) pairs deleted in 2.0
+#: (module, attribute) pairs deleted in 2.0 and later
 REMOVED_ATTRIBUTES = [
     ("repro", name) for name in (
         "minimum_path_cover", "minimum_path_cover_parallel",
@@ -29,6 +29,8 @@ REMOVED_ATTRIBUTES = [
     ("repro.core.batch", "_pump_fast"),
     ("repro.core.solver", "PathCoverSolver"),
     ("repro.backends", "KernelBackend"),
+    # 2.3: a binarized forest is a BinaryCotree with several roots
+    ("repro.cograph", "BinaryForest"), ("repro.cograph.forest", "BinaryForest"),
 ]
 
 REMOVED_MODULES = ["repro.kernels", "repro.backends.kernel_backend"]

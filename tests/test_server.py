@@ -31,9 +31,10 @@ import pytest
 from repro._version import __version__
 from repro.api import SolutionCache, SolveOptions, as_problem, solve, \
     task_names
-from repro.cograph import as_flat_cotree, caterpillar_cotree, pack, \
-    random_cotree
+from repro.cograph import Graph, as_flat_cotree, caterpillar_cotree, \
+    md_tree, pack, random_cotree
 from repro.io import cotree_to_text
+from repro.io.wire import HEADER_SIZE
 from repro.io.wire import frame as wire_frame
 from repro.io.wire import to_bytes as wire_to_bytes
 from repro.server import (
@@ -554,6 +555,62 @@ class TestBinaryDispatch:
         as_json, as_wire = run_app(scenario, cache_size=0)
         assert as_wire.status == 200
         assert as_wire.json()["answer"] == as_json.json()["answer"]
+
+    @staticmethod
+    def corrupt_body(field: str) -> bytes:
+        """A CRC-valid 7-vertex wire buffer with kind code 7 at the root
+        (``field="kind"``) or ``child_index[0] = 10**6``."""
+        tree = as_flat_cotree(random_cotree(7, seed=3))
+        buf = bytearray(wire_to_bytes(tree))
+        if field == "kind":
+            buf[len(buf) - tree.num_nodes + tree.root] = 7
+        else:
+            at = HEADER_SIZE + 8 * (tree.num_nodes + 1)
+            buf[at:at + 8] = (10 ** 6).to_bytes(8, "little", signed=True)
+        return bytes(buf)
+
+    @pytest.mark.parametrize("field", ["kind", "child_index"])
+    def test_out_of_range_body_is_a_400_naming_the_field(self, field):
+        body = self.corrupt_body(field)
+
+        async def scenario(app):
+            refused = [await app.dispatch("POST", f"/v1/solve?task={task}",
+                                          body, self.OCTET)
+                       for task in ("path_cover", "path_cover_size",
+                                    "chromatic_number", "max_clique",
+                                    "path_cover", "max_clique")]
+            valid = await app.dispatch("POST", "/v1/solve", wire_buf(),
+                                       self.OCTET)
+            return refused, valid, app.breaker.snapshot()
+
+        refused, valid, breaker = run_app(scenario)
+        assert [r.status for r in refused] == [400] * 6
+        [detail] = refused[0].json()["error"]["details"]
+        assert detail["field"] == "body"
+        assert f"{field}[" in detail["error"]
+        assert valid.status == 200
+        assert breaker["state"] == "closed"
+        assert breaker["consecutive_failures"] == 0
+
+    def test_prime_flagged_body_is_a_400_for_path_cover(self):
+        body = wire_to_bytes(md_tree(Graph(4, [(0, 1), (1, 2), (2, 3)])))
+
+        async def scenario(app):
+            refused = [await app.dispatch("POST", f"/v1/solve?task={task}",
+                                          body, self.OCTET)
+                       for task in ["path_cover"] * 3 + ["path_cover_size"]
+                       * 3]
+            clique = await app.dispatch("POST", "/v1/solve?task=max_clique",
+                                        body, self.OCTET)
+            return refused, clique, app.breaker.snapshot()
+
+        refused, clique, breaker = run_app(scenario)
+        assert [r.status for r in refused] == [400] * 6
+        assert "prime nodes" in refused[0].json()["error"]["message"]
+        assert clique.status == 200     # MD-capable tasks still answer
+        assert clique.json()["answer"]["size"] == 2
+        assert breaker["state"] == "closed"
+        assert breaker["consecutive_failures"] == 0
 
     def test_binary_solve_with_task_and_options_in_query(self):
         async def scenario(app):

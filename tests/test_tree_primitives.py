@@ -277,6 +277,13 @@ class TestTreeContraction:
                                      [1])
         assert got[0] == 1
 
+    def test_malformed_arrays_are_refused_not_looped(self):
+        # leaf 2 names leaf 1 as its parent: it never retires nor rakes
+        with pytest.raises(ValueError, match="not a full binary forest"):
+            evaluate_max_plus_tree(PRAM(), [1, -1, -1], [2, -1, -1],
+                                   [-1, 0, 1], 0, [JOIN, LEAF, LEAF],
+                                   [0, 0, 0], [1, 1, 1])
+
     def test_pure_union_tree_counts_leaves(self):
         from repro.cograph import independent_set
         b = binarize_cotree(independent_set(17))

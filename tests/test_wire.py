@@ -20,6 +20,7 @@ import pytest
 from repro.api import as_problem, solve
 from repro.cograph import (
     FlatCotree,
+    Graph,
     FlatForest,
     as_flat_cotree,
     caterpillar_cotree,
@@ -213,6 +214,75 @@ class TestMalformed:
             num_edges=0)
         with pytest.raises(ValueError, match="child_offset"):
             from_bytes(cut)
+
+
+# --------------------------------------------------------------------------- #
+# body range checks (the CRC covers only the header)
+# --------------------------------------------------------------------------- #
+
+def _corrupt_body(field: str, value: int, entry: int = 0) -> bytes:
+    """A CRC-valid 7-vertex buffer with one body entry overwritten:
+    ``field`` is ``"kind"`` or one of the leading int64 arrays."""
+    tree = as_flat_cotree(random_cotree(7, seed=3))
+    buf = bytearray(to_bytes(tree))
+    n, e = tree.num_nodes, len(tree.child_index)
+    if field == "kind":
+        buf[len(buf) - n + entry] = value & 0xFF
+        return bytes(buf)
+    starts = {"child_offset": 0, "child_index": n + 1,
+              "parent": n + 1 + e, "leaf_vertex": 2 * n + 1 + e}
+    at = HEADER_SIZE + 8 * (starts[field] + entry)
+    buf[at:at + 8] = struct.pack("<q", value)
+    return bytes(buf)
+
+
+class TestBodyRanges:
+    """Out-of-range kind codes and node indices are refused by the
+    decoder with a ValueError naming the field, on every task."""
+
+    ROOT = as_flat_cotree(random_cotree(7, seed=3)).root
+
+    @pytest.mark.parametrize("task", [
+        "path_cover", "path_cover_size", "chromatic_number", "max_clique",
+    ])
+    def test_unknown_kind_code_at_the_root(self, task):
+        buf = _corrupt_body("kind", 7, self.ROOT)
+        with pytest.raises(ValueError, match=r"kind\[\d+\] = 7"):
+            solve(buf, task)
+
+    @pytest.mark.parametrize("field, value, entry, message", [
+        ("kind", 3, ROOT, "prime kinds need the prime flag"),
+        ("kind", -1, 0, r"kind\[0\] = -1 is outside 0\.\.2"),
+        ("parent", -2, 3, r"parent\[3\] = -2 is outside -1\.\.9"),
+        ("parent", 10, 3, r"parent\[3\] = 10 is outside -1\.\.9"),
+    ])
+    def test_decoder_names_the_field(self, field, value, entry, message):
+        with pytest.raises(ValueError, match=message):
+            from_bytes(_corrupt_body(field, value, entry))
+
+    @pytest.mark.parametrize("task", ["path_cover", "path_cover_size"])
+    def test_prime_flagged_body_is_refused_by_path_cover_tasks(self, task):
+        # PRIME passes the decoder under the prime flag; the path-cover
+        # tasks then refuse it instead of combining it as a join
+        p4 = md_tree(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+        with pytest.raises(ValueError, match="prime nodes"):
+            solve(to_bytes(p4), task)
+
+    @pytest.mark.parametrize("task", ["path_cover", "max_clique"])
+    def test_child_index_out_of_range(self, task):
+        buf = _corrupt_body("child_index", 10 ** 6)
+        with pytest.raises(ValueError, match=r"child_index\[0\] = 1000000"):
+            solve(buf, task)
+
+    def test_forest_roots_out_of_range(self):
+        forest = pack([as_flat_cotree(random_cotree(5, seed=s))
+                       for s in range(3)])
+        buf = bytearray(to_bytes(forest))
+        n, e = forest.num_nodes, len(forest.child_index)
+        at = HEADER_SIZE + 8 * (3 * n + 1 + e)
+        buf[at:at + 8] = struct.pack("<q", n)
+        with pytest.raises(ValueError, match=r"roots\[0\]"):
+            from_bytes(bytes(buf))
 
 
 # --------------------------------------------------------------------------- #
