@@ -4,21 +4,18 @@ Per-instance solving pays per-call overhead (context setup, a Python-level
 pipeline walk, many small NumPy dispatches) that dwarfs the useful work when
 instances are tiny.  :func:`solve_forest` amortises all of it: the batch is
 packed into one :class:`~repro.cograph.FlatForest` (a single CSR holding
-every instance side by side) and the whole forest is processed by **one**
-run of the cotree-DP engine (:func:`~repro.core.run_cotree_dp`, level by
-level or by heavy-path contraction, whichever the forest's height calls
-for), or one run of the eight-stage path-cover pipeline, whose vectorized
-sweeps now stride over thousands of instances at once.  Root values and
-witnesses are then split back per instance, bit-identical to what a solo
-:func:`~repro.api.solve` would have produced.
+every instance side by side, one root per instance) and handed to the
+task's body in :mod:`repro.api.tasks` — the same body a solo
+:func:`~repro.api.solve` runs on its own one-root tree.  The body runs the
+cotree-DP engine or the eight-stage path-cover pipeline once over the whole
+forest and returns one :class:`~repro.api.Solution` per root, the split back
+per instance being the only step that knows there is more than one.
 
-This module knows no DP task by name.  It reads each task's spec, root
-field, witness shape and ``answer`` builder from the task table in
-:mod:`repro.api.tasks`, the same row the solo route uses, so the two
-routes build every answer with one function.
+This module names no task and imports no engine: :data:`FOREST_TASKS` is
+derived from the task bodies.
 
-Supported tasks (:data:`FOREST_TASKS`): ``path_cover`` plus the table's
-unweighted cotree-DP tasks.  Anything the sweep cannot take — an
+Supported tasks (:data:`FOREST_TASKS`): ``path_cover`` plus the unweighted
+cotree-DP tasks.  Anything the sweep cannot take — an
 unsupported task, non-default engine options, a non-cograph input, an
 instance whose vertex ids are not ``0..n-1`` — silently falls back to a
 per-instance :func:`~repro.api.solve` (``provenance["route"] ==
@@ -32,32 +29,22 @@ through here automatically when ``SolveOptions(batch_small=...)`` is set.
 
 from __future__ import annotations
 
-import time
 from typing import Any, List, Optional, Tuple
 
-import numpy as np
-
-from ..cograph import (
-    FlatCotree,
-    NotACographError,
-    PathCover,
-    as_flat_cotree,
-    pack,
-)
-from ..core.dp import run_cotree_dp
-from ..core.pipeline import Pipeline
+from ..cograph import FlatCotree, NotACographError, as_flat_cotree, pack
 from .adapters import Problem, as_problem
 from .options import SolveOptions
+from .registry import get_task
 from .solution import Solution
 from .solve import _from_cache, _resolve_options, solve
-from .tasks import _DP_TASKS
+from .tasks import _ROOT_ARRAY_BODIES
 
 __all__ = ["solve_forest", "FOREST_TASKS"]
 
-#: every task the forest sweep can take: the path cover and every
-#: unweighted cotree-DP task.
-FOREST_TASKS = ("path_cover",) + tuple(
-    name for name, entry in _DP_TASKS.items() if not entry.weighted)
+#: every task whose body answers a root array, bar the weighted ones (one
+#: weight vector cannot serve a batch of instances).
+FOREST_TASKS = tuple(task for task in _ROOT_ARRAY_BODIES
+                     if not get_task(task).uses_weights)
 
 
 def _forest_supported(task: str, options: SolveOptions) -> bool:
@@ -91,78 +78,6 @@ def _eligible_flat(prob: Problem):
     # duplicate leaf ids can still differ from 0..n-1 — pack() re-validates
     # exactly and raises, naming the instance
     return flat
-
-
-# --------------------------------------------------------------------------- #
-# the sweeps
-# --------------------------------------------------------------------------- #
-
-def _sweep_dp(flats, task: str, options: SolveOptions) -> List[Solution]:
-    """One DP-engine pass over the packed forest; one Solution per input."""
-    entry = _DP_TASKS[task]
-    t0 = time.perf_counter()
-    forest = pack(flats)
-    run = run_cotree_dp(entry.spec, forest, "fast")
-    values = run.root_values(entry.field).tolist()
-    witness = run.witness() if entry.witness is not None else None
-    seconds = {"forest_sweep": time.perf_counter() - t0}
-    # rebase the whole witness in one pass and split it with plain-list
-    # slicing: a sorted vertex set is located per instance by one
-    # searchsorted, per-vertex labels split at the vertex bases
-    vb = forest.vertex_base
-    cuts = wit_list = None
-    if entry.witness == "set":
-        cuts = np.searchsorted(witness, vb)
-        wit_list = (witness - np.repeat(vb[:-1], np.diff(cuts))).tolist()
-        cuts = cuts.tolist()
-    elif entry.witness == "labels":
-        cuts = vb.tolist()
-        wit_list = witness.tolist()
-
-    out = []
-    for i, value in enumerate(values):
-        answer, num_paths = entry.answer(
-            int(value),
-            None if wit_list is None else wit_list[cuts[i]:cuts[i + 1]])
-        out.append(Solution(task=task, answer=answer, backend="fast",
-                            options=options, num_paths=num_paths,
-                            stage_seconds=dict(seconds),
-                            provenance={"route": "forest"}))
-    return out
-
-
-def _sweep_cover(flats, options: SolveOptions) -> List[Solution]:
-    """One pipeline pass over the packed forest; one Solution per input."""
-    t0 = time.perf_counter()
-    forest = pack(flats)
-    run = Pipeline.default().run(forest, "fast", collect_timings=False)
-    state = run.state
-    p_roots = state.reduced.p[np.asarray(state.binary.roots, dtype=np.int64)]
-    vb = forest.vertex_base
-
-    # split the global cover back per instance: extract's path-tree roots
-    # come back in ascending global vertex order, so the paths of instance
-    # i are contiguous and in the same relative order a solo run produces.
-    paths_of: List[List[List[int]]] = [[] for _ in flats]
-    for path in run.cover.paths:
-        i = int(np.searchsorted(vb, path[0], side="right") - 1)
-        base = int(vb[i])
-        paths_of[i].append([v - base for v in path])
-    seconds = {"forest_sweep": time.perf_counter() - t0}
-
-    out = []
-    for i in range(len(flats)):
-        cover = PathCover(paths_of[i])
-        p_root = int(p_roots[i])
-        if cover.num_paths != p_root:  # pragma: no cover - invariant
-            raise AssertionError(
-                f"forest sweep split {cover.num_paths} paths for instance "
-                f"{i}, p(root) says {p_root}")
-        out.append(Solution(task="path_cover", answer=cover, backend="fast",
-                            options=options, cover=cover, num_paths=p_root,
-                            stage_seconds=dict(seconds),
-                            provenance={"route": "forest", "p_root": p_root}))
-    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -204,11 +119,9 @@ def _solve_forest_problems(probs: List[Problem], task: str,
         sweep_keys.append(key)
 
     if sweep_flats:
-        if task == "path_cover":
-            swept = _sweep_cover(sweep_flats, options)
-        else:
-            swept = _sweep_dp(sweep_flats, task, options)
+        swept = _ROOT_ARRAY_BODIES[task](pack(sweep_flats), options, True)
         for i, solution, key in zip(sweep_idx, swept, sweep_keys):
+            solution.provenance["route"] = "forest"
             for name, value in probs[i].provenance().items():
                 solution.provenance.setdefault(name, value)
             if key is not None:

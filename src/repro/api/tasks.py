@@ -24,10 +24,14 @@ rows of one private table (see below):
 =============================  ============================================
 
 The last seven and ``path_cover_size`` are the rows of one private
-table, ``_DP_TASKS`` (``_DPTask`` lists a row's fields).  ``_solve_dp``
-registers every row, and the forest sweep (:mod:`repro.api.forest`)
-reads the same rows, so both routes build each answer with one function.
-Those tasks, the Hamiltonicity decisions and the path count behind
+table, ``_DP_TASKS`` (``_DPTask`` lists a row's fields).  ``path_cover``
+and every row have one *body* each (``_cover_body``, ``_dp_body``): it
+takes a tree with a root array and returns one Solution per root.  A solo
+solve passes the instance's own tree (one root, no copy); the forest sweep
+(:mod:`repro.api.forest`) passes a packed forest to the same body
+(``_ROOT_ARRAY_BODIES``), and only the split back per instance
+(``_covers_per_root``, ``_per_root``) knows there is more than one root.
+The DP tasks, the Hamiltonicity decisions and the path count behind
 ``lower_bound`` run :func:`~repro.core.run_cotree_dp` over
 :class:`~repro.cograph.FlatCotree` CSR arrays on whichever backend the
 options select, level by level or, on deep trees, by heavy-path
@@ -50,10 +54,13 @@ from ..baselines import sequential_path_cover
 from ..cograph import (
     CographAdjacencyOracle,
     FlatCotree,
+    FlatForest,
     NotACographError,
+    PathCover,
     graph_from_md_tree,
     minimum_path_cover_size,
 )
+from ..cograph.cotree import check_vertex_ids
 from ..core import (
     expected_path_count,
     minimum_path_cover_parallel,
@@ -83,44 +90,72 @@ from .solution import Solution
 __all__ = []  # tasks are reached through the registry, not by name
 
 
-def _cover_solver(options: SolveOptions):
-    """``FlatCotree -> PathCover`` bound to the options' engine choice."""
-    if options.method == "sequential":
-        return lambda flat: sequential_path_cover(flat.to_cotree())
-    kwargs = options.solver_kwargs()
-    return lambda tree: minimum_path_cover_parallel(tree, **kwargs).cover
-
-
 # --------------------------------------------------------------------------- #
 # path cover
 # --------------------------------------------------------------------------- #
 
+def _engine(options: SolveOptions, fast_default: bool) -> Optional[str]:
+    """The backend a body runs on: the fast engine when ``fast_default``
+    is set and the options pick none, else the options' own choice."""
+    return "fast" if fast_default and not options.picks_engine \
+        else options.backend
+
+
+def _cover_body(tree, options: SolveOptions,
+                fast_default: bool = False) -> List[Solution]:
+    """The minimum path cover of every root of ``tree``, one Solution each.
+
+    A solo solve passes the instance's own tree (one root); the forest
+    sweep passes a packed :class:`~repro.cograph.FlatForest`, and
+    :func:`_covers_per_root` splits the one cover back per instance.
+    """
+    check_vertex_ids(tree.leaf_vertex[tree.leaves], "path_cover")
+    if options.method == "sequential":
+        cotree = tree.to_cotree() if isinstance(tree, FlatCotree) else tree
+        cover = sequential_path_cover(cotree)
+        if options.validate:
+            cover.validate(CographAdjacencyOracle(cotree),
+                           expected_num_vertices=cotree.num_vertices,
+                           expected_num_paths=int(
+                               minimum_path_cover_size(cotree)))
+        return [Solution(task="path_cover", answer=cover,
+                         backend="sequential", options=options, cover=cover,
+                         num_paths=cover.num_paths)]
+    # the parallel pipeline consumes FlatCotree inputs natively — no
+    # object-per-node conversion on the hot path
+    kwargs = options.solver_kwargs()
+    kwargs["backend"] = _engine(options, fast_default)
+    result = minimum_path_cover_parallel(tree, **kwargs)
+    return [Solution(task="path_cover", answer=cover, backend=result.backend,
+                     options=options, cover=cover, num_paths=cover.num_paths,
+                     report=result.report,
+                     stage_seconds=dict(result.stage_seconds),
+                     machine=result.machine, provenance=provenance)
+            for cover, provenance in _covers_per_root(tree, result)]
+
+
+def _covers_per_root(tree, result) -> List[Tuple[PathCover, Dict]]:
+    """``(cover, provenance)`` per root: the whole result for one tree.
+    A packed forest's paths go to their instances in extract's order (a
+    solo run's), rebased to local ids; no instance reports the forest's
+    exchange count."""
+    if not isinstance(tree, FlatForest):
+        return [(result.cover, {"p_root": result.p_root,
+                                "exchanges": result.exchanges})]
+    vb = tree.vertex_base
+    paths = result.cover.paths
+    owner = np.searchsorted(vb, [path[0] for path in paths], side="right") - 1
+    per_root: List[List[List[int]]] = [[] for _ in range(len(vb) - 1)]
+    for i, base, path in zip(owner.tolist(), vb[owner].tolist(), paths):
+        per_root[i].append([v - base for v in path])
+    return [(PathCover(own), {"p_root": len(own)}) for own in per_root]
+
+
 @register_task("path_cover",
                summary="minimum path cover of the cograph (Theorem 5.3)")
 def _task_path_cover(problem: Problem, options: SolveOptions) -> Solution:
-    if options.method == "sequential":
-        tree = problem.cotree()
-        cover = sequential_path_cover(tree)
-        if options.validate:
-            cover.validate(CographAdjacencyOracle(tree),
-                           expected_num_vertices=tree.num_vertices,
-                           expected_num_paths=int(
-                               minimum_path_cover_size(tree)))
-        return Solution(task="path_cover", answer=cover, backend="sequential",
-                        options=options, cover=cover,
-                        num_paths=cover.num_paths)
-    # the parallel pipeline consumes FlatCotree inputs natively — no
-    # object-per-node conversion on the hot path
-    result = minimum_path_cover_parallel(problem.pipeline_tree(),
-                                         **options.solver_kwargs())
-    return Solution(task="path_cover", answer=result.cover,
-                    backend=result.backend,
-                    options=options, cover=result.cover,
-                    num_paths=result.num_paths, report=result.report,
-                    stage_seconds=result.stage_seconds,
-                    machine=result.machine,
-                    provenance={"p_root": result.p_root,
-                                "exchanges": result.exchanges})
+    [solution] = _cover_body(problem.pipeline_tree(), options)
+    return solution
 
 
 # --------------------------------------------------------------------------- #
@@ -130,11 +165,11 @@ def _task_path_cover(problem: Problem, options: SolveOptions) -> Solution:
 def _hamiltonicity_task(problem: Problem, options: SolveOptions, task: str,
                         witness_of) -> Solution:
     """Decide from the ``path_cover_size`` run; build the witness with the
-    configured cover engine."""
-    run, seconds = _run_dp(problem, options, PATH_COVER_SIZE_DP,
-                           fast_default=True)
+    ``path_cover`` body under the options' engine."""
+    run, seconds = _run_dp(problem.pipeline_tree(), options,
+                           PATH_COVER_SIZE_DP, fast_default=True)
     t0 = time.perf_counter()
-    witness = witness_of(run, _cover_solver(options))
+    witness = witness_of(run, lambda tree: _cover_body(tree, options)[0].cover)
     seconds["witness"] = time.perf_counter() - t0
     size = run.root("p")
     return Solution(task=task, answer=witness,
@@ -188,44 +223,35 @@ def _task_recognition(problem: Problem, options: SolveOptions) -> Solution:
 # the cotree-DP tasks
 # --------------------------------------------------------------------------- #
 
-def _run_dp(problem: Problem, options: SolveOptions, dp: CotreeDP, *,
-            md: bool = False, fast_default: bool = False
+def _run_dp(tree, options: SolveOptions, dp: CotreeDP,
+            fast_default: bool = False
             ) -> Tuple[CotreeDPRun, Dict[str, float]]:
-    """Execute one :class:`~repro.core.CotreeDP` under the options' engine.
+    """Execute one :class:`~repro.core.CotreeDP` on ``tree`` under the
+    options' engine.
 
     ``method="sequential"`` runs the generic postorder evaluator;
     ``method="parallel"`` runs :func:`~repro.core.run_cotree_dp` on the
     configured backend (the paper's PRAM machine by default, so the DP
-    inherits the EREW accounting).  The ``work_efficient`` knob has no
-    effect here — the engine has a single variant — and is deliberately
-    tolerated so option sets can sweep across tasks.
-
-    ``md=True`` (the MD-capable tasks: their DP specs carry a prime
-    combiner) feeds the engine :meth:`~repro.api.Problem.decomposition_tree`
-    instead of the plain cotree, so non-cograph graphs are solved through
-    their modular decomposition.  Cograph inputs take the exact same path
-    either way — bit-identical answers.
-
-    ``fast_default=True`` runs on the fast engine, with no machine, when
-    the options pick no engine (``path_cover_size``, as the forest sweep
-    runs it).
+    inherits the EREW accounting), or on the fast engine when
+    ``fast_default`` is set and the options pick none.  The
+    ``work_efficient`` knob has no effect here — the engine has a single
+    variant — and is deliberately tolerated so option sets can sweep
+    across tasks.
     """
-    backend = "fast" if fast_default and not options.picks_engine \
-        else options.backend
-    tree = problem.decomposition_tree() if md else problem.pipeline_tree()
     t0 = time.perf_counter()
     if options.method == "sequential":
         run = run_cotree_dp_sequential(dp, tree)
     else:
-        ctx = _build_context(tree.num_vertices, None, backend,
+        ctx = _build_context(tree.num_vertices, None,
+                             _engine(options, fast_default),
                              options.num_processors, options.mode,
                              options.record_steps)
         run = run_cotree_dp(dp, tree, ctx)
     return run, {"dp": time.perf_counter() - t0}
 
 
-def _dp_solution(task: str, run: CotreeDPRun, answer: Any,
-                 options: SolveOptions, stage_seconds: Dict[str, float],
+def _dp_solution(task: str, run: CotreeDPRun, options: SolveOptions,
+                 stage_seconds: Dict[str, float], answer: Any,
                  num_paths: Optional[int] = None) -> Solution:
     ctx = run.ctx
     return Solution(task=task, answer=answer, backend=run.backend,
@@ -448,23 +474,52 @@ _DP_TASKS: Dict[str, _DPTask] = {
 }
 
 
-def _solve_dp(task: str, entry: _DPTask, problem: Problem,
-              options: SolveOptions) -> Solution:
-    """Solve one instance of a table task under the options' engine."""
-    weights = _task_weights(problem, options, task) if entry.weighted \
-        else None
+def _dp_body(task: str, entry: _DPTask, tree, options: SolveOptions,
+             fast_default: bool = False, weights=None) -> List[Solution]:
+    """One table task over every root of ``tree``, one Solution each."""
     dp = entry.spec(weights) if entry.weighted else entry.spec
-    run, seconds = _run_dp(problem, options, dp, md=entry.md,
-                           fast_default=entry.fast_default)
-    witness = None
+    run, seconds = _run_dp(tree, options, dp, fast_default)
+    values = run.root_values(entry.field).tolist()
+    witnesses = [None] * len(values)
     if entry.witness is not None:
         t0 = time.perf_counter()
-        witness = run.witness().tolist()
+        witness = run.witness()
         seconds["witness"] = time.perf_counter() - t0
-    answer, num_paths = entry.answer(int(run.root(entry.field)), witness)
+        witnesses = _witness_per_root(run.tree, witness, entry.witness)
+    return [_dp_solution(task, run, options, dict(seconds),
+                         *entry.answer(int(value), vertices))
+            for value, vertices in zip(values, witnesses)]
+
+
+def _witness_per_root(tree, witness: np.ndarray, shape: str) -> list:
+    """The witness as one list per root: whole for one tree; a packed
+    forest's sorted vertex set splits by one ``searchsorted`` and is rebased
+    to local ids, its per-vertex labels split at the vertex bases."""
+    if not isinstance(tree, FlatForest):
+        return [witness.tolist()]
+    vb = tree.vertex_base
+    if shape == "set":
+        cuts = np.searchsorted(witness, vb)
+        witness = witness - np.repeat(vb[:-1], np.diff(cuts))
+    else:
+        cuts = vb
+    witness, cuts = witness.tolist(), cuts.tolist()
+    return [witness[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+
+def _solve_dp(task: str, entry: _DPTask, problem: Problem,
+              options: SolveOptions) -> Solution:
+    """Solve one instance of a table task; ``md`` rows (prime combiners in
+    the spec) run on the modular decomposition tree of a non-cograph."""
+    weights = _task_weights(problem, options, task) if entry.weighted \
+        else None
+    tree = problem.decomposition_tree() if entry.md \
+        else problem.pipeline_tree()
+    [solution] = _dp_body(task, entry, tree, options, entry.fast_default,
+                          weights)
     if options.validate:
-        entry.check(problem, answer, weights)
-    return _dp_solution(task, run, answer, options, seconds, num_paths)
+        entry.check(problem, solution.answer, weights)
+    return solution
 
 
 for _task, _entry in _DP_TASKS.items():
@@ -473,6 +528,15 @@ for _task, _entry in _DP_TASKS.items():
                   else ("cograph",),
                   uses_weights=_entry.weighted)(
         functools.partial(_solve_dp, _task, _entry))
+
+
+#: ``(tree, options, fast_default) -> one Solution per root`` of every task
+#: that answers a root array; the forest sweep runs the unweighted ones.
+_ROOT_ARRAY_BODIES: Dict[str, Callable[..., List[Solution]]] = {
+    "path_cover": _cover_body,
+    **{task: functools.partial(_dp_body, task, entry)
+       for task, entry in _DP_TASKS.items()},
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -489,16 +553,17 @@ def _task_lower_bound(problem: Problem, options: SolveOptions) -> Solution:
             "input must be a 0/1 bit vector (e.g. solve([1, 0, 1], "
             "task='lower_bound')), not a general cograph")
     instance = problem.instance
-    run, seconds = _run_dp(problem, options, PATH_COVER_SIZE_DP)
+    run, seconds = _run_dp(problem.pipeline_tree(), options,
+                           PATH_COVER_SIZE_DP)
     num_paths = run.root("p")
     bits = [int(b) for b in instance.bits]
     expected = expected_path_count(bits)
     if options.validate and num_paths != expected:
         raise ValueError(f"path count {num_paths} disagrees with the "
                          f"paper's formula n - k + 2 = {expected}")
-    return _dp_solution("lower_bound", run, {
+    return _dp_solution("lower_bound", run, options, seconds, {
         "or": or_from_path_count(num_paths, instance.n),
         "bits": bits,
         "num_paths": num_paths,
         "expected_num_paths": expected,
-    }, options, seconds, num_paths)
+    }, num_paths)

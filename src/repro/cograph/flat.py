@@ -78,16 +78,10 @@ class FlatCotree:
         (``0`` generic, ``1`` thin, ``2`` thick).  A spider-flagged prime
         lays its children out as ``[s_1..s_k, k_1..k_k, (r)]`` (feet, body,
         optional head) so closed-form DP combines need no edge scan.
-    pre_validated:
-        set ``True`` by trusted producers only — :meth:`canonicalize`
-        output and verified wire-format loads
-        (:func:`repro.io.wire.from_bytes` after its CRC check) — so
-        pipeline stages may skip redundant full-array re-validation.
-        Defaults to ``False`` for every directly constructed tree.
     """
 
     __slots__ = ("kind", "child_offset", "child_index", "parent",
-                 "leaf_vertex", "root", "roots", "pre_validated",
+                 "leaf_vertex", "root", "roots",
                  "q_offset", "q_edge_u", "q_edge_v", "spider",
                  "_leaves", "_internal", "_vertices", "_degrees",
                  "_has_primes")
@@ -102,10 +96,6 @@ class FlatCotree:
         self.leaf_vertex = np.asarray(leaf_vertex, dtype=np.int64)
         self.root = int(root)
         self.roots = np.array([self.root], dtype=np.int64)
-        # set True only by trusted producers (a verified wire-format load,
-        # canonicalize output): lets the pipeline skip redundant full-array
-        # re-validation on the hot path
-        self.pre_validated = False
         # lazily-computed derived arrays (hot in the DP level loop)
         self._leaves = None
         self._internal = None
@@ -359,12 +349,8 @@ class FlatCotree:
         roots = np.flatnonzero(new_parent == -1)
         if len(roots) != 1:  # pragma: no cover - structural invariant
             raise CotreeError("canonicalize produced a forest")
-        out = FlatCotree(new_kind, offset, order, new_parent,
-                         new_leaf_vertex, int(roots[0]))
-        # canonical by construction (unary nodes spliced, clusters merged):
-        # downstream stages may skip their canonical re-scan
-        out.pre_validated = True
-        return out
+        return FlatCotree(new_kind, offset, order, new_parent,
+                          new_leaf_vertex, int(roots[0]))
 
     # ------------------------------------------------------------------ #
     # dunder / misc

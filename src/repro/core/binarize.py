@@ -56,10 +56,7 @@ def binarize_parallel(ctx, tree: Union[Cotree, FlatCotree], *,
     kind_old = np.asarray(flat.kind, dtype=np.int64)
     child_count = flat.degrees()
     internal = kind_old != LEAF
-    # trusted internal routes (canonicalize output, wire loads with a
-    # verified checksum) set pre_validated: skip the full-array re-scan
-    if not getattr(flat, "pre_validated", False) \
-            and np.any(internal & (child_count < 2)):
+    if np.any(internal & (child_count < 2)):
         raise CotreeError("binarize_parallel requires every internal node to "
                           "have at least two children (canonicalize first)")
 

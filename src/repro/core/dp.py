@@ -59,7 +59,7 @@ from .._dfs import depth_by_doubling as _depth_by_doubling
 from .._dfs import multiway_numbering as _multiway_numbering
 from ..backends import ExecutionContext, resolve_context
 from ..cograph import FlatCotree, as_flat_cotree
-from ..cograph.cotree import JOIN, LEAF, PRIME, UNION, CotreeError, \
+from ..cograph.cotree import JOIN, LEAF, PRIME, UNION, check_vertex_ids, \
     prime_refusal
 from ..cograph.md import SPIDER_THIN
 from ..primitives.tree_contraction import NEG_INF
@@ -1077,11 +1077,7 @@ def class_assignment(run: CotreeDPRun, accumulate_at: int,
 
     leaves = flat.leaves
     vertex_ids = flat.leaf_vertex[leaves]
-    bad = (vertex_ids < 0) | (vertex_ids >= len(leaves))
-    if bad.any():
-        raise CotreeError(
-            f"dp.{run.dp.name}: vertex id {int(vertex_ids[bad][0])} is out "
-            f"of range: vertex ids must be 0..n-1 (n = {len(leaves)})")
+    check_vertex_ids(vertex_ids, f"dp.{run.dp.name}")
 
     # the offset shift of every child slot of the CSR array; a node's
     # offset is the sum of the shifts on its root path

@@ -229,8 +229,7 @@ class Pipeline:
 
     def run(self, tree: Union[Cotree, FlatCotree, BinaryCotree],
             ctx=None, *,
-            work_efficient: bool = True,
-            collect_timings: bool = True) -> PipelineRun:
+            work_efficient: bool = True) -> PipelineRun:
         """Execute the selected stages on ``tree``.
 
         Parameters
@@ -242,8 +241,6 @@ class Pipeline:
         ctx:
             execution context — anything
             :func:`~repro.backends.resolve_context` accepts.
-        collect_timings:
-            record per-stage wall-clock in the returned run.
 
         Raises
         ------
@@ -262,11 +259,9 @@ class Pipeline:
 
         run = PipelineRun(state=state)
         for name in self.stages:
-            t0 = time.perf_counter() if collect_timings else 0.0
+            t0 = time.perf_counter()
             _STAGE_FUNCS[name](state)
-            if collect_timings:
-                run.timings.append(
-                    StageTiming(name, time.perf_counter() - t0))
+            run.timings.append(StageTiming(name, time.perf_counter() - t0))
         return run
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
+import numpy as np
+
 from ..backends import ExecutionContext, PRAMBackend, resolve_context
 from ..cograph import (
     BinaryCotree,
@@ -28,7 +30,9 @@ from ..cograph import (
     Cotree,
     FlatCotree,
     PathCover,
+    as_flat_cotree,
 )
+from ..cograph.cotree import LEAF
 from ..pram import PRAM, AccessMode, CostReport, optimal_processor_count
 from .pipeline import Pipeline
 
@@ -122,7 +126,8 @@ def minimum_path_cover_parallel(
     tree:
         the cograph's cotree (general — :class:`Cotree` or
         :class:`FlatCotree` — or already binarized).  General cotrees must
-        be canonical (every internal node with >= 2 children).
+        be canonical (every internal node with >= 2 children).  Leaves may
+        carry any distinct vertex ids.
     machine:
         an existing :class:`~repro.pram.PRAM` to account on.  When omitted
         (and ``backend`` selects the PRAM path), a fresh EREW machine with
@@ -148,30 +153,28 @@ def minimum_path_cover_parallel(
     n = tree.num_vertices
     ctx = _build_context(n, machine, backend, num_processors, mode,
                          record_steps)
-
-    # trivial instances
-    if n == 1:
-        if isinstance(tree, BinaryCotree):
-            vertex = int(tree.to_cotree().vertices[0])
-        else:
-            vertex = int(tree.vertices[0])
-        cover = PathCover([[vertex]])
-        return ParallelPathCoverResult(
-            cover=cover, num_paths=1, p_root=1, report=ctx.report(),
-            machine=ctx.machine, exchanges=0, backend=ctx.name)
-
+    ids = tree.leaf_vertex[tree.leaves]
+    vertex_of = None
+    if n and (int(ids.min()) < 0 or int(ids.max()) >= n):
+        # the stages index their arrays by vertex id: solve on the ids'
+        # ranks, answer in the ids
+        vertex_of = np.sort(ids)
+        flat = as_flat_cotree(tree)
+        tree = FlatCotree(flat.kind, flat.child_offset, flat.child_index,
+                          flat.parent,
+                          np.where(flat.kind == LEAF, np.searchsorted(
+                              vertex_of, flat.leaf_vertex), -1), flat.root)
     run = Pipeline.default().run(tree, ctx, work_efficient=work_efficient)
     state = run.state
     cover = state.cover
     p_root = state.reduced.minimum_path_count()
-
-    result = ParallelPathCoverResult(
-        cover=cover, num_paths=cover.num_paths, p_root=p_root,
-        report=ctx.report(), machine=ctx.machine, exchanges=state.exchanges,
-        backend=ctx.name, stage_seconds=run.stage_seconds)
-
     if validate:
         oracle = CographAdjacencyOracle(state.leftist.tree)
         cover.validate(oracle, expected_num_vertices=n,
                        expected_num_paths=p_root)
-    return result
+    if vertex_of is not None:
+        cover = PathCover([vertex_of[path].tolist() for path in cover.paths])
+    return ParallelPathCoverResult(
+        cover=cover, num_paths=cover.num_paths, p_root=p_root,
+        report=ctx.report(), machine=ctx.machine, exchanges=state.exchanges,
+        backend=ctx.name, stage_seconds=run.stage_seconds)

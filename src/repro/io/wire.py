@@ -11,9 +11,7 @@ stop paying JSON/text parsing entirely:
   first (so every one stays 8-byte aligned), ``int8`` arrays last;
 * :func:`from_bytes` is **zero-copy**: after validating the header (magic,
   byte-order mark, version, CRC-32, exact total length) every array is an
-  ``np.frombuffer`` view into the caller's buffer — no parse, no copy.
-  Loads that pass the CRC are marked ``pre_validated`` so trusted pipeline
-  stages skip their redundant re-validation scans;
+  ``np.frombuffer`` view into the caller's buffer — no parse, no copy;
 * :func:`save` / :func:`load` move trees through files, with ``load``
   memory-mapping by default (the OS pages the arrays in lazily);
 * :func:`frame` / :func:`read_frames` wrap payloads in ``u32``
@@ -24,9 +22,14 @@ stop paying JSON/text parsing entirely:
 Every malformed input — truncated buffer, wrong magic, byte-swapped
 (big-endian) header, unknown version, CRC mismatch, inconsistent lengths,
 and in the body a kind code outside LEAF/UNION/JOIN (PRIME only under the
-prime flag) or a ``child_index`` / ``parent`` / forest ``roots`` entry
-outside the node range — raises :class:`ValueError` with a message naming
+prime flag), a ``child_index`` / ``parent`` / forest ``roots`` entry
+outside the node range, a ``child_offset`` that gives a leaf children or
+an internal node none (so it never decreases), a node that is not exactly
+one node's child or a root, or leaf vertex ids that are not a permutation
+of ``0..n_vertices-1`` — raises :class:`ValueError` with a message naming
 the offending field; the decoder never crashes into NumPy index errors.
+The body checks are O(n) vectorized scans.  Parent/child agreement and
+acyclicity are not checked.
 """
 
 from __future__ import annotations
@@ -145,6 +148,51 @@ def _check_range(values: np.ndarray, field: str, lo: int, hi: int,
                     f"{lo}..{hi}{hint}")
 
 
+def _check_structure(tree: WireTree) -> None:
+    """Refuse a decoded body whose CSR arrays do not describe trees over
+    one vertex permutation: O(n) passes whose degree and leaf arrays stay
+    cached on the tree; the offender is located only on the error path."""
+    kind, child_index = tree.kind, tree.child_index
+    n, e = len(kind), len(child_index)
+    if n and (int(tree.child_offset[0]) != 0
+              or int(tree.child_offset[-1]) != e):
+        raise _fail("child_offset does not span the child_index array")
+    # a leaf has no children, an internal node at least one: so
+    # child_offset never decreases
+    degree = tree.degrees()
+    leaf = kind == LEAF
+    if n and (int(degree.min()) < 0 or bool(np.any((degree == 0) != leaf))):
+        u = int(np.flatnonzero(np.where(leaf, degree != 0, degree < 1))[0])
+        raise _fail(f"child_offset gives {'leaf' if leaf[u] else 'internal'}"
+                    f" node {u} {int(degree[u])} children (a leaf has none, "
+                    f"an internal node at least one)")
+    # n entries that reach every node reach each one once
+    roots = tree.roots[tree.roots >= 0]
+    owned = np.zeros(n, dtype=bool)
+    owned[child_index] = True
+    owned[roots] = True
+    if e + len(roots) != n or not owned.all():
+        owners = np.bincount(child_index, minlength=n) \
+            + np.bincount(roots, minlength=n)
+        u = int(np.flatnonzero(owners != 1)[0])
+        raise _fail(f"child_index / roots: node {u} appears "
+                    f"{int(owners[u])} times (each node must be one node's "
+                    f"child or a root, once)")
+    leaves = tree.leaves
+    vertices = tree.leaf_vertex[leaves]
+    nv = len(leaves)
+    if nv and (int(vertices.min()) < 0 or int(vertices.max()) >= nv):
+        at = int(np.flatnonzero((vertices < 0) | (vertices >= nv))[0])
+        raise _fail(f"leaf_vertex[{int(leaves[at])}] = {int(vertices[at])} "
+                    f"is outside 0..{nv - 1} (one vertex id per leaf)")
+    seen = np.zeros(nv, dtype=bool)
+    seen[vertices] = True
+    if not seen.all():
+        v = int(np.argmax(np.bincount(vertices, minlength=nv)))
+        raise _fail(f"leaf_vertex: vertex {v} labels "
+                    f"{int(np.sum(vertices == v))} leaves")
+
+
 def from_bytes(buf) -> WireTree:
     """Decode wire bytes into a :class:`FlatCotree` / :class:`FlatForest`.
 
@@ -226,30 +274,20 @@ def from_bytes(buf) -> WireTree:
                  "" if has_prime else " (prime kinds need the prime flag)")
     _check_range(i64[1], "child_index", 0, n - 1)
     _check_range(i64[2], "parent", -1, n - 1)
+    child_offset, child_index, parent, leaf_vertex = i64[:4]
     if is_forest:
-        child_offset, child_index, parent, leaf_vertex, roots, \
-            instance_id, node_base, vertex_base, leaf_vertex_local = i64
-        _check_range(roots, "roots", -1, n - 1)
+        _check_range(i64[4], "roots", -1, n - 1)
         out: WireTree = FlatForest(kind, child_offset, child_index, parent,
-                                   leaf_vertex, roots, instance_id,
-                                   node_base, vertex_base, leaf_vertex_local)
+                                   leaf_vertex, *i64[4:])
     elif has_prime:
-        child_offset, child_index, parent, leaf_vertex, q_offset, \
-            q_edge_u, q_edge_v = i64
+        q_offset, q_edge_u, q_edge_v = i64[4:]
         out = FlatCotree(kind, child_offset, child_index, parent,
                          leaf_vertex, root, q_offset=q_offset,
                          q_edge_u=q_edge_u, q_edge_v=q_edge_v, spider=i8[1])
     else:
-        child_offset, child_index, parent, leaf_vertex = i64
         out = FlatCotree(kind, child_offset, child_index, parent,
                          leaf_vertex, root)
-    # O(1) structural cross-checks (the CSR bounds the header implies)
-    if n and (int(out.child_offset[0]) != 0
-              or int(out.child_offset[-1]) != e):
-        raise _fail("child_offset does not span the child_index array")
-    # integrity verified (CRC + exact lengths): trusted stages may skip
-    # their redundant re-validation
-    out.pre_validated = True
+    _check_structure(out)
     return out
 
 

@@ -92,12 +92,6 @@ class EulerTour:
         """Tour positions of the exit arcs."""
         return self.position[self.exit(nodes)]
 
-    def values_by_position(self, arc_values: np.ndarray) -> np.ndarray:
-        """Permute per-arc values into tour order (position-indexed array)."""
-        out = np.zeros(2 * self.num_nodes, dtype=np.asarray(arc_values).dtype)
-        out[self.position] = arc_values
-        return out
-
     def prefix_over_tour(self, ctx, arc_values,
                          *, inclusive: bool = True,
                          label: str = "tour-prefix") -> np.ndarray:

@@ -19,6 +19,8 @@ from repro.api import (
 from repro.baselines import sequential_path_cover
 from repro.cograph import (
     CographAdjacencyOracle,
+    Cotree,
+    CotreeError,
     Graph,
     clique,
     independent_set,
@@ -333,3 +335,42 @@ def test_num_processors_honoured_through_solve():
 def test_record_steps_honoured_through_solve():
     sol = solve(independent_set(8), backend="pram", record_steps=True)
     assert sol.report.by_label  # per-label breakdown recorded
+
+
+# --------------------------------------------------------------------------- #
+# vertex ids outside 0..n-1
+# --------------------------------------------------------------------------- #
+
+SPARSE = ("union", 0, ("join", 2, 7))
+
+
+@pytest.mark.parametrize("engine", [{"backend": "fast"}, {"backend": "pram"},
+                                    {"method": "sequential"}])
+def test_path_cover_refuses_foreign_vertex_ids_by_name(engine):
+    with pytest.raises(CotreeError, match=r"path_cover: vertex id 7 is out "
+                                          r"of range: vertex ids must be "
+                                          r"0\.\.n-1 \(n = 3\)"):
+        solve(Cotree.from_nested(SPARSE), **engine)
+    # the lone leaf too, as chromatic_number refuses it
+    with pytest.raises(CotreeError, match="vertex id 5 is out of range"):
+        solve("5", **engine)
+    # the tasks that never index by vertex id keep answering
+    assert solve(Cotree.from_nested(SPARSE), "max_clique",
+                 **engine).answer["vertices"] == [2, 7]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_core_solver_answers_sparse_ids_through_their_ranks(backend):
+    for tree, paths in ((Cotree.from_nested(SPARSE), [[0], [2, 7]]),
+                        (Cotree.single_vertex(3), [[3]])):
+        result = minimum_path_cover_parallel(tree, backend=backend,
+                                             validate=True)
+        assert result.cover.paths == paths
+        assert result.num_paths == result.p_root == len(paths)
+
+
+def test_one_vertex_pram_report_is_the_pipelines_cost():
+    solution = solve("0", backend="pram")
+    assert solution.cover.paths == [[0]]
+    assert solution.report.rounds > 0 and solution.report.work > 0
+    assert "extract" in solution.stage_seconds

@@ -336,19 +336,3 @@ class TestEmptyAndSingleVertexEdgeCases:
         assert first.answer == 1
         assert second.cache_status == "hit"
 
-
-class TestPreValidated:
-    """``pre_validated`` marks only trees a trusted route produced."""
-
-    def test_fresh_trees_are_not_pre_validated(self):
-        assert FlatCotree.from_cotree(clique(4)).pre_validated is False
-
-    def test_canonicalize_marks_its_output(self):
-        tree = FlatCotree.from_cotree(random_cotree(30, seed=7))
-        assert tree.canonicalize().pre_validated is True
-
-    def test_wire_load_marks_its_output(self):
-        from repro.io.wire import from_bytes, to_bytes
-
-        tree = FlatCotree.from_cotree(random_cotree(30, seed=8))
-        assert from_bytes(to_bytes(tree)).pre_validated is True

@@ -123,6 +123,17 @@ class TestPackUnpack:
 # the packed sweeps are bit-identical to solo solves
 # --------------------------------------------------------------------------- #
 
+def _route_free(solution) -> dict:
+    """``to_json_dict()`` without timing values and without the fields
+    only one route reports (the sweep's route and batch index, the solo
+    cover's exchange count)."""
+    data = solution.to_json_dict()
+    data["stage_seconds"] = sorted(data["stage_seconds"])
+    for key in ("route", "batch_index", "exchanges"):
+        data["provenance"].pop(key, None)
+    return data
+
+
 class TestForestParity:
     @pytest.mark.parametrize("task", FOREST_TASKS)
     @pytest.mark.parametrize("solo_backend", ["fast", "pram"])
@@ -134,9 +145,13 @@ class TestForestParity:
             assert solution.provenance["route"] == "forest"
             assert solution.provenance["batch_index"] == i
             solo = solve(tree, task, backend=solo_backend)
-            if task == "path_cover":
+            if solo_backend == "fast":
+                assert _route_free(solution) == _route_free(solo)
+            elif task == "path_cover":
                 assert solution.cover.paths == solo.cover.paths
                 assert solution.num_paths == solo.num_paths
+                assert solution.provenance["p_root"] == \
+                    solo.provenance["p_root"]
             else:
                 assert solution.answer == solo.answer
 
@@ -166,6 +181,24 @@ class TestForestParity:
                 assert solution.answer == solo.answer, (backend,
                                                         tree.num_vertices)
                 assert solution.num_paths == solo.num_paths
+
+    @pytest.mark.parametrize("options", [{"backend": "fast"}, {}])
+    def test_solo_solves_never_pack(self, monkeypatch, options):
+        import repro.api.forest
+        import repro.cograph
+        import repro.cograph.forest
+
+        def refuse(trees):
+            raise AssertionError("a solo solve packed its tree")
+
+        for module in (repro.api.forest, repro.cograph,
+                       repro.cograph.forest):
+            monkeypatch.setattr(module, "pack", refuse)
+        tree = random_cotree(30, seed=4)
+        for task in FOREST_TASKS:
+            solve(tree, task, **options)
+        with pytest.raises(AssertionError, match="packed"):
+            solve_forest([tree, tree], "max_clique", **options)
 
     def test_cover_paths_are_valid_per_instance(self):
         trees = _random_trees(20, 25, seed=77)

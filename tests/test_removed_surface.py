@@ -1,6 +1,7 @@
 """Removals stay removed: the 2.0 kernel tier, fail-fast stream loop and
-pre-1.1 compatibility layer, and 2.3's ``BinaryForest`` (MIGRATION.md maps
-each name to its replacement)."""
+pre-1.1 compatibility layer, 2.3's ``BinaryForest`` and 2.4's trust flag,
+timing switch and forest sweeps (MIGRATION.md maps each name to its
+replacement)."""
 
 from __future__ import annotations
 
@@ -31,6 +32,9 @@ REMOVED_ATTRIBUTES = [
     ("repro.backends", "KernelBackend"),
     # 2.3: a binarized forest is a BinaryCotree with several roots
     ("repro.cograph", "BinaryForest"), ("repro.cograph.forest", "BinaryForest"),
+    # 2.4: solo solves and forest sweeps share one body per task
+    ("repro.api.forest", "_sweep_dp"), ("repro.api.forest", "_sweep_cover"),
+    ("repro.api.forest", "Pipeline"), ("repro.api.forest", "run_cotree_dp"),
 ]
 
 REMOVED_MODULES = ["repro.kernels", "repro.backends.kernel_backend"]
@@ -48,6 +52,21 @@ def test_removed_names_are_gone():
     with pytest.raises(AttributeError):
         RetryPolicy.off
     assert "enabled" not in RetryPolicy.__dataclass_fields__
+
+
+def test_trust_flag_and_timing_switch_are_gone():
+    from repro.cograph import FlatCotree, clique
+    from repro.core.pipeline import Pipeline
+    from repro.primitives.euler_tour import EulerTour
+
+    tree = FlatCotree.from_cotree(clique(3))
+    with pytest.raises(AttributeError):
+        tree.pre_validated
+    with pytest.raises(AttributeError):
+        tree.pre_validated = True              # no slot left to set
+    with pytest.raises(TypeError, match="collect_timings"):
+        Pipeline.default().run(tree, "fast", collect_timings=False)
+    assert not hasattr(EulerTour, "values_by_position")
 
 
 def test_kernel_backend_is_refused_everywhere(capsys):

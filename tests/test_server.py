@@ -31,9 +31,9 @@ import pytest
 from repro._version import __version__
 from repro.api import SolutionCache, SolveOptions, as_problem, solve, \
     task_names
-from repro.cograph import Graph, as_flat_cotree, caterpillar_cotree, \
-    md_tree, pack, random_cotree
-from repro.io import cotree_to_text
+from repro.cograph import Cotree, Graph, as_flat_cotree, \
+    caterpillar_cotree, md_tree, pack, random_cotree
+from repro.io import cotree_to_json, cotree_to_text
 from repro.io.wire import HEADER_SIZE
 from repro.io.wire import frame as wire_frame
 from repro.io.wire import to_bytes as wire_to_bytes
@@ -523,6 +523,26 @@ class TestDispatch:
         assert "vertex ids must be 0..n-1" in error["message"]
         assert clique.status == 200
         assert clique.json()["answer"]["vertices"] == [5]
+        assert breaker["state"] == "closed"
+        assert breaker["consecutive_failures"] == 0
+
+    def test_path_cover_foreign_vertex_id_is_a_400_and_spares_the_breaker(
+            self):
+        sparse = cotree_to_json(Cotree.from_nested(("union", 0,
+                                                    ("join", 2, 7))))
+
+        async def scenario(app):
+            refused = [await app.dispatch("POST", "/v1/solve",
+                                          solve_body(sparse))
+                       for _ in range(5)]
+            valid = await app.dispatch("POST", "/v1/solve", solve_body())
+            return refused, valid, app.breaker.snapshot()
+
+        refused, valid, breaker = run_app(scenario)
+        assert [r.status for r in refused] == [400] * 5
+        assert "vertex id 7 is out of range" in \
+            refused[0].json()["error"]["message"]
+        assert valid.status == 200
         assert breaker["state"] == "closed"
         assert breaker["consecutive_failures"] == 0
 

@@ -123,7 +123,6 @@ class TestRoundTrip:
         for arr in (back.child_offset, back.child_index, back.kind):
             assert arr.base is not None          # a view, not a copy
             assert not arr.flags.writeable       # bytes is read-only
-        assert back.pre_validated is True
 
     def test_accepts_bytearray_and_memoryview(self):
         tree = as_flat_cotree(random_cotree(30, seed=1))
@@ -285,6 +284,65 @@ class TestBodyRanges:
             from_bytes(bytes(buf))
 
 
+class TestBodyStructure:
+    """In-range bodies that still do not describe trees over one vertex
+    permutation are refused by the decoder, naming the field; unchecked,
+    each answers wrongly or crashes into NumPy."""
+
+    TREE = as_flat_cotree(random_cotree(7, seed=3))
+    LEAVES = TREE.leaves.tolist()
+
+    @pytest.mark.parametrize("field, value, entry, message, task", [
+        # unchecked: max_independent_set [0, 0]
+        ("leaf_vertex", int(TREE.leaf_vertex[LEAVES[0]]), LEAVES[1],
+         r"leaf_vertex: vertex \d+ labels 2 leaves", "max_independent_set"),
+        # unchecked: max_independent_set lists vertex 1000000
+        ("leaf_vertex", 10 ** 6, LEAVES[0],
+         rf"leaf_vertex\[{LEAVES[0]}\] = 1000000 is outside 0\.\.6",
+         "max_independent_set"),
+        # unchecked: max_clique size 9 on 7 vertices
+        ("child_index", int(TREE.child_index[0]), 1,
+         rf"node {int(TREE.child_index[0])} appears 2 times", "max_clique"),
+        # a leaf relabelled UNION; unchecked: IndexError in reduceat
+        ("kind", 1, LEAVES[0],
+         rf"internal node {LEAVES[0]} 0 children", "clique_cover"),
+        # a decreasing child_offset
+        ("child_offset", -5, 1, r"child_offset gives \w+ node 0 -5 children",
+         "path_cover"),
+    ])
+    def test_decoder_refuses_by_field(self, field, value, entry, message,
+                                      task):
+        buf = _corrupt_body(field, value, entry)
+        with pytest.raises(ValueError, match=message):
+            from_bytes(buf)
+        with pytest.raises(ValueError, match=message):
+            solve(buf, task)
+
+    def test_a_leaf_with_children_is_refused(self):
+        internal = int(self.TREE.internal_nodes[0])
+        with pytest.raises(ValueError, match=rf"leaf node {internal} "):
+            from_bytes(_corrupt_body("kind", 0, internal))
+
+    @pytest.mark.parametrize("tree", [
+        random_cotree(40, seed=1), caterpillar_cotree(30), single_vertex(),
+    ])
+    def test_valid_trees_and_forests_still_decode(self, tree):
+        flat = as_flat_cotree(tree)
+        assert from_bytes(to_bytes(flat)) == flat
+        forest = pack([flat, as_flat_cotree(random_cotree(9, seed=2))])
+        assert from_bytes(to_bytes(forest)) == forest
+
+    def test_one_child_union_is_refused_by_the_arity_check(self):
+        # decodable (every node is one node's child), but binarize's arity
+        # check, which wire loads no longer skip, refuses it by name
+        tree = FlatCotree(kind=[1, 2, 0, 0], child_offset=[0, 1, 3, 3, 3],
+                          child_index=[1, 2, 3], parent=[-1, 0, 1, 1],
+                          leaf_vertex=[-1, -1, 0, 1], root=0)
+        for form in (tree, to_bytes(tree)):
+            with pytest.raises(ValueError, match="at least two children"):
+                solve(form, "path_cover")
+
+
 # --------------------------------------------------------------------------- #
 # frames
 # --------------------------------------------------------------------------- #
@@ -326,7 +384,6 @@ class TestFiles:
         assert load(path, mmap=False) == tree
         mapped = load(path)              # mmap=True is the default
         assert mapped == tree
-        assert mapped.pre_validated is True
 
     def test_constants_are_stable(self):
         # the on-disk contract: changing any of these is a format break
