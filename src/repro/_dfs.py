@@ -51,25 +51,26 @@ def chase_pointers(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def depth_by_doubling(parent: np.ndarray,
-                      cap: Optional[int] = None) -> np.ndarray:
+def depth_by_doubling(parent: np.ndarray) -> np.ndarray:
     """Depth of every forest node (``O(log height)`` doubling rounds).
 
-    With ``cap`` the result is ``min(depth, cap)``, in at most
-    ``ceil(log2 cap)`` rounds: after ``r`` rounds every node has climbed
-    ``min(depth, 2**r)`` levels.
+    After ``r`` rounds every node has climbed ``min(depth, 2**r)`` levels,
+    so a node still climbing after ``bit_length(n) + 1`` rounds lies under a
+    cycle: the :class:`~repro.cograph.CotreeError` names a node on it.
     """
     n = len(parent)
     depth = (parent >= 0).astype(np.int64)
     anc = np.where(parent >= 0, parent, np.arange(n, dtype=np.int64))
-    rounds = 64 if cap is None else max(1, int(cap - 1).bit_length())
-    for _ in range(rounds):
+    for _ in range(n.bit_length() + 1):
         step = depth[anc]
         if not step.any():                  # every jump reached a root
             return depth
         depth += step
         anc = anc[anc]
-    return depth if cap is None else np.minimum(depth, cap)
+    from .cograph.cotree import CotreeError
+    u = int(anc[np.flatnonzero(depth[anc])[0]])
+    raise CotreeError(f"parent: node {u} lies on a cycle (its parent "
+                      f"pointers never reach a root)")
 
 
 def _dfs_preorder_from_keys(left: np.ndarray, right: np.ndarray,

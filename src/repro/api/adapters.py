@@ -35,8 +35,10 @@ from ..cograph import (
     BinaryCotree,
     Cotree,
     FlatCotree,
+    FlatForest,
     Graph,
     NotACographError,
+    as_flat_cotree,
     cotree_from_graph,
     md_tree,
 )
@@ -82,6 +84,7 @@ class Problem:
     instance: Optional[LowerBoundInstance] = None
     source: Optional[str] = None
     _cached_tree: Optional[TreeLike] = field(default=None, repr=False)
+    _checked_tree: Optional[TreeLike] = field(default=None, repr=False)
     _cached_md: Optional[FlatCotree] = field(default=None, repr=False)
 
     def cotree(self) -> Union[Cotree, BinaryCotree]:
@@ -107,12 +110,16 @@ class Problem:
         return self._cached_tree
 
     def pipeline_tree(self) -> TreeLike:
-        """The form the solver pipeline should consume: the original
-        :class:`FlatCotree` when the input already was flat (no conversion
-        on the hot path), otherwise :meth:`cotree`."""
-        if isinstance(self.tree, FlatCotree):
-            return self.tree
-        return self.cotree()
+        """The tree every tree task consumes: the instance's cotree as a
+        :class:`FlatCotree`, flattened and checked by
+        :meth:`FlatCotree.validate` once (cached).  A :class:`BinaryCotree`
+        stays binary, checked by its own ``validate()``, so the pipeline
+        still skips Step 1 on it."""
+        if self._checked_tree is None:
+            tree = self.tree if self.tree is not None else self.cotree()
+            self._checked_tree = (tree if isinstance(tree, BinaryCotree)
+                                  else as_flat_cotree(tree)).validate()
+        return self._checked_tree
 
     def decomposition_tree(self) -> TreeLike:
         """The tree an MD-capable task should consume.
@@ -205,10 +212,16 @@ def as_problem(obj: Any, *, task: Optional[str] = None) -> Problem:
 # --------------------------------------------------------------------------- #
 
 def _from_wire(buf) -> Problem:
-    """Binary wire bytes: decoded zero-copy, validated by header CRC +
-    exact-length checks (a bad buffer raises ValueError, never crashes)."""
+    """Binary wire bytes: decoded zero-copy and validated once by
+    :func:`~repro.io.wire.from_bytes` (a bad buffer raises ValueError,
+    never crashes); a forest container is a batch, not one problem."""
     from ..io.wire import from_bytes
-    return Problem(source_format="wire", tree=from_bytes(buf))
+    tree = from_bytes(buf)
+    if isinstance(tree, FlatForest):
+        raise ValueError("a forest wire container holds many instances: "
+                         "solve_forest(unpack(...)) them, or send them to "
+                         "/v1/solve_batch as framed trees")
+    return Problem(source_format="wire", tree=tree, _checked_tree=tree)
 
 
 def _from_string(text: str) -> Problem:

@@ -15,11 +15,11 @@ This module names no task and imports no engine: :data:`FOREST_TASKS` is
 derived from the task bodies.
 
 Supported tasks (:data:`FOREST_TASKS`): ``path_cover`` plus the unweighted
-cotree-DP tasks.  Anything the sweep cannot take — an
-unsupported task, non-default engine options, a non-cograph input, an
-instance whose vertex ids are not ``0..n-1`` — silently falls back to a
-per-instance :func:`~repro.api.solve` (``provenance["route"] ==
-"serial"``); swept solutions report ``"forest"``.  A configured
+cotree-DP tasks.  Anything the sweep cannot take — an unsupported task,
+non-default engine options, a non-cograph input — silently falls back to
+a per-instance :func:`~repro.api.solve` (``provenance["route"] ==
+"serial"``); swept solutions report ``"forest"``.  A tree the validator
+refuses raises, as a solo solve does.  A configured
 :class:`~repro.api.SolutionCache` is consulted per instance *before*
 packing, so repeat instances skip the sweep entirely.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from ..cograph import FlatCotree, NotACographError, as_flat_cotree, pack
+from ..cograph import NotACographError, as_flat_cotree, pack
 from .adapters import Problem, as_problem
 from .options import SolveOptions
 from .registry import get_task
@@ -60,23 +60,17 @@ def _forest_supported(task: str, options: SolveOptions) -> bool:
 
 def _eligible_flat(prob: Problem):
     """The instance's packable :class:`~repro.cograph.FlatCotree`, or
-    ``None`` when it must go down the serial path (non-cograph input, or
-    vertex ids that are not ``0..n-1`` — packing shifts ids blockwise, so
-    sparse labellings cannot share a forest)."""
+    ``None`` when it must go down the serial path (a non-cograph or empty
+    input).  Not validated here: ``pack()`` checks the whole batch in one
+    vectorized pass, where one validation per instance would cost more
+    than the sweep."""
     try:
-        tree = prob.pipeline_tree()
-        flat = tree if type(tree) is FlatCotree else as_flat_cotree(tree)
+        flat = as_flat_cotree(prob.tree if prob.tree is not None
+                              else prob.cotree())
     except NotACographError:
         return None
-    if flat.has_primes:                     # MD trees don't pack (PR 8)
+    if flat.has_primes or flat.num_vertices < 1:   # MD trees don't pack
         return None
-    v = flat.vertices                       # sorted, cached on the instance
-    n = v.size
-    if n < 1 or v[0] != 0 or v[-1] != n - 1:
-        return None
-    # sorted with matching endpoints: only a malformed cotree carrying
-    # duplicate leaf ids can still differ from 0..n-1 — pack() re-validates
-    # exactly and raises, naming the instance
     return flat
 
 

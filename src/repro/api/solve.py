@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..cograph import CotreeError
 from ..core.batch import Resolved, WorkerPool, resolve_jobs, stream_out
 from ..core.retry import ErrorOutcome, RetryPolicy, WorkerCrashError
 from .adapters import Problem, as_problem
@@ -133,12 +134,15 @@ def solve(problem: Any, task: str = "path_cover", *,
     if not spec.runs_pipeline:
         _reject_pipeline_options(task, opts)
     cache = opts.cache
-    key = cache.key_for(prob, task, opts) if cache is not None else None
-    if key is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return _from_cache(hit, prob)
-    solution = spec.fn(prob, opts)
+    try:
+        key = cache.key_for(prob, task, opts) if cache is not None else None
+        if key is not None:
+            hit = cache.get(key)
+            if hit is not None:
+                return _from_cache(hit, prob)
+        solution = spec.fn(prob, opts)
+    except CotreeError as exc:      # a refused tree: say which task
+        raise CotreeError(f"{task}: {exc}") from None
     for name, value in prob.provenance().items():
         solution.provenance.setdefault(name, value)
     if key is not None:

@@ -60,7 +60,6 @@ from ..cograph import (
     graph_from_md_tree,
     minimum_path_cover_size,
 )
-from ..cograph.cotree import check_vertex_ids
 from ..core import (
     expected_path_count,
     minimum_path_cover_parallel,
@@ -109,7 +108,6 @@ def _cover_body(tree, options: SolveOptions,
     sweep passes a packed :class:`~repro.cograph.FlatForest`, and
     :func:`_covers_per_root` splits the one cover back per instance.
     """
-    check_vertex_ids(tree.leaf_vertex[tree.leaves], "path_cover")
     if options.method == "sequential":
         cotree = tree.to_cotree() if isinstance(tree, FlatCotree) else tree
         cover = sequential_path_cover(cotree)
@@ -205,6 +203,8 @@ def _task_recognition(problem: Problem, options: SolveOptions) -> Solution:
     provenance = {}
     if problem.graph is None:
         # the input already was a cotree, which *is* a cograph certificate
+        # once the validator accepts it
+        problem.pipeline_tree()
         answer = True
         provenance["input_was_cotree"] = True
     else:

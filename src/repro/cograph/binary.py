@@ -189,38 +189,27 @@ class BinaryCotree:
     # validation / conversion
     # ------------------------------------------------------------------ #
 
-    def validate(self) -> None:
-        """Check structural invariants of every tree; raise
-        :class:`CotreeError` on failure."""
+    def validate(self) -> "BinaryCotree":
+        """Return ``self`` if every tree is a full binary cotree, else raise
+        :class:`CotreeError`: :meth:`~repro.cograph.FlatCotree.validate` on
+        the CSR form, two children per internal node, ``2k - t`` nodes."""
         n = self.num_nodes
         if not (len(self.left) == len(self.right) == len(self.parent)
                 == len(self.leaf_vertex) == n):
             raise CotreeError("array length mismatch in BinaryCotree")
-        roots = self.roots
-        if len(roots) == 0 or np.any((roots < 0) | (roots >= n)):
-            raise CotreeError(f"root ids {roots.tolist()[:8]} out of range "
-                              f"for {n} nodes")
-        if np.any(self.parent[roots] != -1):
-            raise CotreeError("root has a parent")
-        for u in range(n):
-            if self.kind[u] == LEAF:
-                if self.left[u] != -1 or self.right[u] != -1:
-                    raise CotreeError(f"leaf {u} has children")
-                if self.leaf_vertex[u] < 0:
-                    raise CotreeError(f"leaf {u} has no vertex id")
-            else:
-                l, r = int(self.left[u]), int(self.right[u])
-                if l == -1 or r == -1:
-                    raise CotreeError(f"internal node {u} is not binary")
-                if self.parent[l] != u or self.parent[r] != u:
-                    raise CotreeError(f"parent pointers inconsistent at {u}")
-        # reachability
-        if len(self.postorder()) != n:
-            raise CotreeError("unreachable nodes in BinaryCotree")
+        from .flat import FlatCotree
+        FlatCotree.from_cotree(self).validate()
+        one_child = (self.kind != LEAF) & ((self.left == -1)
+                                           | (self.right == -1))
+        if one_child.any():
+            raise CotreeError(f"left / right: internal node "
+                              f"{int(np.flatnonzero(one_child)[0])} has one "
+                              f"child (a binary cotree has two)")
         if self.num_vertices >= 1 and \
-                n != 2 * self.num_vertices - len(roots):
+                n != 2 * self.num_vertices - len(self.roots):
             raise CotreeError("a full binary forest over k leaves in t trees "
                               "must have 2k-t nodes")
+        return self
 
     def to_cotree(self) -> Cotree:
         """Convert back to an arbitrary-arity :class:`Cotree` (same shape)."""
@@ -312,11 +301,9 @@ def binarize_cotree(tree: Cotree) -> BinaryCotree:
         if lefts[u] != -1:
             parent[lefts[u]] = u
             parent[rights[u]] = u
-    out = BinaryCotree(np.array(kinds, dtype=np.int8),
-                       np.array(lefts, dtype=np.int64),
-                       np.array(rights, dtype=np.int64),
-                       parent,
-                       np.array(leaf_vertex, dtype=np.int64),
-                       root)
-    out.validate()
-    return out
+    return BinaryCotree(np.array(kinds, dtype=np.int8),
+                        np.array(lefts, dtype=np.int64),
+                        np.array(rights, dtype=np.int64),
+                        parent,
+                        np.array(leaf_vertex, dtype=np.int64),
+                        root)

@@ -68,16 +68,6 @@ def prime_refusal(what: str) -> CotreeError:
         f"the input is a modular decomposition tree with prime nodes")
 
 
-def check_vertex_ids(vertex_ids: np.ndarray, what: str) -> None:
-    """Refuse, naming the first offender, any of ``vertex_ids`` (one per
-    leaf) outside ``0..n-1``: ``what`` indexes its arrays by vertex id."""
-    n = len(vertex_ids)
-    if n and (int(vertex_ids.min()) < 0 or int(vertex_ids.max()) >= n):
-        bad = vertex_ids[(vertex_ids < 0) | (vertex_ids >= n)]
-        raise CotreeError(f"{what}: vertex id {int(bad[0])} is out of range: "
-                          f"vertex ids must be 0..n-1 (n = {n})")
-
-
 # A nested specification of a cotree:  either an ``int`` (a leaf holding that
 # vertex id), the string "v<k>" form is not supported -- just ints -- or a
 # tuple ``(op, child, child, ...)`` where ``op`` is "union"/"0" or "join"/"1".

@@ -33,7 +33,7 @@ from .._dfs import (
     depth_by_doubling as _depth_by_doubling,
     sibling_chain_preorder as _sibling_chain_preorder,
 )
-from .cotree import LEAF, PRIME, Cotree, CotreeError
+from .cotree import JOIN, LEAF, PRIME, Cotree, CotreeError
 
 __all__ = ["FlatCotree", "as_flat_cotree", "canonical_key"]
 
@@ -84,7 +84,7 @@ class FlatCotree:
                  "leaf_vertex", "root", "roots",
                  "q_offset", "q_edge_u", "q_edge_v", "spider",
                  "_leaves", "_internal", "_vertices", "_degrees",
-                 "_has_primes")
+                 "_has_primes", "_depth")
 
     def __init__(self, kind, child_offset, child_index, parent, leaf_vertex,
                  root: int, *, q_offset=None, q_edge_u=None, q_edge_v=None,
@@ -102,12 +102,7 @@ class FlatCotree:
         self._vertices = None
         self._degrees = None
         self._has_primes = None
-        n = len(self.kind)
-        if len(self.child_offset) != n + 1:
-            raise CotreeError("child_offset must have num_nodes + 1 entries")
-        if not (len(self.parent) == n == len(self.leaf_vertex)):
-            raise CotreeError("kind, parent and leaf_vertex must have the "
-                              "same length")
+        self._depth = None
         empty = np.empty(0, dtype=np.int64)
         self.q_offset = empty if q_offset is None else \
             np.asarray(q_offset, dtype=np.int64)
@@ -117,16 +112,6 @@ class FlatCotree:
             np.asarray(q_edge_v, dtype=np.int64)
         self.spider = np.empty(0, dtype=np.int8) if spider is None else \
             np.asarray(spider, dtype=np.int8)
-        if bool(np.any(self.kind == PRIME)):
-            if len(self.q_offset) != n + 1:
-                raise CotreeError("a tree with prime nodes needs a quotient "
-                                  "payload: q_offset must have num_nodes + 1 "
-                                  "entries")
-            if len(self.q_edge_u) != len(self.q_edge_v):
-                raise CotreeError("q_edge_u and q_edge_v must have the same "
-                                  "length")
-            if len(self.spider) != n:
-                raise CotreeError("spider must have one flag per node")
 
     # ------------------------------------------------------------------ #
     # conversions
@@ -149,8 +134,10 @@ class FlatCotree:
             has_r = np.flatnonzero(tree.right != -1)
             index[offset[has_l]] = tree.left[has_l]
             index[offset[has_r] + (tree.left[has_r] != -1)] = tree.right[has_r]
-            return cls(tree.kind, offset, index, tree.parent,
+            flat = cls(tree.kind, offset, index, tree.parent,
                        tree.leaf_vertex, tree.root)
+            flat.roots = tree.roots
+            return flat
         if not isinstance(tree, Cotree):
             raise TypeError(f"cannot convert {type(tree).__name__} to "
                             f"FlatCotree")
@@ -233,6 +220,131 @@ class FlatCotree:
         """Children of ``node`` (a CSR slice view)."""
         return self.child_index[self.child_offset[node]:
                                 self.child_offset[node + 1]]
+
+    @property
+    def depth(self) -> np.ndarray:
+        """Depth of every node by pointer doubling (cached); a cycle of
+        parent pointers raises :class:`CotreeError` naming a node on it."""
+        if self._depth is None:
+            self._depth = _depth_by_doubling(self.parent)
+        return self._depth
+
+    # ------------------------------------------------------------------ #
+    # the structural validator
+    # ------------------------------------------------------------------ #
+
+    def validate(self) -> "FlatCotree":
+        """Return ``self`` if the arrays are a cotree per root, else raise
+        :class:`CotreeError` naming the field and its first offender (one
+        vectorized ``O(n)`` pass: kinds, CSR offsets, index ranges, each
+        node once a child or a root, ``parent`` agreeing, no cycle, leaf
+        ids a permutation of ``0..n_vertices-1``, the quotient payload)."""
+        kind, kids, parent, roots = (self.kind, self.child_index,
+                                     self.parent, self.roots)
+        n, e = len(kind), len(kids)
+        payload = len(self.q_offset) > 0
+        _refuse_outside(kind, "kind", LEAF, PRIME if payload else JOIN,
+                        "" if payload else " (prime kinds need the prime "
+                                           "flag: a quotient payload)")
+        if not len(self.child_offset) == n + 1 == len(parent) + 1 \
+                == len(self.leaf_vertex) + 1:
+            raise CotreeError("kind, parent and leaf_vertex need one entry "
+                              "per node, child_offset num_nodes + 1")
+        if int(self.child_offset[0]) != 0 or int(self.child_offset[-1]) != e:
+            raise CotreeError("child_offset does not span the child_index "
+                              "array")
+        degree, leaf = self.degrees(), kind == LEAF
+        # the masks below are built only on the error path: the reductions
+        # in front of them are the cheap O(n) test
+        if n and (int(degree.min()) < 0 or ((degree == 0) != leaf).any()):
+            _refuse(np.where(leaf, degree != 0, degree < 1), lambda u: (
+                f"child_offset gives {'leaf' if leaf[u] else 'internal'} "
+                f"node {u} {degree[u]} children (a leaf has none, an "
+                f"internal node at least one)"))
+        _refuse_outside(kids, "child_index", 0, n - 1)
+        _refuse_outside(parent, "parent", -1, n - 1)
+        _refuse_outside(roots, "roots", -1, n - 1)
+        roots = roots[roots >= 0]
+        owned = np.zeros(n, dtype=bool)
+        owned[kids] = owned[roots] = True
+        if e + len(roots) != n or not owned.all():
+            owners = np.bincount(np.concatenate([kids, roots]), minlength=n)
+            _refuse(owners != 1, lambda u: (
+                f"child_index / roots: node {u} appears {owners[u]} times "
+                f"(each node must be one node's child or a root, once)"))
+        # internal node u owns child slots child_offset[u] ..
+        # child_offset[u + 1] - 1, in id order: parent[child_index] agrees
+        # iff it reads u at both ends of u's slots and never decreases
+        above, inner = parent[kids], self.internal_nodes
+        if not ((above[self.child_offset[inner]] == inner).all()
+                and (above[self.child_offset[inner + 1] - 1] == inner).all()
+                and (above[1:] >= above[:-1]).all()
+                and (parent[roots] == -1).all()):
+            owner = np.full(n, -1, dtype=np.int64)
+            owner[kids] = np.repeat(np.arange(n, dtype=np.int64), degree)
+            _refuse(parent != owner, lambda u: (
+                f"parent[{u}] = {parent[u]}, but child_index / roots make "
+                f"node {u} " + (f"the child of node {owner[u]}"
+                                if owner[u] >= 0 else "a root")))
+        self.depth                          # refuses a cycle by name
+        vertices = self.leaf_vertex[self.leaves]
+        nv = len(vertices)
+        if nv and (int(vertices.min()) < 0 or int(vertices.max()) >= nv):
+            _refuse((vertices < 0) | (vertices >= nv), lambda i: (
+                f"vertex id {vertices[i]} is out of range: vertex ids must "
+                f"be 0..n-1 (n = {nv}); leaf_vertex[{self.leaves[i]}] = "
+                f"{vertices[i]} is outside 0..{nv - 1}"))
+        seen = np.zeros(nv, dtype=bool)
+        seen[vertices] = True
+        if not seen.all():
+            labels = np.bincount(vertices, minlength=nv)
+            _refuse(labels > 1, lambda v: (
+                f"leaf_vertex: vertex {v} labels {labels[v]} leaves"))
+        if payload:
+            self._validate_quotients(degree)
+        return self
+
+    def _validate_quotients(self, degree: np.ndarray) -> None:
+        """:meth:`validate` on the prime payload: edges only at primes,
+        child-slot pairs ``u < v`` once, spider flags matching the edges."""
+        n, q, eu, ev, spider = (self.num_nodes, self.q_offset, self.q_edge_u,
+                                self.q_edge_v, self.spider)
+        if len(q) != n + 1 or len(eu) != len(ev) or len(spider) != n \
+                or int(q[0]) != 0 or int(q[-1]) != len(eu):
+            raise CotreeError("q_offset / q_edge_u / q_edge_v / spider: a "
+                              "quotient payload has one q_offset slice per "
+                              "node spanning equal-length edge arrays and "
+                              "one spider flag per node")
+        width, prime = np.diff(q), self.kind == PRIME
+        _refuse((width < 0) | ((width != 0) & ~prime), lambda u: (
+            f"q_offset gives {'prime' if prime[u] else 'non-prime'} node {u}"
+            f" {width[u]} quotient edges (only a prime node has any)"))
+        _refuse_outside(spider, "spider", 0, 2)
+        _refuse((spider != 0) & ~prime, lambda u: (
+            f"spider[{u}] = {spider[u]} flags non-prime node {u}"))
+        host = np.repeat(np.arange(n, dtype=np.int64), width)
+        order = np.lexsort((ev, eu, host))
+        twice = np.zeros(len(eu), dtype=bool)
+        twice[order[1:]] = (np.diff(host[order]) == 0) \
+            & (np.diff(eu[order]) == 0) & (np.diff(ev[order]) == 0)
+        # a spider lists exactly md's [feet, body, (head)] layout edges
+        k, thin, flagged = degree // 2, spider == 1, spider != 0
+        kk = k[host]
+        foot = np.where(thin[host], ev == eu + kk,
+                        (ev >= kk) & (ev < 2 * kk) & (ev != eu + kk))
+        _refuse((eu < 0) | (eu >= ev) | (ev >= degree[host]) | twice
+                | (flagged[host] & ~np.where(eu >= kk, ev <= 2 * kk, foot)),
+                lambda i: (
+                    f"q_edge_u / q_edge_v[{i}] = ({eu[i]}, {ev[i]}) is not a "
+                    f"quotient edge of prime node {host[i]}: two of its "
+                    f"{degree[host[i]]} child slots u < v, listed once"
+                    + (", in its spider layout" if flagged[host[i]] else "")))
+        count = k * (k - 1) // 2 + np.where(thin, k, k * (k - 1)) \
+            + degree % 2 * k
+        _refuse(flagged & ((k < 2) | (width != count)), lambda u: (
+            f"spider[{u}] = {spider[u]}, but prime node {u} with {degree[u]} "
+            f"children and {width[u]} quotient edges is no "
+            f"{'thin' if thin[u] else 'thick'} spider"))
 
     # ------------------------------------------------------------------ #
     # modular decomposition payload
@@ -346,11 +458,9 @@ class FlatCotree:
         counts = np.bincount(new_parent[child_nodes], minlength=m)
         offset = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(counts, out=offset[1:])
-        roots = np.flatnonzero(new_parent == -1)
-        if len(roots) != 1:  # pragma: no cover - structural invariant
-            raise CotreeError("canonicalize produced a forest")
         return FlatCotree(new_kind, offset, order, new_parent,
-                          new_leaf_vertex, int(roots[0]))
+                          new_leaf_vertex,
+                          int(np.flatnonzero(new_parent == -1)[0]))
 
     # ------------------------------------------------------------------ #
     # dunder / misc
@@ -375,6 +485,22 @@ class FlatCotree:
 
     def __hash__(self) -> int:
         return hash(canonical_key(self))
+
+
+def _refuse(bad: np.ndarray, message) -> None:
+    """Raise ``CotreeError(message(i))`` at the first ``i`` where ``bad``."""
+    if bad.any():
+        raise CotreeError(message(int(np.flatnonzero(bad)[0])))
+
+
+def _refuse_outside(values: np.ndarray, field: str, lo: int, hi: int,
+                    hint: str = "") -> None:
+    """Refuse any entry of ``values`` outside ``lo..hi`` (two reductions;
+    the offender is located only on the error path)."""
+    if len(values) and (int(values.min()) < lo or int(values.max()) > hi):
+        pos = int(np.flatnonzero((values < lo) | (values > hi))[0])
+        raise CotreeError(f"{field}[{pos}] = {int(values[pos])} is outside "
+                          f"{lo}..{hi}{hint}")
 
 
 def as_flat_cotree(tree) -> FlatCotree:
@@ -494,7 +620,7 @@ def canonical_key(tree) -> Tuple:
         return ("cotree", 0)
     if n == 1:
         return ("cotree", 1, int(flat.leaf_vertex[flat.root]))
-    depth = _depth_by_doubling(flat.parent)
+    depth = flat.depth
     minv = _subtree_min_vertex(flat, depth)
     pre = _preorder_with_sibling_keys(flat.parent, flat.root, minv)
     by_pre = np.empty(n, dtype=np.int64)

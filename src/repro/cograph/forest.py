@@ -39,8 +39,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .cotree import LEAF
-from .flat import FlatCotree, as_flat_cotree
+from .cotree import LEAF, CotreeError
+from .flat import FlatCotree, _refuse, as_flat_cotree
 
 __all__ = ["FlatForest", "pack", "unpack"]
 
@@ -90,6 +90,44 @@ class FlatForest(FlatCotree):
         """Number of packed instances (including empty ones)."""
         return len(self.roots)
 
+    def validate(self) -> "FlatForest":
+        """:meth:`FlatCotree.validate`, plus the pack bookkeeping: one
+        ``node_base`` range per root (empty for ``-1``) that no parent
+        pointer leaves, with ``instance_id`` following it, and
+        ``vertex_base`` / ``leaf_vertex_local`` giving instance ``i`` the
+        local vertex ids ``0..n_i-1``."""
+        super().validate()
+        n, k, roots, kids = (self.num_nodes, self.num_instances, self.roots,
+                             self.child_index)
+        nb, vb, inst = self.node_base, self.vertex_base, self.instance_id
+        size = np.diff(nb)
+        if len(nb) != k + 1 or int(nb[0]) != 0 or int(nb[-1]) != n \
+                or np.any(size < 0) or not np.array_equal(
+                    inst, np.repeat(np.arange(k, dtype=np.int64), size)):
+            raise CotreeError("node_base / instance_id do not split the "
+                              "nodes into one consecutive range per root")
+        _refuse(np.where(size == 0, roots != -1,
+                         (roots < nb[:-1]) | (roots >= nb[1:])), lambda i: (
+            f"roots[{i}] = {roots[i]} is not in instance {i}'s nodes "
+            f"{nb[i]}..{nb[i + 1] - 1}"))
+        _refuse(inst[kids] != inst[self.parent[kids]], lambda s: (
+            f"parent[{kids[s]}] = {self.parent[kids[s]]} links instance "
+            f"{inst[kids[s]]} to another"))
+        leaves = self.leaves
+        owner = inst[leaves]
+        counts = np.bincount(owner, minlength=k)
+        if len(vb) != k + 1 or int(vb[0]) != 0 \
+                or not np.array_equal(np.diff(vb), counts) \
+                or len(self.leaf_vertex_local) != n:
+            raise CotreeError("vertex_base / leaf_vertex_local do not count "
+                              "every instance's leaves")
+        local = self.leaf_vertex_local[leaves]
+        _refuse((local < 0) | (local >= counts[owner])
+                | (self.leaf_vertex[leaves] != local + vb[owner]), lambda i: (
+            f"leaf_vertex_local[{leaves[i]}] = {local[i]} is not "
+            f"leaf_vertex - vertex_base in 0..{counts[owner[i]] - 1}"))
+        return self
+
     def instance_of_vertex(self, vertices) -> np.ndarray:
         """Instance index owning each (global) vertex id."""
         v = np.asarray(vertices, dtype=np.int64)
@@ -112,11 +150,11 @@ class FlatForest(FlatCotree):
 def pack(trees: Sequence) -> FlatForest:
     """Pack a list of cotrees into one :class:`FlatForest`.
 
-    Every input is coerced via :func:`as_flat_cotree`.  Each non-empty
-    instance must use the local vertex ids ``0 .. n_i - 1`` (the same
-    assumption the solo pipeline makes); a :class:`ValueError` names the
-    offending instance otherwise.  Empty instances pack to an empty node
-    range with root ``-1``.
+    Every input is coerced via :func:`as_flat_cotree`, and the packed
+    forest passes :meth:`FlatForest.validate` — one vectorized pass checks
+    every instance (vertex ids ``0 .. n_i - 1`` included); a refusal names
+    the instance at fault.  Empty instances pack to an empty node range
+    with root ``-1``.
     """
     flats = [t if type(t) is FlatCotree else as_flat_cotree(t)
              for t in trees]
@@ -124,6 +162,11 @@ def pack(trees: Sequence) -> FlatForest:
         if f.has_primes:
             raise ValueError(f"instance {i}: modular decomposition trees "
                              f"with prime nodes cannot be forest-packed")
+        # the packed offsets re-derive each instance's CSR span: a wrong
+        # one would be repaired silently, not caught below
+        if len(f.child_offset) != len(f.kind) + 1 or f.child_offset[0] \
+                or f.child_offset[-1] != len(f.child_index):
+            _refuse_instance(i, f)
     k = len(flats)
     num_nodes = np.fromiter((len(f.kind) for f in flats), np.int64, count=k)
     num_edges = np.fromiter((len(f.child_index) for f in flats),
@@ -152,21 +195,8 @@ def pack(trees: Sequence) -> FlatForest:
     vertex_base = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(num_verts, out=vertex_base[1:])
 
-    # validate every instance's vertex universe in one sweep: instance i's
-    # leaf ids must be a permutation of 0..n_i-1, i.e. in range and, once
-    # globally shifted, covering [0, total) exactly once
-    lv = leaf_vertex_local[leaf_pos]
-    in_range = (lv >= 0) & (lv < np.repeat(num_verts, num_verts))
-    shifted = lv + np.repeat(vertex_base[:-1], num_verts)
-    counts = np.bincount(shifted[in_range], minlength=int(vertex_base[-1]))
-    if not in_range.all() or (counts != 1).any():
-        for i, f in enumerate(flats):
-            n_i = f.num_vertices
-            if n_i and not np.array_equal(f.vertices,
-                                          np.arange(n_i, dtype=np.int64)):
-                raise ValueError(
-                    f"instance {i}: vertex ids must be 0..{n_i - 1} to pack "
-                    f"(got {f.vertices.tolist()[:8]}...)")
+    shifted = leaf_vertex_local[leaf_pos] + np.repeat(vertex_base[:-1],
+                                                      num_verts)
 
     raw_roots = np.fromiter((f.root for f in flats), np.int64, count=k)
     roots = np.where(num_nodes > 0, raw_roots + node_base[:-1],
@@ -178,13 +208,27 @@ def pack(trees: Sequence) -> FlatForest:
     child_offset[:-1] = cat([f.child_offset[:-1] for f in flats], np.int64) \
         + np.repeat(edge_base[:-1], num_nodes)
     raw_parent = cat([f.parent for f in flats], np.int64)
-    parent = np.where(raw_parent < 0, np.int64(-1), raw_parent + node_shift)
+    parent = np.where(raw_parent < 0, raw_parent, raw_parent + node_shift)
     leaf_vertex = np.full(total_nodes, -1, dtype=np.int64)
     leaf_vertex[leaf_pos] = shifted
     instance_id = np.repeat(np.arange(k, dtype=np.int64), num_nodes)
-    return FlatForest(kind, child_offset, child_index, parent, leaf_vertex,
-                      roots, instance_id, node_base, vertex_base,
-                      leaf_vertex_local)
+    forest = FlatForest(kind, child_offset, child_index, parent, leaf_vertex,
+                        roots, instance_id, node_base, vertex_base,
+                        leaf_vertex_local)
+    try:
+        return forest.validate()
+    except CotreeError:
+        for i, f in enumerate(flats):       # name the instance at fault
+            _refuse_instance(i, f)
+        raise
+
+
+def _refuse_instance(i: int, tree: FlatCotree) -> None:
+    """Re-raise ``tree``'s validation failure as instance ``i``'s."""
+    try:
+        tree.validate()
+    except CotreeError as exc:
+        raise CotreeError(f"instance {i}: {exc}") from None
 
 
 def unpack(forest: FlatForest) -> List[FlatCotree]:

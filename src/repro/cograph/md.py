@@ -37,7 +37,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._dfs import depth_by_doubling as _depth_by_doubling
 from .cotree import JOIN, LEAF, PRIME, UNION
 from .flat import FlatCotree, as_flat_cotree
 from .graph import Graph
@@ -94,7 +93,7 @@ def graph_from_md_tree(tree) -> Graph:
         return Graph(0)
     leaves = flat.leaves
     n = int(flat.leaf_vertex[leaves].max()) + 1 if len(leaves) else 0
-    depth = _depth_by_doubling(flat.parent)
+    depth = flat.depth
     order = np.argsort(depth, kind="stable")[::-1]          # deepest first
     leafset: List[Optional[np.ndarray]] = [None] * nn
     eu: List[np.ndarray] = []

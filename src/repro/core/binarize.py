@@ -152,11 +152,5 @@ def binarize_parallel(ctx, tree: Union[Cotree, FlatCotree], *,
     if np.any(roots < 0):
         raise CotreeError("cannot binarize an empty instance (root -1)")
     roots_new = rep[roots]
-    out = BinaryCotree(kind_new, left_new, right_new, parent_new,
-                       leaf_vertex_new, int(roots_new[0]), roots_new)
-    if machine.simulates:
-        # the defensive structural check is a sequential Python traversal;
-        # the fidelity path keeps it, the throughput path trusts the
-        # construction (the parity tests cross-check the two).
-        out.validate()
-    return out
+    return BinaryCotree(kind_new, left_new, right_new, parent_new,
+                        leaf_vertex_new, int(roots_new[0]), roots_new)

@@ -55,11 +55,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .._dfs import depth_by_doubling as _depth_by_doubling
 from .._dfs import multiway_numbering as _multiway_numbering
 from ..backends import ExecutionContext, resolve_context
 from ..cograph import FlatCotree, as_flat_cotree
-from ..cograph.cotree import JOIN, LEAF, PRIME, UNION, check_vertex_ids, \
+from ..cograph.cotree import JOIN, LEAF, PRIME, UNION, CotreeError, \
     prime_refusal
 from ..cograph.md import SPIDER_THIN
 from ..primitives.tree_contraction import NEG_INF
@@ -778,7 +777,7 @@ def run_cotree_dp(dp: CotreeDP, tree, ctx=None, *,
     flat = as_flat_cotree(tree)
     n = flat.num_nodes
     if n == 0:
-        raise ValueError(f"cotree DP {dp.name!r} needs a non-empty cotree")
+        raise CotreeError(f"cotree DP {dp.name!r} needs a non-empty cotree")
     tag = label if label is not None else f"dp.{dp.name}"
 
     values = {f: np.empty(n, dtype=dp.dtype) for f in dp.fields}
@@ -795,18 +794,12 @@ def run_cotree_dp(dp: CotreeDP, tree, ctx=None, *,
     internal = flat.internal_nodes
     maps = {UNION: _one_child_map(dp, dp.union),
             JOIN: _one_child_map(dp, dp.join)}
-    deep = None
-    if not context.simulates and prime_choice is None \
-            and None not in maps.values():
-        deep = _contraction_height(n)
-    # the height decides the schedule, so doubling stops once it is known
-    # to reach the contraction threshold
-    depth = _depth_by_doubling(flat.parent, cap=deep)
+    depth = flat.depth
     paths = None
-    if deep is not None and int(depth.max()) >= deep:
+    if not context.simulates and prime_choice is None \
+            and None not in maps.values() \
+            and int(depth.max()) >= _contraction_height(n):
         paths = heavy_paths(flat)
-        if paths is None:
-            depth = _depth_by_doubling(flat.parent)
     if paths is not None:
         rounds = _contract(dp, flat, values, paths, maps)
         return CotreeDPRun(dp=dp, tree=flat, values=values, depth=None,
@@ -853,7 +846,7 @@ def run_cotree_dp_sequential(dp: CotreeDP, tree) -> CotreeDPRun:
     flat = as_flat_cotree(tree)
     n = flat.num_nodes
     if n == 0:
-        raise ValueError(f"cotree DP {dp.name!r} needs a non-empty cotree")
+        raise CotreeError(f"cotree DP {dp.name!r} needs a non-empty cotree")
     values = {f: np.empty(n, dtype=dp.dtype) for f in dp.fields}
     leaves = flat.leaves
     leaf_ids = getattr(flat, "leaf_vertex_local", flat.leaf_vertex)
@@ -862,7 +855,7 @@ def run_cotree_dp_sequential(dp: CotreeDP, tree) -> CotreeDPRun:
         values[f][leaves] = leaf_values[f]
 
     prime_choice = _check_prime_support(dp, flat)
-    depth = _depth_by_doubling(flat.parent)
+    depth = flat.depth
     internal = flat.internal_nodes
     order = internal[np.argsort(-depth[internal], kind="stable")]
     for u in order.tolist():
@@ -1077,7 +1070,6 @@ def class_assignment(run: CotreeDPRun, accumulate_at: int,
 
     leaves = flat.leaves
     vertex_ids = flat.leaf_vertex[leaves]
-    check_vertex_ids(vertex_ids, f"dp.{run.dp.name}")
 
     # the offset shift of every child slot of the CSR array; a node's
     # offset is the sum of the shifts on its root path

@@ -20,16 +20,15 @@ stop paying JSON/text parsing entirely:
   ``application/octet-stream`` bodies reuse them).
 
 Every malformed input — truncated buffer, wrong magic, byte-swapped
-(big-endian) header, unknown version, CRC mismatch, inconsistent lengths,
-and in the body a kind code outside LEAF/UNION/JOIN (PRIME only under the
-prime flag), a ``child_index`` / ``parent`` / forest ``roots`` entry
-outside the node range, a ``child_offset`` that gives a leaf children or
-an internal node none (so it never decreases), a node that is not exactly
-one node's child or a root, or leaf vertex ids that are not a permutation
-of ``0..n_vertices-1`` — raises :class:`ValueError` with a message naming
-the offending field; the decoder never crashes into NumPy index errors.
-The body checks are O(n) vectorized scans.  Parent/child agreement and
-acyclicity are not checked.
+(big-endian) header, unknown version, CRC mismatch, inconsistent lengths —
+raises :class:`ValueError` with a message naming the offending field; so
+does a body that is not a cotree (a forest of them in the forest
+container), as :meth:`~repro.cograph.FlatCotree.validate` decides in one
+O(n) vectorized pass: kind codes (PRIME only under the prime flag), CSR
+offsets, index ranges, each node one node's child or a root, parent/child
+agreement, acyclicity, the leaf vertex permutation, the quotient payload
+and the forest bookkeeping.  The decoder never crashes into NumPy index
+errors, and a decoded tree is never checked again.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import BinaryIO, Iterator, Union
 
 import numpy as np
 
-from ..cograph.cotree import JOIN, LEAF, PRIME
+from ..cograph.cotree import CotreeError
 from ..cograph.flat import FlatCotree
 from ..cograph.forest import FlatForest
 
@@ -138,61 +137,6 @@ def _fail(what: str) -> ValueError:
     return ValueError(f"invalid wire buffer: {what}")
 
 
-def _check_range(values: np.ndarray, field: str, lo: int, hi: int,
-                 hint: str = "") -> None:
-    """Refuse any entry of ``values`` outside ``lo..hi`` (two O(n)
-    reductions; the failing entry is located only on the error path)."""
-    if len(values) and (int(values.min()) < lo or int(values.max()) > hi):
-        pos = int(np.flatnonzero((values < lo) | (values > hi))[0])
-        raise _fail(f"{field}[{pos}] = {int(values[pos])} is outside "
-                    f"{lo}..{hi}{hint}")
-
-
-def _check_structure(tree: WireTree) -> None:
-    """Refuse a decoded body whose CSR arrays do not describe trees over
-    one vertex permutation: O(n) passes whose degree and leaf arrays stay
-    cached on the tree; the offender is located only on the error path."""
-    kind, child_index = tree.kind, tree.child_index
-    n, e = len(kind), len(child_index)
-    if n and (int(tree.child_offset[0]) != 0
-              or int(tree.child_offset[-1]) != e):
-        raise _fail("child_offset does not span the child_index array")
-    # a leaf has no children, an internal node at least one: so
-    # child_offset never decreases
-    degree = tree.degrees()
-    leaf = kind == LEAF
-    if n and (int(degree.min()) < 0 or bool(np.any((degree == 0) != leaf))):
-        u = int(np.flatnonzero(np.where(leaf, degree != 0, degree < 1))[0])
-        raise _fail(f"child_offset gives {'leaf' if leaf[u] else 'internal'}"
-                    f" node {u} {int(degree[u])} children (a leaf has none, "
-                    f"an internal node at least one)")
-    # n entries that reach every node reach each one once
-    roots = tree.roots[tree.roots >= 0]
-    owned = np.zeros(n, dtype=bool)
-    owned[child_index] = True
-    owned[roots] = True
-    if e + len(roots) != n or not owned.all():
-        owners = np.bincount(child_index, minlength=n) \
-            + np.bincount(roots, minlength=n)
-        u = int(np.flatnonzero(owners != 1)[0])
-        raise _fail(f"child_index / roots: node {u} appears "
-                    f"{int(owners[u])} times (each node must be one node's "
-                    f"child or a root, once)")
-    leaves = tree.leaves
-    vertices = tree.leaf_vertex[leaves]
-    nv = len(leaves)
-    if nv and (int(vertices.min()) < 0 or int(vertices.max()) >= nv):
-        at = int(np.flatnonzero((vertices < 0) | (vertices >= nv))[0])
-        raise _fail(f"leaf_vertex[{int(leaves[at])}] = {int(vertices[at])} "
-                    f"is outside 0..{nv - 1} (one vertex id per leaf)")
-    seen = np.zeros(nv, dtype=bool)
-    seen[vertices] = True
-    if not seen.all():
-        v = int(np.argmax(np.bincount(vertices, minlength=nv)))
-        raise _fail(f"leaf_vertex: vertex {v} labels "
-                    f"{int(np.sum(vertices == v))} leaves")
-
-
 def from_bytes(buf) -> WireTree:
     """Decode wire bytes into a :class:`FlatCotree` / :class:`FlatForest`.
 
@@ -266,28 +210,19 @@ def from_bytes(buf) -> WireTree:
                                 offset=offset))
         offset += length
 
-    # the CRC covers only the header: range-check the body's kind codes and
-    # node indices so a bad buffer is refused here, not answered wrongly or
-    # crashed into a NumPy IndexError downstream
-    kind = i8[0]
-    _check_range(kind, "kind", LEAF, PRIME if has_prime else JOIN,
-                 "" if has_prime else " (prime kinds need the prime flag)")
-    _check_range(i64[1], "child_index", 0, n - 1)
-    _check_range(i64[2], "parent", -1, n - 1)
-    child_offset, child_index, parent, leaf_vertex = i64[:4]
+    # the CRC covers only the header: the body goes through the one
+    # structural validator, so a bad buffer is refused here, not answered
+    # wrongly or crashed into a NumPy IndexError downstream
     if is_forest:
-        _check_range(i64[4], "roots", -1, n - 1)
-        out: WireTree = FlatForest(kind, child_offset, child_index, parent,
-                                   leaf_vertex, *i64[4:])
-    elif has_prime:
-        q_offset, q_edge_u, q_edge_v = i64[4:]
-        out = FlatCotree(kind, child_offset, child_index, parent,
-                         leaf_vertex, root, q_offset=q_offset,
-                         q_edge_u=q_edge_u, q_edge_v=q_edge_v, spider=i8[1])
+        out: WireTree = FlatForest(i8[0], *i64)
     else:
-        out = FlatCotree(kind, child_offset, child_index, parent,
-                         leaf_vertex, root)
-    _check_structure(out)
+        payload = dict(zip(("q_offset", "q_edge_u", "q_edge_v", "spider"),
+                           i64[4:] + i8[1:]))
+        out = FlatCotree(i8[0], *i64[:4], root, **payload)
+    try:
+        out.validate()
+    except CotreeError as exc:
+        raise _fail(str(exc)) from None
     return out
 
 

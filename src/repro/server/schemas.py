@@ -273,18 +273,6 @@ def _parse_query_defaults(query: str) -> Tuple[str, SolveOptions]:
     return task, options
 
 
-def _wire_problem(payload: bytes, task: str, field_name: str) -> Problem:
-    """Adapt one wire buffer; forests are a batch shape, not a solve."""
-    problem = _parse_problem(payload, task, field_name)
-    from ..cograph.forest import FlatForest
-    if isinstance(problem.tree, FlatForest):
-        raise SchemaError.single(
-            field_name, "a forest wire container holds many instances; "
-                        "send it to /v1/solve_batch as framed trees, or "
-                        "one tree per request here")
-    return problem
-
-
 def parse_wire_solve_request(body: bytes, query: str = "") -> SolveRequest:
     """Validate one binary ``/v1/solve`` body (a single wire buffer).
 
@@ -297,7 +285,7 @@ def parse_wire_solve_request(body: bytes, query: str = "") -> SolveRequest:
         raise SchemaError.single(
             "body", "request body is required (a repro wire buffer; see "
                     "repro.io.wire.to_bytes)")
-    problem = _wire_problem(body, task, "body")
+    problem = _parse_problem(body, task, "body")
     return SolveRequest(problem=problem, task=task, options=options)
 
 
@@ -330,7 +318,7 @@ def parse_wire_batch_request(body: bytes, query: str = "", *,
     for i, payload in enumerate(payloads):
         try:
             requests.append(SolveRequest(
-                problem=_wire_problem(payload, task, f"frames[{i}]"),
+                problem=_parse_problem(payload, task, f"frames[{i}]"),
                 task=task, options=options))
         except SchemaError as exc:
             errors.extend(exc.errors)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from repro.cograph import (
@@ -19,6 +20,13 @@ from repro.cograph import (
     threshold_cograph,
     union_of_cliques,
 )
+
+#: the CI fuzz-smoke job's budget for tests/test_fuzz_validator.py
+#: (``pytest --hypothesis-profile=fuzz-smoke``): fixed, not random, and
+#: bounded to run in under two minutes
+settings.register_profile(
+    "fuzz-smoke", max_examples=500, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
 
 # --------------------------------------------------------------------------- #
 # deterministic example instances

@@ -354,9 +354,10 @@ def test_path_cover_refuses_foreign_vertex_ids_by_name(engine):
     # the lone leaf too, as chromatic_number refuses it
     with pytest.raises(CotreeError, match="vertex id 5 is out of range"):
         solve("5", **engine)
-    # the tasks that never index by vertex id keep answering
-    assert solve(Cotree.from_nested(SPARSE), "max_clique",
-                 **engine).answer["vertices"] == [2, 7]
+    # so do the tasks that never index by vertex id
+    with pytest.raises(CotreeError, match=r"max_clique: vertex id 7 is out "
+                                          r"of range"):
+        solve(Cotree.from_nested(SPARSE), "max_clique", **engine)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

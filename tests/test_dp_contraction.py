@@ -427,7 +427,9 @@ def test_lone_leaf_with_a_foreign_id_is_refused_by_name(task):
     assert isinstance(CotreeError("x"), ValueError)
 
 
-def test_lone_leaf_keeps_its_id_on_the_other_tasks():
-    assert solve("5", task="max_clique").answer["vertices"] == [5]
-    assert solve("5", task="path_cover_size").answer == 1
-    assert solve("5", task="count_independent_sets").answer["count"] == 2
+def test_lone_leaf_is_refused_by_the_other_tasks_too():
+    # one input, one behaviour: the validator refuses ids outside 0..n-1
+    # for every task, not only those that index by vertex id
+    for task in ("max_clique", "path_cover_size", "count_independent_sets"):
+        with pytest.raises(CotreeError, match=r"vertex id 5 .*0\.\.n-1"):
+            solve("5", task=task)

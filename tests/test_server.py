@@ -514,15 +514,18 @@ class TestDispatch:
                        for task in ("chromatic_number", "clique_cover") * 3]
             clique = await app.dispatch("POST", "/v1/solve",
                                         solve_body("5", task="max_clique"))
-            return refused, clique, app.breaker.snapshot()
+            valid = await app.dispatch("POST", "/v1/solve", solve_body())
+            return refused, clique, valid, app.breaker.snapshot()
 
-        refused, clique, breaker = run_app(scenario)
+        refused, clique, valid, breaker = run_app(scenario)
         assert [r.status for r in refused] == [400] * 6
         error = refused[0].json()["error"]
         assert "vertex id 5" in error["message"]
         assert "vertex ids must be 0..n-1" in error["message"]
-        assert clique.status == 200
-        assert clique.json()["answer"]["vertices"] == [5]
+        # every task refuses the foreign id alike
+        assert clique.status == 400
+        assert "vertex id 5" in clique.json()["error"]["message"]
+        assert valid.status == 200
         assert breaker["state"] == "closed"
         assert breaker["consecutive_failures"] == 0
 
