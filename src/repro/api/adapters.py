@@ -76,6 +76,11 @@ class Problem:
         was a bit vector.
     source:
         free-form origin note (e.g. the JSON file path).
+    digest:
+        a digest of the exact spelling the instance arrived in, set by the
+        server's request parsers; :meth:`SolutionCache.key_for
+        <repro.api.SolutionCache.key_for>` keys on it instead of the
+        canonical cotree form when present.
     """
 
     source_format: str
@@ -83,6 +88,7 @@ class Problem:
     graph: Optional[Graph] = None
     instance: Optional[LowerBoundInstance] = None
     source: Optional[str] = None
+    digest: Optional[bytes] = None
     _cached_tree: Optional[TreeLike] = field(default=None, repr=False)
     _checked_tree: Optional[TreeLike] = field(default=None, repr=False)
     _cached_md: Optional[FlatCotree] = field(default=None, repr=False)
@@ -97,12 +103,13 @@ class Problem:
             when the underlying graph is not a cograph.
         """
         if self._cached_tree is None:
-            if isinstance(self.tree, FlatCotree):
-                self._cached_tree = self.tree.to_cotree()
-            elif self.tree is not None:
-                self._cached_tree = self.tree
-            elif self.instance is not None:
+            tree = self.tree if self.tree is not None else self._checked_tree
+            if self.instance is not None:
                 self._cached_tree = self.instance.cotree
+            elif isinstance(tree, FlatCotree):
+                self._cached_tree = tree.to_cotree()
+            elif tree is not None:
+                self._cached_tree = tree
             elif self.graph is not None:
                 self._cached_tree = cotree_from_graph(self.graph)
             else:  # pragma: no cover - constructors always set one
@@ -120,6 +127,17 @@ class Problem:
             self._checked_tree = (tree if isinstance(tree, BinaryCotree)
                                   else as_flat_cotree(tree)).validate()
         return self._checked_tree
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle one tree form: once :meth:`pipeline_tree` has checked a
+        :class:`FlatCotree`, it travels in place of the object cotree it
+        came from, so a worker gets the checked tree and nothing twice."""
+        state = dict(self.__dict__)
+        if isinstance(self._checked_tree, FlatCotree):
+            state["_cached_tree"] = None
+            if isinstance(self.tree, Cotree):
+                state["tree"] = self._checked_tree
+        return state
 
     def decomposition_tree(self) -> TreeLike:
         """The tree an MD-capable task should consume.

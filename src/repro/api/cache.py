@@ -1,12 +1,20 @@
 """An LRU cache of :class:`~repro.api.Solution` values.
 
-Repeat traffic — the "millions of users" scenario of the ROADMAP — often
-re-asks *identical* instances: the same cotree arriving as text, as JSON,
-or with its children listed in a different order.  :class:`SolutionCache`
-keys solved instances on a **canonical cotree form** (canonicalised, with
-children sorted), so all those spellings hit the same entry, together with
-the task name and the full option set (two configurations never share an
-answer).
+Repeat traffic often re-asks *identical* instances.  :class:`SolutionCache`
+keys a solved instance, together with the task name and the full option
+set (two configurations never share an answer), on one of two forms:
+
+* **the canonical cotree form** (canonicalised, children sorted) — what a
+  library caller's :func:`~repro.api.solve`, :func:`~repro.api.solve_many`
+  and :func:`~repro.api.solve_forest` key on, so the same cotree arriving
+  as text, as JSON or with its children listed in a different order hits
+  the same entry;
+* **the spelling** — a digest of the exact text, JSON value or wire bytes
+  the instance arrived in, carried by ``Problem.digest``.  The server
+  (`repro.server`) sets it on every batch record and keys single solves
+  on a digest of the whole request, looked up before the body is parsed.
+  Only a verbatim repeat hits such a key; computing it never flattens,
+  validates or canonicalises a tree.
 
 Wire a cache through :class:`~repro.api.SolveOptions`::
 
@@ -23,9 +31,9 @@ Stored and returned solutions each have their own ``provenance`` dict,
 but ``answer``/``cover`` are shared objects — treat them as immutable.
 
 The cache is **thread-safe**: one lock serialises the LRU bookkeeping, so
-the server (`repro.server`) can share a single cache between the event
-loop and its batch worker threads.  It still must not cross *process*
-boundaries — the stream fan-out keeps it parent-side for that reason.
+the server can share a single cache between the event loop and its batch
+worker threads.  It still must not cross *process* boundaries — the
+stream fan-out keeps it parent-side for that reason.
 """
 
 from __future__ import annotations
@@ -95,8 +103,10 @@ class SolutionCache:
     def key_for(self, problem, task: str, options) -> Optional[Tuple]:
         """The cache key of one adapted problem, or ``None`` if uncacheable.
 
-        Bit-vector (lower-bound) instances key on their bits; everything
-        else keys on :func:`canonical_cotree_key` of the instance's cotree.
+        A problem carrying a spelling ``digest`` keys on it and nothing
+        else is computed.  Otherwise bit-vector (lower-bound) instances
+        key on their bits and everything else keys on
+        :func:`canonical_cotree_key` of the instance's cotree.
         A graph input that is not a cograph has no cotree — for an
         MD-capable task those key on the canonical form of the modular
         decomposition tree (prime quotients included, see
@@ -104,8 +114,10 @@ class SolutionCache:
         they return ``None`` and bypass the cache (the ``recognition``
         task still answers ``False`` for them).
         """
-        if problem.instance is not None:
-            problem_key: Tuple = (
+        if problem.digest is not None:
+            problem_key: Tuple = ("spelling", problem.digest)
+        elif problem.instance is not None:
+            problem_key = (
                 "bits", tuple(int(b) for b in problem.instance.bits))
         else:
             try:
@@ -124,29 +136,35 @@ class SolutionCache:
     # the mapping
     # ------------------------------------------------------------------ #
 
-    def get(self, key: Tuple):
+    def get(self, key: Tuple, *, count_miss: bool = True):
         """The cached solution for ``key`` (refreshed as most recent), or
-        ``None``.  Counts the lookup as a hit or a miss."""
+        ``None``.  Counts the lookup as a hit or a miss; with
+        ``count_miss=False`` a miss is left for :meth:`put` to count, for
+        a caller that looks up before it knows the request is valid."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
+                if count_miss:
+                    self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
             return entry
 
-    def put(self, key: Tuple, solution) -> None:
+    def put(self, key: Tuple, solution, *, miss: bool = False) -> None:
         """Store ``solution`` under ``key``, evicting the LRU entry when
-        full.  The stored copy is machine-free and cache-free (so it
-        pickles without dragging this cache along) and has its own
-        ``provenance`` dict, so later mutations of the caller's solution
-        never reach future hits."""
+        full; ``miss=True`` also counts the miss a ``get(key,
+        count_miss=False)`` left uncounted.  The stored copy is
+        machine-free and cache-free (so it pickles without dragging this
+        cache along) and has its own ``provenance`` dict, so later
+        mutations of the caller's solution never reach future hits."""
         entry = replace(
             solution, machine=None,
             options=solution.options.with_(cache=None),
             provenance=dict(solution.provenance))
         with self._lock:
+            if miss:
+                self.misses += 1
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:

@@ -88,17 +88,25 @@ def _reject_pipeline_options(task: str, options: SolveOptions) -> None:
 _CALL_PROVENANCE = ("batch_index", "source", "source_format", "cache",
                     "route")
 
+#: the call provenance that describes the input; a verbatim repeat of the
+#: stored call arrived the same way, so its hit keeps these.
+_INPUT_PROVENANCE = ("source", "source_format")
+
 #: instances buffered per forest sweep by the ``batch_small`` stream
 #: routing — large enough to amortise the packed pass, small enough to
 #: keep the stream flowing.
 _FOREST_FLUSH = 1024
 
 
-def _from_cache(hit: Solution, prob: Problem) -> Solution:
-    """A copy of a cached solution, re-attributed to *this* call's input."""
+def _from_cache(hit: Solution, prob: Optional[Problem] = None) -> Solution:
+    """A copy of a cached solution, re-attributed to *this* call's input;
+    ``prob=None`` marks a verbatim repeat of the stored call, which keeps
+    the stored input provenance."""
     provenance = {k: v for k, v in hit.provenance.items()
-                  if k not in _CALL_PROVENANCE}
-    provenance.update(prob.provenance())
+                  if k not in _CALL_PROVENANCE
+                  or (prob is None and k in _INPUT_PROVENANCE)}
+    if prob is not None:
+        provenance.update(prob.provenance())
     provenance["cache"] = "hit"
     return replace(hit, provenance=provenance)
 

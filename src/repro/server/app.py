@@ -76,6 +76,7 @@ from .schemas import (
     parse_solve_request,
     parse_wire_batch_request,
     parse_wire_solve_request,
+    spelling_digest,
 )
 from .settings import Settings
 
@@ -348,23 +349,14 @@ class ServerApp:
         }
 
     async def _handle_solve(self, req: SolveRequest) -> Solution:
-        worker_opts = req.options
-        key = None
-        if self.cache is not None:
-            key = self.cache.key_for(req.problem, req.task, worker_opts)
-            if key is not None:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    return _from_cache(hit, req.problem)
+        """Solve one request the cache could not answer.  The problem
+        travels unflattened: the worker checks its tree once."""
         solution = await self._admitted_call(
-            _solve_payload, (req.problem, req.task, worker_opts))
+            _solve_payload, (req.problem, req.task, req.options))
         for name, value in req.problem.provenance().items():
             solution.provenance.setdefault(name, value)
         solution.provenance.setdefault(
             "route", "serial" if self.pool.serial else "pool")
-        if key is not None:
-            solution.provenance["cache"] = "miss"
-            self.cache.put(key, solution)
         return solution
 
     def _batch_worker(self, requests: List[SolveRequest]) -> List[Dict]:
@@ -455,12 +447,28 @@ class ServerApp:
                 if self._draining:   # even cache hits refuse during drain
                     raise HTTPError(503, "server is draining; "
                                          "not accepting work")
-                req = (parse_wire_solve_request(body, query) if binary_body
-                       else parse_solve_request(_parse_json_body(body)))
-                task_label = req.task
-                solution = await self._handle_solve(req)
-                solution.provenance.setdefault(
-                    "request_id", request_id_var.get())
+                # the cache keys on what the client sent, looked up before
+                # any parse; a miss counts only once the request solves
+                key = hit = None
+                if self.cache is not None:
+                    key = ("request", spelling_digest(
+                        path.encode("utf8"),
+                        b"wire" if binary_body else b"json",
+                        query.encode("utf8", "surrogatepass"), body))
+                    hit = self.cache.get(key, count_miss=False)
+                if hit is not None:
+                    task_label = hit.task
+                    solution = _from_cache(hit)
+                else:
+                    req = (parse_wire_solve_request(body, query)
+                           if binary_body
+                           else parse_solve_request(_parse_json_body(body)))
+                    task_label = req.task
+                    solution = await self._handle_solve(req)
+                    if key is not None:
+                        solution.provenance["cache"] = "miss"
+                        self.cache.put(key, solution, miss=True)
+                solution.provenance["request_id"] = request_id_var.get()
                 response = _json_response(200, solution.to_json_dict())
             elif path == "/v1/solve_batch":
                 if method != "POST":

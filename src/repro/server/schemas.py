@@ -30,6 +30,13 @@ binary body has nowhere to put them.  Wire bytes are decoded entirely
 in memory — they never touch the server's filesystem, preserving the
 no-file-paths stance above.
 
+Every batch record's :class:`~repro.api.adapters.Problem` carries a digest
+of its own spelling (``Problem.digest``): the text of a cotree-text record,
+the compact ``sort_keys`` dump of a JSON value, the bytes of a wire frame.
+The server's :class:`~repro.api.SolutionCache` keys records on it, so a
+record repeated verbatim across batches hits without its tree ever being
+canonicalised.
+
 Validation failures never raise bare exceptions at the caller: they
 collect into a :class:`SchemaError` holding *field-level* records
 (``[{"field": "options.backend", "error": "..."}]``) that the app layer
@@ -38,6 +45,7 @@ returns as a structured ``400`` body.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -86,6 +94,30 @@ class SolveRequest:
     problem: Problem
     task: str = "path_cover"
     options: SolveOptions = field(default_factory=SolveOptions)
+
+
+def spelling_digest(*parts: bytes) -> bytes:
+    """A 256-bit BLAKE2b digest of ``parts``, each length-prefixed so no
+    two sequences of parts spell the same input."""
+    digest = hashlib.blake2b(digest_size=32)
+    for part in parts:
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return digest.digest()
+
+
+def _record_digest(value: Any) -> Optional[bytes]:
+    """The spelling digest of one batch record's problem value: its text,
+    or the compact ``sort_keys`` dump of a JSON value.  ``None`` for a
+    value no JSON document carries (an in-process caller's object), which
+    then keys on its canonical form."""
+    if isinstance(value, str):
+        return spelling_digest(b"text", value.encode("utf8", "surrogatepass"))
+    try:
+        dump = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError, RecursionError):
+        return None
+    return spelling_digest(b"json", dump.encode("ascii"))
 
 
 def _parse_options(data: Any, field_name: str) -> SolveOptions:
@@ -221,12 +253,16 @@ def parse_batch_request(data: Any, *, max_batch: int) -> List[SolveRequest]:
     requests: List[SolveRequest] = []
     for i, record in enumerate(records):
         try:
-            requests.append(parse_solve_request(
+            request = parse_solve_request(
                 record, prefix=f"problems[{i}]",
                 default_task=default_task,
-                default_options=default_options))
+                default_options=default_options)
         except SchemaError as exc:
             errors.extend(exc.errors)
+            continue
+        request.problem.digest = _record_digest(
+            record["problem"] if isinstance(record, dict) else record)
+        requests.append(request)
     if errors:
         raise SchemaError(errors)
     return requests
@@ -317,11 +353,13 @@ def parse_wire_batch_request(body: bytes, query: str = "", *,
     requests: List[SolveRequest] = []
     for i, payload in enumerate(payloads):
         try:
-            requests.append(SolveRequest(
-                problem=_parse_problem(payload, task, f"frames[{i}]"),
-                task=task, options=options))
+            problem = _parse_problem(payload, task, f"frames[{i}]")
         except SchemaError as exc:
             errors.extend(exc.errors)
+            continue
+        problem.digest = spelling_digest(b"wire", payload)
+        requests.append(SolveRequest(problem=problem, task=task,
+                                     options=options))
     if errors:
         raise SchemaError(errors)
     return requests

@@ -9,6 +9,8 @@ size plus a validated cover where recognition rebuilds the canonical cotree
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.cograph import (
     binarize_cotree,
     clique,
     minimum_path_cover_size,
+    random_cotree,
 )
 from repro.core import LowerBoundInstance
 from repro.io import cotree_to_json, cotree_to_text, graph_to_json, save_json
@@ -197,6 +200,31 @@ def test_provenance_reports_the_source():
     sol = solve("(0 * (1 + 2))")
     assert sol.provenance["source_format"] == "text"
     assert sol.provenance["num_vertices"] == 3
+
+
+def test_a_checked_problem_pickles_one_tree_form():
+    # a pool worker gets the checked flat tree, never it and the object
+    # cotree it was flattened from
+    prob = as_problem(cotree_to_text(random_cotree(100, seed=1)))
+    flat = prob.pipeline_tree()
+    assert len(pickle.dumps(prob)) < len(pickle.dumps(flat)) + 512
+    clone = pickle.loads(pickle.dumps(prob))
+    assert clone.num_vertices == 100
+    assert clone.provenance() == prob.provenance()
+    assert clone.pipeline_tree() is clone.tree        # arrives checked
+    assert solve(clone, backend="fast").answer.paths == \
+        solve(prob, backend="fast").answer.paths
+
+
+def test_a_checked_graph_problem_pickles_the_graph_and_the_flat_tree():
+    graph = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])     # C4, a cograph
+    prob = as_problem(graph)
+    flat = prob.pipeline_tree()
+    assert len(pickle.dumps(prob)) < \
+        len(pickle.dumps(graph)) + len(pickle.dumps(flat)) + 512
+    clone = pickle.loads(pickle.dumps(prob))
+    assert solve(clone, "recognition").answer is True
+    assert solve(clone, backend="fast").num_paths == 1
 
 
 # --------------------------------------------------------------------------- #

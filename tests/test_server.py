@@ -797,6 +797,205 @@ class TestBinaryDispatch:
         assert 'repro_request_seconds_count{task="path_cover"} 2' in text
 
 
+class TestRequestCache:
+    """The server's cache keys on what the client sent: a verbatim repeat
+    hits before any parse, a respelled instance is a fresh entry, and no
+    request computes the canonical cotree key."""
+
+    OCTET = {"content-type": "application/octet-stream"}
+
+    def test_verbatim_repeat_hits_without_calling_the_parser(
+            self, monkeypatch):
+        import repro.server.app as app_module
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return parse_solve_request(*args, **kwargs)
+
+        monkeypatch.setattr(app_module, "parse_solve_request", counting)
+
+        async def scenario(app):
+            first = await app.dispatch("POST", "/v1/solve", solve_body())
+            second = await app.dispatch("POST", "/v1/solve", solve_body())
+            return first.json(), second.json(), app.cache.stats()
+
+        first, second, stats = run_app(scenario)
+        assert len(calls) == 1
+        assert first["provenance"]["cache"] == "miss"
+        assert second["provenance"]["cache"] == "hit"
+        assert second["answer"] == first["answer"]
+        # the stored input provenance stands; the call's route does not
+        assert second["provenance"]["source_format"] == "text"
+        assert second["provenance"]["num_vertices"] == 3
+        assert "route" not in second["provenance"]
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+
+    def test_respelled_requests_miss(self):
+        record = {"problem": SMALL, "task": "path_cover"}
+        bodies = [json.dumps(record).encode(),
+                  json.dumps(record, indent=2).encode(),       # whitespace
+                  json.dumps(dict(reversed(record.items()))).encode(),
+                  solve_body("(0 + (1*2))", task="path_cover")]
+
+        async def scenario(app):
+            responses = [await app.dispatch("POST", "/v1/solve", body)
+                         for body in bodies]
+            return [r.json() for r in responses], app.cache.stats()
+
+        solutions, stats = run_app(scenario)
+        assert [s["provenance"]["cache"] for s in solutions] == \
+            ["miss"] * 4
+        assert len({json.dumps(s["answer"]) for s in solutions}) == 1
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 4, 4)
+
+    def test_same_wire_body_with_other_options_misses(self):
+        fast = "/v1/solve?options=" + urllib.parse.quote(
+            json.dumps({"backend": "fast"}))
+
+        async def scenario(app):
+            return [(await app.dispatch("POST", target, wire_buf(),
+                                        self.OCTET)).json()
+                    for target in ("/v1/solve", fast, fast)]
+
+        default, first_fast, second_fast = run_app(scenario)
+        assert [s["provenance"]["cache"] for s in
+                (default, first_fast, second_fast)] == ["miss", "miss", "hit"]
+        assert default["backend"] == "pram"
+        assert first_fast["backend"] == second_fast["backend"] == "fast"
+
+    def test_json_and_octet_bodies_never_share_an_entry(self):
+        async def scenario(app):
+            responses = [
+                await app.dispatch("POST", "/v1/solve", solve_body()),
+                await app.dispatch("POST", "/v1/solve", solve_body(),
+                                   self.OCTET),
+                await app.dispatch("POST", "/v1/solve", wire_buf(),
+                                   self.OCTET),
+                await app.dispatch("POST", "/v1/solve", wire_buf()),
+            ]
+            return [r.status for r in responses], app.cache.stats()
+
+        statuses, stats = run_app(scenario)
+        assert statuses == [200, 400, 200, 400]
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 2, 2)
+
+    def test_refused_requests_are_not_cache_misses(self):
+        sparse = cotree_to_json(Cotree.from_nested(("union", 0,
+                                                    ("join", 2, 7))))
+
+        async def scenario(app):
+            statuses = [(await app.dispatch("POST", "/v1/solve", body)).status
+                        for body in (b"", b"{not json",
+                                     solve_body(task="nope"),
+                                     solve_body(sparse), solve_body(sparse))]
+            return statuses, app.cache.stats()
+
+        statuses, stats = run_app(scenario)
+        assert statuses == [400] * 5
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 0, 0)
+
+    def test_record_repeated_across_batches_hits(self):
+        path = [[0, 1], [1, 2]]
+
+        def batch(*records):
+            return json.dumps(list(records)).encode()
+
+        async def scenario(app):
+            bodies = [
+                (batch(SMALL, {"problem": {"0": [1], "1": [0, 2]},
+                               "task": "max_clique"}), {}),
+                (batch("(0 * 1)", SMALL,
+                       {"problem": {"1": [0, 2], "0": [1]},
+                        "task": "max_clique"},
+                       {"problem": path, "task": "max_clique"}), {}),
+                (wire_frame(wire_buf()), self.OCTET),
+                (wire_frame(wire_buf("(0 * 1)")) + wire_frame(wire_buf()),
+                 self.OCTET),
+            ]
+            return [(await app.dispatch("POST", "/v1/solve_batch", body,
+                                        headers)).json()["solutions"]
+                    for body, headers in bodies]
+
+        first, second, wire_first, wire_second = run_app(scenario)
+        caches = [[s["provenance"]["cache"] for s in solutions]
+                  for solutions in (first, second, wire_first, wire_second)]
+        # a JSON value keys on its sort_keys dump: the adjacency dict
+        # listed in another key order is the same spelling
+        assert caches == [["miss", "miss"], ["miss", "hit", "hit", "miss"],
+                          ["miss"], ["miss", "hit"]]
+        assert second[1]["answer"] == first[0]["answer"]
+        assert second[1]["provenance"]["batch_index"] == 1
+        assert wire_second[1]["provenance"]["source_format"] == "wire"
+
+    def test_hit_carries_its_own_request_id(self):
+        async def scenario(app):
+            out = []
+            for rid in ("first-request", "second-request"):
+                token = request_id_var.set(rid)
+                try:
+                    out.append((await app.dispatch(
+                        "POST", "/v1/solve", solve_body())).json())
+                finally:
+                    request_id_var.reset(token)
+            return out
+
+        first, second = run_app(scenario)
+        assert second["provenance"]["cache"] == "hit"
+        assert first["provenance"]["request_id"] == "first-request"
+        assert second["provenance"]["request_id"] == "second-request"
+
+    def test_draining_server_refuses_byte_hits(self):
+        async def scenario(app):
+            first = await app.dispatch("POST", "/v1/solve", solve_body())
+            app.begin_drain()
+            again = await app.dispatch("POST", "/v1/solve", solve_body())
+            return first.status, again.status, app.cache.stats()
+
+        first, again, stats = run_app(scenario)
+        assert (first, again) == (200, 503)
+        assert stats["hits"] == 0
+
+    def test_no_request_computes_the_canonical_key(self, monkeypatch):
+        import repro.api.cache
+        import repro.cograph.flat
+
+        def refuse(tree):
+            raise AssertionError("canonical_key ran on a server request")
+
+        monkeypatch.setattr(repro.api.cache, "canonical_key", refuse)
+        monkeypatch.setattr(repro.cograph.flat, "canonical_key", refuse)
+        big = cotree_to_text(random_cotree(100, seed=3))    # > batch_small
+        p4 = [[0, 1], [1, 2], [2, 3]]
+        singles = [solve_body(), solve_body(), solve_body(big),
+                   solve_body(p4, task="max_clique"),
+                   solve_body(p4, task="recognition"),
+                   solve_body([1, 0, 1], task="lower_bound")]
+        batch = json.dumps([SMALL, big, {"problem": p4,
+                                         "task": "max_clique"}]).encode()
+
+        async def scenario(app):
+            responses = [await app.dispatch("POST", "/v1/solve", body)
+                         for body in singles]
+            responses.append(await app.dispatch(
+                "POST", "/v1/solve", wire_buf(), self.OCTET))
+            for _ in range(2):
+                responses.append(await app.dispatch(
+                    "POST", "/v1/solve_batch", batch))
+                responses.append(await app.dispatch(
+                    "POST", "/v1/solve_batch",
+                    wire_frame(wire_buf()) + wire_frame(wire_buf(big)),
+                    self.OCTET))
+            return responses, app.cache.stats()
+
+        responses, stats = run_app(scenario, batch_small=16)
+        assert [r.status for r in responses] == [200] * 11
+        for response in responses[-4:]:
+            assert all(s["backend"] != "error"
+                       for s in response.json()["solutions"])
+        assert stats["hits"] == 1 + 5            # one single, five records
+
+
 # --------------------------------------------------------------------------- #
 # the wire: a real listening server
 # --------------------------------------------------------------------------- #
