@@ -1,27 +1,32 @@
-"""Shared C-level DFS kernels for the flat-array hot path.
+"""The one C-level DFS numbering kernel of the flat-array hot path.
 
 The throughput (``fast``) backend is licensed to replace simulated PRAM
 loops by any direct computation with bit-identical output.  For tree
-numberings the direct computation of choice is a depth-first search run in
-compiled code: :func:`scipy.sparse.csgraph.depth_first_order` visits the
-children of every node in the order its CSR row stores them, so once each
-row lists the children in the desired order, one C call yields the exact
-preorder the simulated Euler-tour machinery produces.
+numberings the direct computation is a depth-first search run in compiled
+code: :func:`scipy.sparse.csgraph.depth_first_order` visits the entries of
+every CSR row in stored order.
 
-Everything else follows analytically:
+:func:`multiway_numbering` numbers any CSR forest (multiway cotrees, and
+binary forests as two-slot rows) with one such DFS on the first-child /
+next-sibling form, the roots chained as siblings, and returns every
+subtree's preorder interval ``[pre, pre + size)``.  No CSR row holds more
+than two entries, so the cost is linear in nodes, arity and roots alike.
+An interval numbering is all the rest needs:
 
-* a second DFS with the mirrored child order gives the postorder via
-  ``post = n - 1 - mirrored_pre``;
-* depths come from ``O(log height)`` rounds of pointer doubling over the
-  parent array;
-* ``size = post - pre + depth + 1`` (count the nodes that exit before a
-  node's own exit);
-* Euler-tour arc positions are ``enter = 2 * pre - depth`` and
-  ``exit = enter + 2 * size - 1``.
+* :func:`root_path_sums` sums per-node weights over every root path
+  (depths, offsets along the path) with one difference array over the
+  intervals;
+* :mod:`repro.primitives.tree_numbering` derives every binary-tree number
+  (preorder, inorder, postorder, depth, leaf counts, Euler-tour positions)
+  from one interval numbering and the exact ``left`` / ``right`` arrays —
+  any preorder whose subtrees are intervals will do, so a child swap that
+  keeps every subtree's node set keeps the numbering usable.
 
-scipy is optional: every caller falls back to the list-ranking /
-pointer-jumping implementation when :data:`HAVE_SPARSE_DFS` is ``False``,
-so a NumPy-only environment stays fully functional (just slower).
+:func:`sibling_chain_preorder` is the DFS itself, also used directly when
+the sibling order is a sort key (``canonical_key``).  scipy is optional:
+every caller falls back to list ranking or an explicit stack when
+:data:`HAVE_SPARSE_DFS` is ``False``, so a NumPy-only environment stays
+fully functional (just slower).
 """
 
 from __future__ import annotations
@@ -38,13 +43,16 @@ except ImportError:  # pragma: no cover - numpy-only environments
     HAVE_SPARSE_DFS = False
 
 __all__ = ["HAVE_SPARSE_DFS", "chase_pointers", "depth_by_doubling",
-           "binary_forest_numbering", "multiway_numbering"]
+           "multiway_numbering", "root_path_sums", "sibling_chain_preorder",
+           "two_slot_csr"]
 
 
 def chase_pointers(g: np.ndarray) -> np.ndarray:
     """Fixpoint of the pointer map ``g`` (``-1`` absorbs) by doubling."""
+    absorbs = len(g) and int(g.min()) < 0
     for _ in range(max(1, int(np.ceil(np.log2(max(len(g), 2)))) + 1)):
-        g2 = np.where(g == -1, -1, g[np.maximum(g, 0)])
+        g2 = np.where(g == -1, -1, g[np.maximum(g, 0)]) if absorbs \
+            else g[g]
         if np.array_equal(g2, g):
             break
         g = g2
@@ -73,128 +81,45 @@ def depth_by_doubling(parent: np.ndarray) -> np.ndarray:
                       f"pointers never reach a root)")
 
 
-def _dfs_preorder_from_keys(left: np.ndarray, right: np.ndarray,
-                            key: np.ndarray, num_roots: int, key_space: int,
-                            mirror: bool) -> Optional[np.ndarray]:
-    """Preorder of a relabelled binary forest via one C-level DFS.
-
-    ``key`` assigns every node a unique id in ``[0, key_space)`` such that
-    ascending key order realises the desired visit order: roots first (keys
-    ``0 .. num_roots-1`` in visit order), then ``base + 2*parent + side``
-    for the children, where the child to be visited first holds the even
-    key.  (The DFS scans each row in stored order and every row lists the
-    child to visit first before the other, so any unique keys with the
-    roots at ``0 .. num_roots-1`` visit the same order; this scheme also
-    keeps every row sorted.)  The key space is used directly as the node-id
-    space of the sparse graph — unused ids are isolated nodes the DFS never
-    sees — so no compaction pass is needed.  int32 indices and float64
-    weights are the dtypes csgraph uses internally, so passing them
-    directly skips one conversion copy per call.
-    """
-    n = len(left)
-    N = key_space + 1                               # + the super-root S
-    S = N - 1
-    counts = np.zeros(N, dtype=np.int32)
-    deg = (left != -1).astype(np.int32)
-    deg += right != -1
-    counts[key] = deg
-    counts[S] = num_roots
-    indptr = np.zeros(N + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(n, dtype=np.int32)
-    first, second = (right, left) if mirror else (left, right)
-    has_first = np.flatnonzero(first != -1)
-    has_second = np.flatnonzero(second != -1)
-    indices[indptr[key[has_first]]] = key[first[has_first]]
-    indices[indptr[key[has_second]] + (first[has_second] != -1)] = \
-        key[second[has_second]]
-    # the roots hold keys 0 .. num_roots-1, so S's row is sorted either way
-    indices[indptr[S]:indptr[S] + num_roots] = np.arange(num_roots,
-                                                         dtype=np.int32)
-
-    graph = _csr_matrix((np.ones(n, dtype=np.float64), indices, indptr),
-                        shape=(N, N))
-    seq = _depth_first_order(graph, S, directed=True,
-                             return_predecessors=False)
-    if len(seq) != n + 1:
-        return None
-    pre_by_key = np.empty(N, dtype=np.int64)
-    pre_by_key[np.asarray(seq, dtype=np.int64)] = np.arange(n + 1,
-                                                            dtype=np.int64)
-    return pre_by_key[key] - 1                      # drop the super-root
-
-
 def sibling_chain_preorder(first: np.ndarray, nxt: np.ndarray,
                            root: int) -> Optional[np.ndarray]:
-    """Preorder of a tree in first-child / next-sibling form.
+    """Preorder of a forest in first-child / next-sibling form.
 
     ``first[u]`` is the child of ``u`` visited first and ``nxt[u]`` the
-    sibling visited after ``u`` (``-1`` for none); every node but ``root``
-    must be exactly one node's ``first`` or ``nxt``.  Every node of the
-    binary form has at most two children, so the C-level DFS stays linear
-    however wide the multiway tree is.  Returns ``None`` when some node is
-    unreachable from ``root``.
+    sibling visited after ``u`` (``-1`` for none); the roots are chained
+    from ``root`` as siblings.  Row ``u`` of the CSR graph lists
+    ``first[u]`` before ``nxt[u]``, so one C-level DFS from ``root``
+    visits the multiway preorder, and no row holds more than two entries
+    however wide the forest is (scipy's DFS rescans a row on every return
+    to it).  int32 indices and float64 weights are the dtypes csgraph uses
+    internally, so passing them directly skips one conversion copy.
+    Returns ``None`` when some node is unreachable from ``root``.
     """
     n = len(first)
-    # keys only name the CSR rows (the row order is the visit order); the
-    # root must hold key 0, the super-root's only child
-    key = np.arange(n, dtype=np.int64)
-    key[[0, root]] = key[[root, 0]]
-    return _dfs_preorder_from_keys(first, nxt, key, 1, n, mirror=False)
+    slots = np.column_stack((first, nxt)).ravel()
+    used = slots >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(used, dtype=np.int32)[1::2]
+    indices = slots[used].astype(np.int32)
+    graph = _csr_matrix((np.ones(len(indices), dtype=np.float64), indices,
+                         indptr), shape=(n, n))
+    seq = _depth_first_order(graph, root, directed=True,
+                             return_predecessors=False)
+    if len(seq) != n:
+        return None
+    pre = np.empty(n, dtype=np.int64)
+    pre[seq] = np.arange(n, dtype=np.int64)
+    return pre
 
 
-def binary_forest_numbering(
-        left, right, parent, roots,
-        known_depth: Optional[np.ndarray] = None,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """``(preorder, postorder, depth, subtree_size)`` of a binary forest.
-
-    The roots' tours are chained in the given order (matching the Euler-tour
-    convention).  ``known_depth`` skips the doubling rounds when the caller
-    already holds the depths (they are invariant under child swaps).
-    Returns ``None`` when scipy is unavailable or the inputs are not a
-    forest rooted exactly at ``roots`` — callers then fall back to the
-    list-ranking path.
-    """
-    if not HAVE_SPARSE_DFS:
-        return None
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    parent = np.asarray(parent, dtype=np.int64)
-    roots = np.asarray(roots, dtype=np.int64)
-    n = len(left)
-    # int32 CSR headroom: relabelled ids reach base + 2n with base <= n + 1,
-    # so the whole key space must fit int32
-    if n == 0 or len(roots) == 0 or 3 * n + 4 > np.iinfo(np.int32).max:
-        return None
-    parentless = np.flatnonzero(parent == -1)
-    if len(roots) != len(parentless) or \
-            not np.array_equal(np.sort(roots), parentless):
-        return None
-
-    R = len(roots)
-    base = (R + 1) // 2 * 2                         # even, so ^1 flips sides
-    child = np.flatnonzero(parent != -1)
-    is_right = (right[parent[child]] == child).astype(np.int64)
-    key = np.empty(n, dtype=np.int64)
-    key[child] = base + 2 * parent[child] + is_right
-    key[roots] = np.arange(R, dtype=np.int64)
-    pre = _dfs_preorder_from_keys(left, right, key, R, base + 2 * n,
-                                  mirror=False)
-    if pre is None:
-        return None
-    # the mirrored traversal flips every side bit and reverses the roots
-    key[child] ^= 1
-    key[roots] = np.arange(R - 1, -1, -1, dtype=np.int64)
-    mpre = _dfs_preorder_from_keys(left, right, key, R, base + 2 * n,
-                                   mirror=True)
-    if mpre is None:  # pragma: no cover - first DFS already proved reachability
-        return None
-    post = n - 1 - mpre
-    depth = known_depth if known_depth is not None \
-        else depth_by_doubling(parent)
-    size = post - pre + depth + 1
-    return pre, post, depth, size
+def two_slot_csr(left: np.ndarray, right: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(child_offset, child_index)`` of a binary forest: every row lists
+    ``left`` then ``right``, absent (``-1``) children dropped."""
+    offset = np.zeros(len(left) + 1, dtype=np.int64)
+    np.cumsum((left != -1).astype(np.int64) + (right != -1), out=offset[1:])
+    kids = np.column_stack((left, right)).ravel()
+    return offset, kids[kids != -1]
 
 
 def multiway_numbering(child_offset, child_index, roots
@@ -202,16 +127,16 @@ def multiway_numbering(child_offset, child_index, roots
     """``(preorder, subtree_size)`` of a multiway CSR forest.
 
     Siblings are visited in CSR order, except that every node's last leaf
-    child swaps places with its last child; the roots' tours are chained
-    in the given order (``-1`` entries, empty instances, are skipped).
-    One C-level DFS runs on the first-child / next-sibling binary form:
-    scipy's DFS rescans a node's adjacency row on every return to it, so a
-    node with ``d`` children would cost ``O(d**2)``, while in the binary
-    form every node has at most two.  A subtree ends where the next
-    sibling of its nearest ancestor-or-self that has one begins; visiting
-    a leaf last keeps the last-child chains that pointer jumping climbs
-    short (one step on a caterpillar).  Returns ``None`` when scipy is
-    unavailable or the arrays are not a forest rooted at ``roots``.
+    child swaps places with its last child; the roots are chained as
+    siblings in the given order (``-1`` entries, empty instances, are
+    skipped).  One C-level DFS (:func:`sibling_chain_preorder`) runs on
+    the first-child / next-sibling form, so a node with ``d`` children or
+    a forest of ``d`` roots costs ``O(d)``, not ``O(d**2)``.  A subtree
+    ends where the next sibling of its nearest ancestor-or-self that has
+    one begins; visiting a leaf last keeps the last-child chains that
+    pointer jumping climbs short (one step on a caterpillar).  Returns
+    ``None`` when scipy is unavailable or the arrays are not a forest
+    rooted at ``roots``.
     """
     if not HAVE_SPARSE_DFS:
         return None
@@ -220,10 +145,10 @@ def multiway_numbering(child_offset, child_index, roots
     roots = np.asarray(roots, dtype=np.int64)
     roots = roots[roots >= 0]
     n = len(child_offset) - 1
-    if len(roots) == 0 or 2 * n + 3 > np.iinfo(np.int32).max:
+    if len(roots) == 0 or n >= np.iinfo(np.int32).max:
         return None
-    # the binary form's keys are unique only if every node is exactly one
-    # root or one child slot; reachability is checked by the DFS itself
+    # the binary form is a forest only if every node is exactly one root
+    # or one child slot; reachability is checked by the DFS itself
     slots = np.concatenate([child_index, roots])
     if len(slots) != n or slots.min() < 0 or slots.max() >= n or \
             np.bincount(slots, minlength=n).max() != 1:
@@ -231,14 +156,17 @@ def multiway_numbering(child_offset, child_index, roots
     deg = np.diff(child_offset)
     has_kids = np.flatnonzero(deg > 0)
     ends = child_offset[has_kids + 1] - 1
-    leaf_slot = np.maximum.reduceat(
-        np.where(deg[child_index] == 0,
-                 np.arange(len(child_index), dtype=np.int64), -1),
-        child_offset[has_kids]) if len(has_kids) else ends
-    swap = leaf_slot >= 0
+    # the last leaf slot at or before every slot (a running maximum), kept
+    # where it lies inside its node's own slots (else the last slot swaps
+    # with itself)
+    leaf_slot = np.where(deg[child_index] == 0,
+                         np.arange(len(child_index), dtype=np.int64), -1)
+    np.maximum.accumulate(leaf_slot, out=leaf_slot)
+    leaf_slot = leaf_slot[ends]
+    leaf_slot = np.where(leaf_slot >= child_offset[has_kids], leaf_slot, ends)
     kids = child_index.copy()
-    kids[ends[swap]] = child_index[leaf_slot[swap]]
-    kids[leaf_slot[swap]] = child_index[ends[swap]]
+    kids[ends] = child_index[leaf_slot]
+    kids[leaf_slot] = child_index[ends]
 
     first = np.full(n, -1, dtype=np.int64)
     first[has_kids] = kids[child_offset[has_kids]]
@@ -259,3 +187,16 @@ def multiway_numbering(child_offset, child_index, roots
     after = nxt[top]
     end = np.where(after >= 0, pre[np.maximum(after, 0)], n)
     return pre, end - pre
+
+
+def root_path_sums(pre: np.ndarray, size: np.ndarray, nodes: np.ndarray,
+                   weights: np.ndarray) -> np.ndarray:
+    """Per node, the sum of ``weights[i]`` over the ``nodes[i]`` on its
+    root path (itself included), given any interval numbering ``(pre,
+    size)``: a difference array over ``pre``, ``+w`` where a subtree
+    interval opens and ``-w`` where it closes, then one cumulative sum.
+    ``nodes`` is an index array, or ``slice(None)`` for every node."""
+    diff = np.zeros(len(pre) + 1, dtype=np.int64)
+    diff[pre[nodes]] = weights
+    np.subtract.at(diff, pre[nodes] + size[nodes], weights)
+    return np.cumsum(diff[:-1])[pre]

@@ -31,7 +31,9 @@ from .._dfs import (
     HAVE_SPARSE_DFS as _HAVE_SPARSE_DFS,
     chase_pointers as _chase,
     depth_by_doubling as _depth_by_doubling,
+    multiway_numbering as _multiway_numbering,
     sibling_chain_preorder as _sibling_chain_preorder,
+    two_slot_csr as _two_slot_csr,
 )
 from .cotree import JOIN, LEAF, PRIME, Cotree, CotreeError
 
@@ -84,7 +86,7 @@ class FlatCotree:
                  "leaf_vertex", "root", "roots",
                  "q_offset", "q_edge_u", "q_edge_v", "spider",
                  "_leaves", "_internal", "_vertices", "_degrees",
-                 "_has_primes", "_depth")
+                 "_has_primes", "_depth", "_intervals")
 
     def __init__(self, kind, child_offset, child_index, parent, leaf_vertex,
                  root: int, *, q_offset=None, q_edge_u=None, q_edge_v=None,
@@ -103,6 +105,7 @@ class FlatCotree:
         self._degrees = None
         self._has_primes = None
         self._depth = None
+        self._intervals = None
         empty = np.empty(0, dtype=np.int64)
         self.q_offset = empty if q_offset is None else \
             np.asarray(q_offset, dtype=np.int64)
@@ -124,18 +127,8 @@ class FlatCotree:
         if isinstance(tree, FlatCotree):
             return tree
         if isinstance(tree, BinaryCotree):
-            n = tree.num_nodes
-            counts = ((tree.left != -1).astype(np.int64)
-                      + (tree.right != -1).astype(np.int64))
-            offset = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=offset[1:])
-            index = np.empty(int(offset[-1]), dtype=np.int64)
-            has_l = np.flatnonzero(tree.left != -1)
-            has_r = np.flatnonzero(tree.right != -1)
-            index[offset[has_l]] = tree.left[has_l]
-            index[offset[has_r] + (tree.left[has_r] != -1)] = tree.right[has_r]
-            flat = cls(tree.kind, offset, index, tree.parent,
-                       tree.leaf_vertex, tree.root)
+            flat = cls(tree.kind, *_two_slot_csr(tree.left, tree.right),
+                       tree.parent, tree.leaf_vertex, tree.root)
             flat.roots = tree.roots
             return flat
         if not isinstance(tree, Cotree):
@@ -228,6 +221,17 @@ class FlatCotree:
         if self._depth is None:
             self._depth = _depth_by_doubling(self.parent)
         return self._depth
+
+    @property
+    def intervals(self):
+        """``(preorder, subtree_size)`` from one C-level DFS over ``roots``
+        (cached): every subtree is the preorder interval ``[pre, pre +
+        size)``.  ``None`` without scipy or when the arrays are not a
+        forest rooted at ``roots``."""
+        if self._intervals is None:
+            self._intervals = _multiway_numbering(
+                self.child_offset, self.child_index, self.roots)
+        return self._intervals
 
     # ------------------------------------------------------------------ #
     # the structural validator
@@ -555,29 +559,30 @@ def _preorder_with_sibling_keys(parent: np.ndarray, root: int,
 def _subtree_min_vertex(flat: FlatCotree, depth: np.ndarray) -> np.ndarray:
     """Minimum leaf vertex id in every node's subtree (height-independent).
 
-    Two DFS passes (siblings by ascending, then descending, node id) give
-    preorder and — via ``post = n - 1 - mirrored_pre`` — postorder, hence
-    ``size = post - pre + depth + 1`` and the contiguous preorder interval
-    of every subtree; a doubling sparse table then answers all the interval
-    minima at once.  ``O(n log n)`` array work, no per-level loop, so deep
-    caterpillars cost the same as balanced trees.
+    The tree's cached interval numbering makes every subtree a contiguous
+    preorder interval, so a doubling sparse table answers all the interval
+    minima at once: ``O(n log n)`` array work, no per-level loop, so deep
+    caterpillars cost the same as balanced trees.  Without scipy one
+    bottom-up pass (deepest nodes first) takes the minima instead.
     """
     n = flat.num_nodes
-    parent = flat.parent
-    ids = np.arange(n, dtype=np.int64)
-    pre = _preorder_with_sibling_keys(parent, flat.root, ids)
-    mpre = _preorder_with_sibling_keys(parent, flat.root, -ids)
-    post = n - 1 - mpre
-    size = post - pre + depth + 1
-
-    by_pre = np.empty(n, dtype=np.int64)
-    by_pre[pre] = ids                                # node at preorder slot
     INF = np.int64(2 ** 62)
-    values = np.where(flat.kind[by_pre] == LEAF,
-                      flat.leaf_vertex[by_pre], INF)
+    values = np.where(flat.kind == LEAF, flat.leaf_vertex, INF)
+    numbering = flat.intervals if _HAVE_SPARSE_DFS else None
+    if numbering is None:
+        out = values.tolist()
+        parent = flat.parent.tolist()
+        for u in np.argsort(depth)[::-1].tolist():
+            p = parent[u]
+            if p >= 0 and out[u] < out[p]:
+                out[p] = out[u]
+        return np.asarray(out, dtype=np.int64)
+    pre, size = numbering
+    by_pre = np.empty(n, dtype=np.int64)
+    by_pre[pre] = values                             # values in preorder
 
-    # sparse table: tables[k][i] = min(values[i : i + 2**k])
-    tables = [values]
+    # sparse table: tables[k][i] = min(by_pre[i : i + 2**k])
+    tables = [by_pre]
     while (1 << len(tables)) <= n:
         span = 1 << (len(tables) - 1)
         prev = tables[-1]

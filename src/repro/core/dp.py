@@ -55,7 +55,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .._dfs import multiway_numbering as _multiway_numbering
+from .._dfs import root_path_sums
 from ..backends import ExecutionContext, resolve_context
 from ..cograph import FlatCotree, as_flat_cotree
 from ..cograph.cotree import JOIN, LEAF, PRIME, UNION, CotreeError, \
@@ -539,15 +539,15 @@ class HeavyPaths:
 
 
 def heavy_paths(flat: FlatCotree) -> Optional[HeavyPaths]:
-    """Number ``flat`` once (one C-level DFS) and derive leaf counts, heavy
-    children and light depths in a constant number of array passes.
-    ``None`` without scipy, or when an internal node has no children."""
+    """Derive leaf counts, heavy children and light depths from ``flat``'s
+    cached interval numbering (one C-level DFS) in a constant number of
+    array passes.  ``None`` without scipy, or when an internal node has no
+    children."""
     internal = flat.internal_nodes
     if len(flat.child_index) == 0 or \
             np.any(flat.degrees()[internal] == 0):
         return None
-    numbering = _multiway_numbering(flat.child_offset, flat.child_index,
-                                    flat.roots)
+    numbering = flat.intervals
     if numbering is None:
         return None
     pre, size = numbering
@@ -568,19 +568,7 @@ def heavy_paths(flat: FlatCotree) -> Optional[HeavyPaths]:
     light = kids[light[kids]]
     return HeavyPaths(
         pre=pre, size=size, leaves=leaves, heavy=heavy,
-        light_depth=_root_path_sums(pre, size, light, np.ones_like(light)))
-
-
-def _root_path_sums(pre: np.ndarray, size: np.ndarray, nodes: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
-    """Per node, the sum of ``weights[i]`` over the ``nodes[i]`` on its
-    root path (itself included): a difference array over preorder, ``+w``
-    where a subtree interval opens and ``-w`` where it closes, then one
-    cumulative sum."""
-    diff = np.zeros(len(pre) + 1, dtype=np.int64)
-    diff[pre[nodes]] = weights
-    np.subtract.at(diff, pre[nodes] + size[nodes], weights)
-    return np.cumsum(diff[:-1])[pre]
+        light_depth=root_path_sums(pre, size, light, np.ones_like(light)))
 
 
 #: identity of every reduction, for nodes whose only child is the heavy one
@@ -967,7 +955,7 @@ def selected_subtree_vertices(run: CotreeDPRun, pick_at: int,
     if run.paths is not None:
         # selected iff no dropped edge lies on the root path
         dropped = flat.child_index[~keep(flat.child_index)]
-        selected = _root_path_sums(
+        selected = root_path_sums(
             run.paths.pre, run.paths.size, dropped,
             np.ones(len(dropped), dtype=np.int64)) == 0
     else:
@@ -1077,7 +1065,7 @@ def class_assignment(run: CotreeDPRun, accumulate_at: int,
     shift = np.where(flat.kind[flat.parent[kids]] == accumulate_at,
                      sib_prefix, 0)
     if run.paths is not None:
-        offset = _root_path_sums(run.paths.pre, run.paths.size, kids, shift)
+        offset = root_path_sums(run.paths.pre, run.paths.size, kids, shift)
     else:
         slot_of = np.full(n, -1, dtype=np.int64)
         slot_of[kids] = np.arange(len(kids), dtype=np.int64)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..backends import resolve_context
 from ..cograph import BinaryCotree
-from ..primitives import TreeNumbers, compute_tree_numbers
+from ..primitives import TreeNumbers, compute_tree_numbers, renumber_swapped
 
 __all__ = ["LeftistCotree", "leftist_reorder"]
 
@@ -76,10 +76,8 @@ def leftist_reorder(ctx, tree: BinaryCotree, *,
         out.left = left_arr.data
         out.right = right_arr.data
 
-    # renumber after the swap (inorder changes; L(u) and depth do not, so
-    # the depths are handed back in)
-    numbers2 = compute_tree_numbers(machine, out.left, out.right, out.parent,
-                                    roots, work_efficient=work_efficient,
-                                    known_depth=numbers.depth,
-                                    label=f"{label}.renumber")
-    return LeftistCotree(tree=out, numbers=numbers2)
+    # renumber after the swap: the orders change, every subtree's node set
+    # does not
+    return LeftistCotree(tree=out, numbers=renumber_swapped(
+        machine, numbers, out.left, out.right, out.parent, roots,
+        work_efficient=work_efficient, label=f"{label}.renumber"))

@@ -31,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .._dfs import binary_forest_numbering
 from ..backends import resolve_context
 from .list_ranking import list_ranks
 from .scan import prefix_sum
@@ -69,6 +68,16 @@ class EulerTour:
         self.position = position
         self.num_nodes = num_nodes
         self.roots = roots
+
+    @classmethod
+    def from_positions(cls, position: np.ndarray, left: np.ndarray,
+                       right: np.ndarray, parent: np.ndarray,
+                       roots: np.ndarray) -> "EulerTour":
+        """A tour whose arc positions were derived without ranking (the
+        throughput path); the successor array is built on first access."""
+        return cls(None, position, len(left), roots,
+                   successor_builder=lambda: _chained_successors(
+                       left, right, parent, roots))
 
     @property
     def successor(self) -> np.ndarray:
@@ -126,7 +135,6 @@ class EulerTour:
 
 def build_euler_tour(ctx, left, right, parent,
                      roots: Sequence[int], *, work_efficient: bool = True,
-                     numbering=None,
                      label: str = "euler") -> EulerTour:
     """Build the Euler tour of a binary forest and rank it.
 
@@ -142,10 +150,6 @@ def build_euler_tour(ctx, left, right, parent,
     work_efficient:
         choose the work-efficient list ranking (default) or Wyllie pointer
         jumping.
-    numbering:
-        optional precomputed ``(pre, post, depth, size)`` tuple from
-        :func:`repro._dfs.binary_forest_numbering`; avoids recomputing the
-        DFS when the caller already holds it (only used off the simulator).
     """
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
@@ -157,44 +161,11 @@ def build_euler_tour(ctx, left, right, parent,
         return EulerTour(np.empty(0, dtype=np.int64),
                          np.empty(0, dtype=np.int64), 0, roots)
 
-    # Throughput path: a C-level DFS numbering yields the positions
-    # analytically (enter = 2*pre - depth, exit = enter + 2*size - 1) —
-    # bit-identical to the ranked values, an order of magnitude cheaper.
-    # The successor array is only needed for ranking, so it is materialised
-    # lazily should anyone ask for it.
-    if not machine.simulates:
-        if numbering is None:
-            numbering = binary_forest_numbering(left, right, parent, roots)
-        if numbering is not None:
-            pre, _post, depth, size = numbering
-            position = np.empty(2 * n, dtype=np.int64)
-            position[:n] = 2 * pre - depth
-            position[n:] = position[:n] + 2 * size - 1
-            return EulerTour(
-                None, position, n, roots,
-                successor_builder=lambda: _euler_successors(
-                    left, right, parent, roots))
-
     succ = machine.array(np.full(2 * n, -1, dtype=np.int64), name=f"{label}.succ")
     nodes = np.arange(n, dtype=np.int64)
 
     with machine.step(active=n, label=f"{label}:successors"):
-        l = left  # noqa: E741 - mirrors the paper's notation
-        r = right
-        p = parent
-        # successor of enter(v)
-        enter_succ = np.where(l != -1, l,            # go down-left
-                     np.where(r != -1, r,            # or down-right
-                              nodes + n))            # or bounce to exit(v)
-        # successor of exit(v)
-        has_parent = p != -1
-        is_left = np.zeros(n, dtype=bool)
-        idx = np.flatnonzero(has_parent)
-        is_left[idx] = left[p[idx]] == idx
-        right_sibling = np.full(n, -1, dtype=np.int64)
-        right_sibling[idx] = np.where(is_left[idx], right[p[idx]], -1)
-        exit_succ = np.where(right_sibling != -1, right_sibling,
-                    np.where(has_parent, p + n, -1))
+        enter_succ, exit_succ = _local_successors(left, right, parent)
         succ.scatter(nodes, enter_succ)
         succ.scatter(nodes + n, exit_succ)
 
@@ -211,14 +182,17 @@ def build_euler_tour(ctx, left, right, parent,
     return EulerTour(succ.data.copy(), position, n, roots)
 
 
-def _euler_successors(left: np.ndarray, right: np.ndarray,
-                      parent: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """The successor array of the chained tour (pure NumPy; same formulas
-    as the machine-accounted construction in :func:`build_euler_tour`)."""
+def _local_successors(left: np.ndarray, right: np.ndarray,
+                      parent: np.ndarray):
+    """``succ(enter(v))`` and ``succ(exit(v))`` of every node by the local
+    rules (one O(1)-depth data-parallel step)."""
     n = len(left)
     nodes = np.arange(n, dtype=np.int64)
+    # successor of enter(v): down-left, else down-right, else exit(v)
     enter_succ = np.where(left != -1, left,
                  np.where(right != -1, right, nodes + n))
+    # successor of exit(v): the right sibling of a left child, else
+    # exit(parent), else the end of the tour
     has_parent = parent != -1
     is_left = np.zeros(n, dtype=bool)
     idx = np.flatnonzero(has_parent)
@@ -227,7 +201,14 @@ def _euler_successors(left: np.ndarray, right: np.ndarray,
     right_sibling[idx] = np.where(is_left[idx], right[parent[idx]], -1)
     exit_succ = np.where(right_sibling != -1, right_sibling,
                 np.where(has_parent, parent + n, -1))
-    succ = np.concatenate([enter_succ, exit_succ])
+    return enter_succ, exit_succ
+
+
+def _chained_successors(left: np.ndarray, right: np.ndarray,
+                        parent: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The successor array of the chained tour (pure NumPy; the same rules
+    as the machine-accounted construction in :func:`build_euler_tour`)."""
+    succ = np.concatenate(_local_successors(left, right, parent))
     if len(roots) > 1:
-        succ[roots[:-1] + n] = roots[1:]
+        succ[roots[:-1] + len(left)] = roots[1:]
     return succ

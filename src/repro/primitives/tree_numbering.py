@@ -9,6 +9,12 @@ Given a binary forest, this module computes (all in ``O(log n)`` rounds and
   Step 2 needs),
 
 each as a plain NumPy array indexed by node id.
+
+Off the simulator the same numbers come from one C-level DFS interval
+numbering (:func:`repro._dfs.multiway_numbering`) and a few root-path sums
+over it, bit-identical to the tour; without scipy the throughput backend
+ranks the tour like the simulator does.  :func:`renumber_swapped` reuses one
+numbering after child swaps (Step 2's leftist reordering).
 """
 
 from __future__ import annotations
@@ -18,11 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .._dfs import binary_forest_numbering
+from .._dfs import multiway_numbering, root_path_sums, two_slot_csr
 from ..backends import resolve_context
 from .euler_tour import EulerTour, build_euler_tour
 
-__all__ = ["TreeNumbers", "compute_tree_numbers"]
+__all__ = ["TreeNumbers", "compute_tree_numbers", "renumber_swapped"]
 
 
 @dataclass
@@ -41,7 +47,6 @@ class TreeNumbers:
 def compute_tree_numbers(ctx, left, right, parent,
                          roots: Sequence[int], *,
                          work_efficient: bool = True,
-                         known_depth=None,
                          label: str = "numbering") -> TreeNumbers:
     """Compute all tree numberings for a binary forest.
 
@@ -54,10 +59,6 @@ def compute_tree_numbers(ctx, left, right, parent,
     is entered, an internal node is visited when the tour returns from its
     left subtree (for nodes with only a right child, at the enter arc; this
     matches the usual inorder convention for binary trees).
-
-    ``known_depth`` lets a caller that already holds the node depths (they
-    are invariant under child swaps) skip recomputing them on the
-    throughput path; the simulator ignores it.
     """
     machine = resolve_context(ctx)
     left = np.asarray(left, dtype=np.int64)
@@ -65,18 +66,15 @@ def compute_tree_numbers(ctx, left, right, parent,
     parent = np.asarray(parent, dtype=np.int64)
     n = len(left)
 
-    # Throughput path: one C-level DFS numbering replaces the tour ranking
-    # *and* the five prefix scans below, with bit-identical results (the
-    # backend-parity tests cross-check every field against the simulator).
+    # Throughput path: one C-level DFS interval numbering replaces the tour
+    # ranking *and* the five prefix scans below, with bit-identical results
+    # (the backend-parity tests cross-check every field against the
+    # simulator).
     if n and not machine.simulates:
-        numbering = binary_forest_numbering(left, right, parent, roots,
-                                            known_depth=known_depth)
-        if numbering is not None:
-            tour = build_euler_tour(machine, left, right, parent, roots,
-                                    work_efficient=work_efficient,
-                                    numbering=numbering,
-                                    label=f"{label}.euler")
-            return _numbers_from_dfs(tour, left, right, numbering)
+        intervals = multiway_numbering(*two_slot_csr(left, right), roots)
+        if intervals is not None:
+            return _numbers_from_intervals(intervals, left, right, parent,
+                                           roots)
 
     tour = build_euler_tour(machine, left, right, parent, roots,
                             work_efficient=work_efficient, label=f"{label}.euler")
@@ -136,37 +134,87 @@ def compute_tree_numbers(ctx, left, right, parent,
                        subtree_leaves=subtree_leaves, tour=tour)
 
 
-def _numbers_from_dfs(tour: EulerTour, left: np.ndarray, right: np.ndarray,
-                      numbering) -> TreeNumbers:
-    """Assemble :class:`TreeNumbers` from a DFS numbering (throughput path).
+def renumber_swapped(ctx, numbers: TreeNumbers, left, right, parent,
+                     roots: Sequence[int], *, work_efficient: bool = True,
+                     label: str = "renumber") -> TreeNumbers:
+    """:func:`compute_tree_numbers` of a forest whose children were swapped
+    after ``numbers`` was computed.
 
-    ``subtree_leaves`` is one cumulative sum over the preorder sequence
-    (every subtree is a contiguous preorder interval); ``inorder`` is one
-    cumulative sum over the 2n tour positions with a visit tick per node —
-    exactly the quantities the simulated scans compute arc by arc.
+    A swap reorders a subtree but keeps its node set, so the preorder
+    intervals of ``numbers`` still delimit every subtree of the swapped
+    forest: off the simulator every number is derived from them without a
+    second traversal.  The simulator renumbers with a fresh Euler tour, so
+    the PRAM cost report accounts every step.
     """
-    pre, post, depth, size = numbering
-    n = len(pre)
-    is_leaf = (left == -1) & (right == -1)
+    machine = resolve_context(ctx)
+    if machine.simulates:
+        return compute_tree_numbers(machine, left, right, parent, roots,
+                                    work_efficient=work_efficient,
+                                    label=label)
+    return _numbers_from_intervals(
+        (numbers.preorder, numbers.subtree_size),
+        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
+        np.asarray(parent, dtype=np.int64), roots)
 
-    # leaves in the preorder interval [pre, pre + size)
-    leaf_flag = np.zeros(n + 1, dtype=np.int64)
-    leaf_flag[pre[is_leaf] + 1] = 1
-    leaf_cum = np.cumsum(leaf_flag)
-    subtree_leaves = leaf_cum[pre + size] - leaf_cum[pre]
 
-    # inorder: leaves tick at their enter arc, internal nodes with a left
-    # child at exit(left child), other internal nodes at their enter arc
-    enter_pos = tour.position[:n]
-    exit_pos = tour.position[n:]
-    tick_pos = np.where(is_leaf, enter_pos,
-                        np.where(left != -1,
-                                 exit_pos[np.maximum(left, 0)], enter_pos))
-    ticks = np.zeros(2 * n, dtype=np.int64)
-    ticks[tick_pos] = 1
-    tick_cum = np.cumsum(ticks)
-    inorder = tick_cum[tick_pos] - 1
+def _numbers_from_intervals(intervals, left: np.ndarray, right: np.ndarray,
+                            parent: np.ndarray, roots) -> TreeNumbers:
+    """Every number of a binary forest from one interval numbering.
 
-    return TreeNumbers(preorder=pre, inorder=inorder, postorder=post,
-                       depth=depth, subtree_size=size,
-                       subtree_leaves=subtree_leaves, tour=tour)
+    ``intervals`` is any ``(order, size)`` pair under which every subtree
+    is the interval ``[order, order + size)``; the exact child order comes
+    from ``left`` / ``right`` alone.  Each number is a root-path sum of an
+    offset every node takes from its parent (a root from the earlier
+    roots' nodes):
+
+    * preorder: a left child comes 1 after its parent, a right child 1
+      plus its left sibling's subtree after it;
+    * inorder: a subtree's block starts with its parent's block (left
+      child) or 1 plus the left sibling's subtree later (right child), and
+      the node itself follows its left subtree;
+    * depth: the non-root nodes on the path.
+
+    Then ``postorder = pre + size - depth - 1`` (the nodes before a node in
+    preorder, less its ancestors, plus its proper descendants) and the
+    Euler-tour positions are ``enter = 2 * pre - depth`` and
+    ``exit = enter + 2 * size - 1``.
+    """
+    order, size = intervals
+    n = len(left)
+    roots = np.asarray(roots, dtype=np.int64)
+    every = slice(None)
+
+    # leaves in every subtree interval
+    leaf_cum = np.zeros(n + 1, dtype=np.int64)
+    leaf_cum[order + 1] = (left == -1) & (right == -1)
+    np.cumsum(leaf_cum, out=leaf_cum)
+    subtree_leaves = leaf_cum[order + size] - leaf_cum[order]
+
+    has_left = np.flatnonzero(left >= 0)
+    has_right = np.flatnonzero(right >= 0)
+    left_size = np.zeros(n, dtype=np.int64)
+    left_size[has_left] = size[left[has_left]]
+    offset = np.zeros(n, dtype=np.int64)
+    offset[roots] = np.cumsum(size[roots]) - size[roots]
+    offset[left[has_left]] = 1
+    offset[right[has_right]] = left_size[has_right] + 1
+    preorder = root_path_sums(order, size, every, offset)
+    # one sum counts the left children on every root path (high 32 bits)
+    # and the right children (low 32 bits); a left child's inorder offset
+    # is 1 less than its preorder offset, the others' are equal
+    side = np.zeros(n, dtype=np.int64)
+    side[left[has_left]] = 1 << 32
+    side[right[has_right]] = 1
+    counts = root_path_sums(order, size, every, side)
+    lefts = counts >> 32
+    depth = lefts + (counts & 0xFFFFFFFF)
+    inorder = preorder - lefts + left_size
+
+    position = np.empty(2 * n, dtype=np.int64)
+    position[:n] = 2 * preorder - depth
+    position[n:] = position[:n] + 2 * size - 1
+    return TreeNumbers(preorder=preorder, inorder=inorder,
+                       postorder=preorder + size - depth - 1, depth=depth,
+                       subtree_size=size, subtree_leaves=subtree_leaves,
+                       tour=EulerTour.from_positions(position, left, right,
+                                                     parent, roots))

@@ -1,10 +1,15 @@
 """The C-level DFS numbering kernel must be bit-identical to the simulator.
 
-``repro._dfs.binary_forest_numbering`` replaces the Euler-tour list ranking
-on the throughput backend; every field of :class:`TreeNumbers` (and the
-tour positions themselves) must match the PRAM-simulated computation
-exactly — on single trees, chained multi-root forests (in arbitrary chain
-order) and forests containing unary nodes (the dummy chains of Step 7).
+On the throughput backend ``compute_tree_numbers`` derives every field of
+:class:`TreeNumbers` (and the tour positions) from one interval numbering
+by ``repro._dfs.multiway_numbering``; every field must match the
+PRAM-simulated Euler tour exactly — on single trees, chained multi-root
+forests (in arbitrary chain order) and forests containing unary nodes (the
+dummy chains of Step 7).  The leftist reordering derives its renumbering
+from the same intervals and is held to the same parity.  A structural pin
+counts the DFS calls a solve makes and the entries of every CSR row the
+kernel builds: a row listing every root would be rescanned on every
+return, quadratic in the number of roots.
 """
 
 from __future__ import annotations
@@ -12,13 +17,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro._dfs import HAVE_SPARSE_DFS, binary_forest_numbering
+import repro
+import repro._dfs as dfs
+from repro._dfs import HAVE_SPARSE_DFS, multiway_numbering, two_slot_csr
 from repro.cograph import (
+    FlatCotree,
     balanced_cotree,
     binarize_cotree,
+    canonical_key,
     caterpillar_cotree,
+    independent_set,
+    join_of_independent_sets,
     random_cotree,
+    union_of_cliques,
 )
+from repro.cograph.forest import pack
+from repro.core.binarize import binarize_parallel
+from repro.core.leftist import leftist_reorder
 from repro.pram import PRAM
 from repro.primitives import build_euler_tour, compute_tree_numbers
 
@@ -26,15 +41,20 @@ NUMBER_FIELDS = ("preorder", "inorder", "postorder", "depth",
                  "subtree_size", "subtree_leaves")
 
 
-def assert_numbers_match(left, right, parent, roots, tag=""):
-    simulated = compute_tree_numbers(PRAM(), left, right, parent, roots)
-    fast = compute_tree_numbers(None, left, right, parent, roots)
+def assert_same_numbers(simulated, fast, tag=""):
     for field in NUMBER_FIELDS:
         assert np.array_equal(getattr(simulated, field),
                               getattr(fast, field)), (tag, field)
     assert np.array_equal(simulated.tour.position, fast.tour.position), tag
     # the lazily materialised successor array matches the simulated one
     assert np.array_equal(simulated.tour.successor, fast.tour.successor), tag
+
+
+def assert_numbers_match(left, right, parent, roots, tag=""):
+    assert_same_numbers(compute_tree_numbers(PRAM(), left, right, parent,
+                                             roots),
+                        compute_tree_numbers(None, left, right, parent,
+                                             roots), tag)
 
 
 def random_binary_forest(rng, n):
@@ -80,6 +100,20 @@ class TestKernelParity:
         left, right, parent, roots = random_binary_forest(rng, n)
         assert_numbers_match(left, right, parent, roots, f"forest-{trial}")
 
+    def test_many_roots(self):
+        # a forest of lone nodes and pairs: one CSR row per node, however
+        # many roots are chained
+        rng = np.random.default_rng(7)
+        n = 400
+        parent = np.full(n, -1, dtype=np.int64)
+        left = np.full(n, -1, dtype=np.int64)
+        right = np.full(n, -1, dtype=np.int64)
+        for p in range(0, n - 1, 3):
+            left[p], parent[p + 1] = p + 1, p
+        roots = np.flatnonzero(parent == -1)
+        rng.shuffle(roots)
+        assert_numbers_match(left, right, parent, roots, "many-roots")
+
     def test_tour_positions_match_on_forests(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -96,11 +130,13 @@ class TestKernelContract:
 
     def test_rejects_roots_mismatch(self):
         b = binarize_cotree(random_cotree(10, seed=0))
-        # missing root -> the kernel bails out (callers fall back to ranking)
-        assert binary_forest_numbering(b.left, b.right, b.parent, []) is None
-        wrong = [b.root, b.root]
-        assert binary_forest_numbering(b.left, b.right, b.parent, wrong) \
-            is None
+        offset, kids = two_slot_csr(b.left, b.right)
+        # missing or repeated root -> the kernel bails out
+        assert multiway_numbering(offset, kids, []) is None
+        assert multiway_numbering(offset, kids, [b.root, b.root]) is None
+        # ... and the numbering entry point falls back to ranking the tour
+        # (an empty root list chains nothing, like the simulator)
+        assert_numbers_match(b.left, b.right, b.parent, [], "no-roots")
 
     def test_numbering_values(self):
         #      0
@@ -109,23 +145,104 @@ class TestKernelContract:
         left = np.array([1, 3, -1, -1, -1])
         right = np.array([2, 4, -1, -1, -1])
         parent = np.array([-1, 0, 0, 1, 1])
-        pre, post, depth, size = binary_forest_numbering(
-            left, right, parent, [0])
-        assert list(pre) == [0, 1, 4, 2, 3]
-        assert list(post) == [4, 2, 3, 0, 1]
-        assert list(depth) == [0, 1, 1, 2, 2]
-        assert list(size) == [5, 3, 1, 1, 1]
+        nums = compute_tree_numbers(None, left, right, parent, [0])
+        assert list(nums.preorder) == [0, 1, 4, 2, 3]
+        assert list(nums.inorder) == [3, 1, 4, 0, 2]
+        assert list(nums.postorder) == [4, 2, 3, 0, 1]
+        assert list(nums.depth) == [0, 1, 1, 2, 2]
+        assert list(nums.subtree_size) == [5, 3, 1, 1, 1]
+        assert list(nums.subtree_leaves) == [3, 2, 1, 1, 1]
 
     def test_fallback_when_scipy_disabled(self, monkeypatch):
-        import repro._dfs as dfs
         monkeypatch.setattr(dfs, "HAVE_SPARSE_DFS", False)
         b = binarize_cotree(random_cotree(12, seed=1))
-        assert dfs.binary_forest_numbering(
-            b.left, b.right, b.parent, [b.root]) is None
+        offset, kids = two_slot_csr(b.left, b.right)
+        assert dfs.multiway_numbering(offset, kids, [b.root]) is None
         # the numbering entry point silently falls back to list ranking
-        sim = compute_tree_numbers(PRAM(), b.left, b.right, b.parent,
-                                   [b.root])
-        fast = compute_tree_numbers(None, b.left, b.right, b.parent,
-                                    [b.root])
-        for field in NUMBER_FIELDS:
-            assert np.array_equal(getattr(sim, field), getattr(fast, field))
+        assert_numbers_match(b.left, b.right, b.parent, [b.root], "no-scipy")
+        rng = np.random.default_rng(3)
+        left, right, parent, roots = random_binary_forest(rng, 30)
+        assert_numbers_match(left, right, parent, roots, "no-scipy-forest")
+
+
+# --------------------------------------------------------------------------- #
+# leftist: one numbering of Tb, Tbl's numbers derived from its intervals
+# --------------------------------------------------------------------------- #
+
+LEFTIST_TREES = {
+    "random": lambda: random_cotree(60, seed=4),
+    "caterpillar": lambda: caterpillar_cotree(70),
+    "balanced": lambda: balanced_cotree(4, branching=3),
+    "star": lambda: independent_set(50),
+    "pairs": lambda: union_of_cliques([2] * 20),
+    "packed": lambda: pack([random_cotree(9, seed=1), caterpillar_cotree(12),
+                            independent_set(5),
+                            join_of_independent_sets([3, 1, 2])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEFTIST_TREES))
+def test_leftist_renumbering_matches_pram(name):
+    _assert_leftist_parity(name)
+
+
+def test_leftist_renumbering_without_scipy(monkeypatch):
+    # Tb is numbered by list ranking; Tbl is still derived from its intervals
+    monkeypatch.setattr(dfs, "HAVE_SPARSE_DFS", False)
+    for name in ("random", "packed"):
+        _assert_leftist_parity(name)
+
+
+def _assert_leftist_parity(name):
+    flat = FlatCotree.from_cotree(LEFTIST_TREES[name]())
+    b = binarize_parallel(None, flat)
+    sim = leftist_reorder(PRAM(), b)
+    fast = leftist_reorder(None, b)
+    assert np.array_equal(sim.tree.left, fast.tree.left), name
+    assert np.array_equal(sim.tree.right, fast.tree.right), name
+    assert_same_numbers(sim.numbers, fast.numbers, name)
+
+
+# --------------------------------------------------------------------------- #
+# the structural pin: DFS calls per solve and entries per CSR row
+# --------------------------------------------------------------------------- #
+
+@pytest.fixture
+def dfs_calls(monkeypatch):
+    """Every CSR graph handed to scipy's DFS, as its largest row length."""
+    rows = []
+    inner = dfs._depth_first_order
+
+    def counting(graph, *args, **kwargs):
+        rows.append(int(np.diff(graph.indptr).max()) if graph.shape[0]
+                    else 0)
+        return inner(graph, *args, **kwargs)
+
+    monkeypatch.setattr(dfs, "_depth_first_order", counting)
+    return rows
+
+
+PIN_INPUTS = {
+    "edgeless": lambda: independent_set(10_000),
+    "pairs": lambda: union_of_cliques([2] * 5_000),
+}
+
+
+@pytest.mark.skipif(not HAVE_SPARSE_DFS, reason="scipy not installed")
+@pytest.mark.parametrize("name", sorted(PIN_INPUTS))
+def test_fast_path_cover_numbers_each_tree_once(name, dfs_calls):
+    tree = FlatCotree.from_cotree(PIN_INPUTS[name]())
+    solution = repro.solve(tree, backend="fast")
+    assert solution.num_paths == (10_000 if name == "edgeless" else 5_000)
+    # leftist (Tb), legalize (Step 6's pseudo forest), extract (Step 8)
+    assert 1 <= len(dfs_calls) <= 3, dfs_calls
+    assert max(dfs_calls) <= 2, dfs_calls
+
+
+@pytest.mark.skipif(not HAVE_SPARSE_DFS, reason="scipy not installed")
+@pytest.mark.parametrize("name", sorted(PIN_INPUTS))
+def test_canonical_key_numbers_each_tree_at_most_twice(name, dfs_calls):
+    tree = FlatCotree.from_cotree(PIN_INPUTS[name]())
+    canonical_key(tree)
+    assert 1 <= len(dfs_calls) <= 2, dfs_calls
+    assert max(dfs_calls) <= 2, dfs_calls

@@ -1,7 +1,7 @@
 """Removals stay removed: the 2.0 kernel tier, fail-fast stream loop and
-pre-1.1 compatibility layer, 2.3's ``BinaryForest`` and 2.4's trust flag,
-timing switch and forest sweeps (MIGRATION.md maps each name to its
-replacement)."""
+pre-1.1 compatibility layer, 2.3's ``BinaryForest``, 2.4's trust flag,
+timing switch and forest sweeps, and 2.7's numbering keywords
+(MIGRATION.md maps each name to its replacement)."""
 
 from __future__ import annotations
 
@@ -35,6 +35,9 @@ REMOVED_ATTRIBUTES = [
     # 2.4: solo solves and forest sweeps share one body per task
     ("repro.api.forest", "_sweep_dp"), ("repro.api.forest", "_sweep_cover"),
     ("repro.api.forest", "Pipeline"), ("repro.api.forest", "run_cotree_dp"),
+    # 2.7: one numbering kernel
+    ("repro._dfs", "binary_forest_numbering"),
+    ("repro.core.dp", "_root_path_sums"),
 ]
 
 REMOVED_MODULES = ["repro.kernels", "repro.backends.kernel_backend"]
@@ -67,6 +70,16 @@ def test_trust_flag_and_timing_switch_are_gone():
     with pytest.raises(TypeError, match="collect_timings"):
         Pipeline.default().run(tree, "fast", collect_timings=False)
     assert not hasattr(EulerTour, "values_by_position")
+
+
+def test_numbering_keywords_are_gone():
+    from repro.primitives import build_euler_tour, compute_tree_numbers
+
+    arrays = ([1, -1, -1], [2, -1, -1], [-1, 0, 0])
+    with pytest.raises(TypeError, match="known_depth"):
+        compute_tree_numbers(None, *arrays, [0], known_depth=[0, 1, 1])
+    with pytest.raises(TypeError, match="numbering"):
+        build_euler_tour(None, *arrays, [0], numbering=None)
 
 
 def test_kernel_backend_is_refused_everywhere(capsys):
