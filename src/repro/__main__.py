@@ -172,8 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
     server.add_argument("--cache-size", type=int, default=None, metavar="N",
                         help="solution-cache entries (0 disables)")
     server.add_argument("--batch-small", type=int, default=None, metavar="N",
-                        help="forest-sweep threshold for /v1/solve_batch "
-                             "(0 disables)")
+                        help="instances of at most N vertices solve "
+                             "in-process: a fast-backend /v1/solve on a "
+                             "server thread when the server is otherwise "
+                             "idle, /v1/solve_batch records in a forest "
+                             "sweep (0 sends every instance to the pool)")
     server.add_argument("--request-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-request solve budget before a 504")

@@ -17,7 +17,8 @@ import numpy as np
 
 from ..backends import resolve_context
 from ..cograph import BinaryCotree
-from ..primitives import TreeNumbers, compute_tree_numbers, renumber_swapped
+from ..primitives import TreeNumbers, renumber_swapped
+from ..primitives.tree_numbering import _leaf_counts_and_intervals
 
 __all__ = ["LeftistCotree", "leftist_reorder"]
 
@@ -55,12 +56,12 @@ def leftist_reorder(ctx, tree: BinaryCotree, *,
     machine = resolve_context(ctx)
 
     # one tour per root, chained in roots order: the numbering is global
-    # but per-tree consistent
+    # but per-tree consistent; only L and the subtree intervals are kept
     roots = tree.roots
-    numbers = compute_tree_numbers(machine, tree.left, tree.right, tree.parent,
-                                   roots, work_efficient=work_efficient,
-                                   label=f"{label}.numbers")
-    L = numbers.subtree_leaves
+    L, intervals = _leaf_counts_and_intervals(machine, tree.left, tree.right,
+                                              tree.parent, roots,
+                                              work_efficient=work_efficient,
+                                              label=f"{label}.numbers")
     internal = tree.internal_nodes
     out = tree.copy()
     # nodes violating the leftist condition
@@ -79,5 +80,5 @@ def leftist_reorder(ctx, tree: BinaryCotree, *,
     # renumber after the swap: the orders change, every subtree's node set
     # does not
     return LeftistCotree(tree=out, numbers=renumber_swapped(
-        machine, numbers, out.left, out.right, out.parent, roots,
+        machine, intervals, out.left, out.right, out.parent, roots,
         work_efficient=work_efficient, label=f"{label}.renumber"))

@@ -13,14 +13,15 @@ each as a plain NumPy array indexed by node id.
 Off the simulator the same numbers come from one C-level DFS interval
 numbering (:func:`repro._dfs.multiway_numbering`) and a few root-path sums
 over it, bit-identical to the tour; without scipy the throughput backend
-ranks the tour like the simulator does.  :func:`renumber_swapped` reuses one
-numbering after child swaps (Step 2's leftist reordering).
+ranks the tour like the simulator does.  Step 2's leftist reordering needs
+only the leaf counts before its swap and renumbers after it from the same
+intervals (:func:`renumber_swapped`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -134,27 +135,67 @@ def compute_tree_numbers(ctx, left, right, parent,
                        subtree_leaves=subtree_leaves, tour=tour)
 
 
-def renumber_swapped(ctx, numbers: TreeNumbers, left, right, parent,
+def _leaf_counts_and_intervals(ctx, left, right, parent,
+                               roots: Sequence[int], *,
+                               work_efficient: bool = True,
+                               label: str = "numbering"
+                               ) -> Tuple[np.ndarray, Tuple]:
+    """``(L, intervals)``: the subtree leaf counts ``L(u)`` of a binary
+    forest and an interval numbering ``(order, size)`` of it, every
+    subtree being ``[order, order + size)``.  Leftist reordering is the
+    only caller.
+
+    Off the simulator both come from one DFS interval numbering and one
+    cumulative sum; no other number is derived.  The simulator (and the
+    throughput backend without scipy) takes them from
+    :func:`compute_tree_numbers`, so the PRAM cost report is unchanged.
+    """
+    machine = resolve_context(ctx)
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    if len(left) and not machine.simulates:
+        intervals = multiway_numbering(*two_slot_csr(left, right), roots)
+        if intervals is not None:
+            return _interval_leaves(intervals, left, right), intervals
+    numbers = compute_tree_numbers(machine, left, right, parent, roots,
+                                   work_efficient=work_efficient, label=label)
+    return numbers.subtree_leaves, (numbers.preorder, numbers.subtree_size)
+
+
+def renumber_swapped(ctx, numbers, left, right, parent,
                      roots: Sequence[int], *, work_efficient: bool = True,
                      label: str = "renumber") -> TreeNumbers:
     """:func:`compute_tree_numbers` of a forest whose children were swapped
-    after ``numbers`` was computed.
+    after ``numbers`` was computed: the pre-swap :class:`TreeNumbers`, or
+    just its interval numbering ``(order, size)``.
 
-    A swap reorders a subtree but keeps its node set, so the preorder
-    intervals of ``numbers`` still delimit every subtree of the swapped
-    forest: off the simulator every number is derived from them without a
-    second traversal.  The simulator renumbers with a fresh Euler tour, so
-    the PRAM cost report accounts every step.
+    A swap reorders a subtree but keeps its node set, so the intervals
+    still delimit every subtree of the swapped forest: off the simulator
+    every number is derived from them without a second traversal.  The
+    simulator renumbers with a fresh Euler tour, so the PRAM cost report
+    accounts every step.
     """
     machine = resolve_context(ctx)
     if machine.simulates:
         return compute_tree_numbers(machine, left, right, parent, roots,
                                     work_efficient=work_efficient,
                                     label=label)
+    intervals = (numbers.preorder, numbers.subtree_size) \
+        if isinstance(numbers, TreeNumbers) else numbers
     return _numbers_from_intervals(
-        (numbers.preorder, numbers.subtree_size),
-        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
+        intervals, np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
         np.asarray(parent, dtype=np.int64), roots)
+
+
+def _interval_leaves(intervals, left: np.ndarray,
+                     right: np.ndarray) -> np.ndarray:
+    """The leaves in every subtree interval ``[order, order + size)``."""
+    order, size = intervals
+    leaf_cum = np.zeros(len(left) + 1, dtype=np.int64)
+    leaf_cum[order + 1] = (left == -1) & (right == -1)
+    np.cumsum(leaf_cum, out=leaf_cum)
+    return leaf_cum[order + size] - leaf_cum[order]
 
 
 def _numbers_from_intervals(intervals, left: np.ndarray, right: np.ndarray,
@@ -184,12 +225,6 @@ def _numbers_from_intervals(intervals, left: np.ndarray, right: np.ndarray,
     roots = np.asarray(roots, dtype=np.int64)
     every = slice(None)
 
-    # leaves in every subtree interval
-    leaf_cum = np.zeros(n + 1, dtype=np.int64)
-    leaf_cum[order + 1] = (left == -1) & (right == -1)
-    np.cumsum(leaf_cum, out=leaf_cum)
-    subtree_leaves = leaf_cum[order + size] - leaf_cum[order]
-
     has_left = np.flatnonzero(left >= 0)
     has_right = np.flatnonzero(right >= 0)
     left_size = np.zeros(n, dtype=np.int64)
@@ -215,6 +250,7 @@ def _numbers_from_intervals(intervals, left: np.ndarray, right: np.ndarray,
     position[n:] = position[:n] + 2 * size - 1
     return TreeNumbers(preorder=preorder, inorder=inorder,
                        postorder=preorder + size - depth - 1, depth=depth,
-                       subtree_size=size, subtree_leaves=subtree_leaves,
+                       subtree_size=size,
+                       subtree_leaves=_interval_leaves(intervals, left, right),
                        tour=EulerTour.from_positions(position, left, right,
                                                      parent, roots))

@@ -25,10 +25,14 @@ Robustness is structural, not bolted on:
   (queued + executing); a request past that is answered ``429`` with
   ``Retry-After`` immediately, so overload sheds load instead of growing
   an unbounded backlog.
-* **The event loop never solves anything** — CPU-bound work is offloaded
-  to the worker pool (process pool for ``jobs > 1``, a thread for the
-  in-process degenerate case), bounded by an execution semaphore sized to
-  the pool.
+* **The event loop never solves anything** — CPU-bound work is offloaded,
+  bounded by an execution semaphore sized to the pool.  A ``/v1/solve``
+  instance of at most ``Settings.batch_small`` vertices on the fast
+  backend, arriving while nothing else is admitted, solves on the
+  server's own thread executor: alone, a pool round trip would cost more
+  than the solve.  Everything else goes to the worker pool (process pool
+  for ``jobs > 1``, a thread for the in-process degenerate case), where
+  concurrent solves run in parallel instead of sharing the server's GIL.
 * **Per-request timeouts** — a solve that exceeds ``request_timeout``
   (including its time in the queue) is answered ``504``.
 * **Graceful drain** — :meth:`begin_drain` refuses new work with ``503``
@@ -255,8 +259,9 @@ class ServerApp:
 
         ``use_pool=True`` sends a picklable module-level callable to the
         worker processes (a thread for the in-process degenerate case);
-        ``use_pool=False`` runs on a thread regardless — the batch worker
-        is a bound method that fans into the pool *itself*.
+        ``use_pool=False`` runs on a thread regardless — a small inline
+        solve, or the batch worker, a bound method that fans into the
+        pool *itself*.
 
         Pool-bound work self-heals: a worker process dying mid-solve
         (``BrokenProcessPool``) or raising ``MemoryError`` rebuilds the
@@ -349,14 +354,28 @@ class ServerApp:
         }
 
     async def _handle_solve(self, req: SolveRequest) -> Solution:
-        """Solve one request the cache could not answer.  The problem
-        travels unflattened: the worker checks its tree once."""
-        solution = await self._admitted_call(
-            _solve_payload, (req.problem, req.task, req.options))
+        """Solve one request the cache could not answer.
+
+        A small fast-backend instance that arrives on an otherwise idle
+        server solves on the server's thread executor; it runs
+        :func:`_run_solve`, because a :class:`~repro.core.faults.FaultPlan`
+        scripts worker processes, not the server.  Any other travels
+        unflattened to the pool, where the worker checks its tree once:
+        the PRAM simulator would hold the server's GIL for tens of
+        milliseconds, and concurrent solves would share it."""
+        payload = (req.problem, req.task, req.options)
+        if (req.problem.num_vertices <= self.settings.batch_small
+                and req.options.resolved_backend == "fast"
+                and self._admitted == 0):
+            solution = await self._admitted_call(_run_solve, payload,
+                                                 use_pool=False)
+            route = "serial"
+        else:
+            solution = await self._admitted_call(_solve_payload, payload)
+            route = "serial" if self.pool.serial else "pool"
         for name, value in req.problem.provenance().items():
             solution.provenance.setdefault(name, value)
-        solution.provenance.setdefault(
-            "route", "serial" if self.pool.serial else "pool")
+        solution.provenance.setdefault("route", route)
         return solution
 
     def _batch_worker(self, requests: List[SolveRequest]) -> List[Dict]:

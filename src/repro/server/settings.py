@@ -56,9 +56,12 @@ class Settings:
         entries of the shared :class:`~repro.api.SolutionCache` (``0``
         disables caching).
     batch_small:
-        forest-sweep routing threshold for ``/v1/solve_batch`` (instances
-        of at most this many vertices are swept vectorized instead of
-        fanned out; ``0`` disables the diversion).
+        the server's one "small enough to stay in-process" threshold.  A
+        fast-backend ``/v1/solve`` instance of at most this many vertices
+        that arrives while nothing else is admitted solves on the server's
+        thread executor instead of taking the process-pool round trip, and
+        ``/v1/solve_batch`` records that small are swept vectorized instead
+        of fanned out.  ``0`` sends every instance to the pool.
     max_batch:
         maximum records accepted by one ``/v1/solve_batch`` body.
     request_timeout:
@@ -94,7 +97,7 @@ class Settings:
     jobs: int = 0
     queue_limit: int = 64
     cache_size: int = 1024
-    batch_small: int = 64
+    batch_small: int = 512
     max_batch: int = 4096
     request_timeout: float = 30.0
     shutdown_timeout: float = 10.0

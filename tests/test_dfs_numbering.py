@@ -35,7 +35,8 @@ from repro.cograph.forest import pack
 from repro.core.binarize import binarize_parallel
 from repro.core.leftist import leftist_reorder
 from repro.pram import PRAM
-from repro.primitives import build_euler_tour, compute_tree_numbers
+from repro.primitives import build_euler_tour, compute_tree_numbers, \
+    renumber_swapped
 
 NUMBER_FIELDS = ("preorder", "inorder", "postorder", "depth",
                  "subtree_size", "subtree_leaves")
@@ -191,6 +192,38 @@ def test_leftist_renumbering_without_scipy(monkeypatch):
     monkeypatch.setattr(dfs, "HAVE_SPARSE_DFS", False)
     for name in ("random", "packed"):
         _assert_leftist_parity(name)
+
+
+@pytest.mark.skipif(not HAVE_SPARSE_DFS, reason="scipy not installed")
+def test_leftist_derives_only_tbl_numbers(monkeypatch):
+    # Tb's leaf counts come straight from its intervals: the one full
+    # derivation is Tbl's
+    import repro.primitives.tree_numbering as numbering
+
+    derived = []
+    inner = numbering._numbers_from_intervals
+
+    def counting(intervals, left, *args):
+        derived.append(len(left))
+        return inner(intervals, left, *args)
+
+    monkeypatch.setattr(numbering, "_numbers_from_intervals", counting)
+    _assert_leftist_parity("random")
+    assert len(derived) == 1, derived
+
+
+def test_renumber_swapped_takes_numbers_or_intervals():
+    # a 2.7 call passes the pre-swap TreeNumbers; leftist passes the bare
+    # interval pair
+    b = binarize_parallel(None, FlatCotree.from_cotree(random_cotree(40,
+                                                                     seed=8)))
+    numbers = compute_tree_numbers(None, b.left, b.right, b.parent, b.roots)
+    swapped = leftist_reorder(None, b).tree
+    args = (swapped.left, swapped.right, swapped.parent, b.roots)
+    assert_same_numbers(
+        renumber_swapped(None, numbers, *args),
+        renumber_swapped(None, (numbers.preorder, numbers.subtree_size),
+                         *args), "numbers vs intervals")
 
 
 def _assert_leftist_parity(name):

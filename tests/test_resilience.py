@@ -10,7 +10,11 @@ supposed to survive them:
   instances degrade to structured error solutions in their ordered slot;
 * the HTTP service (``ServerApp.dispatch``) — structured 500s, the
   circuit-breaker open/half-open/close cycle, and a real worker kill that
-  heals behind a 200.
+  heals behind a 200;
+* the server's inline path (instances of at most ``batch_small``
+  vertices solved on its thread executor) — it never consults the plan,
+  and admission, deadlines and breaker accounting hold on it as on the
+  pool.
 
 Faults are armed through the ``REPRO_FAULTS`` environment variable, which
 worker processes inherit at fork time; the ``arm`` fixture cleans up both
@@ -30,7 +34,7 @@ import time
 import pytest
 
 from repro.api import SolutionCache, solve, solve_many, solve_stream
-from repro.cograph import random_cotree
+from repro.cograph import Cotree, random_cotree
 from repro.core import (
     CORRUPT_SENTINEL,
     CircuitBreaker,
@@ -44,7 +48,7 @@ from repro.core.batch import Resolved, _apply_chunk, _ItemFailure, \
     stream_out
 from repro.core.faults import FAULTS_ENV, GENERATION_ENV, active_plan, \
     clear_active_plan
-from repro.io import cotree_to_text
+from repro.io import cotree_to_json, cotree_to_text
 from repro.server import ServerApp, Settings
 
 #: a fast, jitter-free policy so chaos tests stay deterministic and quick.
@@ -664,7 +668,8 @@ class TestServerResilience:
             m = await app.dispatch("GET", "/metrics")
             return r, h, m
 
-        r, h, m = run_app(scenario, jobs=2, retries=2)
+        # batch_small=0: the 3-vertex problem must reach a pooled worker
+        r, h, m = run_app(scenario, jobs=2, retries=2, batch_small=0)
         assert r.status == 200
         assert r.json()["num_paths"] == 2
         health = h.json()
@@ -680,7 +685,7 @@ class TestServerResilience:
         async def scenario(app):
             return await app.dispatch("POST", "/v1/solve", solve_body())
 
-        r = run_app(scenario, jobs=2, retries=1)
+        r = run_app(scenario, jobs=2, retries=1, batch_small=0)
         assert r.status == 500
         error = r.json()["error"]
         assert "worker crash" in error["message"]
@@ -709,3 +714,136 @@ class TestServerResilience:
             assert good["backend"] != "error"
             assert good["num_paths"] == solve(trees[i]).num_paths
         assert h.json()["pool"]["quarantined"] >= 1
+
+
+#: the inline path serves the fast backend only: the default PRAM
+#: simulator keeps the pool
+FAST_OPTIONS = {"backend": "fast"}
+
+
+class TestInlineSolve:
+    """A fast-backend ``/v1/solve`` instance of at most ``batch_small``
+    vertices, arriving while nothing else is admitted, solves on the
+    server's thread executor, behind the same admission, deadline and
+    breaker as the pool."""
+
+    def test_armed_kill_plan_never_reaches_an_inline_solve(self, arm):
+        arm(kill_task=1, once=False)   # any pooled worker would die
+
+        async def scenario(app):
+            r = await app.dispatch("POST", "/v1/solve",
+                                   solve_body(options=FAST_OPTIONS))
+            h = await app.dispatch("GET", "/healthz")
+            return r, h
+
+        r, h = run_app(scenario, jobs=2)
+        assert r.status == 200
+        assert r.json()["num_paths"] == 2
+        assert r.json()["provenance"]["route"] == "serial"
+        assert h.json()["pool"]["restarts"] == 0
+
+    def test_inline_deadline_is_a_504_then_the_server_answers(
+            self, monkeypatch):
+        import repro.server.app as app_module
+
+        real = app_module._run_solve
+        calls = []
+
+        def slow_once(payload):
+            calls.append(payload)
+            if len(calls) == 1:
+                time.sleep(0.6)
+            return real(payload)
+
+        monkeypatch.setattr(app_module, "_run_solve", slow_once)
+
+        async def scenario(app):
+            late = await app.dispatch("POST", "/v1/solve",
+                                      solve_body(options=FAST_OPTIONS))
+            again = await app.dispatch("POST", "/v1/solve",
+                                       solve_body(options=FAST_OPTIONS))
+            return late, again
+
+        late, again = run_app(scenario, jobs=2, request_timeout=0.2)
+        assert late.status == 504
+        assert "request_timeout" in late.json()["error"]["message"]
+        assert again.status == 200
+        assert again.json()["provenance"]["route"] == "serial"
+
+    def test_refused_inline_tree_is_a_400_and_spares_the_breaker(self):
+        sparse = cotree_to_json(Cotree.from_nested(("union", 0,
+                                                    ("join", 2, 7))))
+        threshold = 3
+
+        async def scenario(app):
+            refused = [await app.dispatch("POST", "/v1/solve",
+                                          solve_body(sparse,
+                                                     options=FAST_OPTIONS))
+                       for _ in range(threshold)]
+            return refused, app.breaker.snapshot()
+
+        refused, breaker = run_app(scenario, jobs=2,
+                                   breaker_threshold=threshold)
+        assert [r.status for r in refused] == [400] * threshold
+        assert "vertex id 7 is out of range" in \
+            refused[0].json()["error"]["message"]
+        assert breaker["state"] == "closed"
+        assert breaker["consecutive_failures"] == 0
+
+    def test_problem_above_batch_small_takes_the_pool(self):
+        big = cotree_to_text(random_cotree(40, seed=2))
+
+        async def scenario(app):
+            small = await app.dispatch("POST", "/v1/solve",
+                                       solve_body(options=FAST_OPTIONS))
+            large = await app.dispatch("POST", "/v1/solve",
+                                       solve_body(big, options=FAST_OPTIONS))
+            return small, large
+
+        small, large = run_app(scenario, jobs=2, batch_small=16)
+        assert small.json()["provenance"]["route"] == "serial"
+        assert large.status == 200
+        assert large.json()["provenance"]["route"] == "pool"
+        assert large.json()["num_paths"] == solve(
+            big, backend="fast").num_paths
+
+    def test_simulator_and_concurrent_solves_take_the_pool(self):
+        problems = [cotree_to_text(random_cotree(12, seed=s))
+                    for s in range(2)]
+
+        async def scenario(app):
+            simulated = await app.dispatch("POST", "/v1/solve", solve_body())
+            # the first is admitted before the second is routed
+            pair = await asyncio.gather(*(
+                app.dispatch("POST", "/v1/solve",
+                             solve_body(p, options=FAST_OPTIONS))
+                for p in problems))
+            return simulated, pair
+
+        simulated, pair = run_app(scenario, jobs=2)
+        assert simulated.status == 200
+        assert simulated.json()["provenance"]["route"] == "pool"
+        assert [r.status for r in pair] == [200, 200]
+        assert [r.json()["provenance"]["route"] for r in pair] == \
+            ["serial", "pool"]
+        for text, r in zip(problems, pair):
+            assert r.json()["num_paths"] == solve(
+                text, backend="fast").num_paths
+
+    def test_admission_bounds_inline_solves(self):
+        problems = [cotree_to_text(random_cotree(12, seed=s))
+                    for s in range(4)]
+
+        async def scenario(app):
+            return await asyncio.gather(*(
+                app.dispatch("POST", "/v1/solve",
+                             solve_body(p, options=FAST_OPTIONS))
+                for p in problems))
+
+        responses = run_app(scenario, jobs=2, queue_limit=1)
+        statuses = [r.status for r in responses]
+        assert set(statuses) <= {200, 429}
+        assert statuses.count(429) >= 1
+        assert statuses.count(200) >= 1
+        assert all(r.json()["provenance"]["route"] == "serial"
+                   for r in responses if r.status == 200)
