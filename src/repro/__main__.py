@@ -265,9 +265,11 @@ def _iter_jsonl(lines, task: str, on_error: str = "fail",
                 # bit strings here
                 value = _parse_bits(str(value), task)
             if on_error == "emit":
-                # adapt now so a hopeless line surfaces per line, not as
-                # a worker crash deep inside the stream engine
+                # adapt and validate now so a hopeless line surfaces per
+                # line, not as a worker crash deep inside the stream engine
                 value = as_problem(value, task=task)
+                if value.tree is not None:
+                    value.pipeline_tree()
         except (ValueError, TypeError) as exc:
             if on_error != "emit":
                 raise

@@ -16,7 +16,9 @@ turns any of
   never be silently mistaken for a graph), or
 * an existing :class:`Problem`
 
-into one :class:`Problem` value.  Graph-like inputs are routed through
+into one :class:`Problem` value.  Cotree text and JSON parse straight to a
+:class:`~repro.cograph.FlatCotree`, and :meth:`Problem.pipeline_tree`
+validates every cotree once.  Graph-like inputs are routed through
 :func:`~repro.cograph.cotree_from_graph` *lazily*, so a non-cograph raises
 :class:`~repro.cograph.NotACographError` only when a task actually needs the
 cotree — which is what lets the ``recognition`` task answer ``False``
@@ -25,6 +27,7 @@ instead of blowing up.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Union
@@ -43,7 +46,8 @@ from ..cograph import (
     md_tree,
 )
 from ..core import LowerBoundInstance, or_instance_cotree
-from ..io import cotree_from_text, load_json
+from ..io.serialization import _flat_from_json, _flat_from_text, \
+    graph_from_json
 
 __all__ = ["Problem", "as_problem", "SOURCE_FORMATS"]
 
@@ -67,7 +71,8 @@ class Problem:
     source_format:
         which adapter produced this problem (see :data:`SOURCE_FORMATS`).
     tree:
-        the cotree, when the input already was one (or parsed text/JSON).
+        the cotree, when the input already was one; parsed text and JSON
+        give a :class:`~repro.cograph.FlatCotree`, not yet validated.
     graph:
         the explicit graph, when the input was graph-like.  Kept so the
         ``recognition`` task can answer without assuming cograph-ness.
@@ -247,45 +252,37 @@ def _from_string(text: str) -> Problem:
     if not stripped:
         raise ValueError("empty string is not a problem; pass cotree text "
                          "like '(0 + (1 * 2))' or a JSON file path")
-    if stripped.startswith("("):
-        return Problem(source_format="text",
-                       tree=cotree_from_text(stripped))
     # the filesystem wins over the single-vertex reading: a JSON file named
     # "123" must stay loadable, and a digit string that names no file still
-    # parses as a single-vertex cotree below
-    if os.path.exists(stripped):
+    # parses as a single-vertex cotree
+    if not stripped.startswith("(") and os.path.exists(stripped):
         return _from_json_path(stripped)
-    if stripped.isdigit():
-        return Problem(source_format="text",
-                       tree=cotree_from_text(stripped))
+    if stripped.startswith("(") or stripped.isdigit():
+        return Problem(source_format="text", tree=_flat_from_text(stripped))
     raise ValueError(
         f"string {text!r} is neither cotree text (must start with '(' or "
         f"be a single vertex id) nor an existing JSON file path")
 
 
 def _from_json_path(path: str) -> Problem:
-    loaded = load_json(path)
-    if isinstance(loaded, Cotree):
-        return Problem(source_format="json", tree=loaded, source=path)
-    if isinstance(loaded, Graph):
-        return Problem(source_format="json", graph=loaded, source=path)
-    if isinstance(loaded, dict):
-        inner = _from_dict(loaded)
-        inner.source_format = "json"
-        inner.source = path
-        return inner
-    raise ValueError(
-        f"JSON file {path!r} holds a {type(loaded).__name__}, which is a "
-        f"result, not a problem; expected a serialised cotree or graph")
+    """A JSON file takes the route of the dict it holds."""
+    with open(path, "r", encoding="utf8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"JSON file {path!r} holds a {type(data).__name__}; expected a "
+            f"serialised cotree or graph")
+    problem = _from_dict(data)
+    problem.source_format, problem.source = "json", path
+    return problem
 
 
 def _from_dict(data: dict) -> Problem:
     if "type" in data:
         # a serialised object from repro.io
-        from ..io import cotree_from_json, graph_from_json
         kind = data["type"]
         if kind == "cotree":
-            return Problem(source_format="json", tree=cotree_from_json(data))
+            return Problem(source_format="json", tree=_flat_from_json(data))
         if kind == "graph":
             return Problem(source_format="json", graph=graph_from_json(data))
         raise ValueError(f"serialised {kind!r} is not a problem; expected "
@@ -298,7 +295,11 @@ def _from_dict(data: dict) -> Problem:
         raise ValueError(
             "dict input must be a serialised cotree/graph (with a 'type' "
             "key) or an adjacency mapping {vertex: [neighbours]}") from None
-    return Problem(source_format="adjacency", graph=Graph.from_adjacency(adj))
+    try:
+        graph = Graph.from_adjacency(adj)
+    except OverflowError:
+        raise ValueError(_OVERSIZED_ID_MESSAGE.format("adjacency")) from None
+    return Problem(source_format="adjacency", graph=graph)
 
 
 def _from_array(arr: np.ndarray, task: Optional[str]) -> Problem:
@@ -321,6 +322,11 @@ _EMPTY_INPUT_MESSAGE = (
     "adjacency dict, or a cotree instead")
 
 
+#: the one refusal of a vertex id that does not fit in 64 bits.
+_OVERSIZED_ID_MESSAGE = ("{} contains a vertex id that does not fit in 64 "
+                         "bits; vertices must be numbered 0, 1, 2, ...")
+
+
 def _from_sequence(seq, task: Optional[str]) -> Problem:
     items = list(seq)
     if not items:
@@ -328,8 +334,7 @@ def _from_sequence(seq, task: Optional[str]) -> Problem:
     if all(_is_int(x) for x in items):
         return _bits(items, task)
     if all(_is_pair(x) for x in items):
-        return _edge_array(np.asarray([[int(u), int(v)] for u, v in items],
-                                      dtype=np.int64))
+        return _edge_array([[int(u), int(v)] for u, v in items])
     raise ValueError(
         "sequence input must be either an edge list (pairs, e.g. "
         "[(0, 1), (1, 2)]) or, for task='lower_bound', a flat 0/1 bit "
@@ -339,7 +344,10 @@ def _from_sequence(seq, task: Optional[str]) -> Problem:
 def _edge_array(edges: np.ndarray) -> Problem:
     """Vectorized edge-list adapter: validation, vertex count and adjacency
     construction are NumPy operations — no per-edge Python loop."""
-    edges = np.asarray(edges, dtype=np.int64)
+    try:
+        edges = np.asarray(edges, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(_OVERSIZED_ID_MESSAGE.format("edge list")) from None
     if np.any(edges < 0):
         bad = edges[np.any(edges < 0, axis=1)][0]
         raise ValueError(

@@ -216,11 +216,8 @@ class BinaryCotree:
         if len(self.roots) > 1:
             raise CotreeError(f"a forest of {len(self.roots)} trees has no "
                               f"single-Cotree form")
-        children = [[] for _ in range(self.num_nodes)]
-        for u in range(self.num_nodes):
-            if self.kind[u] != LEAF:
-                children[u] = [int(self.left[u]), int(self.right[u])]
-        return Cotree(self.kind, children, self.leaf_vertex, self.root)
+        from .flat import FlatCotree
+        return FlatCotree.from_cotree(self).to_cotree()
 
     def copy(self) -> "BinaryCotree":
         """Deep copy."""

@@ -24,6 +24,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._dfs import depth_by_doubling
+
 __all__ = [
     "LEAF",
     "UNION",
@@ -248,27 +250,20 @@ class Cotree:
             optional vertex ids for the leaves; defaults to numbering the
             leaves ``0, 1, ...`` in node-id order.
         """
+        from .flat import FlatCotree, _parent_csr
         parent = np.asarray(parent, dtype=np.int64)
         kind = np.asarray(kind, dtype=np.int8)
-        n = len(parent)
-        children: List[List[int]] = [[] for _ in range(n)]
-        root = -1
-        for u in range(n):
-            p = int(parent[u])
-            if p == -1:
-                if root != -1:
-                    raise CotreeError("multiple roots in parent-pointer form")
-                root = u
-            else:
-                children[p].append(u)
-        if root == -1:
-            raise CotreeError("no root in parent-pointer form")
+        roots = np.flatnonzero(parent == -1)
+        if len(roots) != 1:
+            raise CotreeError("multiple roots in parent-pointer form"
+                              if len(roots) else
+                              "no root in parent-pointer form")
         if leaf_vertex is None:
-            leaf_vertex = np.full(n, -1, dtype=np.int64)
-            leaves = [u for u in range(n) if kind[u] == LEAF]
-            for i, u in enumerate(leaves):
-                leaf_vertex[u] = i
-        return cls(kind, children, leaf_vertex, root)
+            leaf_vertex = np.full(len(parent), -1, dtype=np.int64)
+            leaf_vertex[kind == LEAF] = np.arange(np.count_nonzero(
+                kind == LEAF))
+        return FlatCotree(kind, *_parent_csr(parent), parent, leaf_vertex,
+                          int(roots[0])).to_cotree()
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -335,11 +330,7 @@ class Cotree:
 
     def depth(self) -> np.ndarray:
         """Depth of each node (root depth 0)."""
-        d = np.zeros(self.num_nodes, dtype=np.int64)
-        for u in self.preorder():
-            for c in self.children[u]:
-                d[c] = d[u] + 1
-        return d
+        return depth_by_doubling(self.parent)
 
     def height(self) -> int:
         """Height of the tree (number of edges on the longest root path)."""
@@ -394,61 +385,44 @@ class Cotree:
                     raise CotreeError(f"internal node {u} has no children")
 
     def is_canonical(self) -> bool:
-        """True when the cotree satisfies properties (4) and (5).
-
-        Property (4): every internal node has at least two children.
-        Property (5): labels alternate along every root-to-leaf path, i.e. no
-        internal node has a child with the same label.  (Vectorized: child
-        counts via one bincount, label alternation via the parent array.)
-        """
-        internal = self.internal_nodes
-        if internal.size == 0:
-            return True
-        has_parent = self.parent != -1
-        deg = np.bincount(self.parent[has_parent], minlength=self.num_nodes)
-        if np.any(deg[internal] < 2):
-            return False
-        child = np.flatnonzero(has_parent & (self.kind != LEAF))
-        return not bool(np.any(self.kind[child] ==
-                               self.kind[self.parent[child]]))
+        """True when the cotree satisfies properties (4) and (5): every
+        internal node has two or more children, and labels alternate."""
+        from .flat import _is_canonical
+        return _is_canonical(self.kind, self.parent)
 
     def canonicalize(self) -> "Cotree":
         """Return an equivalent canonical cotree.
 
         Unary internal nodes are spliced out and children with the same label
         as their parent are merged into the parent, which restores properties
-        (4) and (5) without changing the represented cograph.
+        (4) and (5) without changing the represented cograph.  One postorder
+        pass does it: a node's children are canonical by the time it is
+        reached, so a unary child stands for its one child and a same-label
+        child hands over its children.  The result is numbered in preorder.
         """
-        # Work on a mutable copy of the children lists, bottom-up.
-        kind = self.kind.copy()
-        children = [list(c) for c in self.children]
-        # splice unary chains and merge same-label children until fixpoint
-        changed = True
-        while changed:
-            changed = False
-            for u in list(self.postorder()):
-                if kind[u] == LEAF:
-                    continue
-                # merge children that are internal and same-labelled
-                new_children: List[int] = []
-                for c in children[u]:
-                    if kind[c] != LEAF and len(children[c]) == 1:
-                        # unary internal node: splice out
-                        new_children.append(children[c][0])
-                        children[c] = []
-                        changed = True
-                    elif kind[c] != LEAF and kind[c] == kind[u]:
-                        new_children.extend(children[c])
-                        children[c] = []
-                        changed = True
-                    else:
-                        new_children.append(c)
-                children[u] = new_children
-        root = self.root
-        while kind[root] != LEAF and len(children[root]) == 1:
-            root = children[root][0]
-        # compact reachable nodes
-        return _compact(kind, children, self.leaf_vertex, root)
+        kind = self.kind.tolist()
+        rows: List[List[int]] = [[]] * self.num_nodes
+        rep = list(range(self.num_nodes))   # the node standing for u
+        for u in self.postorder():
+            if kind[u] == LEAF:
+                continue
+            row: List[int] = []
+            for c in self.children[u]:
+                r = rep[c]
+                row += rows[r] if kind[r] == kind[u] else (r,)
+            rows[u] = row
+            if len(row) == 1:
+                rep[u] = row[0]
+        order: List[int] = []
+        stack = [rep[self.root]] if self.num_nodes else []
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            stack.extend(reversed(rows[u]))
+        new = {old: i for i, old in enumerate(order)}
+        return Cotree(self.kind[order], [[new[c] for c in rows[u]]
+                                         for u in order],
+                      self.leaf_vertex[order], 0 if order else -1)
 
     # ------------------------------------------------------------------ #
     # graph semantics
@@ -533,18 +507,3 @@ class Cotree:
 
     def __hash__(self) -> int:
         return hash(self.to_nested())
-
-
-def _compact(kind, children, leaf_vertex, root) -> Cotree:
-    """Re-index the nodes reachable from ``root`` into a fresh Cotree."""
-    order: List[int] = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(reversed(children[u]))
-    remap = {old: new for new, old in enumerate(order)}
-    new_kind = [int(kind[u]) for u in order]
-    new_children = [[remap[c] for c in children[u]] for u in order]
-    new_leaf_vertex = [int(leaf_vertex[u]) for u in order]
-    return Cotree(new_kind, new_children, new_leaf_vertex, remap[root])

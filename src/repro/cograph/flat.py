@@ -134,18 +134,8 @@ class FlatCotree:
         if not isinstance(tree, Cotree):
             raise TypeError(f"cannot convert {type(tree).__name__} to "
                             f"FlatCotree")
-        n = tree.num_nodes
-        counts = np.fromiter(map(len, tree.children), dtype=np.int64, count=n)
-        offset = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offset[1:])
-        total = int(offset[-1])
-        flat: List[int] = []
-        for c in tree.children:
-            flat += c
-        index = np.asarray(flat, dtype=np.int64) if total else \
-            np.empty(0, dtype=np.int64)
-        return cls(tree.kind, offset, index, tree.parent, tree.leaf_vertex,
-                   tree.root)
+        return cls(tree.kind, *_children_csr(tree.children), tree.parent,
+                   tree.leaf_vertex, tree.root)
 
     def to_cotree(self) -> Cotree:
         """Convert back to a list-of-lists :class:`Cotree` (same node ids and
@@ -380,18 +370,7 @@ class FlatCotree:
 
     def is_canonical(self) -> bool:
         """Vectorized check of cotree properties (4) and (5)."""
-        internal = self.kind != LEAF
-        if not internal.any():
-            return True
-        deg = self.degrees()
-        if np.any(deg[internal] < 2):
-            return False
-        # no internal child shares its parent's label (prime nodes never
-        # merge: adjacent primes are legal in a modular decomposition tree)
-        child = np.flatnonzero((self.parent != -1) & internal
-                               & (self.kind != PRIME))
-        return not bool(np.any(self.kind[child] ==
-                               self.kind[self.parent[child]]))
+        return _is_canonical(self.kind, self.parent)
 
     def canonicalize(self) -> "FlatCotree":
         """Equivalent canonical cotree via pointer jumping (no recursion).
@@ -452,17 +431,8 @@ class FlatCotree:
         new_kind = kind[sv]
         new_parent = np.where(fp[sv] != -1, remap[np.maximum(fp[sv], 0)], -1)
         new_leaf_vertex = self.leaf_vertex[sv]
-        m = len(sv)
-        # children grouped by new parent, ordered by old node id (np.argsort
-        # with a stable kind keeps ties deterministic; sv is already sorted,
-        # so sorting by parent alone with a stable sort preserves id order)
-        child_nodes = np.flatnonzero(new_parent != -1)
-        order = child_nodes[np.argsort(new_parent[child_nodes],
-                                       kind="stable")]
-        counts = np.bincount(new_parent[child_nodes], minlength=m)
-        offset = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=offset[1:])
-        return FlatCotree(new_kind, offset, order, new_parent,
+        # sv is sorted, so children keep their old id order
+        return FlatCotree(new_kind, *_parent_csr(new_parent), new_parent,
                           new_leaf_vertex,
                           int(np.flatnonzero(new_parent == -1)[0]))
 
@@ -505,6 +475,83 @@ def _refuse_outside(values: np.ndarray, field: str, lo: int, hi: int,
         pos = int(np.flatnonzero((values < lo) | (values > hi))[0])
         raise CotreeError(f"{field}[{pos}] = {int(values[pos])} is outside "
                           f"{lo}..{hi}{hint}")
+
+
+def _is_canonical(kind: np.ndarray, parent: np.ndarray) -> bool:
+    """Properties (4) and (5) read off parent pointers: every internal node
+    has two or more children, and no internal child shares its parent's
+    label (prime nodes never merge: adjacent primes are legal in a modular
+    decomposition tree)."""
+    internal, has_parent = kind != LEAF, parent != -1
+    deg = np.bincount(parent[has_parent], minlength=len(kind))
+    child = np.flatnonzero(has_parent & internal & (kind != PRIME))
+    return bool(np.all(deg[internal] >= 2)) and \
+        not np.any(kind[child] == kind[parent[child]])
+
+
+def _parent_csr(parent: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(child_offset, child_index)`` from parent pointers: one stable sort
+    by parent lists every node's children in id order."""
+    child = np.flatnonzero(parent >= 0)
+    offset = np.zeros(len(parent) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(parent[child], minlength=len(parent)),
+              out=offset[1:])
+    return offset, child[np.argsort(parent[child], kind="stable")]
+
+
+def _children_csr(children) -> Tuple[np.ndarray, np.ndarray]:
+    """``(child_offset, child_index)`` of one child-id list per node."""
+    counts = np.fromiter(map(len, children), dtype=np.int64,
+                         count=len(children))
+    offset = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offset[1:])
+    flat: List[int] = []
+    for c in children:
+        flat += c
+    return offset, np.asarray(flat, dtype=np.int64)
+
+
+def _int_array(values, field: str, dtype) -> np.ndarray:
+    """``values`` as a 1-d integer array, or a :class:`CotreeError` naming
+    ``field`` (never a raw ``OverflowError`` / ``TypeError``)."""
+    try:
+        out = np.asarray(values, dtype=dtype)
+        if out.ndim == 1:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise CotreeError(f"{field} must be a flat list of integers that fit in "
+                      f"{np.dtype(dtype).name}")
+
+
+def _from_lists(kind, children, leaf_vertex, root) -> FlatCotree:
+    """The CSR arrays of a ``(kind, children, leaf_vertex, root)``
+    spelling, shape kept.  Refuses, naming the field, only what stops the
+    arrays being built: non-integer or oversized entries, ragged lists, a
+    child id or root outside the node range; :meth:`FlatCotree.validate`
+    decides the rest."""
+    kind = _int_array(kind, "kind", np.int8)
+    leaf_vertex = _int_array(leaf_vertex, "leaf_vertex", np.int64)
+    try:
+        offset, index = _children_csr(children)
+        one_row_each = index.ndim == 1
+    except (TypeError, ValueError, OverflowError):
+        one_row_each = False
+    if not one_row_each:
+        raise CotreeError("children must hold one list of integer node ids "
+                          "per node")
+    n = len(kind)
+    if not len(offset) - 1 == n == len(leaf_vertex):
+        raise CotreeError("kind, children and leaf_vertex must have the "
+                          "same length")
+    if isinstance(root, bool) or not isinstance(root, (int, np.integer)) \
+            or not (0 <= root < n or root == -1 == n - 1):
+        raise CotreeError(f"root = {root!r} is not a node id 0..{n - 1}"
+                          if n else "an empty cotree must have root -1")
+    _refuse_outside(index, "children", 0, n - 1)
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[index] = np.repeat(np.arange(n, dtype=np.int64), np.diff(offset))
+    return FlatCotree(kind, offset, index, parent, leaf_vertex, root)
 
 
 def as_flat_cotree(tree) -> FlatCotree:

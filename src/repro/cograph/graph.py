@@ -44,17 +44,11 @@ class Graph:
         The neighbour lists are flattened into one edge array and routed
         through :meth:`from_edge_array`, so no per-edge Python loop runs.
         """
-        values = [list(nbrs) for nbrs in adj.values()]   # per-vertex, not
-        keys = np.fromiter(adj.keys(), dtype=np.int64,   # per-edge work
-                           count=len(adj))
-        lengths = np.fromiter(map(len, values), dtype=np.int64,
-                              count=len(values))
-        flat: List[int] = []
-        for nbrs in values:
-            flat += nbrs
-        cols = np.asarray(flat, dtype=np.int64) if flat else \
-            np.empty(0, dtype=np.int64)
-        rows = np.repeat(keys, lengths)
+        from .flat import _children_csr
+        keys = np.fromiter(adj.keys(), dtype=np.int64,   # per-vertex, not
+                           count=len(adj))               # per-edge work
+        offset, cols = _children_csr([list(nbrs) for nbrs in adj.values()])
+        rows = np.repeat(keys, np.diff(offset))
         n = 0
         if len(keys):
             n = max(n, int(keys.max()) + 1)

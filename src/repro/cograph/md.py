@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cotree import JOIN, LEAF, PRIME, UNION
-from .flat import FlatCotree, as_flat_cotree
+from .flat import FlatCotree, _children_csr, as_flat_cotree
 from .graph import Graph
 from .recognition import NotACographError, cotree_from_graph
 
@@ -205,34 +205,17 @@ class _Builder:
 
     def finish(self, root: int) -> FlatCotree:
         n = len(self.kind)
+        child_offset, child_index = _children_csr(self.children)
         parent = np.full(n, -1, dtype=np.int64)
-        counts = np.fromiter(map(len, self.children), dtype=np.int64,
-                             count=n)
-        child_offset = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=child_offset[1:])
-        flat_children: List[int] = []
-        for u, cs in enumerate(self.children):
-            flat_children += cs
-            for c in cs:
-                parent[c] = u
-        child_index = np.asarray(flat_children, dtype=np.int64) if \
-            flat_children else np.empty(0, dtype=np.int64)
-        q_counts = np.fromiter(map(len, self.q_edges), dtype=np.int64,
-                               count=n)
-        q_offset = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(q_counts, out=q_offset[1:])
-        flat_q: List[Tuple[int, int]] = []
-        for es in self.q_edges:
-            flat_q += es
-        if flat_q:
-            qarr = np.asarray(flat_q, dtype=np.int64)
-            q_edge_u, q_edge_v = qarr[:, 0].copy(), qarr[:, 1].copy()
-        else:
-            q_edge_u = q_edge_v = np.empty(0, dtype=np.int64)
+        parent[child_index] = np.repeat(np.arange(n, dtype=np.int64),
+                                        np.diff(child_offset))
+        q_offset, q_edges = _children_csr(self.q_edges)
+        q_edges = q_edges.reshape(-1, 2)
         return FlatCotree(
             np.asarray(self.kind, dtype=np.int8), child_offset, child_index,
             parent, np.asarray(self.leaf_vertex, dtype=np.int64), root,
-            q_offset=q_offset, q_edge_u=q_edge_u, q_edge_v=q_edge_v,
+            q_offset=q_offset, q_edge_u=q_edges[:, 0].copy(),
+            q_edge_v=q_edges[:, 1].copy(),
             spider=np.asarray(self.spider, dtype=np.int8))
 
 

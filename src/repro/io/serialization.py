@@ -7,6 +7,10 @@ Two formats are supported:
 * a compact one-line text form for cotrees (``to_text`` / ``from_text``)
   using ``*`` for join and ``+`` for union, e.g. ``(0 + (1 * 2))`` — handy in
   examples, error messages and doctests.
+
+Each cotree format has one parser, which builds a
+:class:`~repro.cograph.FlatCotree` straight from the input; the public
+``cotree_from_*`` functions return its ``.to_cotree()``.
 """
 
 from __future__ import annotations
@@ -14,8 +18,11 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Union
 
-from ..cograph import Cotree, Graph, PathCover
-from ..cograph.cotree import JOIN, LEAF, UNION, _compact
+import numpy as np
+
+from ..cograph import Cotree, FlatCotree, Graph, PathCover
+from ..cograph.cotree import JOIN, LEAF, UNION
+from ..cograph.flat import _from_lists, _parent_csr
 
 __all__ = [
     "cotree_to_json", "cotree_from_json",
@@ -49,13 +56,19 @@ def _require(data: Dict, what: str, keys) -> None:
                          f"{', '.join(repr(k) for k in missing)}")
 
 
-def cotree_from_json(data: Dict) -> Cotree:
-    """Inverse of :func:`cotree_to_json`."""
+def _flat_from_json(data: Dict) -> FlatCotree:
+    """A serialised cotree dict as CSR arrays in one pass, shape kept (not
+    validated: :meth:`FlatCotree.validate` decides, downstream)."""
     if data.get("type") != "cotree":
         raise ValueError("not a serialised cotree")
     _require(data, "cotree", ("kind", "children", "leaf_vertex", "root"))
-    return Cotree(data["kind"], data["children"], data["leaf_vertex"],
-                  data["root"])
+    return _from_lists(data["kind"], data["children"], data["leaf_vertex"],
+                       data["root"])
+
+
+def cotree_from_json(data: Dict) -> Cotree:
+    """Inverse of :func:`cotree_to_json`."""
+    return _flat_from_json(data).to_cotree()
 
 
 def cotree_to_text(tree: Cotree) -> str:
@@ -83,47 +96,48 @@ def cotree_to_text(tree: Cotree) -> str:
     return "".join(out)
 
 
-def cotree_from_text(text: str) -> Cotree:
-    """Parse the compact text form produced by :func:`cotree_to_text`.
+def _flat_from_text(text: str) -> FlatCotree:
+    """Parse the compact text form into a canonical :class:`FlatCotree`.
 
-    Iterative (one pass over the tokens with an explicit stack of open
-    groups), so any nesting depth is fine.  Groups are canonicalized as
-    they close, so the one tree built is already canonical.  A tree with
-    two or more leaves must number them ``0..n-1`` — vertex ids index every
-    per-vertex array downstream — and any other numbering is refused with a
-    :class:`ValueError` naming the first missing id.  A lone leaf keeps its
-    id (``"5"`` is the one-vertex cograph on vertex 5).
+    One pass over the tokens with an explicit stack of open groups, so any
+    nesting depth is fine.  Every ``(`` and every leaf is a node, numbered
+    in token order (preorder) with its parent, and the flat pointer jump
+    (:meth:`FlatCotree.canonicalize`) splices unary groups and
+    same-operator members.  Two or more leaves must be numbered ``0..n-1``
+    (vertex ids index per-vertex arrays), else the first missing id is
+    named; a lone leaf keeps its id.
+    Not validated: :meth:`FlatCotree.validate` decides, downstream.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ") \
                  .replace("*", " * ").replace("+", " + ").split()
     kind: List[int] = []
-    children: List[List[int]] = []
-    leaf_vertex: List[int] = []
-    groups: List[list] = []      # open groups: [child node ids, op kind]
+    parent: List[int] = []
+    ids: List[int] = []          # leaf vertex ids, in token order
+    groups: List[list] = []      # open groups: [node, op kind, members]
     num_tokens = len(tokens)
+    truncated = "truncated cotree text (unbalanced parentheses?): {!r}"
     pos = 0
     while True:
         # one expression: open groups until a leaf completes a node
         if pos >= num_tokens:
-            raise ValueError(
-                f"truncated cotree text (unbalanced parentheses?): {text!r}")
+            raise ValueError(truncated.format(text))
         token = tokens[pos]
         pos += 1
+        parent.append(groups[-1][0] if groups else -1)
         if token == "(":
-            groups.append([[], None])
+            # UNION until an operator names it; a one-member group without
+            # one is unary and canonicalize splices it out
+            groups.append([len(kind), None, 0])
+            kind.append(UNION)
             continue
-        node = len(kind)
         kind.append(LEAF)
-        children.append([])
-        leaf_vertex.append(int(token))
-        # hand the node to its group; close every group that ends here
+        ids.append(int(token))
+        # count the node in its group; close every group that ends here
         while groups:
             group = groups[-1]
-            group[0].append(node)
+            group[2] += 1
             if pos >= num_tokens:
-                raise ValueError(
-                    f"truncated cotree text (unbalanced parentheses?): "
-                    f"{text!r}")
+                raise ValueError(truncated.format(text))
             token = tokens[pos]
             if token != ")":
                 if token in ("*", "+"):
@@ -131,44 +145,38 @@ def cotree_from_text(text: str) -> Cotree:
                     if group[1] is not None and group[1] != op:
                         raise ValueError("mixed operators inside one group")
                     group[1] = op
+                    kind[group[0]] = op
                     pos += 1
                 break
             pos += 1
             groups.pop()
-            members, op = group
-            if op is None:
-                if len(members) != 1:
-                    raise ValueError("group without operator")
-                node = members[0]
-            else:
-                # canonical on the fly: a same-operator member (already
-                # canonical itself) hands its children up to this group
-                flat: List[int] = []
-                for member in members:
-                    if kind[member] == op:
-                        flat.extend(children[member])
-                    else:
-                        flat.append(member)
-                node = len(kind)
-                kind.append(op)
-                children.append(flat)
-                leaf_vertex.append(-1)
+            if group[1] is None and group[2] != 1:
+                raise ValueError("group without operator")
         else:
             break
     if pos != num_tokens:
         raise ValueError("trailing input after cotree expression")
-    if len(kind) == 1:
-        return Cotree.single_vertex(leaf_vertex[0])
-    # renumber the reachable nodes in preorder (spliced members drop out)
-    tree = _compact(kind, children, leaf_vertex, node)
-    ids = [v for k, v in zip(kind, leaf_vertex) if k == LEAF]
-    if max(ids) >= len(ids):
-        missing = min(set(range(len(ids))).difference(ids))
+    n = len(ids)
+    if n > 1 and max(ids) >= n:
+        missing = min(set(range(n)).difference(ids))
         raise ValueError(
-            f"cotree text must number its {len(ids)} leaves 0..{len(ids) - 1}"
-            f" (vertex ids index per-vertex arrays); vertex id {missing} is "
-            f"missing")
-    return tree
+            f"cotree text must number its {n} leaves 0..{n - 1} (vertex "
+            f"ids index per-vertex arrays); vertex id {missing} is missing")
+    kinds = np.asarray(kind, dtype=np.int8)
+    parents = np.asarray(parent, dtype=np.int64)
+    leaf_vertex = np.full(len(kinds), -1, dtype=np.int64)
+    try:
+        leaf_vertex[kinds == LEAF] = ids
+    except OverflowError:   # past the check above: a negative or lone id
+        raise ValueError(f"vertex id {min(ids)} does not fit in 64 bits"
+                         ) from None
+    flat = FlatCotree(kinds, *_parent_csr(parents), parents, leaf_vertex, 0)
+    return flat if flat.is_canonical() else flat.canonicalize()
+
+
+def cotree_from_text(text: str) -> Cotree:
+    """The canonical :class:`Cotree` of :func:`cotree_to_text`'s form."""
+    return _flat_from_text(text).to_cotree()
 
 
 # --------------------------------------------------------------------------- #

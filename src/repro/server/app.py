@@ -57,6 +57,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import threading
 import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -179,6 +180,8 @@ class ServerApp:
         self._threads = ThreadPoolExecutor(
             max_workers=max(2, self.pool.jobs),
             thread_name_prefix="repro-server")
+        # held by a running inline solve, past its 504 too
+        self._inline = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -357,17 +360,18 @@ class ServerApp:
         """Solve one request the cache could not answer.
 
         A small fast-backend instance that arrives on an otherwise idle
-        server solves on the server's thread executor; it runs
-        :func:`_run_solve`, because a :class:`~repro.core.faults.FaultPlan`
-        scripts worker processes, not the server.  Any other travels
+        server, no earlier inline solve still running, solves on the
+        server's thread executor; it runs :func:`_run_solve`, because a
+        :class:`~repro.core.faults.FaultPlan` scripts worker processes, not
+        the server.  Any other travels
         unflattened to the pool, where the worker checks its tree once:
         the PRAM simulator would hold the server's GIL for tens of
         milliseconds, and concurrent solves would share it."""
         payload = (req.problem, req.task, req.options)
         if (req.problem.num_vertices <= self.settings.batch_small
                 and req.options.resolved_backend == "fast"
-                and self._admitted == 0):
-            solution = await self._admitted_call(_run_solve, payload,
+                and self._admitted == 0 and not self._inline.locked()):
+            solution = await self._admitted_call(self._solve_inline, payload,
                                                  use_pool=False)
             route = "serial"
         else:
@@ -377,6 +381,13 @@ class ServerApp:
             solution.provenance.setdefault(name, value)
         solution.provenance.setdefault("route", route)
         return solution
+
+    def _solve_inline(self, payload: Tuple) -> Solution:
+        """:func:`_run_solve` on a server thread, holding the inline lock
+        for as long as it runs: an abandoned (504) solve keeps later small
+        requests on the pool until it ends."""
+        with self._inline:
+            return _run_solve(payload)
 
     def _batch_worker(self, requests: List[SolveRequest]) -> List[Dict]:
         """Solve one validated batch (runs on a worker thread).

@@ -263,6 +263,28 @@ def test_stream_on_error_emit_interleaves_error_records(monkeypatch,
         in captured.err
 
 
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]])
+def test_stream_on_error_emit_reports_a_structurally_bad_line(monkeypatch,
+                                                              capsys, jobs):
+    # "(0 + 0)" and a JSON node with two parents pass the grammar; only
+    # the tree validator refuses them, and that must still be per line
+    two_parents = json.dumps({"type": "cotree", "kind": [1, 2, 0, 0],
+                              "children": [[1, 2], [2, 3], [], []],
+                              "leaf_vertex": [-1, -1, 0, 1], "root": 0})
+    _feed_stdin(monkeypatch, ['"(0 * 1)"', '"(0 + 0)"', two_parents,
+                              '"(0 + 1)"'])
+    assert main(["solve", "--stream", "--on-error", "emit", "--json",
+                 *jobs]) == 0
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r.get("line") for r in records] == [None, 2, 3, None]
+    assert "leaf_vertex" in records[1]["error"]
+    assert "appears 2 times" in records[2]["error"]
+    assert records[0]["num_paths"] == 1 and records[3]["num_paths"] == 2
+    assert "solved 2 instance(s), skipped 2 malformed line(s)" \
+        in captured.err
+
+
 def test_stream_on_error_emit_with_jobs_and_all_bad_lines(monkeypatch,
                                                           capsys):
     _feed_stdin(monkeypatch, ['"((0+1)"', '"no/such/file.json"'])

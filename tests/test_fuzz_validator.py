@@ -5,9 +5,10 @@ vertex, two leaves, modular decomposition trees) are mutated the ways a
 corrupt or hostile input can be: two parents swapped, a child slot listed
 twice, a detached cycle, a duplicate or out-of-range leaf id, a flipped
 kind, a skewed offset, a corrupt prime payload.  Each case runs on one
-route (``solve`` on wire bytes, a ``FlatCotree`` or a ``BinaryCotree``,
-``solve_forest``, the binary CLI stream, ``ServerApp.dispatch`` with JSON
-or octet-stream bodies, a cache hit) and must get one of two outcomes:
+route (``solve`` on wire bytes, a ``FlatCotree``, a ``BinaryCotree``, a
+JSON cotree dict or cotree text, ``solve_forest``, the binary CLI stream,
+``ServerApp.dispatch`` with JSON, text or octet-stream bodies, a cache
+hit) and must get one of two outcomes:
 
 * an answer that agrees with the oracle — brute force on the graph the
   arrays describe for ``n <= 10``, sequential/fast/pram parity above; or
@@ -15,7 +16,10 @@ or octet-stream bodies, a cache hit) and must get one of two outcomes:
   server) that names the offending field.
 
 Whether a mutated case is a cotree at all is decided here by a plain
-Python walk, independent of :meth:`FlatCotree.validate`.  The hypothesis
+Python walk, independent of :meth:`FlatCotree.validate`.  A JSON dict
+spells a case by its CSR rows (``children``, ``kind``, ``leaf_vertex``,
+``root``) and text by its tree walk, so those routes are judged against
+the tree they spell, with the parent derived from ``children``.  The hypothesis
 half runs derandomized with a bounded example count; the ``fuzz-smoke``
 profile raises the budget (``pytest tests/test_fuzz_validator.py
 --hypothesis-profile=fuzz-smoke``).
@@ -62,7 +66,6 @@ from repro.cograph import (
     single_vertex,
 )
 from repro.cograph.cotree import JOIN, LEAF, PRIME, UNION
-from repro.io import cotree_to_json
 from repro.io.wire import frame, to_bytes
 from repro.server import ServerApp, Settings
 
@@ -75,6 +78,10 @@ BUDGET = settings.default \
 
 FIELD = re.compile(r"\b(kind|child_offset|child_index|parent|roots|"
                    r"leaf_vertex|q_offset|q_edge_u|q_edge_v|spider)\b")
+#: a JSON cotree dict names its own fields: ``children`` and ``root``
+JSON_FIELD = re.compile(FIELD.pattern + r"|\b(children|root)\b")
+#: cotree text names no array: its refusals name the leaf id instead
+TEXT_FIELD = re.compile(FIELD.pattern + r"|vertex id -?\d+ is missing")
 #: refusals of a well-formed tree a task cannot take
 UNSUPPORTED = re.compile(r"prime nodes|at least two children")
 TASKS = ("path_cover", "path_cover_size", "max_clique",
@@ -367,7 +374,7 @@ def check_answer(g: Graph, task: str, answer) -> None:
         assert answer["count"] == brute_force_count_independent_sets(g)
 
 
-def judge(t: dict, task: str, outcome) -> None:
+def judge(t: dict, task: str, outcome, field=FIELD) -> None:
     """One case: a field-naming refusal exactly when the reference says
     the arrays are not a cotree, else an oracle-correct answer (or the
     task's own refusal of a tree it cannot take)."""
@@ -375,11 +382,68 @@ def judge(t: dict, task: str, outcome) -> None:
     status, value = outcome
     if ref is None:
         assert status == "refused", f"malformed arrays answered: {value}"
-        assert FIELD.search(value), value
+        assert field.search(value), value
     elif status == "refused":
         assert UNSUPPORTED.search(value), value
     elif np.sum(t["kind"] == LEAF) <= 10:
         check_answer(graph_of(t, *ref), task, value)
+
+
+# --------------------------------------------------------------------------- #
+# JSON and text spellings of a case
+# --------------------------------------------------------------------------- #
+
+def _rows(t: dict) -> list:
+    """The child list of every node, read off the CSR arrays as given."""
+    index, off = t["child_index"].tolist(), t["child_offset"].tolist()
+    return [index[off[u]:off[u + 1]] for u in range(len(t["kind"]))]
+
+
+def spelled(t: dict) -> dict:
+    """The arrays a JSON spelling of ``t``'s CSR rows describes: ``t``'s
+    kinds, leaf ids and root, with the CSR rebuilt from the rows and the
+    parent derived from ``children``."""
+    rows, n = _rows(t), len(t["kind"])
+    parent = np.full(n, -1, dtype=np.int64)
+    for u, row in enumerate(rows):
+        for c in row:
+            if 0 <= c < n:
+                parent[c] = u
+    return {"kind": t["kind"].copy(), "leaf_vertex": t["leaf_vertex"].copy(),
+            "root": t["root"], "parent": parent,
+            "child_offset": np.cumsum([0] + [len(r) for r in rows]),
+            "child_index": np.array([c for r in rows for c in r],
+                                    dtype=np.int64)}
+
+
+def json_spelling(t: dict) -> dict:
+    return {"type": "cotree", "kind": t["kind"].tolist(),
+            "children": _rows(t), "leaf_vertex": t["leaf_vertex"].tolist(),
+            "root": int(t["root"])}
+
+
+def text_spelling(t: dict):
+    """Cotree text for ``t``, wrapped in one unary group, or ``None`` when
+    text cannot spell its structure (leaf ids aside)."""
+    kind = t["kind"]
+    ids = np.full(len(kind), -1, dtype=np.int64)
+    ids[kind == LEAF] = np.arange(int(np.sum(kind == LEAF)))
+    if "q_offset" in t or reference({**t, "leaf_vertex": ids}) is None:
+        return None
+    rows, out, stack = _rows(t), [], [int(t["root"])]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif kind[item] == LEAF:
+            out.append(str(int(t["leaf_vertex"][item])))
+        else:
+            sep = " * " if kind[item] == JOIN else " + "
+            stack.append(")")
+            for i, c in enumerate(reversed(rows[item])):
+                stack.extend([sep, c] if i else [c])
+            stack.append("(")
+    return "(" + "".join(out) + ")"
 
 
 # --------------------------------------------------------------------------- #
@@ -400,6 +464,16 @@ def route_bytes(t, task, **options):
 
 def route_flat(t, task, **options):
     return _solved(lambda: solve(_flat(t), task, **options)
+                   .to_json_dict()["answer"])
+
+
+def route_json(t, task, **options):
+    return _solved(lambda: solve(json_spelling(t), task, **options)
+                   .to_json_dict()["answer"])
+
+
+def route_text(t, task, **options):
+    return _solved(lambda: solve(text_spelling(t), task, **options)
                    .to_json_dict()["answer"])
 
 
@@ -439,16 +513,16 @@ def route_cli(t, task, monkeypatch, capsys):
         else ("answer", last["answer"])
 
 
-async def _dispatch(app, t, task, binary):
-    if binary:
+async def _dispatch(app, t, task, spelling):
+    if spelling == "binary":
         response = await app.dispatch(
             "POST", f"/v1/solve?task={task}", to_bytes(_flat(t)),
             {"content-type": "application/octet-stream"})
     else:
-        # a JSON body can carry what a Cotree object can hold
-        cotree = _flat(t).to_cotree()
+        problem = json_spelling(t) if spelling == "json" else \
+            text_spelling(t)
         response = await app.dispatch("POST", "/v1/solve", json.dumps(
-            {"problem": cotree_to_json(cotree), "task": task}).encode())
+            {"problem": problem, "task": task}).encode())
     body = response.json()
     if response.status == 200:
         return "answer", body["answer"]
@@ -458,7 +532,7 @@ async def _dispatch(app, t, task, binary):
 
 
 def run_server(cases):
-    """Dispatch ``(t, task, binary)`` cases through one app; refusals are
+    """Dispatch ``(t, task, spelling)`` cases through one app; refusals are
     400s, and the breaker stays closed throughout."""
     app = ServerApp(Settings(port=0, jobs=1, log_level="ERROR"))
 
@@ -515,15 +589,34 @@ def test_binary_cli_stream(monkeypatch, capsys):
         judge(t, task, route_cli(t, task, monkeypatch, capsys))
 
 
+def spelled_cases(count: int, seed: int, text: bool = False):
+    """Prime-free seeded cases as the JSON (or text, where it can) spells
+    them."""
+    out = [(spelled(t), task) for t, task in seeded_cases(count, seed)
+           if "q_offset" not in t]
+    return [case for case in out
+            if not text or text_spelling(case[0]) is not None]
+
+
+@pytest.mark.parametrize("route, field", [(route_json, JSON_FIELD),
+                                          (route_text, TEXT_FIELD)])
+def test_seeded_spellings_get_an_oracle_answer_or_a_named_refusal(route,
+                                                                 field):
+    seed = zlib.crc32(route.__name__.encode())
+    for t, task in spelled_cases(60, seed, text=route is route_text):
+        judge(t, task, route(t, task), field)
+
+
 def test_server_refusals_are_400s_that_spare_the_breaker():
-    cases = seeded_cases(40, seed=13)
-    binary = [(t, task, True) for t, task in cases]
-    # JSON carries only Cotree-holdable arrays: valid trees, relabelled
-    json_cases = [(t, task, False) for t, task in cases
-                  if reference(t) is not None and "q_offset" not in t]
-    outcomes = run_server(binary + json_cases)
-    for (t, task, _), outcome in zip(binary + json_cases, outcomes):
-        judge(t, task, outcome)
+    cases = [(t, task, "binary") for t, task in seeded_cases(40, seed=13)]
+    cases += [(t, task, "json") for t, task in spelled_cases(40, seed=13)]
+    cases += [(t, task, "text")
+              for t, task in spelled_cases(40, seed=13, text=True)]
+    outcomes = run_server(cases)
+    assert {spelling for *_, spelling in cases} == {"binary", "json", "text"}
+    for (t, task, spelling), outcome in zip(cases, outcomes):
+        judge(t, task, outcome, {"json": JSON_FIELD, "text": TEXT_FIELD}
+              .get(spelling, FIELD))
 
 
 def test_server_json_foreign_leaf_id_is_a_400():
@@ -531,8 +624,8 @@ def test_server_json_foreign_leaf_id_is_a_400():
     foreign = {k: (v.copy() if isinstance(v, np.ndarray) else v)
                for k, v in base.items()}
     foreign["leaf_vertex"][_leaves(foreign)[0]] = 9
-    [outcome] = run_server([(foreign, "max_clique", False)])
-    judge(foreign, "max_clique", outcome)
+    [outcome] = run_server([(foreign, "max_clique", "json")])
+    judge(foreign, "max_clique", outcome, JSON_FIELD)
     assert "leaf_vertex" in outcome[1]
 
 
@@ -545,14 +638,25 @@ def test_server_json_foreign_leaf_id_is_a_400():
        mutation=st.sampled_from(sorted(MUTATIONS)),
        n=st.integers(2, 10), seed=st.integers(0, 2 ** 30),
        task=st.sampled_from(TASKS),
-       route=st.sampled_from([route_bytes, route_flat, route_forest]))
+       route=st.sampled_from([route_bytes, route_flat, route_forest,
+                              route_json, route_text]))
 def test_hypothesis_mutations(shape, mutation, n, seed, task, route):
     t = make_case(shape, n, mutation, seed)
     if t is None:
         return
     if "q_offset" in t:
+        if route in (route_json, route_text):
+            return
         task = MD_TASKS[seed % 2]
-    judge(t, task, route(t, task, backend="fast"))
+    field = FIELD
+    if route in (route_json, route_text):
+        t = spelled(t)
+        field = JSON_FIELD
+    if route is route_text:
+        if text_spelling(t) is None:
+            return
+        field = TEXT_FIELD
+    judge(t, task, route(t, task, backend="fast"), field)
 
 
 def _binary_arrays(rng, mutation):
@@ -670,7 +774,7 @@ def test_swapped_parents_of_nodes_2_and_4():
             for backend in ("pram", "fast"):
                 status, message = route(t, task, backend=backend)
                 assert status == "refused" and "parent[" in message
-    for outcome in run_server([(t, "max_clique", True)]):
+    for outcome in run_server([(t, "max_clique", "binary")]):
         assert outcome[0] == "refused" and "parent[" in outcome[1]
 
 
@@ -679,7 +783,7 @@ def test_detached_two_node_cycle():
     for task in ("max_clique", "chromatic_number", "path_cover"):
         status, message = route_bytes(t, task, backend="fast")
         assert status == "refused" and "lies on a cycle" in message
-    for outcome in run_server([(t, "max_clique", True)]):
+    for outcome in run_server([(t, "max_clique", "binary")]):
         assert outcome[0] == "refused" and "cycle" in outcome[1]
 
 
@@ -705,7 +809,7 @@ def test_corrupt_p5_payload(corrupt, message):
     corrupt(t)
     status, refusal = route_bytes(t, "max_clique")
     assert status == "refused" and re.search(message, refusal), refusal
-    for outcome in run_server([(t, "max_clique", True)]):
+    for outcome in run_server([(t, "max_clique", "binary")]):
         assert outcome[0] == "refused" and re.search(message, outcome[1])
 
 
@@ -731,6 +835,6 @@ def test_empty_wire_tree_is_refused_not_a_500():
     for task in ("max_clique", "path_cover_size", "path_cover"):
         status, message = route_bytes(t, task)
         assert status == "refused" and "empty" in message
-    outcomes = run_server([(t, "max_clique", True), (t, "chromatic_number",
-                                                    True)])
+    outcomes = run_server([(t, "max_clique", "binary"),
+                           (t, "chromatic_number", "binary")])
     assert all(status == "refused" for status, _ in outcomes)

@@ -768,7 +768,8 @@ class TestInlineSolve:
         assert late.status == 504
         assert "request_timeout" in late.json()["error"]["message"]
         assert again.status == 200
-        assert again.json()["provenance"]["route"] == "serial"
+        # the first solve still runs on its server thread: the pool
+        assert again.json()["provenance"]["route"] == "pool"
 
     def test_refused_inline_tree_is_a_400_and_spares_the_breaker(self):
         sparse = cotree_to_json(Cotree.from_nested(("union", 0,
