@@ -31,7 +31,14 @@ Every future PR needs a trajectory to compare against: this harness runs
   random tree's (a within-run ratio, no baseline; the per-level DP cliff
   it guards against was ~100x, and the star — one union over n leaves, so
   n paths — guards the numbering against a cost quadratic in the number
-  of roots),
+  of roots).  Its graph-door rows adapt and decompose an edge-list body
+  (``as_problem(edges).decomposition_tree()``, JSON decoding excluded) of
+  a random cograph, a threshold graph (a caterpillar cotree: height n),
+  a complete graph, an edgeless graph and a non-cograph with one P4, and
+  recognise a long path beside a threshold graph (twin peeling keeps the
+  twin-free path live through all n rounds: ``O(n h log n)``, ungated);
+  the threshold graph must cost at most **3x** the random cograph per
+  vertex plus edge,
 
 and writes everything as machine-readable JSON
 (``benchmarks/results/BENCH_PR10.json``) next to the human-readable
@@ -68,14 +75,17 @@ import numpy as np
 
 from repro._version import __version__
 from repro.api import SolveOptions, solve, solve_forest, solve_many
-from repro.cograph import (FlatCotree, caterpillar_cotree, independent_set,
-                           md_tree, random_cotree, random_p4_sparse)
+from repro.api import as_problem
+from repro.cograph import (FlatCotree, Graph, NotACographError,
+                           caterpillar_cotree, clique, independent_set,
+                           md_tree, random_cotree,
+                           random_p4_sparse, threshold_cograph)
 from repro.cograph.cotree import JOIN, LEAF, UNION
 from repro.core.pipeline import Pipeline
 from repro.io.serialization import cotree_from_json, cotree_to_json
 from repro.io.wire import from_bytes, to_bytes
 
-from _util import RESULTS_DIR, write_result_table
+from _util import RESULTS_DIR, format_markdown_table, write_result_table
 
 #: (backend, n, repeats) grid of the full run; the pram simulator is
 #: wall-clock-expensive, so it keeps fewer repeats.
@@ -161,6 +171,18 @@ SMOKE_E19_GRID = [(10_000, 5)]
 #: star's ``path_cover`` ~30x at n = 8e4).
 E19_SHAPE_RATIO = 3.0
 E19_GATE_N = 10_000
+#: the E19 graph-door rows: shape, and the vertex count of the random,
+#: threshold and one-P4 bodies (n = 400 gives a 40,000-edge, 447 KiB
+#: threshold body); the complete graph and the edgeless graph are sized to
+#: about the same byte count; ``path_threshold`` is a path of
+#: ``E19_PATH_FACTOR * n`` vertices beside the threshold graph, recognised
+#: (``pipeline_tree``) rather than decomposed, since the path's modular
+#: decomposition is the Gallai fallback's.  Best of ``E19_GRAPH_REPEATS``.
+E19_GRAPH_SHAPES = ("random", "threshold", "complete", "edgeless", "one_p4",
+                    "path_threshold")
+E19_GRAPH_N = 400
+E19_PATH_FACTOR = 25
+E19_GRAPH_REPEATS = 5
 
 SEED = 7
 DEFAULT_OUT = os.path.join(RESULTS_DIR, "BENCH_PR10.json")
@@ -171,6 +193,8 @@ E13_COLUMNS = ["task", "instances", "max_n", "batch_s", "forest_s", "ratio"]
 MD_COLUMNS = ["family", "backend", "n", "md_build_s"] + list(MD_TASKS)
 E17_COLUMNS = ["n", "json_parse_s", "wire_load_s", "wire_ratio"]
 E19_COLUMNS = ["n", "shape"] + list(E19_TASKS) + ["total_s", "vs_random"]
+E19_GRAPH_COLUMNS = ["shape", "n", "m", "body_kib", "seconds",
+                     "us_per_item", "vs_random"]
 
 
 def calibrate() -> float:
@@ -470,16 +494,77 @@ def run_e19_grid(grid):
     return results
 
 
+def _graph_door_body(shape: str, n: int):
+    """The decoded JSON body of one E19 graph-door row."""
+    def edges(tree, shift=0):
+        return [[u + shift, v + shift]
+                for u, v in Graph.from_cotree(tree).edges()]
+    if shape == "random":
+        return edges(random_cotree(n, seed=SEED))
+    if shape == "threshold":
+        return edges(threshold_cograph([i % 2 for i in range(n)]))
+    if shape == "complete":
+        return edges(clique(3 * n // 4))
+    if shape == "edgeless":
+        return {"type": "graph", "n": 100 * n, "edges": []}
+    if shape == "one_p4":    # disjoint from a random cograph: the only P4
+        return edges(random_cotree(n - 4, seed=SEED)) + [
+            [n - 4, n - 3], [n - 3, n - 2], [n - 2, n - 1]]
+    return _graph_door_body("threshold", n) + [
+        [v, v + 1] for v in range(n, n + E19_PATH_FACTOR * n - 1)]
+
+
+def profile_graph_door(n: int, repeats: int):
+    """Best-of-``repeats`` seconds to adapt and decompose each graph-door
+    body (E19), with the cost per vertex plus edge."""
+    rows = []
+    for shape in E19_GRAPH_SHAPES:
+        body = _graph_door_body(shape, n)
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            problem = as_problem(body)
+            if shape != "path_threshold":
+                problem.decomposition_tree()
+            else:
+                try:
+                    problem.pipeline_tree()
+                except NotACographError:
+                    pass
+            best = min(best, time.perf_counter() - t0)
+        graph = problem.graph
+        items = graph.n + graph.num_edges()
+        rows.append({"shape": shape, "n": graph.n, "m": graph.num_edges(),
+                     "body_bytes": len(json.dumps(body)),
+                     "seconds": round(best, 6),
+                     "us_per_item": round(best / items * 1e6, 4)})
+    for row in rows:
+        row["vs_random"] = round(row["us_per_item"]
+                                 / max(rows[0]["us_per_item"], 1e-9), 2)
+        print(f"  e19 graph door {row['shape']:<10s} n={row['n']:>6} "
+              f"m={row['m']:>6} {row['seconds'] * 1e3:8.2f} ms "
+              f"({row['vs_random']:.2f}x random per item)", flush=True)
+    return rows
+
+
 def check_e19_bound(payload: dict) -> list:
     """E19 acceptance: at ``E19_GATE_N`` every other shape's task total
-    must stay within ``E19_SHAPE_RATIO`` of the random tree's — a
-    within-run ratio, so no baseline calibration applies."""
+    must stay within ``E19_SHAPE_RATIO`` of the random tree's, and the
+    threshold graph's door within ``E19_SHAPE_RATIO`` of the random
+    cograph's per vertex plus edge — within-run ratios, so no baseline
+    calibration applies."""
     return [f"E19 {row['shape']} at n={row['n']} costs "
             f"{row['vs_random']:.2f}x the random tree (bound "
             f"{E19_SHAPE_RATIO:.0f}x): {row['task_seconds']}"
             for row in payload.get("e19_results", [])
             if row["shape"] != "random" and row["n"] == E19_GATE_N
-            and row["vs_random"] > E19_SHAPE_RATIO]
+            and row["vs_random"] > E19_SHAPE_RATIO] + [
+        f"E19 graph door: the threshold body costs {row['vs_random']:.2f}x "
+        f"the random cograph per vertex plus edge (bound "
+        f"{E19_SHAPE_RATIO:.0f}x): {row['seconds']:.4f}s"
+        for row in payload.get("e19_graph_results", [])
+        if row["shape"] == "threshold"
+        and row["vs_random"] > E19_SHAPE_RATIO]
 
 
 def check_e17_bound(payload: dict) -> list:
@@ -633,7 +718,8 @@ def check_against(base: dict, current: dict, factor: float) -> int:
     failures += check_e17_bound(current)
     compared += len(current.get("e17_results", []))
     failures += check_e19_bound(current)
-    compared += len(current.get("e19_results", []))
+    compared += len(current.get("e19_results", [])) \
+        + len(current.get("e19_graph_results", []))
     e13_failures = check_e13_bound(current, base, factor)
     compared += sum(1 for row in current.get("e13_results", [])
                     if row["task"] in {r["task"]
@@ -713,6 +799,8 @@ def main(argv=None) -> int:
     payload["e17_results"] = run_e17_grid(e17_grid)
     print(f"[E19] path_cover and DP tasks by tree shape ({label}):")
     payload["e19_results"] = run_e19_grid(e19_grid)
+    payload["e19_graph_results"] = profile_graph_door(E19_GRAPH_N,
+                                                      E19_GRAPH_REPEATS)
     payload["harness_seconds"] = round(time.perf_counter() - t0, 3)
 
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
@@ -780,6 +868,17 @@ def main(argv=None) -> int:
                            "shape: solve(wire bytes), fast backend, "
                            "witness included (seconds, best of repeats)",
                            e19_rows, E19_COLUMNS)
+        graph_rows = [dict(r, body_kib=round(r["body_bytes"] / 1024, 1),
+                           vs_random=f"{r['vs_random']:.2f}x")
+                      for r in payload["e19_graph_results"]]
+        with open(os.path.join(RESULTS_DIR, "E19.md"), "a",
+                  encoding="utf8") as fh:
+            fh.write("\n## graph door: as_problem(edge-list body)."
+                     "decomposition_tree() by shape, pipeline_tree() for "
+                     "path_threshold (seconds, best of "
+                     f"{E19_GRAPH_REPEATS}; vs_random per vertex plus "
+                     "edge)\n\n" + format_markdown_table(
+                         graph_rows, E19_GRAPH_COLUMNS) + "\n")
 
     # E13 acceptance target: the full run must show >= 10x on every task
     # (the smoke run is gated relative to the stored baseline instead).
@@ -818,7 +917,8 @@ def main(argv=None) -> int:
     print(f"E17 bound OK: wire ingestion >= {E17_WIRE_RATIO:.0f}x JSON "
           f"parsing")
     print(f"E19 bound OK: caterpillar within {E19_SHAPE_RATIO:.0f}x of the "
-          f"random tree at n={E19_GATE_N}")
+          f"random tree at n={E19_GATE_N}, threshold graph door within "
+          f"{E19_SHAPE_RATIO:.0f}x of the random cograph")
     return rc
 
 

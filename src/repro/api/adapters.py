@@ -18,8 +18,10 @@ turns any of
 
 into one :class:`Problem` value.  Cotree text and JSON parse straight to a
 :class:`~repro.cograph.FlatCotree`, and :meth:`Problem.pipeline_tree`
-validates every cotree once.  Graph-like inputs are routed through
-:func:`~repro.cograph.cotree_from_graph` *lazily*, so a non-cograph raises
+validates every cotree once.  Edge lists, adjacency dicts and serialised
+graphs become a :class:`~repro.cograph.CSRGraph` (one ``np.asarray`` and
+one sort; no per-vertex object) that :func:`~repro.cograph.decompose`
+turns into a tree *lazily*, so a non-cograph raises
 :class:`~repro.cograph.NotACographError` only when a task actually needs the
 cotree — which is what lets the ``recognition`` task answer ``False``
 instead of blowing up.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, Iterable, Optional, Union
 
 import numpy as np
@@ -37,17 +40,16 @@ import numpy as np
 from ..cograph import (
     BinaryCotree,
     Cotree,
+    CSRGraph,
     FlatCotree,
     FlatForest,
     Graph,
-    NotACographError,
     as_flat_cotree,
-    cotree_from_graph,
-    md_tree,
+    decompose,
 )
 from ..core import LowerBoundInstance, or_instance_cotree
-from ..io.serialization import _flat_from_json, _flat_from_text, \
-    graph_from_json
+from ..io.serialization import _csr_from_json, _flat_from_json, \
+    _flat_from_text
 
 __all__ = ["Problem", "as_problem", "SOURCE_FORMATS"]
 
@@ -74,8 +76,9 @@ class Problem:
         the cotree, when the input already was one; parsed text and JSON
         give a :class:`~repro.cograph.FlatCotree`, not yet validated.
     graph:
-        the explicit graph, when the input was graph-like.  Kept so the
-        ``recognition`` task can answer without assuming cograph-ness.
+        the explicit graph as a :class:`~repro.cograph.CSRGraph`, when the
+        input was graph-like.  Kept so the ``recognition`` task can answer
+        without assuming cograph-ness.
     instance:
         the Fig. 2 :class:`~repro.core.LowerBoundInstance`, when the input
         was a bit vector.
@@ -90,7 +93,7 @@ class Problem:
 
     source_format: str
     tree: Optional[TreeLike] = None
-    graph: Optional[Graph] = None
+    graph: Optional[CSRGraph] = None
     instance: Optional[LowerBoundInstance] = None
     source: Optional[str] = None
     digest: Optional[bytes] = None
@@ -116,7 +119,7 @@ class Problem:
             elif tree is not None:
                 self._cached_tree = tree
             elif self.graph is not None:
-                self._cached_tree = cotree_from_graph(self.graph)
+                self._cached_tree = self.pipeline_tree().to_cotree()
             else:  # pragma: no cover - constructors always set one
                 raise ValueError("empty Problem")
         return self._cached_tree
@@ -124,9 +127,14 @@ class Problem:
     def pipeline_tree(self) -> TreeLike:
         """The tree every tree task consumes: the instance's cotree as a
         :class:`FlatCotree`, flattened and checked by
-        :meth:`FlatCotree.validate` once (cached).  A :class:`BinaryCotree`
-        stays binary, checked by its own ``validate()``, so the pipeline
-        still skips Step 1 on it."""
+        :meth:`FlatCotree.validate` once (cached); a graph's comes from
+        :func:`~repro.cograph.decompose`, certified there.  A
+        :class:`BinaryCotree` stays binary, checked by its own
+        ``validate()``, so the pipeline still skips Step 1 on it."""
+        if self._checked_tree is None and self.graph is not None:
+            md = self._cached_md
+            self._checked_tree = md if md is not None and not md.has_primes \
+                else decompose(self.graph)
         if self._checked_tree is None:
             tree = self.tree if self.tree is not None else self.cotree()
             self._checked_tree = (tree if isinstance(tree, BinaryCotree)
@@ -147,23 +155,18 @@ class Problem:
     def decomposition_tree(self) -> TreeLike:
         """The tree an MD-capable task should consume.
 
-        Cograph inputs come back through exactly the same path as
-        :meth:`pipeline_tree` — bit-identical answers, no new code on the
-        common case.  A *non-cograph* graph instead gets its modular
-        decomposition tree (:func:`~repro.cograph.md_tree`, cached), whose
-        prime nodes the DP engine handles.  Non-graph inputs that are not
-        cographs (there are none today) still raise
-        :class:`~repro.cograph.NotACographError`.
+        A graph gets the one decomposition
+        (:func:`~repro.cograph.decompose` with ``modular=True``, certified
+        and cached): a cograph's is the bit-identical tree
+        :meth:`pipeline_tree` gives, and shares its cache; a *non-cograph*
+        gets its modular decomposition tree, whose prime nodes the DP
+        engine handles.  Non-graph inputs take :meth:`pipeline_tree`.
         """
-        if self._cached_md is not None:
-            return self._cached_md
-        if self.graph is None:
+        if self.graph is None or self._checked_tree is not None:
             return self.pipeline_tree()
-        try:
-            return self.pipeline_tree()
-        except NotACographError:
-            self._cached_md = md_tree(self.graph)
-            return self._cached_md
+        if self._cached_md is None:
+            self._cached_md = decompose(self.graph, modular=True)
+        return self._cached_md
 
     @property
     def num_vertices(self) -> int:
@@ -187,16 +190,19 @@ class Problem:
 # the funnel
 # --------------------------------------------------------------------------- #
 
-def as_problem(obj: Any, *, task: Optional[str] = None) -> Problem:
+def as_problem(obj: Any, *, task: Optional[str] = None,
+               max_vertices: Optional[int] = None) -> Problem:
     """Adapt any supported instance description into a :class:`Problem`.
 
     See the module docstring for the accepted forms.  ``task`` (forwarded
     by :func:`~repro.api.solve`) only matters for flat integer sequences:
     they are read as lower-bound bit vectors for ``task="lower_bound"``
     and rejected otherwise, so a graph task can never silently solve the
-    reduction gadget instead.  Raises :class:`ValueError` (or
-    :class:`TypeError` for hopeless inputs) with a message that names
-    every accepted form.
+    reduction gadget instead.  ``max_vertices`` refuses an edge list,
+    adjacency dict or serialised graph that names more vertices, before
+    anything of that size is allocated (the server passes its body's
+    byte count).  Raises :class:`ValueError` (or :class:`TypeError` for
+    hopeless inputs) with a message that names every accepted form.
     """
     if isinstance(obj, Problem):
         return obj
@@ -206,8 +212,9 @@ def as_problem(obj: Any, *, task: Optional[str] = None) -> Problem:
         return Problem(source_format="flat_cotree", tree=obj)
     if isinstance(obj, Cotree):
         return Problem(source_format="cotree", tree=obj)
-    if isinstance(obj, Graph):
-        return Problem(source_format="graph", graph=obj)
+    if isinstance(obj, (Graph, CSRGraph)):
+        return Problem(source_format="graph", graph=obj if isinstance(
+            obj, CSRGraph) else obj.to_csr())
     if isinstance(obj, LowerBoundInstance):
         return Problem(source_format="bits", instance=obj)
     if isinstance(obj, (bytes, bytearray, memoryview)):
@@ -217,11 +224,11 @@ def as_problem(obj: Any, *, task: Optional[str] = None) -> Problem:
     if isinstance(obj, str):
         return _from_string(obj)
     if isinstance(obj, dict):
-        return _from_dict(obj)
+        return _from_dict(obj, max_vertices)
     if isinstance(obj, np.ndarray):
-        return _from_array(obj, task)
+        return _from_array(obj, task, max_vertices)
     if isinstance(obj, (list, tuple)):
-        return _from_sequence(obj, task)
+        return _from_sequence(obj, task, max_vertices)
     raise TypeError(
         f"cannot interpret {type(obj).__name__!r} as a problem; accepted: "
         f"Cotree, BinaryCotree, Graph, edge list, adjacency dict, cotree "
@@ -277,14 +284,15 @@ def _from_json_path(path: str) -> Problem:
     return problem
 
 
-def _from_dict(data: dict) -> Problem:
+def _from_dict(data: dict, limit: Optional[int] = None) -> Problem:
     if "type" in data:
         # a serialised object from repro.io
         kind = data["type"]
         if kind == "cotree":
             return Problem(source_format="json", tree=_flat_from_json(data))
         if kind == "graph":
-            return Problem(source_format="json", graph=graph_from_json(data))
+            return Problem(source_format="json",
+                           graph=_csr_from_json(data, limit))
         raise ValueError(f"serialised {kind!r} is not a problem; expected "
                          f"'cotree' or 'graph'")
     # an adjacency mapping {vertex: neighbours}; JSON string keys and
@@ -295,20 +303,23 @@ def _from_dict(data: dict) -> Problem:
         raise ValueError(
             "dict input must be a serialised cotree/graph (with a 'type' "
             "key) or an adjacency mapping {vertex: [neighbours]}") from None
+    listed = [max(vs) for vs in adj.values() if vs] + list(adj)
+    _check_size(max(listed, default=-1) + 1, limit, "adjacency")
     try:
-        graph = Graph.from_adjacency(adj)
+        graph = CSRGraph.from_adjacency(adj)
     except OverflowError:
         raise ValueError(_OVERSIZED_ID_MESSAGE.format("adjacency")) from None
     return Problem(source_format="adjacency", graph=graph)
 
 
-def _from_array(arr: np.ndarray, task: Optional[str]) -> Problem:
+def _from_array(arr: np.ndarray, task: Optional[str],
+                limit: Optional[int] = None) -> Problem:
     if arr.size == 0:
         # same friendly message as an empty list/tuple, instead of a raw
         # ``max() arg is an empty sequence`` out of _edge_list
         raise ValueError(_EMPTY_INPUT_MESSAGE)
     if arr.ndim == 2 and arr.shape[1] == 2:
-        return _edge_array(arr)
+        return _edge_array(arr, limit)
     if arr.ndim == 1:
         return _bits(arr.tolist(), task)
     raise ValueError(f"array of shape {arr.shape} is not a problem; "
@@ -327,23 +338,44 @@ _OVERSIZED_ID_MESSAGE = ("{} contains a vertex id that does not fit in 64 "
                          "bits; vertices must be numbered 0, 1, 2, ...")
 
 
-def _from_sequence(seq, task: Optional[str]) -> Problem:
+def _from_sequence(seq, task: Optional[str],
+                   limit: Optional[int] = None) -> Problem:
+    """A flat integer sequence (bits) or a list of integer pairs (edges):
+    the shape from one ``np.asarray``, the entries' types from one pass
+    over ``map(type, ...)``, so a bool or float is refused, never cast."""
     items = list(seq)
     if not items:
         raise ValueError(_EMPTY_INPUT_MESSAGE)
-    if all(_is_int(x) for x in items):
-        return _bits(items, task)
-    if all(_is_pair(x) for x in items):
-        return _edge_array([[int(u), int(v)] for u, v in items])
+    try:
+        arr = np.asarray(items)
+    except (ValueError, TypeError):        # ragged rows
+        arr = np.empty((0, 0))
+    if arr.ndim == 1 or arr.ndim == 2 and arr.shape[1] == 2:
+        entries = items if arr.ndim == 1 else chain.from_iterable(items)
+        if all(issubclass(t, (int, np.integer)) and t is not bool
+               for t in set(map(type, entries))):
+            if arr.ndim == 1:
+                return _bits(items, task)
+            # past int64 the array is float or object: convert the ints
+            return _edge_array(arr if arr.dtype.kind == "i" else items,
+                               limit)
     raise ValueError(
         "sequence input must be either an edge list (pairs, e.g. "
         "[(0, 1), (1, 2)]) or, for task='lower_bound', a flat 0/1 bit "
         "vector (e.g. [1, 0, 1])")
 
 
-def _edge_array(edges: np.ndarray) -> Problem:
-    """Vectorized edge-list adapter: validation, vertex count and adjacency
-    construction are NumPy operations — no per-edge Python loop."""
+def _check_size(n: int, limit: Optional[int], what: str) -> None:
+    """Refuse a graph naming more vertices than ``limit`` allows."""
+    if limit is not None and n > limit:
+        raise ValueError(
+            f"{what} names {n} vertices, more than a body of {limit} bytes "
+            f"can describe; vertices must be numbered 0, 1, 2, ...")
+
+
+def _edge_array(edges, limit: Optional[int] = None) -> Problem:
+    """Vectorized edge-list adapter: validation, vertex count and the CSR
+    graph are NumPy operations — no per-edge Python loop."""
     try:
         edges = np.asarray(edges, dtype=np.int64)
     except OverflowError:
@@ -355,8 +387,9 @@ def _edge_array(edges: np.ndarray) -> Problem:
             f"({int(bad[0])}, {int(bad[1])})); vertices must be numbered "
             f"0, 1, 2, ...")
     n = int(edges.max()) + 1
+    _check_size(n, limit, "edge list")
     return Problem(source_format="edge_list",
-                   graph=Graph.from_edge_array(n, edges))
+                   graph=CSRGraph.from_edges(n, edges))
 
 
 def _bits(values, task: Optional[str]) -> Problem:
@@ -384,16 +417,6 @@ def _bits(values, task: Optional[str]) -> Problem:
 # --------------------------------------------------------------------------- #
 # small predicates
 # --------------------------------------------------------------------------- #
-
-def _is_int(x: Any) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _is_pair(x: Any) -> bool:
-    if isinstance(x, (list, tuple, np.ndarray)):
-        return len(x) == 2 and all(_is_int(v) for v in x)
-    return False
-
 
 def _iter(x: Any) -> Iterable:
     if isinstance(x, (list, tuple, set, frozenset, np.ndarray)):

@@ -65,8 +65,9 @@ def _eligible_flat(prob: Problem):
     vectorized pass, where one validation per instance would cost more
     than the sweep."""
     try:
-        flat = as_flat_cotree(prob.tree if prob.tree is not None
-                              else prob.cotree())
+        flat = prob.pipeline_tree() if prob.graph is not None else \
+            as_flat_cotree(prob.tree if prob.tree is not None
+                           else prob.cotree())
     except NotACographError:
         return None
     if flat.has_primes or flat.num_vertices < 1:   # MD trees don't pack

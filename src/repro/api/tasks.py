@@ -83,10 +83,10 @@ from ..core.hamiltonian import cycle_witness, path_witness
 from ..core.solver import _build_context
 from .adapters import Problem
 from .options import SolveOptions
-from .registry import MD_GRAPH_CLASSES, register_task
+from .registry import MD_GRAPH_CLASSES, get_task, register_task
 from .solution import Solution
 
-__all__ = []  # tasks are reached through the registry, not by name
+__all__ = ["runs_fast_engine"]  # tasks are reached through the registry
 
 
 # --------------------------------------------------------------------------- #
@@ -209,7 +209,7 @@ def _task_recognition(problem: Problem, options: SolveOptions) -> Solution:
         provenance["input_was_cotree"] = True
     else:
         try:
-            problem.cotree()  # converts and caches for later tasks
+            problem.pipeline_tree()  # decomposes and caches the tree
             answer = True
         except NotACographError as exc:
             answer = False
@@ -272,16 +272,16 @@ def _check_sequential(problem: Problem, dp: CotreeDP, field: str,
 
 
 class _GraphOracle:
-    """Adjacency oracle over an explicit :class:`~repro.cograph.Graph`,
-    with the same ``adjacent`` surface as
-    :class:`~repro.cograph.CographAdjacencyOracle` — used to validate
-    witnesses on non-cograph (modular decomposition) inputs."""
+    """Adjacency oracle over an explicit graph's neighbour sets (built once:
+    a witness check asks once per vertex pair), with the same ``adjacent``
+    surface as :class:`~repro.cograph.CographAdjacencyOracle` — used to
+    validate witnesses on graph and modular decomposition inputs."""
 
     def __init__(self, graph) -> None:
-        self._graph = graph
+        self._adj = graph.adj
 
     def adjacent(self, u: int, v: int) -> bool:
-        return self._graph.has_edge(u, v)
+        return v in self._adj[u]
 
 
 def _oracle(problem: Problem):
@@ -537,6 +537,19 @@ _ROOT_ARRAY_BODIES: Dict[str, Callable[..., List[Solution]]] = {
     **{task: functools.partial(_dp_body, task, entry)
        for task, entry in _DP_TASKS.items()},
 }
+
+
+def runs_fast_engine(task: str, options: SolveOptions) -> bool:
+    """Whether solving ``task`` under ``options`` runs the fast engine or
+    none: an explicit ``backend="fast"``, a task that runs no pipeline
+    (``recognition``), or a ``fast_default`` DP row whose options pick no
+    engine.  The server's inline route keys on it."""
+    if options.resolved_backend == "fast" \
+            or not get_task(task).runs_pipeline:
+        return True
+    entry = _DP_TASKS.get(task)
+    return entry is not None and entry.fast_default \
+        and not options.picks_engine
 
 
 # --------------------------------------------------------------------------- #

@@ -24,7 +24,7 @@ from .generators import (
     threshold_cograph,
     union_of_cliques,
 )
-from .graph import Graph
+from .graph import CSRGraph, Graph
 from .lca import CographAdjacencyOracle
 from .md import graph_from_md_tree, md_tree
 from .operations import (
@@ -34,7 +34,13 @@ from .operations import (
     union_cotrees,
 )
 from .path_cover import PathCover, PathCoverError
-from .recognition import NotACographError, cotree_from_graph, find_induced_p4, is_cograph
+from .recognition import (
+    NotACographError,
+    cotree_from_graph,
+    decompose,
+    find_induced_p4,
+    is_cograph,
+)
 from .validation import (
     make_leftist,
     minimum_path_cover_size,
@@ -48,7 +54,7 @@ __all__ = [
     "Cotree", "CotreeError", "BinaryCotree", "binarize_cotree",
     "FlatCotree", "as_flat_cotree", "canonical_key",
     "FlatForest", "pack", "unpack",
-    "Graph", "CographAdjacencyOracle",
+    "Graph", "CSRGraph", "CographAdjacencyOracle",
     "md_tree", "graph_from_md_tree",
     "PathCover", "PathCoverError",
     "single_vertex", "independent_set", "clique", "complete_bipartite",
@@ -56,7 +62,8 @@ __all__ = [
     "caterpillar_cotree", "threshold_cograph", "random_cotree",
     "random_cograph_edges", "random_p4_sparse",
     "union_cotrees", "join_cotrees", "complement_cotree", "relabel_disjoint",
-    "cotree_from_graph", "is_cograph", "find_induced_p4", "NotACographError",
+    "cotree_from_graph", "decompose", "is_cograph", "find_induced_p4",
+    "NotACographError",
     "validate_cotree", "validate_binary_cotree", "make_leftist",
     "minimum_path_cover_size", "path_cover_sizes_per_node",
 ]

@@ -479,13 +479,16 @@ class Cotree:
                 f"{kind_name(self.kind[self.root])!r})")
 
     def to_nested(self) -> NestedSpec:
-        """Inverse of :meth:`from_nested` (up to child ordering)."""
-        def rec(u: int) -> NestedSpec:
+        """Inverse of :meth:`from_nested` (up to child ordering); built in
+        postorder, so any height is fine."""
+        spec: dict = {}
+        for u in self.postorder():
             if self.kind[u] == LEAF:
-                return int(self.leaf_vertex[u])
-            op = "union" if self.kind[u] == UNION else "join"
-            return tuple([op] + [rec(c) for c in self.children[u]])
-        return rec(self.root)
+                spec[u] = int(self.leaf_vertex[u])
+            else:
+                spec[u] = ("union" if self.kind[u] == UNION else "join",
+                           *(spec.pop(c) for c in self.children[u]))
+        return spec[self.root]
 
     def to_flat(self):
         """This tree in :class:`~repro.cograph.flat.FlatCotree` (CSR) form."""
@@ -499,11 +502,23 @@ class Cotree:
             lv[node] = mapping[int(self.leaf_vertex[node])]
         return Cotree(self.kind, self.children, lv, self.root)
 
+    def _ordered_key(self) -> Tuple[bytes, bytes, bytes]:
+        """The rooted, ordered tree as flat preorder sequences of kinds,
+        child counts and leaf vertices: equal exactly when
+        :meth:`to_nested` is, and compared without recursion."""
+        order = list(self.preorder())
+        kind = self.kind[order]
+        return (kind.tobytes(),
+                np.fromiter((len(self.children[u]) for u in order),
+                            dtype=np.int64, count=len(order)).tobytes(),
+                np.where(kind == LEAF, self.leaf_vertex[order],
+                         -1).astype(np.int64).tobytes())
+
     def __eq__(self, other: object) -> bool:
         """Structural equality of the rooted, ordered trees."""
         if not isinstance(other, Cotree):
             return NotImplemented
-        return self.to_nested() == other.to_nested()
+        return self._ordered_key() == other._ordered_key()
 
     def __hash__(self) -> int:
-        return hash(self.to_nested())
+        return hash(self._ordered_key())

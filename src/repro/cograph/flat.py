@@ -563,18 +563,26 @@ def as_flat_cotree(tree) -> FlatCotree:
 # array kernels
 # --------------------------------------------------------------------------- #
 
+#: trees up to this many nodes are numbered by the explicit stack: below
+#: about 130 nodes it beats building scipy's sparse matrix (both kernels
+#: timed on the trees the decomposer and ``canonical_key`` number).
+_STACK_NODES = 128
+
+
 def _preorder_with_sibling_keys(parent: np.ndarray, root: int,
                                 sibling_key: np.ndarray) -> np.ndarray:
     """Preorder numbers of an n-ary tree visiting siblings by ascending key.
 
     Uses the C-level sparse DFS on the first-child / next-sibling form when
-    scipy is present (linear however wide a node is), otherwise an
-    explicit-stack traversal — both recursion-free.
+    scipy is present and the tree has more than :data:`_STACK_NODES` nodes
+    (linear however wide a node is), otherwise an explicit-stack traversal,
+    which costs less than building the sparse matrix on small trees — both
+    recursion-free.
     """
     n = len(parent)
     order = np.lexsort((sibling_key, parent))   # children grouped per parent
     child_sorted = order[parent[order] != -1]
-    if _HAVE_SPARSE_DFS and n > 1 and len(child_sorted) == n - 1:
+    if _HAVE_SPARSE_DFS and n > _STACK_NODES and len(child_sorted) == n - 1:
         owner = parent[child_sorted]
         same = owner[1:] == owner[:-1]
         eldest = np.flatnonzero(np.r_[True, ~same])

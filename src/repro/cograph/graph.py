@@ -1,21 +1,25 @@
-"""A small explicit graph container used by the recognition code, the
-validators, the brute-force baseline and the examples.
+"""Explicit graphs: :class:`CSRGraph`, what a graph input becomes, and the
+small set-based :class:`Graph` used by the validators, the brute-force
+baseline, the examples and the tests.
 
-The algorithms of the paper never materialise the cograph — they work on the
-cotree — but a downstream user usually starts from an ordinary graph, and the
-test-suite needs an independent notion of adjacency to check the produced
-path covers against.  Cographs can have :math:`\\Theta(n^2)` edges, so this
-class is meant for inputs up to a few thousand vertices; beyond that use the
-LCA oracle in :mod:`repro.cograph.lca`.
+The algorithms of the paper never materialise the cograph — they work on
+the cotree — but a downstream user usually starts from an ordinary graph.
+Edge lists, adjacency dicts and serialised graphs are read into a
+:class:`CSRGraph` (offsets plus one sorted neighbour array, built by one
+sort), which the decomposer in :mod:`repro.cograph.recognition` consumes.
+:class:`Graph` keeps one Python set per vertex: an independent notion of
+adjacency to check path covers against, for inputs up to a few thousand
+vertices.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "CSRGraph", "components", "co_components"]
 
 
 class Graph:
@@ -37,55 +41,15 @@ class Graph:
 
     @classmethod
     def from_adjacency(cls, adj: Dict[int, Iterable[int]]) -> "Graph":
-        """Build from a ``{vertex: neighbours}`` mapping (vertices 0..n-1).
-
-        One-sided listings are accepted: a vertex may appear only as a
-        neighbour (``{0: [1, 2]}`` is the 3-vertex star/path ``1-0-2``).
-        The neighbour lists are flattened into one edge array and routed
-        through :meth:`from_edge_array`, so no per-edge Python loop runs.
-        """
-        from .flat import _children_csr
-        keys = np.fromiter(adj.keys(), dtype=np.int64,   # per-vertex, not
-                           count=len(adj))               # per-edge work
-        offset, cols = _children_csr([list(nbrs) for nbrs in adj.values()])
-        rows = np.repeat(keys, np.diff(offset))
-        n = 0
-        if len(keys):
-            n = max(n, int(keys.max()) + 1)
-        if len(cols):
-            n = max(n, int(cols.max()) + 1)
-        edges = np.stack([rows, cols], axis=1) if len(rows) else \
-            np.empty((0, 2), dtype=np.int64)
-        return cls.from_edge_array(n, edges)
+        """Build from a ``{vertex: neighbours}`` mapping (vertices 0..n-1);
+        see :meth:`CSRGraph.from_adjacency`."""
+        return CSRGraph.from_adjacency(adj).to_graph()
 
     @classmethod
     def from_edge_array(cls, n: int, edges) -> "Graph":
-        """Build from an ``(m, 2)`` integer array without per-edge Python.
-
-        Validation (range, self-loops), symmetrisation and deduplication are
-        NumPy operations; the adjacency sets are assembled from one C-level
-        ``tolist`` with per-vertex slices.
-        """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        g = cls(n)
-        if len(edges) == 0:
-            return g
-        if np.any(edges < 0) or np.any(edges >= n):
-            u, v = next((int(u), int(v)) for u, v in edges
-                        if u < 0 or v < 0 or u >= n or v >= n)
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if np.any(edges[:, 0] == edges[:, 1]):
-            raise ValueError("self-loops are not allowed")
-        both = np.concatenate([edges, edges[:, ::-1]])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=n)
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        flat = both[:, 1].tolist()
-        b = bounds.tolist()
-        g.adj = [set(flat[b[u]:b[u + 1]]) for u in range(n)]
-        return g
+        """Build from an ``(m, 2)`` integer array without per-edge Python;
+        see :meth:`CSRGraph.from_edges`."""
+        return CSRGraph.from_edges(n, edges).to_graph()
 
     @classmethod
     def from_cotree(cls, cotree) -> "Graph":
@@ -98,6 +62,11 @@ class Graph:
                 if u < v:
                     g.add_edge(u, v)
         return g
+
+    def to_csr(self) -> "CSRGraph":
+        """This graph in CSR form (what the decomposer consumes)."""
+        edges = np.fromiter(chain.from_iterable(self.edges()), dtype=np.int64)
+        return CSRGraph.from_edges(self.n, edges.reshape(-1, 2))
 
     def add_edge(self, u: int, v: int) -> None:
         """Add an undirected edge (self-loops are rejected)."""
@@ -172,49 +141,12 @@ class Graph:
 
     def connected_components(self) -> List[List[int]]:
         """Connected components as vertex lists."""
-        seen = [False] * self.n
-        comps: List[List[int]] = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for v in self.adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(v)
-                        stack.append(v)
-            comps.append(comp)
-        return comps
+        return components(self.adj, range(self.n))
 
     def complement_components(self) -> List[List[int]]:
         """Connected components of the *complement*, computed without
-        materialising it.
-
-        Uses the classic "remaining set" BFS: when exploring vertex ``u`` in
-        the complement, its unvisited complement-neighbours are exactly the
-        unvisited vertices that are *not* graph-neighbours of ``u``.
-        """
-        remaining: Set[int] = set(range(self.n))
-        comps: List[List[int]] = []
-        while remaining:
-            s = next(iter(remaining))
-            remaining.discard(s)
-            comp = [s]
-            queue = [s]
-            while queue:
-                u = queue.pop()
-                nbrs = self.adj[u]
-                reachable = [w for w in remaining if w not in nbrs]
-                for w in reachable:
-                    remaining.discard(w)
-                    comp.append(w)
-                    queue.append(w)
-            comps.append(comp)
-        return comps
+        materialising it (see :func:`co_components`)."""
+        return co_components(self.adj, range(self.n))
 
     def is_connected(self) -> bool:
         """True for the empty graph and any connected graph."""
@@ -239,3 +171,134 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(n={self.n}, m={self.num_edges()})"
+
+
+class CSRGraph:
+    """An undirected simple graph over ``0 .. n-1`` in CSR form: the
+    neighbours of ``u`` are ``nbr[offset[u]:offset[u + 1]]``, sorted, and
+    every edge is listed from both ends.  Read-only; the query surface
+    mirrors :class:`Graph`."""
+
+    __slots__ = ("n", "offset", "nbr")
+
+    def __init__(self, n: int, offset: np.ndarray, nbr: np.ndarray) -> None:
+        self.n, self.offset, self.nbr = int(n), offset, nbr
+
+    @classmethod
+    def from_edges(cls, n: int, edges) -> "CSRGraph":
+        """Build from an ``(m, 2)`` integer array: range and self-loop
+        checks, symmetrisation and deduplication are one sort of the
+        ``u * n + v`` keys and a few array passes, with no per-vertex or
+        per-edge Python.  At most ``2**31`` vertices (their offsets alone
+        would take 16 GiB), so a key fits in 64 bits."""
+        if not 0 <= n <= 1 << 31:
+            raise ValueError(f"vertex count must be 0..2**31, got {n}")
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = edges[:, 0], edges[:, 1]
+        if len(edges) and (int(edges.min()) < 0 or int(edges.max()) >= n):
+            bad = np.flatnonzero((u < 0) | (v < 0) | (u >= n) | (v >= n))[0]
+            raise ValueError(f"edge ({u[bad]},{v[bad]}) out of range for "
+                             f"n={n}")
+        if (u == v).any():
+            raise ValueError("self-loops are not allowed")
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        fresh = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        rows = keys // n if n else keys
+        offset = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=offset[1:])
+        return cls(n, offset, keys - rows * n)
+
+    @classmethod
+    def from_adjacency(cls, adj: Dict[int, Iterable[int]]) -> "CSRGraph":
+        """Build from a ``{vertex: neighbours}`` mapping (vertices 0..n-1).
+
+        One-sided listings are accepted: a vertex may appear only as a
+        neighbour (``{0: [1, 2]}`` is the 3-vertex star/path ``1-0-2``).
+        """
+        keys = np.fromiter(adj.keys(), dtype=np.int64, count=len(adj))
+        lists = [list(nbrs) for nbrs in adj.values()]
+        cols = np.fromiter(chain.from_iterable(lists), dtype=np.int64)
+        rows = np.repeat(keys, [len(c) for c in lists])
+        n = max([int(a.max()) + 1 for a in (keys, cols) if len(a)],
+                default=0)
+        return cls.from_edges(n, np.stack([rows, cols], axis=1))
+
+    def num_edges(self) -> int:
+        """Number of edges."""
+        return len(self.nbr) // 2
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """True when ``{u, v}`` is an edge (a binary search in ``u``'s row)."""
+        row = self.nbr[self.offset[u]:self.offset[u + 1]]
+        i = int(np.searchsorted(row, v))
+        return i < len(row) and int(row[i]) == v
+
+    def edge_array(self) -> np.ndarray:
+        """Every edge once, as an ``(m, 2)`` array of rows ``u < v``."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64),
+                         np.diff(self.offset))
+        upper = self.nbr > rows
+        return np.stack([rows[upper], self.nbr[upper]], axis=1)
+
+    def edges(self) -> Iterator[Tuple[int, int]]:
+        """Iterate edges as ordered pairs ``(u, v)`` with ``u < v``."""
+        return map(tuple, self.edge_array().tolist())
+
+    @property
+    def adj(self) -> List[Set[int]]:
+        """One neighbour set per vertex (built on each access)."""
+        flat, bounds = self.nbr.tolist(), self.offset.tolist()
+        return [set(flat[bounds[u]:bounds[u + 1]]) for u in range(self.n)]
+
+    def to_graph(self) -> Graph:
+        """The same graph as a set-based :class:`Graph`."""
+        g = Graph(self.n)
+        g.adj = self.adj
+        return g
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"CSRGraph(n={self.n}, m={self.num_edges()})"
+
+
+def components(adj, vertices: Iterable[int]) -> List[List[int]]:
+    """Connected components of the subgraph ``adj`` (neighbour sets)
+    induces on ``vertices``, each led by its first vertex in ``vertices``
+    order; set operations per vertex, ``O(n + m)`` in all."""
+    inside = set(vertices)
+    comps: List[List[int]] = []
+    for s in vertices:
+        if s not in inside:
+            continue
+        inside.discard(s)
+        comp, stack = [s], [s]
+        while stack:
+            reach = adj[stack.pop()] & inside
+            inside -= reach
+            comp += reach
+            stack += reach
+        comps.append(comp)
+    return comps
+
+
+def co_components(adj, vertices: Iterable[int]) -> List[List[int]]:
+    """Connected components of the *complement* of the subgraph ``adj``
+    induces on ``vertices``, without materialising it: the "remaining set"
+    search moves every unvisited non-neighbour of the vertex it explores,
+    and what stays is a neighbour, so the work is ``O(n + m)``."""
+    remaining = set(vertices)
+    comps: List[List[int]] = []
+    for s in vertices:
+        if s not in remaining:
+            continue
+        remaining.discard(s)
+        comp, queue = [s], [s]
+        while queue:
+            nbrs = adj[queue.pop()]
+            reach = remaining - nbrs
+            remaining &= nbrs
+            comp += reach
+            queue += reach
+        comps.append(comp)
+    return comps

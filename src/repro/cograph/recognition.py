@@ -1,33 +1,25 @@
-"""Cograph recognition: build a cotree from an arbitrary graph.
+"""Cograph recognition and modular decomposition: one decomposer.
 
 The paper takes the cotree as its input and cites He [12] for a parallel
-recognition algorithm (``O(log^2 n)`` time, ``O(n+m)`` CRCW processors).  For
-the library to be usable end-to-end from a plain graph we provide a
-sequential recogniser based on the defining decomposition:
-
-* if the graph has one vertex it is a leaf;
-* if it is disconnected, the root is a 0-node whose children are the
-  recursively-built cotrees of the connected components;
-* if its complement is disconnected, the root is a 1-node whose children are
-  the cotrees of the co-components;
-* otherwise the graph is not a cograph (equivalently, it contains an induced
-  ``P_4``).
-
-The complement components are found with the standard "remaining set" BFS, so
-no complement is materialised.  The recogniser also serves as an oracle in the
-property-based tests: a graph is a cograph iff it is P4-free, and
-:func:`find_induced_p4` produces the certificate for the negative case.
+recogniser.  :func:`decompose` is the sequential one and the only route
+from a graph to a tree (:func:`cotree_from_graph`,
+:func:`~repro.cograph.md_tree` and the API's graph doors).  Twin peeling
+by neighbourhood hashes builds the tree bottom-up, a top-down split
+handles whatever has no twins (a non-cograph), and a certificate checks
+the result against the graph; :mod:`repro.cograph._decompose` holds the
+algorithm and is imported on first use.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from .cotree import JOIN, UNION, Cotree
-from .graph import Graph
+from .cotree import Cotree
+from .flat import FlatCotree
+from .graph import CSRGraph
 
-__all__ = ["NotACographError", "cotree_from_graph", "is_cograph",
-           "find_induced_p4"]
+__all__ = ["NotACographError", "decompose", "cotree_from_graph",
+           "is_cograph", "find_induced_p4"]
 
 
 class NotACographError(ValueError):
@@ -40,7 +32,25 @@ class NotACographError(ValueError):
         self.certificate = certificate
 
 
-def cotree_from_graph(graph: Graph) -> Cotree:
+def decompose(graph, *, modular: bool = False) -> FlatCotree:
+    """The canonical cotree of ``graph`` (a :class:`~repro.cograph.Graph`
+    or :class:`~repro.cograph.graph.CSRGraph`) as a :class:`FlatCotree`,
+    or with ``modular=True`` its modular decomposition tree (prime nodes
+    carry their quotient; a cograph still gets its cotree).
+
+    Raises
+    ------
+    NotACographError
+        when ``modular`` is false and the graph is not a cograph.
+    """
+    from ._decompose import run
+    g = graph if isinstance(graph, CSRGraph) else graph.to_csr()
+    if g.n == 0:
+        raise ValueError("the empty graph has no cotree")
+    return run(g, modular)
+
+
+def cotree_from_graph(graph) -> Cotree:
     """Build the canonical cotree of ``graph``.
 
     Raises
@@ -48,70 +58,23 @@ def cotree_from_graph(graph: Graph) -> Cotree:
     NotACographError
         if the graph is not a cograph.
     """
-    if graph.n == 0:
-        raise ValueError("the empty graph has no cotree")
-
-    # Work queue of (vertex list, placeholder) pairs; we build nested specs.
-    def decompose(vertices: List[int]):
-        if len(vertices) == 1:
-            return vertices[0]
-        sub, back = graph.induced_subgraph(vertices)
-        comps = sub.connected_components()
-        if len(comps) > 1:
-            children = [decompose(sorted(back[v] for v in comp))
-                        for comp in comps]
-            return tuple(["union"] + children)
-        cocomps = sub.complement_components()
-        if len(cocomps) > 1:
-            children = [decompose(sorted(back[v] for v in comp))
-                        for comp in cocomps]
-            return tuple(["join"] + children)
-        p4 = find_induced_p4(sub)
-        cert = tuple(back[v] for v in p4) if p4 else None
-        raise NotACographError(
-            f"graph is not a cograph: the induced subgraph on {len(vertices)} "
-            "vertices is connected and co-connected", certificate=cert)
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * graph.n + 1000))
-    try:
-        spec = decompose(list(range(graph.n)))
-    finally:
-        sys.setrecursionlimit(old)
-    tree = Cotree.from_nested(spec) if not isinstance(spec, int) \
-        else Cotree.single_vertex(spec)
-    return tree.canonicalize()
+    return decompose(graph).to_cotree()
 
 
-def is_cograph(graph: Graph) -> bool:
+def is_cograph(graph) -> bool:
     """True when ``graph`` is a cograph (P4-free)."""
     try:
-        cotree_from_graph(graph)
+        decompose(graph)
         return True
     except NotACographError:
         return False
 
 
-def find_induced_p4(graph: Graph) -> Optional[Tuple[int, int, int, int]]:
-    """Find an induced path ``a - b - c - d`` on four vertices, if any.
-
-    Cographs are exactly the P4-free graphs, so this is the standard
-    certificate of non-membership.  Quartic worst case; intended for the
-    small graphs used in tests and error messages.
-    """
-    n = graph.n
-    for b in range(n):
-        for c in graph.adj[b]:
-            if c <= b:
-                continue
-            for a in graph.adj[b]:
-                if a == c or graph.has_edge(a, c):
-                    continue
-                for d in graph.adj[c]:
-                    if d == b or d == a:
-                        continue
-                    if graph.has_edge(d, b) or graph.has_edge(d, a):
-                        continue
-                    return (a, b, c, d)
-    return None
+def find_induced_p4(graph) -> Optional[Tuple[int, int, int, int]]:
+    """An induced path ``a - b - c - d`` on four vertices, or ``None`` for a
+    cograph (cographs are exactly the P4-free graphs)."""
+    try:
+        decompose(graph)
+        return None
+    except NotACographError as exc:
+        return exc.certificate

@@ -16,11 +16,11 @@ Each cotree format has one parser, which builds a
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..cograph import Cotree, FlatCotree, Graph, PathCover
+from ..cograph import Cotree, CSRGraph, FlatCotree, Graph, PathCover
 from ..cograph.cotree import JOIN, LEAF, UNION
 from ..cograph.flat import _from_lists, _parent_csr
 
@@ -202,12 +202,36 @@ def graph_to_json(graph: Graph) -> Dict:
             "edges": [[int(u), int(v)] for u, v in graph.edges()]}
 
 
-def graph_from_json(data: Dict) -> Graph:
-    """Inverse of :func:`graph_to_json`."""
+def _csr_from_json(data: Dict, max_vertices: Optional[int] = None
+                   ) -> CSRGraph:
+    """A serialised graph dict as a :class:`CSRGraph`: ``n`` checked
+    (against ``max_vertices`` too) before anything of that size exists,
+    the edges read by one ``np.asarray``."""
     if data.get("type") != "graph":
         raise ValueError("not a serialised graph")
     _require(data, "graph", ("n", "edges"))
-    return Graph(data["n"], [tuple(e) for e in data["edges"]])
+    n = data["n"]
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"serialised graph 'n' must be an integer vertex "
+                         f"count, got {n!r}")
+    if max_vertices is not None and n > max_vertices:
+        raise ValueError(f"serialised graph 'n' = {n} is more vertices than "
+                         f"a body of {max_vertices} bytes can describe")
+    try:
+        edges = np.asarray(data["edges"])
+        pairs = edges.size == 0 or (edges.ndim == 2 and edges.shape[1] == 2
+                                    and edges.dtype.kind in "iu")
+    except (ValueError, TypeError):        # ragged rows
+        pairs = False
+    if not pairs:
+        raise ValueError("serialised graph 'edges' must be a list of "
+                         "[u, v] integer pairs")
+    return CSRGraph.from_edges(n, edges.reshape(-1, 2))
+
+
+def graph_from_json(data: Dict) -> Graph:
+    """Inverse of :func:`graph_to_json`."""
+    return _csr_from_json(data).to_graph()
 
 
 # --------------------------------------------------------------------------- #

@@ -27,12 +27,13 @@ Robustness is structural, not bolted on:
   an unbounded backlog.
 * **The event loop never solves anything** — CPU-bound work is offloaded,
   bounded by an execution semaphore sized to the pool.  A ``/v1/solve``
-  instance of at most ``Settings.batch_small`` vertices on the fast
-  backend, arriving while nothing else is admitted, solves on the
-  server's own thread executor: alone, a pool round trip would cost more
-  than the solve.  Everything else goes to the worker pool (process pool
-  for ``jobs > 1``, a thread for the in-process degenerate case), where
-  concurrent solves run in parallel instead of sharing the server's GIL.
+  instance of at most ``Settings.batch_small`` vertices whose solve runs
+  the fast engine or none, arriving while nothing else is admitted,
+  solves on the server's own thread executor: alone, a pool round trip
+  would cost more than the solve.  Everything else goes to the worker
+  pool (process pool for ``jobs > 1``, a thread for the in-process
+  degenerate case), where concurrent solves run in parallel instead of
+  sharing the server's GIL.
 * **Per-request timeouts** — a solve that exceeds ``request_timeout``
   (including its time in the queue) is answered ``504``.
 * **Graceful drain** — :meth:`begin_drain` refuses new work with ``503``
@@ -67,6 +68,7 @@ from ..api import SolutionCache, SolveOptions, solve, solve_many, task_names
 from ..api.registry import TASKS
 from ..api.solution import Solution
 from ..api.solve import _from_cache
+from ..api.tasks import runs_fast_engine
 from ..cograph.cotree import CotreeError
 from ..core import faults as _faults
 from ..core.batch import WorkerPool
@@ -359,7 +361,8 @@ class ServerApp:
     async def _handle_solve(self, req: SolveRequest) -> Solution:
         """Solve one request the cache could not answer.
 
-        A small fast-backend instance that arrives on an otherwise idle
+        A small instance whose solve runs the fast engine, or none (see
+        :func:`~repro.api.tasks.runs_fast_engine`), and arrives on an idle
         server, no earlier inline solve still running, solves on the
         server's thread executor; it runs :func:`_run_solve`, because a
         :class:`~repro.core.faults.FaultPlan` scripts worker processes, not
@@ -369,7 +372,7 @@ class ServerApp:
         milliseconds, and concurrent solves would share it."""
         payload = (req.problem, req.task, req.options)
         if (req.problem.num_vertices <= self.settings.batch_small
-                and req.options.resolved_backend == "fast"
+                and runs_fast_engine(req.task, req.options)
                 and self._admitted == 0 and not self._inline.locked()):
             solution = await self._admitted_call(self._solve_inline, payload,
                                                  use_pool=False)
@@ -492,7 +495,9 @@ class ServerApp:
                 else:
                     req = (parse_wire_solve_request(body, query)
                            if binary_body
-                           else parse_solve_request(_parse_json_body(body)))
+                           else parse_solve_request(
+                               _parse_json_body(body),
+                               max_vertices=len(body)))
                     task_label = req.task
                     solution = await self._handle_solve(req)
                     if key is not None:
@@ -509,7 +514,8 @@ class ServerApp:
                 else:
                     requests = parse_batch_request(
                         _parse_json_body(body),
-                        max_batch=self.settings.max_batch)
+                        max_batch=self.settings.max_batch,
+                        max_vertices=len(body))
                 solutions = await self._admitted_call(
                     self._batch_worker, requests, use_pool=False)
                 response = _json_response(

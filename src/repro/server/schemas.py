@@ -139,14 +139,15 @@ def _parse_options(data: Any, field_name: str) -> SolveOptions:
         raise SchemaError.single(field_name, str(exc)) from None
 
 
-def _parse_problem(value: Any, task: str, field_name: str) -> Problem:
+def _parse_problem(value: Any, task: str, field_name: str,
+                   max_vertices: Optional[int] = None) -> Problem:
     if isinstance(value, str) and os.path.exists(value):
         raise SchemaError.single(
             field_name, "file paths are not accepted over the network; "
                         "send the instance inline (cotree text, a "
                         "serialised object, an edge list, ...)")
     try:
-        return as_problem(value, task=task)
+        return as_problem(value, task=task, max_vertices=max_vertices)
     except (ValueError, TypeError) as exc:
         raise SchemaError.single(field_name, str(exc)) from None
 
@@ -162,12 +163,15 @@ def _parse_task(value: Any, field_name: str) -> str:
 def parse_solve_request(data: Any, *, prefix: str = "",
                         default_task: Optional[str] = None,
                         default_options: Optional[SolveOptions] = None,
+                        max_vertices: Optional[int] = None,
                         ) -> SolveRequest:
     """Validate one ``/v1/solve`` body (or one batch record).
 
     Raises :class:`SchemaError` carrying every field-level problem found
     (missing ``problem``, unknown ``task``, bad ``options`` fields,
-    unadaptable instance, unknown top-level keys).
+    unadaptable instance, unknown top-level keys).  ``max_vertices``
+    (the server passes the body's byte count) bounds a graph's vertex
+    count before it is built.
     """
     dot = prefix + "." if prefix else ""
     if not isinstance(data, dict):
@@ -197,7 +201,8 @@ def parse_solve_request(data: Any, *, prefix: str = "",
         errors.append({"field": dot + "problem", "error": "is required"})
     elif not errors:
         try:
-            problem = _parse_problem(data["problem"], task, dot + "problem")
+            problem = _parse_problem(data["problem"], task, dot + "problem",
+                                     max_vertices)
         except SchemaError as exc:
             errors.extend(exc.errors)
     if errors:
@@ -205,7 +210,9 @@ def parse_solve_request(data: Any, *, prefix: str = "",
     return SolveRequest(problem=problem, task=task, options=options)
 
 
-def parse_batch_request(data: Any, *, max_batch: int) -> List[SolveRequest]:
+def parse_batch_request(data: Any, *, max_batch: int,
+                        max_vertices: Optional[int] = None
+                        ) -> List[SolveRequest]:
     """Validate one ``/v1/solve_batch`` body into a list of requests.
 
     Accepts a JSON array of records, or an object with ``problems`` plus
@@ -256,7 +263,8 @@ def parse_batch_request(data: Any, *, max_batch: int) -> List[SolveRequest]:
             request = parse_solve_request(
                 record, prefix=f"problems[{i}]",
                 default_task=default_task,
-                default_options=default_options)
+                default_options=default_options,
+                max_vertices=max_vertices)
         except SchemaError as exc:
             errors.extend(exc.errors)
             continue

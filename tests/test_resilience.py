@@ -716,16 +716,16 @@ class TestServerResilience:
         assert h.json()["pool"]["quarantined"] >= 1
 
 
-#: the inline path serves the fast backend only: the default PRAM
-#: simulator keeps the pool
+#: the inline path serves solves that run the fast engine or none: the
+#: default PRAM simulator keeps the pool
 FAST_OPTIONS = {"backend": "fast"}
 
 
 class TestInlineSolve:
-    """A fast-backend ``/v1/solve`` instance of at most ``batch_small``
-    vertices, arriving while nothing else is admitted, solves on the
-    server's thread executor, behind the same admission, deadline and
-    breaker as the pool."""
+    """A ``/v1/solve`` instance of at most ``batch_small`` vertices whose
+    solve runs the fast engine or none, arriving while nothing else is
+    admitted, solves on the server's thread executor, behind the same
+    admission, deadline and breaker as the pool."""
 
     def test_armed_kill_plan_never_reaches_an_inline_solve(self, arm):
         arm(kill_task=1, once=False)   # any pooled worker would die
@@ -741,6 +741,40 @@ class TestInlineSolve:
         assert r.json()["num_paths"] == 2
         assert r.json()["provenance"]["route"] == "serial"
         assert h.json()["pool"]["restarts"] == 0
+
+    def test_default_options_inline_when_no_simulator_runs(self, arm):
+        """Default-option ``path_cover_size`` runs the fast engine and
+        ``recognition`` none, so both solve inline; the default
+        ``path_cover`` runs the simulator and keeps the pool."""
+        arm(kill_task=1, once=False)   # any pooled worker would die
+
+        async def scenario(app):
+            out = [await app.dispatch("POST", "/v1/solve",
+                                      solve_body(task=task))
+                   for task in ("path_cover_size", "recognition")]
+            return out, await app.dispatch("GET", "/healthz")
+
+        (size, recognised), h = run_app(scenario, jobs=2)
+        assert [r.status for r in (size, recognised)] == [200, 200]
+        assert size.json()["answer"] == 2
+        assert recognised.json()["answer"] is True
+        assert [r.json()["provenance"]["route"]
+                for r in (size, recognised)] == ["serial", "serial"]
+        assert h.json()["pool"]["restarts"] == 0
+
+    def test_inline_route_keys_on_the_engine_the_solve_runs(self):
+        from repro.api import SolveOptions
+        from repro.api.tasks import runs_fast_engine
+        default = SolveOptions()
+        assert runs_fast_engine("path_cover_size", default)
+        assert runs_fast_engine("recognition", default)
+        assert runs_fast_engine("path_cover", SolveOptions(backend="fast"))
+        assert not runs_fast_engine("path_cover", default)
+        assert not runs_fast_engine("max_clique", default)
+        for picked in (SolveOptions(backend="pram"),
+                       SolveOptions(method="sequential"),
+                       SolveOptions(validate=True)):
+            assert not runs_fast_engine("path_cover_size", picked)
 
     def test_inline_deadline_is_a_504_then_the_server_answers(
             self, monkeypatch):
