@@ -122,19 +122,21 @@ def two_slot_csr(left: np.ndarray, right: np.ndarray
     return offset, kids[kids != -1]
 
 
-def multiway_numbering(child_offset, child_index, roots
+def multiway_numbering(child_offset, child_index, roots, *,
+                       leaf_last: bool = True
                        ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``(preorder, subtree_size)`` of a multiway CSR forest.
 
-    Siblings are visited in CSR order, except that every node's last leaf
-    child swaps places with its last child; the roots are chained as
-    siblings in the given order (``-1`` entries, empty instances, are
-    skipped).  One C-level DFS (:func:`sibling_chain_preorder`) runs on
-    the first-child / next-sibling form, so a node with ``d`` children or
-    a forest of ``d`` roots costs ``O(d)``, not ``O(d**2)``.  A subtree
-    ends where the next sibling of its nearest ancestor-or-self that has
-    one begins; visiting a leaf last keeps the last-child chains that
-    pointer jumping climbs short (one step on a caterpillar).  Returns
+    Siblings are visited in CSR order, except that with ``leaf_last``
+    every node's last leaf child swaps places with its last child; the
+    roots are chained as siblings in the given order (``-1`` entries,
+    empty instances, are skipped).  One C-level DFS
+    (:func:`sibling_chain_preorder`) runs on the first-child /
+    next-sibling form, so a node with ``d`` children or a forest of ``d``
+    roots costs ``O(d)``, not ``O(d**2)``.  A subtree ends where the next
+    sibling of its nearest ancestor-or-self that has one begins; visiting
+    a leaf last keeps the last-child chains that pointer jumping climbs
+    short (one step on a caterpillar).  Returns
     ``None`` when scipy is unavailable or the arrays are not a forest
     rooted at ``roots``.
     """
@@ -156,17 +158,20 @@ def multiway_numbering(child_offset, child_index, roots
     deg = np.diff(child_offset)
     has_kids = np.flatnonzero(deg > 0)
     ends = child_offset[has_kids + 1] - 1
-    # the last leaf slot at or before every slot (a running maximum), kept
-    # where it lies inside its node's own slots (else the last slot swaps
-    # with itself)
-    leaf_slot = np.where(deg[child_index] == 0,
-                         np.arange(len(child_index), dtype=np.int64), -1)
-    np.maximum.accumulate(leaf_slot, out=leaf_slot)
-    leaf_slot = leaf_slot[ends]
-    leaf_slot = np.where(leaf_slot >= child_offset[has_kids], leaf_slot, ends)
-    kids = child_index.copy()
-    kids[ends] = child_index[leaf_slot]
-    kids[leaf_slot] = child_index[ends]
+    kids = child_index
+    if leaf_last:
+        # the last leaf slot at or before every slot (a running maximum),
+        # kept where it lies inside its node's own slots (else the last
+        # slot swaps with itself)
+        leaf_slot = np.where(deg[child_index] == 0,
+                             np.arange(len(child_index), dtype=np.int64), -1)
+        np.maximum.accumulate(leaf_slot, out=leaf_slot)
+        leaf_slot = leaf_slot[ends]
+        leaf_slot = np.where(leaf_slot >= child_offset[has_kids], leaf_slot,
+                             ends)
+        kids = child_index.copy()
+        kids[ends] = child_index[leaf_slot]
+        kids[leaf_slot] = child_index[ends]
 
     first = np.full(n, -1, dtype=np.int64)
     first[has_kids] = kids[child_offset[has_kids]]

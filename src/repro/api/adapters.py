@@ -111,17 +111,16 @@ class Problem:
             when the underlying graph is not a cograph.
         """
         if self._cached_tree is None:
-            tree = self.tree if self.tree is not None else self._checked_tree
             if self.instance is not None:
-                self._cached_tree = self.instance.cotree
-            elif isinstance(tree, FlatCotree):
-                self._cached_tree = tree.to_cotree()
-            elif tree is not None:
-                self._cached_tree = tree
+                tree = self.instance.cotree
+            elif self.tree is not None:
+                tree = self.tree
             elif self.graph is not None:
-                self._cached_tree = self.pipeline_tree().to_cotree()
+                tree = self.pipeline_tree()
             else:  # pragma: no cover - constructors always set one
                 raise ValueError("empty Problem")
+            self._cached_tree = tree.to_cotree() \
+                if isinstance(tree, FlatCotree) else tree
         return self._cached_tree
 
     def pipeline_tree(self) -> TreeLike:
@@ -140,17 +139,6 @@ class Problem:
             self._checked_tree = (tree if isinstance(tree, BinaryCotree)
                                   else as_flat_cotree(tree)).validate()
         return self._checked_tree
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle one tree form: once :meth:`pipeline_tree` has checked a
-        :class:`FlatCotree`, it travels in place of the object cotree it
-        came from, so a worker gets the checked tree and nothing twice."""
-        state = dict(self.__dict__)
-        if isinstance(self._checked_tree, FlatCotree):
-            state["_cached_tree"] = None
-            if isinstance(self.tree, Cotree):
-                state["tree"] = self._checked_tree
-        return state
 
     def decomposition_tree(self) -> TreeLike:
         """The tree an MD-capable task should consume.

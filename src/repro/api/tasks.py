@@ -109,13 +109,12 @@ def _cover_body(tree, options: SolveOptions,
     :func:`_covers_per_root` splits the one cover back per instance.
     """
     if options.method == "sequential":
-        cotree = tree.to_cotree() if isinstance(tree, FlatCotree) else tree
-        cover = sequential_path_cover(cotree)
+        cover = sequential_path_cover(tree)
         if options.validate:
-            cover.validate(CographAdjacencyOracle(cotree),
-                           expected_num_vertices=cotree.num_vertices,
+            cover.validate(CographAdjacencyOracle(tree),
+                           expected_num_vertices=tree.num_vertices,
                            expected_num_paths=int(
-                               minimum_path_cover_size(cotree)))
+                               minimum_path_cover_size(tree)))
         return [Solution(task="path_cover", answer=cover,
                          backend="sequential", options=options, cover=cover,
                          num_paths=cover.num_paths)]
@@ -292,7 +291,7 @@ def _oracle(problem: Problem):
     tree = problem.pipeline_tree()
     if isinstance(tree, FlatCotree) and tree.has_primes:
         return _GraphOracle(graph_from_md_tree(tree))
-    return CographAdjacencyOracle(problem.cotree())
+    return CographAdjacencyOracle(tree)
 
 
 def _check_vertex_set(problem: Problem, vertices, size: int, *,

@@ -26,7 +26,9 @@ import numpy as np
 from ..cograph import (
     BinaryCotree,
     Cotree,
+    FlatCotree,
     PathCover,
+    as_flat_cotree,
     binarize_cotree,
     make_leftist,
 )
@@ -63,14 +65,15 @@ class _PathSet:
         self.count: int = 0
 
 
-def sequential_path_cover(tree: Union[Cotree, BinaryCotree], *,
+def sequential_path_cover(tree: Union[Cotree, BinaryCotree, FlatCotree], *,
                           return_stats: bool = False):
     """Minimum path cover of a cograph in ``O(n)`` sequential time.
 
     Parameters
     ----------
     tree:
-        general or binarized cotree; vertices must be numbered ``0 .. n-1``.
+        general (``Cotree`` or ``FlatCotree``) or binarized cotree;
+        vertices must be numbered ``0 .. n-1``.
     return_stats:
         when True, return ``(cover, stats)`` instead of just the cover.
 
@@ -103,18 +106,8 @@ def sequential_path_cover(tree: Union[Cotree, BinaryCotree], *,
                             bridge_operations=0, insert_operations=0)
 
     sets: dict = {}
-
-    def leaf_vertices_in_order(node: int) -> List[int]:
-        out: List[int] = []
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            if binary.kind[u] == LEAF:
-                out.append(int(binary.leaf_vertex[u]))
-            else:
-                stack.append(int(binary.right[u]))
-                stack.append(int(binary.left[u]))
-        return out
+    # the leaves of every subtree, left to right: a slice [lo, hi) of ids
+    ids, lo, hi = as_flat_cotree(binary).leaf_spans()
 
     for u in binary.postorder():
         stats.nodes_processed += 1
@@ -145,7 +138,7 @@ def sequential_path_cover(tree: Union[Cotree, BinaryCotree], *,
         # left subtree's paths.
         a = sets.pop(left)
         sets.pop(right, None)     # w's own structure is irrelevant
-        w_vertices = leaf_vertices_in_order(right)
+        w_vertices = ids[lo[right]:hi[right]].tolist()
         p_v = a.count
         L_w = int(L[right])
 

@@ -16,11 +16,12 @@ idiom recommended for HPC-style Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from .cotree import JOIN, LEAF, UNION, Cotree, CotreeError
+from .cotree import LEAF, Cotree, CotreeError, prime_refusal
+from .flat import as_flat_cotree
 
 __all__ = ["BinaryCotree", "binarize_cotree"]
 
@@ -116,58 +117,25 @@ class BinaryCotree:
         return {int(self.leaf_vertex[u]): int(u) for u in self.leaves}
 
     # ------------------------------------------------------------------ #
-    # traversal helpers (sequential; used by tests and baselines)
+    # traversal helpers (sequential; used by tests and baselines), read off
+    # the two-slot CSR form's numbering kernels
     # ------------------------------------------------------------------ #
 
     def postorder(self) -> List[int]:
         """Node ids in postorder (tree by tree, in ``roots`` order)."""
-        order: List[int] = []
-        stack: List[int] = [int(r) for r in self.roots]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            if self.kind[u] != LEAF:
-                stack.append(int(self.left[u]))
-                stack.append(int(self.right[u]))
-        order.reverse()
-        return order
+        return as_flat_cotree(self).postorder().tolist()
 
     def preorder(self) -> List[int]:
         """Node ids in preorder (tree by tree, in ``roots`` order)."""
-        order: List[int] = []
-        stack: List[int] = [int(r) for r in self.roots[::-1]]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            if self.kind[u] != LEAF:
-                stack.append(int(self.right[u]))
-                stack.append(int(self.left[u]))
-        return order
+        return as_flat_cotree(self).preorder().tolist()
 
     def inorder_leaves(self) -> List[int]:
         """Vertex ids of the leaves in left-to-right order."""
-        out: List[int] = []
-        stack: List[Tuple[int, bool]] = [(int(r), False)
-                                         for r in self.roots[::-1]]
-        while stack:
-            u, expanded = stack.pop()
-            if self.kind[u] == LEAF:
-                out.append(int(self.leaf_vertex[u]))
-            elif expanded:
-                pass
-            else:
-                stack.append((int(self.right[u]), False))
-                stack.append((int(self.left[u]), False))
-        return out
+        return as_flat_cotree(self).leaf_spans()[0].tolist()
 
     def depth(self) -> np.ndarray:
         """Depth of each node (root depth 0)."""
-        d = np.zeros(self.num_nodes, dtype=np.int64)
-        for u in self.preorder():
-            if self.kind[u] != LEAF:
-                d[self.left[u]] = d[u] + 1
-                d[self.right[u]] = d[u] + 1
-        return d
+        return as_flat_cotree(self).depth
 
     def height(self) -> int:
         """Tree height in edges."""
@@ -176,14 +144,9 @@ class BinaryCotree:
         return int(self.depth().max())
 
     def subtree_leaf_counts(self) -> np.ndarray:
-        """``L(u)`` — number of leaf descendants — for every node (sequential)."""
-        counts = np.zeros(self.num_nodes, dtype=np.int64)
-        for u in self.postorder():
-            if self.kind[u] == LEAF:
-                counts[u] = 1
-            else:
-                counts[u] = counts[self.left[u]] + counts[self.right[u]]
-        return counts
+        """``L(u)`` — number of leaf descendants — for every node."""
+        _, lo, hi = as_flat_cotree(self).leaf_spans()
+        return hi - lo
 
     # ------------------------------------------------------------------ #
     # validation / conversion
@@ -197,8 +160,7 @@ class BinaryCotree:
         if not (len(self.left) == len(self.right) == len(self.parent)
                 == len(self.leaf_vertex) == n):
             raise CotreeError("array length mismatch in BinaryCotree")
-        from .flat import FlatCotree
-        FlatCotree.from_cotree(self).validate()
+        as_flat_cotree(self).validate()
         one_child = (self.kind != LEAF) & ((self.left == -1)
                                            | (self.right == -1))
         if one_child.any():
@@ -213,11 +175,7 @@ class BinaryCotree:
 
     def to_cotree(self) -> Cotree:
         """Convert back to an arbitrary-arity :class:`Cotree` (same shape)."""
-        if len(self.roots) > 1:
-            raise CotreeError(f"a forest of {len(self.roots)} trees has no "
-                              f"single-Cotree form")
-        from .flat import FlatCotree
-        return FlatCotree.from_cotree(self).to_cotree()
+        return as_flat_cotree(self).to_cotree()
 
     def copy(self) -> "BinaryCotree":
         """Deep copy."""
@@ -237,13 +195,14 @@ class BinaryCotree:
         return out
 
 
-def binarize_cotree(tree: Cotree) -> BinaryCotree:
+def binarize_cotree(tree) -> BinaryCotree:
     """Binarize a cotree: replace every node with ``k >= 3`` children by a
     left-deep chain of ``k - 1`` binary nodes with the same label (Fig. 3).
 
-    The sequential version; the PRAM-costed version used by the optimal
-    pipeline lives in :mod:`repro.core.binarize` and produces identical
-    output.
+    The direct version, numbered in the input's postorder (a leaf's node,
+    then each internal node's chain); the PRAM-costed version used by the
+    optimal pipeline lives in :mod:`repro.core.binarize` and produces the
+    same tree.  Accepts a :class:`Cotree` or a ``FlatCotree``.
 
     A single-vertex cotree maps to a single-leaf binary cotree.
 
@@ -253,54 +212,42 @@ def binarize_cotree(tree: Cotree) -> BinaryCotree:
         if the input has a unary internal node (call
         :meth:`Cotree.canonicalize` first).
     """
-    if tree.num_vertices == 0:
+    flat = as_flat_cotree(tree)
+    if flat.num_vertices == 0:
         raise CotreeError("cannot binarize an empty cotree")
-
-    kinds: List[int] = []
-    lefts: List[int] = []
-    rights: List[int] = []
-    leaf_vertex: List[int] = []
-
-    def new_node(kind: int, vertex: int = -1) -> int:
-        kinds.append(kind)
-        lefts.append(-1)
-        rights.append(-1)
-        leaf_vertex.append(vertex)
-        return len(kinds) - 1
-
-    # Iterative postorder so that arbitrarily deep cotrees (e.g. caterpillar
-    # cotrees used in the naive-parallelisation benchmarks) do not hit the
-    # Python recursion limit.
-    built_of: dict = {}
-    for u in tree.postorder():
-        if tree.kind[u] == LEAF:
-            built_of[u] = new_node(LEAF, int(tree.leaf_vertex[u]))
-            continue
-        cs = tree.children[u]
-        if len(cs) < 2:
-            raise CotreeError(
-                f"internal node {u} has {len(cs)} child(ren); canonicalize "
-                "the cotree before binarizing")
-        built = [built_of[c] for c in cs]
-        # left-deep chain: u1 = (c1, c2), u_i = (u_{i-1}, c_{i+1})
-        acc = built[0]
-        for nxt in built[1:]:
-            node = new_node(int(tree.kind[u]))
-            lefts[node] = acc
-            rights[node] = nxt
-            acc = node
-        built_of[u] = acc
-    root = built_of[tree.root]
-
-    n = len(kinds)
-    parent = np.full(n, -1, dtype=np.int64)
-    for u in range(n):
-        if lefts[u] != -1:
-            parent[lefts[u]] = u
-            parent[rights[u]] = u
-    return BinaryCotree(np.array(kinds, dtype=np.int8),
-                        np.array(lefts, dtype=np.int64),
-                        np.array(rights, dtype=np.int64),
+    if flat.has_primes:
+        raise prime_refusal("binarize_cotree")
+    kind, degree = flat.kind, flat.degrees()
+    leaf = kind == LEAF
+    unary = np.flatnonzero(~leaf & (degree < 2))
+    if len(unary):
+        u = int(unary[0])
+        raise CotreeError(
+            f"internal node {u} has {degree[u]} child(ren); canonicalize "
+            "the cotree before binarizing")
+    # node u becomes `count` consecutive new nodes from `base`, in postorder
+    post = flat.postorder()
+    count = np.where(leaf, 1, degree - 1)
+    base = np.empty_like(count)
+    base[post] = np.cumsum(count[post]) - count[post]
+    built = base + count - 1                # the node standing for u
+    # child slot i >= 1 of u feeds chain node base[u] + i - 1: its right
+    # child, with the chain so far (or the first child) on its left
+    owner = np.repeat(np.arange(flat.num_nodes), degree)
+    slot = np.arange(len(owner)) - flat.child_offset[owner]
+    later = slot >= 1
+    node = base[owner[later]] + slot[later] - 1
+    m = int(count.sum())
+    left = np.full(m, -1, dtype=np.int64)
+    right = np.full(m, -1, dtype=np.int64)
+    right[node] = built[flat.child_index[later]]
+    left[node] = np.where(slot[later] == 1,
+                          built[flat.child_index[np.flatnonzero(later) - 1]],
+                          node - 1)
+    parent = np.full(m, -1, dtype=np.int64)
+    parent[left[node]] = parent[right[node]] = node
+    return BinaryCotree(np.repeat(kind[post], count[post]), left, right,
                         parent,
-                        np.array(leaf_vertex, dtype=np.int64),
-                        root)
+                        np.repeat(np.where(leaf, flat.leaf_vertex, -1)[post],
+                                  count[post]),
+                        int(built[flat.root]))

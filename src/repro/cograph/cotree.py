@@ -11,30 +11,27 @@ representation, the *cotree* ``T(G)`` (Corneil, Lerchs, Stewart Burlingham
 (6) leaves are the vertices of ``G`` and two vertices are adjacent iff their
     lowest common ancestor is a 1-node.
 
-This module provides :class:`Cotree`, an arbitrary-arity rooted cotree with a
-structure-of-arrays backing store, plus construction, canonicalisation,
-traversal and conversion helpers.  The binarized form used by the algorithms
+This module provides :class:`Cotree`, an arbitrary-arity rooted cotree, with
+construction, traversal and conversion helpers.  A :class:`Cotree` is an
+immutable view over one :class:`~repro.cograph.flat.FlatCotree`: the CSR
+arrays are the data, :meth:`~repro.cograph.flat.FlatCotree.validate` decides
+what a tree is and :meth:`~repro.cograph.flat.FlatCotree.canonicalize`
+restores properties (4) and (5).  The binarized form used by the algorithms
 lives in :mod:`repro.cograph.binary`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple, \
+    Union
 
 import numpy as np
 
-from .._dfs import depth_by_doubling
+if TYPE_CHECKING:
+    from .flat import FlatCotree
 
-__all__ = [
-    "LEAF",
-    "UNION",
-    "JOIN",
-    "PRIME",
-    "Cotree",
-    "CotreeError",
-    "kind_name",
-]
+__all__ = ["LEAF", "UNION", "JOIN", "PRIME", "Cotree", "CotreeError",
+           "kind_name"]
 
 #: Node-kind code for a leaf (a vertex of the cograph).
 LEAF: int = 0
@@ -54,7 +51,8 @@ _KIND_NAMES = {LEAF: "leaf", UNION: "0", JOIN: "1", PRIME: "prime"}
 
 
 def kind_name(kind: int) -> str:
-    """Return a human-readable name ("leaf", "0" or "1") for a node kind."""
+    """Return a human-readable name ("leaf", "0", "1" or "prime") for a node
+    kind."""
     return _KIND_NAMES[int(kind)]
 
 
@@ -75,34 +73,28 @@ def prime_refusal(what: str) -> CotreeError:
 # tuple ``(op, child, child, ...)`` where ``op`` is "union"/"0" or "join"/"1".
 NestedSpec = Union[int, Tuple]
 
-_OP_CODES = {
-    "union": UNION,
-    "0": UNION,
-    0: UNION,
-    "join": JOIN,
-    "1": JOIN,
-    1: JOIN,
-}
+_OP_CODES = {"union": UNION, "0": UNION, 0: UNION,
+             "join": JOIN, "1": JOIN, 1: JOIN}
 
 
-@dataclass
-class _NodeRecord:
-    """Mutable node record used while building a :class:`Cotree`."""
-
-    kind: int
-    children: List[int] = field(default_factory=list)
-    vertex: int = -1
+def _held(name: str, doc: str) -> property:
+    """A read-only :class:`Cotree` attribute read off the held tree."""
+    return property(lambda self: getattr(self._flat, name), doc=doc)
 
 
 class Cotree:
     """An arbitrary-arity rooted cotree.
 
-    Nodes are integers ``0 .. num_nodes - 1``.  Leaves carry a *vertex id* in
-    ``0 .. num_vertices - 1``; the mapping between vertex ids and leaf nodes
-    is explicit so vertices keep their identity through binarisation,
-    reduction and path construction.
+    Nodes are integers ``0 .. num_nodes - 1``.  Leaves carry distinct,
+    non-negative *vertex ids* (every task needs ``0 .. num_vertices - 1``);
+    the mapping between vertex ids and leaf nodes is explicit so vertices
+    keep their identity through binarisation, reduction and path
+    construction.
 
-    Instances are immutable once constructed; all mutating helpers return new
+    A view over one :class:`~repro.cograph.flat.FlatCotree`, checked once
+    by its :meth:`~repro.cograph.flat.FlatCotree.validate` (with
+    ``sparse_ids=True``) at construction: every attribute reads the held
+    arrays.  Instances are immutable; all mutating helpers return new
     trees.
 
     Parameters
@@ -119,54 +111,69 @@ class Cotree:
         id of the root node.
     """
 
-    __slots__ = ("kind", "children", "leaf_vertex", "parent", "root",
-                 "_vertex_to_leaf")
+    __slots__ = ("_flat", "_children")
 
-    def __init__(
-        self,
-        kind: Sequence[int],
-        children: Sequence[Sequence[int]],
-        leaf_vertex: Sequence[int],
-        root: int,
-        *,
-        validate: bool = True,
-    ) -> None:
-        self.kind = np.asarray(kind, dtype=np.int8)
-        self.children: List[List[int]] = [list(c) for c in children]
-        self.leaf_vertex = np.asarray(leaf_vertex, dtype=np.int64)
-        self.root = int(root)
-        n = len(self.kind)
-        if not (len(self.children) == n == len(self.leaf_vertex)):
-            raise CotreeError("kind, children and leaf_vertex must have the "
-                              "same length")
-        if n == 0:
-            # the cotree of the empty cograph: no nodes, root -1 (round-trips
-            # through FlatCotree and canonical_key must not raise)
-            if self.root != -1:
-                raise CotreeError("an empty cotree must have root -1")
-            self.parent = np.empty(0, dtype=np.int64)
-            self._vertex_to_leaf = {}
-            return
-        parent = np.full(n, -1, dtype=np.int64)
-        for u, cs in enumerate(self.children):
-            for c in cs:
-                if parent[c] != -1:
-                    raise CotreeError(f"node {c} has two parents")
-                parent[c] = u
-        self.parent = parent
-        # vertex id -> leaf node id
-        leaves = np.flatnonzero(self.kind == LEAF)
-        vmap = {}
-        for leaf in leaves:
-            v = int(self.leaf_vertex[leaf])
-            if v < 0:
-                raise CotreeError(f"leaf node {leaf} has no vertex id")
-            if v in vmap:
-                raise CotreeError(f"vertex {v} appears on two leaves")
-            vmap[v] = int(leaf)
-        self._vertex_to_leaf = vmap
-        if validate:
-            self._validate_basic()
+    def __init__(self, kind: Sequence[int],
+                 children: Sequence[Sequence[int]],
+                 leaf_vertex: Sequence[int], root: int) -> None:
+        from .flat import _from_lists
+        self._flat = _from_lists(kind, children, leaf_vertex,
+                                 root).validate(sparse_ids=True)
+        self._children: Optional[List[List[int]]] = None
+
+    @classmethod
+    def _of(cls, flat: "FlatCotree") -> "Cotree":
+        """A view of ``flat`` as it stands: the caller has checked it."""
+        tree = cls.__new__(cls)
+        tree._flat, tree._children = flat, None
+        return tree
+
+    def __reduce__(self):
+        # pickles as its flat tree, so pickle's memo sends a tree shared
+        # with a Problem's checked form once
+        return Cotree._of, (self._flat,)
+
+    # ------------------------------------------------------------------ #
+    # the held arrays and their basic properties
+    # ------------------------------------------------------------------ #
+
+    kind = _held("kind", "``int8`` node kinds.")
+    leaf_vertex = _held("leaf_vertex", "Vertex id of every leaf (``-1`` for "
+                        "internal nodes).")
+    parent = _held("parent", "Parent of every node (``-1`` at the root).")
+    root = _held("root", "Id of the root node (``-1`` for the empty cotree).")
+    num_nodes = _held("num_nodes", "Total number of cotree nodes (leaves "
+                      "plus internal nodes).")
+    num_vertices = _held("num_vertices", "Number of cograph vertices, i.e. "
+                         "number of leaves.")
+    internal_nodes = _held("internal_nodes", "Array of internal node ids.")
+    leaves = _held("leaves", "Array of leaf node ids.")
+    vertices = _held("vertices", "Sorted array of vertex ids.")
+
+    @property
+    def children(self) -> List[List[int]]:
+        """One child-id list per node (built on first use, cached)."""
+        if self._children is None:
+            kids = self._flat.child_index.tolist()
+            bounds = self._flat.child_offset.tolist()
+            self._children = [kids[bounds[u]:bounds[u + 1]]
+                              for u in range(self.num_nodes)]
+        return self._children
+
+    def leaf_of_vertex(self, vertex: int) -> int:
+        """Return the leaf node holding ``vertex`` (``KeyError`` if none)."""
+        hit = self.leaves[self.leaf_vertex[self.leaves] == int(vertex)]
+        if not len(hit):
+            raise KeyError(vertex)
+        return int(hit[0])
+
+    def is_leaf(self, node: int) -> bool:
+        """True when ``node`` is a leaf."""
+        return self.kind[node] == LEAF
+
+    def degree(self, node: int) -> int:
+        """Number of children of ``node``."""
+        return int(self._flat.degrees()[node])
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -192,67 +199,45 @@ class Cotree:
         >>> t.num_vertices
         3
         """
-        records: List[_NodeRecord] = []
-
-        def new_record(s: NestedSpec) -> int:
-            """Create the record for one spec element (children added later)."""
-            if isinstance(s, (int, np.integer)):
-                records.append(_NodeRecord(LEAF, [], int(s)))
-            else:
-                if not isinstance(s, tuple) or len(s) < 2:
-                    raise CotreeError(f"bad nested spec element: {s!r}")
-                op = s[0]
-                if op not in _OP_CODES:
-                    raise CotreeError(f"unknown cotree operation {op!r}")
-                records.append(_NodeRecord(_OP_CODES[op]))
-            return len(records) - 1
-
-        # Iterative construction (deep caterpillar specs would overflow the
-        # Python recursion limit otherwise).
-        root = new_record(spec)
-        stack: List[Tuple[int, NestedSpec]] = [(root, spec)]
+        # Iterative (deep caterpillar specs would overflow the Python
+        # recursion limit otherwise): a node's children are numbered
+        # together when it is expanded.
+        specs: List[NestedSpec] = [spec]
+        children: List[List[int]] = [[]]
+        stack = [0]
         while stack:
-            idx, s = stack.pop()
+            u = stack.pop()
+            s = specs[u]
             if isinstance(s, (int, np.integer)):
                 continue
-            for child_spec in s[1:]:
-                child_idx = new_record(child_spec)
-                records[idx].children.append(child_idx)
-                stack.append((child_idx, child_spec))
-        return cls(
-            [r.kind for r in records],
-            [r.children for r in records],
-            [r.vertex for r in records],
-            root,
-        )
+            if not isinstance(s, tuple) or len(s) < 2:
+                raise CotreeError(f"bad nested spec element: {s!r}")
+            if s[0] not in _OP_CODES:
+                raise CotreeError(f"unknown cotree operation {s[0]!r}")
+            children[u] = list(range(len(specs), len(specs) + len(s) - 1))
+            specs += s[1:]
+            children += [[] for _ in s[1:]]
+            stack += children[u]
+        leaf = [isinstance(s, (int, np.integer)) for s in specs]
+        return cls([LEAF if is_leaf else _OP_CODES[s[0]]
+                    for s, is_leaf in zip(specs, leaf)], children,
+                   [int(s) if is_leaf else -1 for s, is_leaf in
+                    zip(specs, leaf)], 0)
 
     @classmethod
-    def from_parent_pointers(
-        cls,
-        parent: Sequence[int],
-        kind: Sequence[int],
-        leaf_vertex: Optional[Sequence[int]] = None,
-    ) -> "Cotree":
-        """Build a cotree from the parent-pointer representation.
-
-        This is the representation used in the paper's lower-bound
-        construction ("It is trivial to construct the cotree using the
-        well-known parent-pointer representation").
-
-        Parameters
-        ----------
-        parent:
-            ``parent[u]`` is the parent node of ``u``; the root has parent
-            ``-1``.
-        kind:
-            node kinds.
-        leaf_vertex:
-            optional vertex ids for the leaves; defaults to numbering the
-            leaves ``0, 1, ...`` in node-id order.
-        """
-        from .flat import FlatCotree, _parent_csr
+    def from_parent_pointers(cls, parent: Sequence[int], kind: Sequence[int],
+                             leaf_vertex: Optional[Sequence[int]] = None
+                             ) -> "Cotree":
+        """Build a cotree from the parent-pointer representation
+        (``parent[u]`` is ``u``'s parent, ``-1`` at the root), the one the
+        paper's lower-bound construction uses ("It is trivial to construct
+        the cotree using the well-known parent-pointer representation").
+        ``leaf_vertex`` defaults to numbering the leaves ``0, 1, ...`` in
+        node-id order."""
+        from .flat import FlatCotree, _parent_csr, _refuse_outside
         parent = np.asarray(parent, dtype=np.int64)
         kind = np.asarray(kind, dtype=np.int8)
+        _refuse_outside(parent, "parent", -1, len(parent) - 1)
         roots = np.flatnonzero(parent == -1)
         if len(roots) != 1:
             raise CotreeError("multiple roots in parent-pointer form"
@@ -266,71 +251,20 @@ class Cotree:
                           int(roots[0])).to_cotree()
 
     # ------------------------------------------------------------------ #
-    # basic properties
-    # ------------------------------------------------------------------ #
-
-    @property
-    def num_nodes(self) -> int:
-        """Total number of cotree nodes (leaves plus internal nodes)."""
-        return len(self.kind)
-
-    @property
-    def num_vertices(self) -> int:
-        """Number of cograph vertices, i.e. number of leaves."""
-        return int(np.count_nonzero(self.kind == LEAF))
-
-    @property
-    def internal_nodes(self) -> np.ndarray:
-        """Array of internal node ids."""
-        return np.flatnonzero(self.kind != LEAF)
-
-    @property
-    def leaves(self) -> np.ndarray:
-        """Array of leaf node ids."""
-        return np.flatnonzero(self.kind == LEAF)
-
-    @property
-    def vertices(self) -> np.ndarray:
-        """Sorted array of vertex ids."""
-        return np.sort(self.leaf_vertex[self.kind == LEAF])
-
-    def leaf_of_vertex(self, vertex: int) -> int:
-        """Return the leaf node holding ``vertex``."""
-        return self._vertex_to_leaf[int(vertex)]
-
-    def is_leaf(self, node: int) -> bool:
-        """True when ``node`` is a leaf."""
-        return self.kind[node] == LEAF
-
-    def degree(self, node: int) -> int:
-        """Number of children of ``node``."""
-        return len(self.children[node])
-
-    # ------------------------------------------------------------------ #
     # traversal
     # ------------------------------------------------------------------ #
 
     def preorder(self) -> Iterator[int]:
-        """Iterate node ids in preorder (iterative, recursion-free)."""
-        stack = [self.root] if self.num_nodes else []
-        while stack:
-            u = stack.pop()
-            yield u
-            stack.extend(reversed(self.children[u]))
+        """Iterate node ids in preorder (children left to right)."""
+        return iter(self._flat.preorder().tolist())
 
     def postorder(self) -> Iterator[int]:
         """Iterate node ids in postorder (children before parents)."""
-        order: List[int] = []
-        stack = [self.root] if self.num_nodes else []
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(self.children[u])
-        return reversed(order)
+        return iter(self._flat.postorder().tolist())
 
     def depth(self) -> np.ndarray:
         """Depth of each node (root depth 0)."""
-        return depth_by_doubling(self.parent)
+        return self._flat.depth
 
     def height(self) -> int:
         """Height of the tree (number of edges on the longest root path)."""
@@ -340,138 +274,64 @@ class Cotree:
 
     def subtree_leaf_counts(self) -> np.ndarray:
         """``L(u)``: number of leaf descendants of every node."""
-        counts = np.zeros(self.num_nodes, dtype=np.int64)
-        for u in self.postorder():
-            if self.kind[u] == LEAF:
-                counts[u] = 1
-            else:
-                counts[u] = sum(counts[c] for c in self.children[u])
-        return counts
+        _, lo, hi = self._flat.leaf_spans()
+        return hi - lo
 
     def leaf_descendants(self, node: int) -> List[int]:
         """Vertex ids of the leaf descendants of ``node`` (left-to-right)."""
-        out: List[int] = []
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            if self.kind[u] == LEAF:
-                out.append(int(self.leaf_vertex[u]))
-            else:
-                stack.extend(reversed(self.children[u]))
-        return out
+        ids, lo, hi = self._flat.leaf_spans()
+        return ids[lo[node]:hi[node]].tolist()
 
     # ------------------------------------------------------------------ #
-    # validation / canonical form
+    # canonical form, graph semantics, conversions
     # ------------------------------------------------------------------ #
-
-    def _validate_basic(self) -> None:
-        """Check tree-ness and leaf/internal consistency."""
-        n = self.num_nodes
-        seen = np.zeros(n, dtype=bool)
-        count = 0
-        for u in self.preorder():
-            if seen[u]:
-                raise CotreeError("cycle or shared node in cotree")
-            seen[u] = True
-            count += 1
-        if count != n:
-            raise CotreeError("cotree has unreachable nodes")
-        for u in range(n):
-            if self.kind[u] == LEAF:
-                if self.children[u]:
-                    raise CotreeError(f"leaf node {u} has children")
-            else:
-                if len(self.children[u]) == 0:
-                    raise CotreeError(f"internal node {u} has no children")
 
     def is_canonical(self) -> bool:
         """True when the cotree satisfies properties (4) and (5): every
         internal node has two or more children, and labels alternate."""
-        from .flat import _is_canonical
-        return _is_canonical(self.kind, self.parent)
+        return self._flat.is_canonical()
 
     def canonicalize(self) -> "Cotree":
         """Return an equivalent canonical cotree.
 
         Unary internal nodes are spliced out and children with the same label
         as their parent are merged into the parent, which restores properties
-        (4) and (5) without changing the represented cograph.  One postorder
-        pass does it: a node's children are canonical by the time it is
-        reached, so a unary child stands for its one child and a same-label
-        child hands over its children.  The result is numbered in preorder.
+        (4) and (5) without changing the represented cograph
+        (:meth:`FlatCotree.canonicalize
+        <repro.cograph.flat.FlatCotree.canonicalize>`).  The result is
+        numbered in preorder, children left to right.
         """
-        kind = self.kind.tolist()
-        rows: List[List[int]] = [[]] * self.num_nodes
-        rep = list(range(self.num_nodes))   # the node standing for u
-        for u in self.postorder():
-            if kind[u] == LEAF:
-                continue
-            row: List[int] = []
-            for c in self.children[u]:
-                r = rep[c]
-                row += rows[r] if kind[r] == kind[u] else (r,)
-            rows[u] = row
-            if len(row) == 1:
-                rep[u] = row[0]
-        order: List[int] = []
-        stack = [rep[self.root]] if self.num_nodes else []
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(reversed(rows[u]))
-        new = {old: i for i, old in enumerate(order)}
-        return Cotree(self.kind[order], [[new[c] for c in rows[u]]
-                                         for u in order],
-                      self.leaf_vertex[order], 0 if order else -1)
-
-    # ------------------------------------------------------------------ #
-    # graph semantics
-    # ------------------------------------------------------------------ #
+        return Cotree._of(self._flat.canonicalize())
 
     def adjacency_sets(self) -> dict:
         """Materialise the cograph as ``{vertex: set(neighbours)}``.
 
         This is quadratic in the worst case (a join has Θ(n²) edges); use the
-        LCA-based oracle in :mod:`repro.cograph.lca` for large graphs.
+        LCA-based oracle in :mod:`repro.cograph.lca` for large graphs.  A
+        JOIN node joins every leaf below a child to the leaves below the
+        other children.
         """
-        adj: dict = {int(v): set() for v in self.vertices}
-        # compute bottom-up: each internal node knows the vertex sets of its
-        # children; a JOIN node adds the complete bipartite edges between
-        # every pair of distinct children.
-        vsets: dict = {}
-        for u in self.postorder():
-            if self.kind[u] == LEAF:
-                vsets[u] = [int(self.leaf_vertex[u])]
-            else:
-                child_sets = [vsets[c] for c in self.children[u]]
-                if self.kind[u] == JOIN:
-                    for i in range(len(child_sets)):
-                        for j in range(i + 1, len(child_sets)):
-                            for a in child_sets[i]:
-                                for b in child_sets[j]:
-                                    adj[a].add(b)
-                                    adj[b].add(a)
-                merged: List[int] = []
-                for s in child_sets:
-                    merged.extend(s)
-                vsets[u] = merged
+        ids, lo, hi = self._flat.leaf_spans()
+        ids = ids.tolist()
+        adj: dict = {v: set() for v in ids}
+        for u in np.flatnonzero(self.kind == JOIN).tolist():
+            below = set(ids[lo[u]:hi[u]])
+            for c in self.children[u]:
+                side = ids[lo[c]:hi[c]]
+                others = below.difference(side)
+                for a in side:
+                    adj[a] |= others
         return adj
 
     def edge_count(self) -> int:
-        """Number of edges of the represented cograph (without materialising)."""
+        """Number of edges of the represented cograph (without materialising):
+        a JOIN node ``u`` adds ``(L(u)² - Σ L(c)²) / 2`` over its children."""
         counts = self.subtree_leaf_counts()
-        m = 0
-        for u in self.internal_nodes:
-            if self.kind[u] == JOIN:
-                cs = [counts[c] for c in self.children[u]]
-                total = sum(cs)
-                # sum over unordered pairs of children of |Vi|*|Vj|
-                m += (total * total - sum(c * c for c in cs)) // 2
-        return int(m)
-
-    # ------------------------------------------------------------------ #
-    # dunder / misc
-    # ------------------------------------------------------------------ #
+        below = np.flatnonzero(self.parent >= 0)
+        squares = np.zeros(self.num_nodes, dtype=np.int64)
+        np.add.at(squares, self.parent[below], counts[below] ** 2)
+        join = self.kind == JOIN
+        return int(((counts[join] ** 2 - squares[join]) // 2).sum())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Cotree(num_vertices={self.num_vertices}, "
@@ -481,37 +341,39 @@ class Cotree:
     def to_nested(self) -> NestedSpec:
         """Inverse of :meth:`from_nested` (up to child ordering); built in
         postorder, so any height is fine."""
+        kind, vertex = self.kind.tolist(), self.leaf_vertex.tolist()
+        children = self.children
         spec: dict = {}
         for u in self.postorder():
-            if self.kind[u] == LEAF:
-                spec[u] = int(self.leaf_vertex[u])
+            if kind[u] == LEAF:
+                spec[u] = vertex[u]
             else:
-                spec[u] = ("union" if self.kind[u] == UNION else "join",
-                           *(spec.pop(c) for c in self.children[u]))
+                spec[u] = ("union" if kind[u] == UNION else "join",
+                           *(spec.pop(c) for c in children[u]))
         return spec[self.root]
 
-    def to_flat(self):
-        """This tree in :class:`~repro.cograph.flat.FlatCotree` (CSR) form."""
-        from .flat import FlatCotree
-        return FlatCotree.from_cotree(self)
+    def to_flat(self) -> "FlatCotree":
+        """The :class:`~repro.cograph.flat.FlatCotree` this view holds."""
+        return self._flat
 
     def relabel_vertices(self, mapping: dict) -> "Cotree":
         """Return a copy with vertex ids replaced according to ``mapping``."""
-        lv = self.leaf_vertex.copy()
-        for node in self.leaves:
-            lv[node] = mapping[int(self.leaf_vertex[node])]
-        return Cotree(self.kind, self.children, lv, self.root)
+        from .flat import FlatCotree
+        flat = self._flat
+        lv = flat.leaf_vertex.copy()
+        lv[flat.leaves] = [mapping[v] for v in lv[flat.leaves].tolist()]
+        return FlatCotree(flat.kind, flat.child_offset, flat.child_index,
+                          flat.parent, lv, flat.root).to_cotree()
 
     def _ordered_key(self) -> Tuple[bytes, bytes, bytes]:
         """The rooted, ordered tree as flat preorder sequences of kinds,
         child counts and leaf vertices: equal exactly when
-        :meth:`to_nested` is, and compared without recursion."""
-        order = list(self.preorder())
-        kind = self.kind[order]
-        return (kind.tobytes(),
-                np.fromiter((len(self.children[u]) for u in order),
-                            dtype=np.int64, count=len(order)).tobytes(),
-                np.where(kind == LEAF, self.leaf_vertex[order],
+        :meth:`to_nested` is, whatever the node numbering."""
+        flat = self._flat
+        order = flat.preorder()
+        kind = flat.kind[order]
+        return (kind.tobytes(), flat.degrees()[order].tobytes(),
+                np.where(kind == LEAF, flat.leaf_vertex[order],
                          -1).astype(np.int64).tobytes())
 
     def __eq__(self, other: object) -> bool:

@@ -1,11 +1,13 @@
 """Flat (CSR) cotree — the canonical in-memory form of the hot path.
 
 :class:`FlatCotree` stores an arbitrary-arity cotree as five NumPy arrays
-(kinds, CSR child offsets/indices, parents, leaf vertex ids) instead of the
-object-per-node ``children`` lists of :class:`~repro.cograph.cotree.Cotree`.
-Every pipeline stage, the input adapters and the solution cache operate on
-this struct-of-arrays layout directly, so no per-node Python objects are
-touched between "instance adapted" and "cover extracted".
+(kinds, CSR child offsets/indices, parents, leaf vertex ids).  It is the
+one tree type: a :class:`~repro.cograph.cotree.Cotree` is a view holding
+one, and a ``BinaryCotree`` reads its two-slot CSR form.  Every pipeline
+stage, the input adapters and the solution cache operate on this
+struct-of-arrays layout directly, so no per-node Python objects are
+touched between "instance adapted" and "cover extracted", and
+:meth:`FlatCotree.validate` alone decides what a tree is.
 
 The module also hosts the *iterative* canonical-form kernel:
 
@@ -86,7 +88,7 @@ class FlatCotree:
                  "leaf_vertex", "root", "roots",
                  "q_offset", "q_edge_u", "q_edge_v", "spider",
                  "_leaves", "_internal", "_vertices", "_degrees",
-                 "_has_primes", "_depth", "_intervals")
+                 "_has_primes", "_depth", "_intervals", "_ordered")
 
     def __init__(self, kind, child_offset, child_index, parent, leaf_vertex,
                  root: int, *, q_offset=None, q_edge_u=None, q_edge_v=None,
@@ -106,6 +108,7 @@ class FlatCotree:
         self._has_primes = None
         self._depth = None
         self._intervals = None
+        self._ordered = None
         empty = np.empty(0, dtype=np.int64)
         self.q_offset = empty if q_offset is None else \
             np.asarray(q_offset, dtype=np.int64)
@@ -122,32 +125,31 @@ class FlatCotree:
 
     @classmethod
     def from_cotree(cls, tree) -> "FlatCotree":
-        """Convert a :class:`Cotree` or ``BinaryCotree`` (one linear pass)."""
+        """The flat form of a tree: a :class:`Cotree`'s own (no copy), a
+        ``BinaryCotree``'s two-slot CSR rows, a FlatCotree itself."""
         from .binary import BinaryCotree
         if isinstance(tree, FlatCotree):
             return tree
-        if isinstance(tree, BinaryCotree):
-            flat = cls(tree.kind, *_two_slot_csr(tree.left, tree.right),
-                       tree.parent, tree.leaf_vertex, tree.root)
-            flat.roots = tree.roots
-            return flat
-        if not isinstance(tree, Cotree):
+        if isinstance(tree, Cotree):
+            return tree.to_flat()
+        if not isinstance(tree, BinaryCotree):
             raise TypeError(f"cannot convert {type(tree).__name__} to "
                             f"FlatCotree")
-        return cls(tree.kind, *_children_csr(tree.children), tree.parent,
-                   tree.leaf_vertex, tree.root)
+        flat = cls(tree.kind, *_two_slot_csr(tree.left, tree.right),
+                   tree.parent, tree.leaf_vertex, tree.root)
+        flat.roots = tree.roots
+        return flat
 
     def to_cotree(self) -> Cotree:
-        """Convert back to a list-of-lists :class:`Cotree` (same node ids and
-        child order)."""
+        """This tree as a :class:`Cotree` view (same arrays, no child
+        lists), once :meth:`validate` with ``sparse_ids=True`` passes."""
         if self.has_primes:
             raise CotreeError("a modular decomposition tree with prime nodes "
                               "has no plain-Cotree form; keep it flat")
-        flat = self.child_index.tolist()
-        bounds = self.child_offset.tolist()
-        children = [flat[bounds[u]:bounds[u + 1]]
-                    for u in range(self.num_nodes)]
-        return Cotree(self.kind, children, self.leaf_vertex, self.root)
+        if len(self.roots) > 1:
+            raise CotreeError(f"a forest of {len(self.roots)} trees has no "
+                              f"single-Cotree form")
+        return Cotree._of(self.validate(sparse_ids=True))
 
     def copy(self) -> "FlatCotree":
         return FlatCotree(self.kind.copy(), self.child_offset.copy(),
@@ -223,16 +225,61 @@ class FlatCotree:
                 self.child_offset, self.child_index, self.roots)
         return self._intervals
 
+    @property
+    def ordered_intervals(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(preorder, subtree_size)`` of the left-to-right order: children
+        in CSR order, trees in ``roots`` order (cached).  :attr:`intervals`
+        may visit a leaf child last; :meth:`preorder`, :meth:`postorder`
+        and :meth:`canonicalize` need the stored order.  Trees of at most
+        :data:`_STACK_NODES` nodes take the explicit stack."""
+        if self._ordered is None and self.num_nodes > _STACK_NODES:
+            self._ordered = _multiway_numbering(
+                self.child_offset, self.child_index, self.roots,
+                leaf_last=False)
+        if self._ordered is None:
+            self._ordered = _stack_numbering(self)
+        return self._ordered
+
+    def preorder(self) -> np.ndarray:
+        """Node ids in left-to-right preorder, tree by tree."""
+        pre = self.ordered_intervals[0]
+        order = np.empty_like(pre)
+        order[pre] = np.arange(len(pre), dtype=np.int64)
+        return order
+
+    def postorder(self) -> np.ndarray:
+        """Node ids in left-to-right postorder (children before parents):
+        ``u`` follows the ``pre[u] - depth[u]`` nodes that precede it in
+        preorder and are not its ancestors, and its ``size[u] - 1``
+        descendants."""
+        pre, size = self.ordered_intervals
+        order = np.empty_like(pre)
+        order[pre - self.depth + size - 1] = np.arange(len(pre),
+                                                       dtype=np.int64)
+        return order
+
+    def leaf_spans(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The vertex ids of the leaves from left to right, and every
+        node's slice ``[lo, hi)`` of them: its leaf descendants."""
+        pre, size = self.ordered_intervals
+        order = self.preorder()
+        leafy = self.kind[order] == LEAF
+        before = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(leafy, out=before[1:])
+        return self.leaf_vertex[order[leafy]], before[pre], before[pre + size]
+
     # ------------------------------------------------------------------ #
     # the structural validator
     # ------------------------------------------------------------------ #
 
-    def validate(self) -> "FlatCotree":
+    def validate(self, *, sparse_ids: bool = False) -> "FlatCotree":
         """Return ``self`` if the arrays are a cotree per root, else raise
         :class:`CotreeError` naming the field and its first offender (one
         vectorized ``O(n)`` pass: kinds, CSR offsets, index ranges, each
         node once a child or a root, ``parent`` agreeing, no cycle, leaf
-        ids a permutation of ``0..n_vertices-1``, the quotient payload)."""
+        ids a permutation of ``0..n_vertices-1``, the quotient payload).
+        With ``sparse_ids`` (a :class:`Cotree`'s rule) the leaf ids need
+        only be distinct and non-negative: their ranks are checked."""
         kind, kids, parent, roots = (self.kind, self.child_index,
                                      self.parent, self.roots)
         n, e = len(kind), len(kids)
@@ -282,7 +329,12 @@ class FlatCotree:
                                 if owner[u] >= 0 else "a root")))
         self.depth                          # refuses a cycle by name
         vertices = self.leaf_vertex[self.leaves]
-        nv = len(vertices)
+        nv, names = len(vertices), None
+        if sparse_ids and nv and int(vertices.max()) >= nv:
+            _refuse(vertices < 0, lambda i: (
+                f"leaf_vertex[{self.leaves[i]}] = {vertices[i]} is not a "
+                f"vertex id (vertex ids are non-negative)"))
+            names, vertices = np.unique(vertices, return_inverse=True)
         if nv and (int(vertices.min()) < 0 or int(vertices.max()) >= nv):
             _refuse((vertices < 0) | (vertices >= nv), lambda i: (
                 f"vertex id {vertices[i]} is out of range: vertex ids must "
@@ -293,7 +345,8 @@ class FlatCotree:
         if not seen.all():
             labels = np.bincount(vertices, minlength=nv)
             _refuse(labels > 1, lambda v: (
-                f"leaf_vertex: vertex {v} labels {labels[v]} leaves"))
+                f"leaf_vertex: vertex {v if names is None else names[v]} "
+                f"labels {labels[v]} leaves"))
         if payload:
             self._validate_quotients(degree)
         return self
@@ -369,8 +422,16 @@ class FlatCotree:
     # ------------------------------------------------------------------ #
 
     def is_canonical(self) -> bool:
-        """Vectorized check of cotree properties (4) and (5)."""
-        return _is_canonical(self.kind, self.parent)
+        """Properties (4) and (5) read off parent pointers: every internal
+        node has two or more children, and no internal child shares its
+        parent's label (prime nodes never merge: adjacent primes are legal
+        in a modular decomposition tree)."""
+        kind, parent = self.kind, self.parent
+        internal, has_parent = kind != LEAF, parent != -1
+        deg = np.bincount(parent[has_parent], minlength=len(kind))
+        child = np.flatnonzero(has_parent & internal & (kind != PRIME))
+        return bool(np.all(deg[internal] >= 2)) and \
+            not np.any(kind[child] == kind[parent[child]])
 
     def canonicalize(self) -> "FlatCotree":
         """Equivalent canonical cotree via pointer jumping (no recursion).
@@ -379,7 +440,11 @@ class FlatCotree:
         invariant under splicing, so "unary" can be read off the input);
         phase B merges maximal same-label clusters of the spliced tree into
         their topmost node.  Both phases are ``O(log n)`` rounds of array
-        jumps.  Children of the result are ordered by original node id.
+        jumps.  The surviving nodes are numbered in the input's
+        left-to-right preorder, which is the result's own preorder, so
+        children keep their left-to-right order; ids that already are a
+        preorder (parsed text, combined and canonical trees) need no
+        numbering.
         """
         n = self.num_nodes
         if n == 0:
@@ -426,12 +491,14 @@ class FlatCotree:
         fp[sv[with_p]] = top[sv_ep[with_p]]
 
         # ---- compaction --------------------------------------------------- #
+        if not _in_preorder(self):
+            sv = sv[np.argsort(self.ordered_intervals[0][sv])]
         remap = np.full(n, -1, dtype=np.int64)
         remap[sv] = np.arange(len(sv), dtype=np.int64)
         new_kind = kind[sv]
         new_parent = np.where(fp[sv] != -1, remap[np.maximum(fp[sv], 0)], -1)
         new_leaf_vertex = self.leaf_vertex[sv]
-        # sv is sorted, so children keep their old id order
+        # children are listed in sv order
         return FlatCotree(new_kind, *_parent_csr(new_parent), new_parent,
                           new_leaf_vertex,
                           int(np.flatnonzero(new_parent == -1)[0]))
@@ -477,18 +544,6 @@ def _refuse_outside(values: np.ndarray, field: str, lo: int, hi: int,
                           f"{lo}..{hi}{hint}")
 
 
-def _is_canonical(kind: np.ndarray, parent: np.ndarray) -> bool:
-    """Properties (4) and (5) read off parent pointers: every internal node
-    has two or more children, and no internal child shares its parent's
-    label (prime nodes never merge: adjacent primes are legal in a modular
-    decomposition tree)."""
-    internal, has_parent = kind != LEAF, parent != -1
-    deg = np.bincount(parent[has_parent], minlength=len(kind))
-    child = np.flatnonzero(has_parent & internal & (kind != PRIME))
-    return bool(np.all(deg[internal] >= 2)) and \
-        not np.any(kind[child] == kind[parent[child]])
-
-
 def _parent_csr(parent: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(child_offset, child_index)`` from parent pointers: one stable sort
     by parent lists every node's children in id order."""
@@ -497,6 +552,50 @@ def _parent_csr(parent: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     np.cumsum(np.bincount(parent[child], minlength=len(parent)),
               out=offset[1:])
     return offset, child[np.argsort(parent[child], kind="stable")]
+
+
+def _in_preorder(flat: FlatCotree) -> bool:
+    """Whether a tree's ids already are its left-to-right preorder, read
+    without a DFS: the root is 0, every first child follows its parent, and
+    every later child follows its elder sibling's rightmost descendant."""
+    offset, kids = flat.child_offset, flat.child_index
+    inner = flat.internal_nodes
+    if flat.root != 0 or (kids[offset[inner]] != inner + 1).any():
+        return False
+    last = np.arange(flat.num_nodes, dtype=np.int64)
+    last[inner] = kids[offset[inner + 1] - 1]
+    rightmost = _chase(last)
+    later = np.ones(len(kids), dtype=bool)
+    later[offset[inner]] = False
+    slot = np.flatnonzero(later)
+    return bool((rightmost[kids[slot - 1]] == kids[slot] - 1).all())
+
+
+def _stack_preorder(offset: np.ndarray, kids: np.ndarray, roots) -> List[int]:
+    """The nodes of a CSR forest in preorder by an explicit stack: rows in
+    stored order, trees in ``roots`` order, stopping after one visit per
+    node even if the arrays are no forest."""
+    n, kids, bounds = len(offset) - 1, kids.tolist(), offset.tolist()
+    order: List[int] = []
+    stack = [r for r in reversed(roots) if r >= 0]
+    while stack and len(order) < n:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(reversed(kids[bounds[u]:bounds[u + 1]]))
+    return order
+
+
+def _stack_numbering(flat: FlatCotree) -> Tuple[np.ndarray, np.ndarray]:
+    """:attr:`FlatCotree.ordered_intervals` without scipy."""
+    order = _stack_preorder(flat.child_offset, flat.child_index,
+                            flat.roots.tolist())
+    size, parent = [1] * flat.num_nodes, flat.parent.tolist()
+    for u in reversed(order):
+        if parent[u] >= 0:
+            size[parent[u]] += size[u]
+    pre = np.zeros(flat.num_nodes, dtype=np.int64)
+    pre[order] = np.arange(len(order), dtype=np.int64)
+    return pre, np.asarray(size, dtype=np.int64)
 
 
 def _children_csr(children) -> Tuple[np.ndarray, np.ndarray]:
@@ -595,19 +694,11 @@ def _preorder_with_sibling_keys(parent: np.ndarray, root: int,
             return pre
         # fall through (unreachable nodes) to the stack traversal
     # CSR of children in sibling-key order for the explicit stack
-    counts = np.bincount(parent[child_sorted], minlength=n)
     offset = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offset[1:])
-    kids = child_sorted.tolist()
-    bounds = offset.tolist()
+    np.cumsum(np.bincount(parent[child_sorted], minlength=n), out=offset[1:])
+    order = _stack_preorder(offset, child_sorted, [int(root)])
     pre = np.empty(n, dtype=np.int64)
-    stack = [int(root)]
-    k = 0
-    while stack:
-        u = stack.pop()
-        pre[u] = k
-        k += 1
-        stack.extend(reversed(kids[bounds[u]:bounds[u + 1]]))
+    pre[order] = np.arange(len(order), dtype=np.int64)
     return pre
 
 

@@ -10,24 +10,26 @@ path covers on large instances.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Union
+from typing import Dict, Sequence
 
 import numpy as np
 
-from .binary import BinaryCotree
-from .cotree import JOIN, LEAF, Cotree
+from .cotree import JOIN
+from .flat import as_flat_cotree
 
 __all__ = ["CographAdjacencyOracle"]
 
 
 class CographAdjacencyOracle:
-    """Adjacency oracle built from a cotree (general or binary).
+    """Adjacency oracle built from a cotree (general, binary or flat).
 
     Parameters
     ----------
     tree:
-        a :class:`~repro.cograph.cotree.Cotree` or
-        :class:`~repro.cograph.binary.BinaryCotree`.
+        anything :func:`~repro.cograph.as_flat_cotree` accepts: a
+        :class:`~repro.cograph.cotree.Cotree`,
+        :class:`~repro.cograph.binary.BinaryCotree` or
+        :class:`~repro.cograph.flat.FlatCotree`.
 
     Notes
     -----
@@ -37,46 +39,24 @@ class CographAdjacencyOracle:
     well.
     """
 
-    def __init__(self, tree: Union[Cotree, BinaryCotree]) -> None:
-        if isinstance(tree, BinaryCotree):
-            parent = tree.parent
-            kind = tree.kind
-            leaf_vertex = tree.leaf_vertex
-            root = tree.root
-            order = tree.preorder()
-        else:
-            parent = tree.parent
-            kind = tree.kind
-            leaf_vertex = tree.leaf_vertex
-            root = tree.root
-            order = list(tree.preorder())
-
-        n = len(parent)
-        self.kind = np.asarray(kind, dtype=np.int8)
-        self._n_nodes = n
-        depth = np.zeros(n, dtype=np.int64)
-        for u in order:
-            p = parent[u]
-            depth[u] = 0 if p == -1 else depth[p] + 1
-        self.depth = depth
-        self.root = int(root)
+    def __init__(self, tree) -> None:
+        flat = as_flat_cotree(tree)
+        self.kind, self.depth, self.root = flat.kind, flat.depth, flat.root
+        self._n_nodes = n = flat.num_nodes
 
         # binary lifting table: up[k][u] = 2^k-th ancestor of u (root maps to
         # itself so the loops below need no bounds checks).
-        max_pow = max(1, int(np.ceil(np.log2(max(2, int(depth.max()) + 1)))) + 1)
+        max_pow = max(1, int(np.ceil(np.log2(max(2, int(self.depth.max())
+                                                 + 1)))) + 1)
         up = np.empty((max_pow, n), dtype=np.int64)
-        par = np.asarray(parent, dtype=np.int64).copy()
-        par[par == -1] = root
-        up[0] = par
+        up[0] = np.where(flat.parent == -1, flat.root, flat.parent)
         for k in range(1, max_pow):
             up[k] = up[k - 1][up[k - 1]]
         self._up = up
 
         # vertex id -> leaf node id
-        self._leaf_of: Dict[int, int] = {}
-        for u in range(n):
-            if self.kind[u] == LEAF:
-                self._leaf_of[int(leaf_vertex[u])] = u
+        self._leaf_of: Dict[int, int] = dict(zip(
+            flat.leaf_vertex[flat.leaves].tolist(), flat.leaves.tolist()))
         self.num_vertices = len(self._leaf_of)
 
     # ------------------------------------------------------------------ #

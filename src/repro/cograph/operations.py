@@ -13,6 +13,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .cotree import JOIN, LEAF, UNION, Cotree, CotreeError
+from .flat import FlatCotree, as_flat_cotree
 
 __all__ = [
     "union_cotrees",
@@ -44,29 +45,26 @@ def _combine(kind_code: int, trees: Sequence[Cotree], relabel: bool) -> Cotree:
         return trees[0]
     if relabel:
         trees = relabel_disjoint(trees)
-    else:
-        all_vertices: List[int] = []
-        for t in trees:
-            all_vertices.extend(int(v) for v in t.vertices)
-        if len(set(all_vertices)) != len(all_vertices):
-            raise CotreeError(
-                "cotrees share vertex ids; pass relabel=True or relabel "
-                "the inputs first")
-
-    kinds: List[int] = [kind_code]
-    children: List[List[int]] = [[]]
-    leaf_vertex: List[int] = [-1]
-
-    for t in trees:
-        base = len(kinds)
-        kinds.extend(int(k) for k in t.kind)
-        leaf_vertex.extend(int(v) for v in t.leaf_vertex)
-        for cs in t.children:
-            children.append([c + base for c in cs])
-        children[0].append(t.root + base)
-
-    combined = Cotree(kinds, children, leaf_vertex, 0)
-    return combined.canonicalize()
+    flats = [as_flat_cotree(t) for t in trees]
+    ids = np.concatenate([f.vertices for f in flats])
+    if len(np.unique(ids)) != len(ids):
+        raise CotreeError(
+            "cotrees share vertex ids; pass relabel=True or relabel "
+            "the inputs first")
+    # a new root 0 over the trees' roots, each tree's nodes shifted after it
+    sizes = np.array([f.num_nodes for f in flats])
+    base = np.cumsum(sizes) - sizes + 1
+    kids = np.concatenate([[f.root + b for f, b in zip(flats, base)]]
+                          + [f.child_index + b for f, b in zip(flats, base)])
+    degree = np.concatenate([[len(flats)]] + [f.degrees() for f in flats])
+    offset = np.zeros(len(degree) + 1, dtype=np.int64)
+    np.cumsum(degree, out=offset[1:])
+    parent = np.full(len(degree), -1, dtype=np.int64)
+    parent[kids] = np.repeat(np.arange(len(degree)), degree)
+    kind = np.concatenate([[kind_code]] + [f.kind for f in flats])
+    leaf_vertex = np.concatenate([[-1]] + [f.leaf_vertex for f in flats])
+    return Cotree._of(FlatCotree(kind, offset, kids, parent, leaf_vertex,
+                                 0).canonicalize())
 
 
 def union_cotrees(*trees: Cotree, relabel: bool = False) -> Cotree:
@@ -91,10 +89,8 @@ def complement_cotree(tree: Cotree) -> Cotree:
     "complement-reducible" property); on the cotree it amounts to flipping
     every internal label.
     """
-    kind = tree.kind.copy()
-    internal = kind != LEAF
-    flipped = kind.copy()
-    flipped[internal & (kind == UNION)] = JOIN
-    flipped[internal & (kind == JOIN)] = UNION
-    out = Cotree(flipped, tree.children, tree.leaf_vertex, tree.root)
-    return out.canonicalize()
+    flat = as_flat_cotree(tree)
+    flipped = np.where(flat.kind == LEAF, LEAF, UNION + JOIN - flat.kind)
+    return Cotree._of(FlatCotree(flipped, flat.child_offset, flat.child_index,
+                                 flat.parent, flat.leaf_vertex,
+                                 flat.root).canonicalize())

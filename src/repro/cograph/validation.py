@@ -21,6 +21,7 @@ import numpy as np
 
 from .binary import BinaryCotree
 from .cotree import Cotree, CotreeError
+from .flat import as_flat_cotree
 from .graph import Graph
 
 __all__ = [
@@ -39,7 +40,9 @@ def validate_cotree(tree: Cotree, graph: Optional[Graph] = None,
     Parameters
     ----------
     tree:
-        the cotree to validate.
+        the cotree to validate: its tree-ness is
+        :meth:`FlatCotree.validate <repro.cograph.FlatCotree.validate>`'s
+        (sparse vertex ids allowed).
     graph:
         when given, the adjacency defined by property (6) (LCA is a 1-node)
         is compared edge-by-edge with ``graph`` — quadratic, so intended for
@@ -48,8 +51,8 @@ def validate_cotree(tree: Cotree, graph: Optional[Graph] = None,
         when True, properties (4) (arity >= 2) and (5) (alternating labels)
         must hold; binarized or reduced trees should pass ``False``.
     """
-    tree._validate_basic()
-    if require_canonical and not tree.is_canonical():
+    flat = as_flat_cotree(tree).validate(sparse_ids=True)
+    if require_canonical and not flat.is_canonical():
         raise CotreeError("cotree is not canonical: an internal node has "
                           "fewer than two children or a same-labelled child")
     if graph is not None:

@@ -1,17 +1,44 @@
 """Tests for the general cotree data structure (repro.cograph.cotree)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.cograph import (
     JOIN,
     LEAF,
+    PRIME,
     UNION,
     Cotree,
     CotreeError,
+    FlatCotree,
     Graph,
+    as_flat_cotree,
+    caterpillar_cotree,
     kind_name,
+    random_cotree,
 )
+
+#: library-constructor arguments that are no tree, and the refusal naming
+#: the field at fault
+HOSTILE = {
+    "child id -1": (([UNION, LEAF, LEAF], [[1, -1], [], []], [-1, 0, 1], 0),
+                    r"children\[1\] = -1 is outside 0\.\.2"),
+    "child id 5 of 3 nodes": (
+        ([UNION, LEAF, LEAF], [[1, 5], [], []], [-1, 0, 1], 0),
+        r"children\[1\] = 5 is outside 0\.\.2"),
+    "root 7": (([UNION, LEAF, LEAF], [[1, 2], [], []], [-1, 0, 1], 7),
+               r"root = 7 is not a node id 0\.\.2"),
+    "kind 9": (([9, LEAF, LEAF], [[1, 2], [], []], [-1, 0, 1], 0),
+               r"kind\[0\] = 9 is outside 0\.\.2"),
+    "detached cycle": (([UNION, LEAF, LEAF, UNION, UNION],
+                        [[1, 2], [], [], [4], [3]], [-1, 0, 1, -1, -1], 0),
+                       r"parent: node [34] lies on a cycle"),
+    "leaf with children": (([LEAF, LEAF], [[1], []], [0, 1], 0),
+                           r"child_offset gives leaf node 0 1 children"),
+}
 
 
 class TestConstruction:
@@ -55,6 +82,10 @@ class TestConstruction:
         with pytest.raises(CotreeError):
             Cotree.from_parent_pointers([-1, -1], [LEAF, LEAF])
 
+    def test_from_parent_pointers_refuses_a_parent_past_the_nodes(self):
+        with pytest.raises(CotreeError, match=r"parent\[1\] = 5 is outside"):
+            Cotree.from_parent_pointers([-1, 5, 0], [UNION, LEAF, LEAF])
+
     def test_duplicate_vertex_ids_rejected(self):
         with pytest.raises(CotreeError):
             Cotree([UNION, LEAF, LEAF], [[1, 2], [], []], [-1, 0, 0], 0)
@@ -75,6 +106,25 @@ class TestConstruction:
         assert kind_name(LEAF) == "leaf"
         assert kind_name(UNION) == "0"
         assert kind_name(JOIN) == "1"
+        assert kind_name(PRIME) == "prime"
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_arguments_are_refused_by_field(self, name):
+        args, message = HOSTILE[name]
+        with pytest.raises(CotreeError, match=message):
+            Cotree(*args)
+
+    def test_sparse_ids_need_only_be_distinct_and_non_negative(self):
+        t = Cotree([UNION, LEAF, LEAF], [[1, 2], [], []], [-1, 9, 4], 0)
+        assert list(t.vertices) == [4, 9]
+        with pytest.raises(CotreeError, match=r"vertex 9 labels 2 leaves"):
+            Cotree([UNION, LEAF, LEAF], [[1, 2], [], []], [-1, 9, 9], 0)
+        with pytest.raises(CotreeError,
+                           match=r"leaf_vertex\[1\] = -2 is not a vertex"):
+            Cotree([UNION, LEAF, LEAF], [[1, 2], [], []], [-1, -2, 9], 0)
+        with pytest.raises(ValueError, match="vertex id 9 is out of range"):
+            solve(Cotree([UNION, LEAF, LEAF], [[1, 2], [], []],
+                         [-1, 0, 9], 0), backend="fast")
 
 
 class TestProperties:
@@ -199,3 +249,67 @@ class TestMisc:
 
     def test_repr_mentions_size(self):
         assert "num_vertices=2" in repr(Cotree.from_nested(("join", 0, 1)))
+
+
+class TestOneTreeType:
+    """A Cotree is a view over one FlatCotree: one validator, one
+    canonicalize, no second copy of the tree."""
+
+    def test_construction_validates_once(self, monkeypatch):
+        calls = []
+        inner = FlatCotree.validate
+
+        def counting(self, **kwargs):
+            calls.append(kwargs)
+            return inner(self, **kwargs)
+
+        monkeypatch.setattr(FlatCotree, "validate", counting)
+        Cotree([UNION, LEAF, LEAF], [[1, 2], [], []], [-1, 0, 5], 0)
+        assert calls == [{"sparse_ids": True}]
+        calls.clear()
+        Cotree.from_nested(("join", 0, ("union", 1, 2)))
+        assert len(calls) == 1
+
+    def test_the_flat_form_is_the_held_tree(self):
+        tree = random_cotree(40, seed=3)
+        flat = as_flat_cotree(tree)
+        assert flat is tree.to_flat() is FlatCotree.from_cotree(tree)
+        assert as_flat_cotree(flat.to_cotree()) is flat
+
+    def test_to_cotree_builds_no_child_lists(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("child lists built")
+
+        monkeypatch.setattr(Cotree, "children", property(refuse))
+        tree = as_flat_cotree(random_cotree(40, seed=3)).to_cotree()
+        assert tree == random_cotree(40, seed=3)
+        assert solve(tree, backend="fast").num_paths >= 1
+
+    def test_canonicalize_is_the_flat_kernel(self, monkeypatch):
+        calls = []
+        inner = FlatCotree.canonicalize
+
+        def counting(self, **kwargs):
+            calls.append(self)
+            return inner(self, **kwargs)
+
+        monkeypatch.setattr(FlatCotree, "canonicalize", counting)
+        tree = Cotree.from_nested(("join", 0, ("join", 1, ("union", 2, 3))))
+        assert tree.canonicalize().to_nested() == \
+            ("join", 0, 1, ("union", 2, 3))
+        assert calls == [as_flat_cotree(tree)]
+
+    def test_pickles_as_its_flat_tree(self):
+        tree = random_cotree(100, seed=1)
+        data = pickle.dumps(tree)
+        assert len(data) < len(pickle.dumps(as_flat_cotree(tree))) + 128
+        assert pickle.loads(data) == tree
+
+    def test_deep_caterpillar_traversals(self):
+        tree = caterpillar_cotree(5000)
+        assert tree.height() == 4999
+        assert tree.subtree_leaf_counts()[tree.root] == 5000
+        assert tree.leaf_descendants(tree.root)[:3] == [0, 1, 2]
+        post = list(tree.postorder())
+        assert post[-1] == tree.root and len(post) == tree.num_nodes
+        assert tree == caterpillar_cotree(5000)

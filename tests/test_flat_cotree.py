@@ -34,10 +34,13 @@ from repro.cograph import (
     independent_set,
     join_of_independent_sets,
     md_tree,
+    pack,
     random_cotree,
     threshold_cograph,
     union_of_cliques,
 )
+from repro.cograph.cotree import JOIN, LEAF, UNION
+from repro.cograph.flat import _in_preorder
 from repro.core import minimum_path_cover_parallel
 
 FAMILIES = {
@@ -145,6 +148,67 @@ class TestCanonicalForm:
             tree = random_cotree(25, seed=seed)
             assert tree.is_canonical()
             assert FlatCotree.from_cotree(tree).is_canonical()
+
+    def test_canonicalize_numbers_the_result_in_preorder(self):
+        # node ids off preorder: the leaf 2 comes before the join's subtree
+        tree = Cotree([UNION, LEAF, JOIN, LEAF, UNION, LEAF, LEAF],
+                      [[2, 1], [], [4, 3], [], [5, 6], [], []],
+                      [-1, 0, -1, 1, -1, 2, 3], 0)
+        flat = FlatCotree.from_cotree(tree)
+        assert not _in_preorder(flat)
+        fixed = flat.canonicalize()
+        assert _in_preorder(fixed)
+        assert fixed.to_cotree().to_nested() == tree.to_nested()
+        assert canonical_key(fixed) == canonical_key(tree)
+
+
+def _relabelled(flat, rng):
+    """The same ordered tree under a random node numbering."""
+    perm = rng.permutation(flat.num_nodes)
+    inv = np.argsort(perm)
+    parent = np.where(flat.parent[inv] >= 0,
+                      perm[np.maximum(flat.parent[inv], 0)], -1)
+    offset = np.r_[0, np.cumsum(flat.degrees()[inv])]
+    kids = np.concatenate([perm[flat.children_of(u)] for u in inv])
+    return FlatCotree(flat.kind[inv], offset, kids.astype(np.int64), parent,
+                      flat.leaf_vertex[inv], int(perm[flat.root]))
+
+
+class TestOrderedNumbering:
+
+    def test_preorder_check_agrees_with_the_dfs(self):
+        rng = np.random.default_rng(0)
+        for seed in range(200):
+            flat = FlatCotree.from_cotree(random_cotree(2 + seed % 30,
+                                                        seed=seed))
+            if seed % 2:
+                flat = _relabelled(flat, rng)
+            pre = flat.ordered_intervals[0]
+            assert _in_preorder(flat) == \
+                bool((pre == np.arange(len(pre))).all())
+
+    def test_traversals_do_not_depend_on_node_ids(self):
+        rng = np.random.default_rng(1)
+        tree = FlatCotree.from_cotree(random_cotree(60, seed=4))
+        other = _relabelled(tree, rng)
+        assert tree.to_cotree() == other.to_cotree()
+        assert np.array_equal(tree.leaf_spans()[0], other.leaf_spans()[0])
+        assert np.array_equal(tree.canonicalize().child_index,
+                              other.canonicalize().child_index)
+
+    def test_stack_fallback_matches_the_dfs(self, monkeypatch):
+        import repro.cograph.flat as flatmod
+        trees = [FlatCotree.from_cotree(t) for t in (
+            random_cotree(50, seed=2), caterpillar_cotree(40),
+            independent_set(9), Cotree.single_vertex(0))]
+        trees.append(pack([random_cotree(30, seed=5), clique(4)]))
+        with_dfs = [t.ordered_intervals for t in trees]
+        monkeypatch.setattr(flatmod, "_multiway_numbering",
+                            lambda *args, **kwargs: None)
+        for t, (pre, size) in zip(trees, with_dfs):
+            t._ordered = None
+            assert np.array_equal(t.ordered_intervals[0], pre)
+            assert np.array_equal(t.ordered_intervals[1], size)
 
 
 class TestCanonicalKey:

@@ -6,9 +6,10 @@ corrupt or hostile input can be: two parents swapped, a child slot listed
 twice, a detached cycle, a duplicate or out-of-range leaf id, a flipped
 kind, a skewed offset, a corrupt prime payload.  Each case runs on one
 route (``solve`` on wire bytes, a ``FlatCotree``, a ``BinaryCotree``, a
-JSON cotree dict or cotree text, ``solve_forest``, the binary CLI stream,
-``ServerApp.dispatch`` with JSON, text or octet-stream bodies, a cache
-hit) and must get one of two outcomes:
+``Cotree`` from the library constructor, a JSON cotree dict or cotree
+text, ``solve_forest``, the binary CLI stream, ``ServerApp.dispatch`` with
+JSON, text or octet-stream bodies, a cache hit) and must get one of two
+outcomes:
 
 * an answer that agrees with the oracle — brute force on the graph the
   arrays describe for ``n <= 10``, sequential/fast/pram parity above; or
@@ -18,9 +19,9 @@ hit) and must get one of two outcomes:
 Whether a mutated case is a cotree at all is decided here by a plain
 Python walk, independent of :meth:`FlatCotree.validate`.  A JSON dict
 spells a case by its CSR rows (``children``, ``kind``, ``leaf_vertex``,
-``root``) and text by its tree walk, so those routes are judged against
-the tree they spell, with the parent derived from ``children``.  The hypothesis
-half runs derandomized with a bounded example count; the ``fuzz-smoke``
+``root``), as the ``Cotree`` constructor does, and text by its tree walk,
+so those routes are judged against the tree they spell, with the parent
+derived from ``children``.  The hypothesis half runs derandomized with a bounded example count; the ``fuzz-smoke``
 profile raises the budget (``pytest tests/test_fuzz_validator.py
 --hypothesis-profile=fuzz-smoke``).
 """
@@ -53,6 +54,7 @@ from repro.baselines.brute_force import (
 )
 from repro.cograph import (
     BinaryCotree,
+    Cotree,
     FlatCotree,
     Graph,
     as_flat_cotree,
@@ -477,6 +479,18 @@ def route_text(t, task, **options):
                    .to_json_dict()["answer"])
 
 
+def route_cotree(t, task, **options):
+    """The library constructor, ``Cotree(kind, children, leaf_vertex,
+    root)`` from the case's CSR rows: judged, like a JSON dict, against
+    the tree those rows spell."""
+    return _solved(lambda: solve(Cotree(t["kind"], _rows(t), t["leaf_vertex"],
+                                        t["root"]), task, **options)
+                   .to_json_dict()["answer"])
+
+
+route_cotree.judged_as = (spelled, JSON_FIELD)
+
+
 def route_forest(t, task, **options):
     neighbours = [as_flat_cotree(random_cotree(4, seed=1)),
                   as_flat_cotree(caterpillar_cotree(3))]
@@ -570,10 +584,11 @@ def seeded_cases(count: int, seed: int, shapes=tuple(SHAPES)):
 
 
 @pytest.mark.parametrize("route", [route_bytes, route_flat, route_forest,
-                                   route_cache])
+                                   route_cache, route_cotree])
 def test_seeded_mutations_get_an_oracle_answer_or_a_named_refusal(route):
+    spell, field = getattr(route, "judged_as", (lambda t: t, FIELD))
     for t, task in seeded_cases(60, seed=zlib.crc32(route.__name__.encode())):
-        judge(t, task, route(t, task))
+        judge(spell(t), task, route(t, task), field)
 
 
 @pytest.mark.parametrize("options", [{"backend": "pram"},

@@ -1,7 +1,8 @@
 """Removals stay removed: the 2.0 kernel tier, fail-fast stream loop and
 pre-1.1 compatibility layer, 2.3's ``BinaryForest``, 2.4's trust flag,
-timing switch and forest sweeps, and 2.7's numbering keywords
-(MIGRATION.md maps each name to its replacement)."""
+timing switch and forest sweeps, 2.7's numbering keywords and 2.11's
+second cotree validator (MIGRATION.md maps each name to its
+replacement)."""
 
 from __future__ import annotations
 
@@ -38,6 +39,8 @@ REMOVED_ATTRIBUTES = [
     # 2.7: one numbering kernel
     ("repro._dfs", "binary_forest_numbering"),
     ("repro.core.dp", "_root_path_sums"),
+    # 2.11: a Cotree is a view over a FlatCotree, checked by its validator
+    ("repro.cograph.cotree", "_NodeRecord"),
 ]
 
 REMOVED_MODULES = ["repro.kernels", "repro.backends.kernel_backend"]
@@ -55,6 +58,9 @@ def test_removed_names_are_gone():
     with pytest.raises(AttributeError):
         RetryPolicy.off
     assert "enabled" not in RetryPolicy.__dataclass_fields__
+    from repro.cograph import Cotree
+    with pytest.raises(AttributeError):
+        Cotree._validate_basic
 
 
 def test_trust_flag_and_timing_switch_are_gone():
