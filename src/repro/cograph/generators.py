@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .cotree import JOIN, LEAF, UNION, Cotree
-from .flat import FlatCotree, _parent_csr
 from .operations import join_cotrees, union_cotrees
 
 __all__ = [
@@ -76,7 +75,7 @@ def union_of_cliques(sizes: Sequence[int]) -> Cotree:
     """
     if not sizes:
         raise ValueError("need at least one clique")
-    return _of_parts(UNION, JOIN, sizes)
+    return union_cotrees(*[clique(s) for s in sizes], relabel=True)
 
 
 def join_of_independent_sets(sizes: Sequence[int]) -> Cotree:
@@ -89,30 +88,7 @@ def join_of_independent_sets(sizes: Sequence[int]) -> Cotree:
     """
     if not sizes:
         raise ValueError("need at least one part")
-    return _of_parts(JOIN, UNION, sizes)
-
-
-def _of_parts(outer: int, inner: int, sizes: Sequence[int]) -> Cotree:
-    """``outer`` over one ``inner`` node per part, vertices numbered part
-    by part (what combining the parts' own cotrees with ``relabel=True``
-    gives), built as arrays in preorder: the root, then each part's node
-    (when it has two or more vertices) and its leaves."""
-    sizes = np.asarray(sizes).astype(np.int64, casting="safe")
-    if (sizes < 1).any():
-        raise ValueError("n must be >= 1")
-    head = sizes > 1
-    start = np.cumsum(sizes + head) - sizes - head + 1
-    n = 1 + int((sizes + head).sum())
-    kind = np.full(n, LEAF, dtype=np.int8)
-    kind[0], kind[start[head]] = outer, inner
-    leaves = np.flatnonzero(kind == LEAF)
-    parent = np.zeros(n, dtype=np.int64)
-    parent[0] = -1
-    parent[leaves] = np.repeat(np.where(head, start, 0), sizes)
-    leaf_vertex = np.full(n, -1, dtype=np.int64)
-    leaf_vertex[leaves] = np.arange(len(leaves))
-    return FlatCotree(kind, *_parent_csr(parent), parent, leaf_vertex,
-                      0).canonicalize().to_cotree()
+    return join_cotrees(*[independent_set(s) for s in sizes], relabel=True)
 
 
 def balanced_cotree(depth: int, branching: int = 2, root_kind: int = JOIN) -> Cotree:

@@ -38,19 +38,21 @@ def relabel_disjoint(trees: Sequence[Cotree]) -> List[Cotree]:
     return out
 
 
+def _as_cotree(tree) -> Cotree:
+    """``tree`` itself if it is a :class:`Cotree`, otherwise the view of its
+    flat form once :meth:`FlatCotree.to_cotree` has checked it (primes
+    refused)."""
+    return tree if isinstance(tree, Cotree) else \
+        as_flat_cotree(tree).to_cotree()
+
+
 def _combine(kind_code: int, trees: Sequence[Cotree], relabel: bool) -> Cotree:
     if len(trees) == 0:
         raise CotreeError("need at least one cotree to combine")
+    trees = [_as_cotree(t) for t in trees]
     if len(trees) == 1:
         return trees[0]
-    if relabel:
-        trees = relabel_disjoint(trees)
     flats = [as_flat_cotree(t) for t in trees]
-    ids = np.concatenate([f.vertices for f in flats])
-    if len(np.unique(ids)) != len(ids):
-        raise CotreeError(
-            "cotrees share vertex ids; pass relabel=True or relabel "
-            "the inputs first")
     # a new root 0 over the trees' roots, each tree's nodes shifted after it
     sizes = np.array([f.num_nodes for f in flats])
     base = np.cumsum(sizes) - sizes + 1
@@ -63,6 +65,17 @@ def _combine(kind_code: int, trees: Sequence[Cotree], relabel: bool) -> Cotree:
     parent[kids] = np.repeat(np.arange(len(degree)), degree)
     kind = np.concatenate([[kind_code]] + [f.kind for f in flats])
     leaf_vertex = np.concatenate([[-1]] + [f.leaf_vertex for f in flats])
+    leaf = np.flatnonzero(kind == LEAF)
+    if relabel:
+        # relabel_disjoint's ids in one sort (tree by tree, each tree's ids
+        # in ascending order), without a checked copy of every part
+        tree_of = np.repeat(np.arange(len(flats)), sizes)[leaf - 1]
+        leaf_vertex[leaf[np.lexsort((leaf_vertex[leaf], tree_of))]] = \
+            np.arange(len(leaf))
+    elif len(np.unique(leaf_vertex[leaf])) != len(leaf):
+        raise CotreeError(
+            "cotrees share vertex ids; pass relabel=True or relabel "
+            "the inputs first")
     return Cotree._of(FlatCotree(kind, offset, kids, parent, leaf_vertex,
                                  0).canonicalize())
 
@@ -89,7 +102,7 @@ def complement_cotree(tree: Cotree) -> Cotree:
     "complement-reducible" property); on the cotree it amounts to flipping
     every internal label.
     """
-    flat = as_flat_cotree(tree)
+    flat = as_flat_cotree(_as_cotree(tree))
     flipped = np.where(flat.kind == LEAF, LEAF, UNION + JOIN - flat.kind)
     return Cotree._of(FlatCotree(flipped, flat.child_offset, flat.child_index,
                                  flat.parent, flat.leaf_vertex,

@@ -27,6 +27,9 @@ from repro.cograph import (
     union_of_cliques,
     validate_cotree,
 )
+from repro.api.adapters import as_problem
+from repro.cograph.flat import as_flat_cotree
+from repro.cograph.md import md_tree
 
 
 class TestOperations:
@@ -74,6 +77,28 @@ class TestOperations:
         lhs = complement_cotree(union_cotrees(a, b))
         rhs = join_cotrees(complement_cotree(a), complement_cotree(b))
         assert Graph.from_cotree(lhs) == Graph.from_cotree(rhs)
+
+    def test_flat_trees_with_primes_are_refused(self):
+        p4 = md_tree(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+        assert p4.has_primes
+        for op in (complement_cotree, lambda t: union_cotrees(t, clique(2),
+                                                              relabel=True)):
+            with pytest.raises(CotreeError, match="prime"):
+                op(p4)
+
+    def test_unchecked_flat_trees_are_validated(self):
+        twice = as_problem("(0 + 0)").tree      # parsed, not yet validated
+        for op in (complement_cotree, lambda t: join_cotrees(t, clique(2),
+                                                             relabel=True)):
+            with pytest.raises(CotreeError, match="leaf_vertex"):
+                op(twice)
+
+    def test_flat_inputs_give_the_cotree_answer(self):
+        a, b = random_cotree(9, seed=3), random_cotree(7, seed=4)
+        fa, fb = as_flat_cotree(a), as_flat_cotree(b)
+        assert complement_cotree(fa) == complement_cotree(a)
+        assert union_cotrees(fa, fb, relabel=True) == \
+            union_cotrees(a, b, relabel=True)
 
 
 class TestGenerators:
