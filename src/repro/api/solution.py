@@ -82,14 +82,19 @@ class Solution:
     # ------------------------------------------------------------------ #
 
     def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable dict (drops the live ``machine``)."""
+        """JSON-serialisable dict (drops the live ``machine``).
+
+        A cover that is also the ``answer`` (``path_cover``) is written
+        once, under ``answer``; ``cover`` is then ``null``.
+        """
         return {
             "type": "solution",
             "task": self.task,
             "answer": _encode_answer(self.answer),
             "backend": self.backend,
             "options": self.options.to_dict(),
-            "cover": cover_to_json(self.cover) if self.cover is not None
+            "cover": cover_to_json(self.cover)
+                     if self.cover is not None and self.cover is not self.answer
                      else None,
             "num_paths": self.num_paths,
             "report": self.report.to_json_dict() if self.report is not None
@@ -104,13 +109,17 @@ class Solution:
         if data.get("type") != "solution":
             raise ValueError("not a serialised solution")
         report = data.get("report")
+        answer = _decode_answer(data["answer"])
+        if data.get("cover") is not None:
+            cover = cover_from_json(data["cover"])
+        else:                   # written once, as the answer
+            cover = answer if isinstance(answer, PathCover) else None
         return cls(
             task=data["task"],
-            answer=_decode_answer(data["answer"]),
+            answer=answer,
             backend=data["backend"],
             options=SolveOptions.from_dict(data["options"]),
-            cover=(cover_from_json(data["cover"])
-                   if data.get("cover") is not None else None),
+            cover=cover,
             num_paths=data.get("num_paths"),
             report=(CostReport.from_json_dict(report)
                     if report is not None else None),

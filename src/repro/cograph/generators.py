@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .cotree import JOIN, LEAF, UNION, Cotree
+from .flat import FlatCotree, _parent_csr
 from .operations import join_cotrees, union_cotrees
 
 __all__ = [
@@ -156,18 +157,29 @@ def threshold_cograph(creation_sequence: Sequence[int]) -> Cotree:
     (joined to everything so far) and a ``0`` adds an *isolated* vertex.
     Threshold graphs are exactly the cographs whose cotree is a caterpillar,
     and they exercise the deepest `Tbl(G)` shapes.
+
+    The canonical cotree is written directly, in preorder: a run of equal
+    bits (after the first vertex) is one node, the last run's the root,
+    each run's node the first child of the next run's and the parent of
+    the run's vertices; vertex 0 hangs under the first run's node.
     """
     seq = list(creation_sequence)
     if not seq:
         raise ValueError("creation sequence must be non-empty")
-    tree = single_vertex(0)
-    for i, bit in enumerate(seq[1:], start=1):
-        addition = single_vertex(i)
-        if bit:
-            tree = join_cotrees(tree, addition)
-        else:
-            tree = union_cotrees(tree, addition)
-    return tree
+    n = len(seq)
+    if n == 1:
+        return single_vertex(0)
+    bits = np.array([bool(bit) for bit in seq[1:]])
+    starts = np.ones(n - 1, dtype=bool)
+    starts[1:] = bits[1:] != bits[:-1]
+    run = np.cumsum(starts) - 1             # the run of vertices 1 .. n-1
+    k = int(run[-1]) + 1
+    kind = np.concatenate([np.where(bits[starts][::-1], JOIN, UNION),
+                           np.full(n, LEAF)])
+    parent = np.concatenate([np.arange(-1, k - 1), [k - 1], k - 1 - run])
+    leaf_vertex = np.concatenate([np.full(k, -1), np.arange(n)])
+    return Cotree._of(FlatCotree(kind, *_parent_csr(parent), parent,
+                                 leaf_vertex, 0))
 
 
 def random_binary_cotree_spec(n: int, rng: np.random.Generator,

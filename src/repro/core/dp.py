@@ -61,7 +61,7 @@ from ..cograph import FlatCotree, as_flat_cotree
 from ..cograph.cotree import JOIN, LEAF, PRIME, UNION, CotreeError, \
     prime_refusal
 from ..cograph.md import SPIDER_THIN
-from ..primitives.tree_contraction import NEG_INF
+from ..primitives.tree_contraction import NEG_INF, _max_plus_chains
 
 __all__ = [
     "Combine",
@@ -700,42 +700,6 @@ def _fold_light(dp: CotreeDP, flat: FlatCotree, values, nodes: np.ndarray,
             r[some] = _REDUCE_UFUNCS[op].reduceat(child_values[src], starts)
         light[out] = r
     return light
-
-
-def _max_plus_chains(a: np.ndarray, b: np.ndarray, below: np.ndarray,
-                     bottom: np.ndarray) -> np.ndarray:
-    """Values along chains of maps ``x -> max(x + a, b)`` (``a`` finite).
-
-    The chains are contiguous runs, each starting where ``bottom`` is set;
-    ``below`` holds every node's heavy-child value, known at each bottom.
-    Unrolled, node ``i`` of a chain over leaf value ``x`` is worth
-    ``A_i + x + max(0, max_{j <= i} (b_j - A_j - x))`` with ``A`` the
-    chain's prefix sum of ``a``: one segmented sum and one segmented
-    running max.  The running max is one ``maximum.accumulate`` once each
-    chain is lifted above the values of all chains before it; should the
-    lifts overflow (values near ``2**62``), pairwise doubling over slices
-    takes ``log2(longest chain)`` steps instead.
-    """
-    starts = np.flatnonzero(bottom)
-    pos = np.arange(len(a), dtype=np.int64)
-    first = np.maximum.accumulate(np.where(bottom, pos, 0))
-    A = np.cumsum(a)
-    A += a[first] - A[first]
-    x = below[first]
-    best = np.maximum(b - A - x, 0)
-    span = np.maximum.reduceat(best, starts) + 1
-    if span.sum(dtype=np.float64) < 2.0 ** 61:
-        lift = np.repeat(np.cumsum(span) - span, np.diff(np.append(
-            starts, len(a))))
-        best = np.maximum.accumulate(best + lift) - lift
-    else:
-        pos -= first                                # index within the chain
-        h = 1
-        while h <= int(pos.max()):
-            best[h:] = np.where(pos[h:] >= h,
-                                np.maximum(best[h:], best[:-h]), best[h:])
-            h *= 2
-    return A + x + best
 
 
 def run_cotree_dp(dp: CotreeDP, tree, ctx=None, *,

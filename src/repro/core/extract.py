@@ -2,7 +2,8 @@
 
 After dummy removal every tree of the forest is a *path tree*: its inorder
 traversal is one path of the minimum path cover (Fig. 6).  The inorder
-numbers come from the same Euler-tour machinery as everywhere else, after
+numbers come from the same Euler-tour machinery as everywhere else (off the
+simulator, from one DFS interval numbering), after
 which each vertex knows its path (the tree it belongs to) and its position on
 that path, and the cover is assembled with one permutation scatter.
 """
@@ -13,7 +14,7 @@ import numpy as np
 
 from ..backends import resolve_context
 from ..cograph import PathCover
-from ..primitives import compute_tree_numbers, prefix_sum
+from ..primitives import inorder_numbers, prefix_sum
 from .path_trees import PathForest
 
 __all__ = ["extract_paths"]
@@ -36,15 +37,14 @@ def extract_paths(ctx, forest: PathForest, *,
     if num_real == 0:
         return PathCover([])
 
-    numbers = compute_tree_numbers(machine, left, right, parent, roots,
-                                   work_efficient=work_efficient,
-                                   label=f"{label}.numbers")
-    inorder = numbers.inorder
+    inorder, size = inorder_numbers(machine, left, right, parent, roots,
+                                    work_efficient=work_efficient,
+                                    label=f"{label}.numbers")
 
     # path id of every vertex = index of its tree in the chained tour; the
     # chained inorder is contiguous per tree, so the boundaries are the
     # prefix sums of the root subtree sizes.
-    sizes = numbers.subtree_size[roots]
+    sizes = size[roots]
     starts = prefix_sum(machine, sizes, inclusive=False,
                         label=f"{label}.starts")
 

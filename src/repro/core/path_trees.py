@@ -28,7 +28,7 @@ from typing import Tuple
 import numpy as np
 
 from ..backends import resolve_context
-from ..primitives import compute_tree_numbers, match_brackets, prefix_max, prefix_sum
+from ..primitives import inorder_numbers, match_brackets, prefix_max, prefix_sum
 from .brackets import ROLE_L, ROLE_P, ROLE_R, BracketSequence
 from .reduce import ReducedCotree, VertexClass
 
@@ -162,17 +162,16 @@ def legalize_forest(ctx, forest: PathForest,
         return forest, 0
 
     roots = forest.roots()
-    numbers = compute_tree_numbers(machine, forest.left, forest.right,
-                                   forest.parent, roots,
-                                   work_efficient=work_efficient,
-                                   label=f"{label}.numbers")
-    inorder = numbers.inorder
+    inorder, size = inorder_numbers(machine, forest.left, forest.right,
+                                    forest.parent, roots,
+                                    work_efficient=work_efficient,
+                                    label=f"{label}.numbers")
     node_at_pos = np.full(n_total, -1, dtype=np.int64)
     node_at_pos[inorder] = np.arange(n_total)
 
     # tree id of every inorder position (the tours of the roots are chained
     # in `roots` order, so tree sizes give the boundaries)
-    tree_sizes = numbers.subtree_size[roots]
+    tree_sizes = size[roots]
     tree_start = prefix_sum(machine, tree_sizes, inclusive=False,
                             label=f"{label}.boundaries")
     tree_id_of_pos = np.zeros(n_total, dtype=np.int64)
@@ -216,7 +215,6 @@ def legalize_forest(ctx, forest: PathForest,
     # insert takes the slot.
     pos = inorder[movable]
     is_insert = node_class[movable] == VertexClass.INSERT
-    size = numbers.subtree_size
     kids = (forest.left[movable], forest.right[movable])
     below_left, below_right = (
         np.where(k >= 0, size[np.maximum(k, 0)], 0) for k in kids)

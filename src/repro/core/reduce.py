@@ -22,22 +22,32 @@ are the right child of a 1-node) having no marked proper ancestor; the
 owner of such a region is the 1-node just above its root.  This is the
 "topmost marked ancestor" computation of
 :func:`repro.primitives.ancestors.topmost_marked_ancestor`.
+
+Off the simulator both read the numbering Step 2 already holds instead:
+``p(u)`` is one chain scan per right-depth over the left spines of
+``Tbl`` (at most ``log2 n + 1`` of them, since the leftist order makes
+every left child the heavy one), and the regions and leaf ranks come from
+the preorder intervals.  The simulator keeps the paper's rake contraction
+and Euler-tour scans, so the PRAM cost report is the paper's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
+from .._dfs import root_path_sums
 from ..backends import resolve_context
 from ..cograph import BinaryCotree
-from ..cograph.cotree import JOIN, LEAF, UNION
+from ..cograph.cotree import JOIN, LEAF
 from ..primitives import (
     evaluate_max_plus_tree,
     prefix_sum,
     topmost_marked_ancestor,
 )
+from ..primitives.tree_contraction import NEG_INF, _max_plus_chains
 from .leftist import LeftistCotree
 
 __all__ = ["VertexClass", "ReducedCotree", "reduce_cotree"]
@@ -126,30 +136,20 @@ def reduce_cotree(ctx, leftist: LeftistCotree, *,
     kind = np.asarray(tree.kind, dtype=np.int64)
     L = numbers.subtree_leaves
 
-    # ---- p(u) by tree contraction (Lemma 2.4) --------------------------- #
-    join_const = np.zeros(n_nodes, dtype=np.int64)
-    internal = tree.internal_nodes
-    join_const[internal] = L[tree.right[internal]]
-    leaf_values = np.ones(n_nodes, dtype=np.int64)
-    p = evaluate_max_plus_tree(machine, tree.left, tree.right, tree.parent,
-                               tree.roots, kind, join_const, leaf_values,
-                               leaf_inorder=numbers.inorder,
-                               label=f"{label}.p-values")
-
-    # ---- flattened regions ---------------------------------------------- #
     # marked node = right child of a 1-node
     marked = np.zeros(n_nodes, dtype=bool)
     joins = np.flatnonzero(kind == JOIN)
     marked[tree.right[joins]] = True
-    # Off the simulator the leftist stage's tour (same tree, same root) is
-    # reused; the simulated path still builds its own so the PRAM cost
-    # report accounts every step the paper's Step 3 performs.
-    shared_tour = None if machine.simulates else numbers.tour
-    top_mark = topmost_marked_ancestor(machine, tree.left, tree.right,
-                                       tree.parent, tree.roots, marked,
-                                       work_efficient=work_efficient,
-                                       tour=shared_tour,
-                                       label=f"{label}.regions")
+    if machine.simulates:
+        p, top_mark, leaf_rank, leaves_before = _simulated(
+            machine, tree, numbers, kind, marked,
+            work_efficient=work_efficient, label=label)
+    else:
+        p = _p_by_left_spines(tree, numbers, kind)
+        top_mark, leaves_before = _regions_from_intervals(tree, numbers,
+                                                          marked)
+        leaf_rank = leaves_before
+
     inside_region = top_mark != -1
     active = ~inside_region
     # region roots are marked nodes that are their own topmost mark; the
@@ -161,24 +161,6 @@ def reduce_cotree(ctx, leftist: LeftistCotree, *,
     # ---- per-vertex classification --------------------------------------- #
     leaves = tree.leaves
     leaf_vertex = np.asarray(tree.leaf_vertex)
-    # rank of each leaf among all leaves in inorder
-    inorder = numbers.inorder
-    leaf_flag_by_inorder = np.zeros(n_nodes, dtype=np.int64)
-    leaf_flag_by_inorder[inorder[leaves]] = 1
-    leaf_rank_prefix = prefix_sum(machine, leaf_flag_by_inorder, inclusive=True,
-                                  label=f"{label}.leafrank")
-    leaf_rank = np.zeros(n_nodes, dtype=np.int64)
-    leaf_rank[leaves] = leaf_rank_prefix[inorder[leaves]] - 1
-
-    # number of leaves strictly to the left of each node's subtree
-    tour = numbers.tour
-    nodes_all = np.arange(n_nodes, dtype=np.int64)
-    arc_vals = np.zeros(2 * n_nodes, dtype=np.int64)
-    arc_vals[tour.enter(leaves)] = 1
-    leaf_enter_prefix = tour.prefix_over_tour(machine, arc_vals, inclusive=False,
-                                              label=f"{label}.leaves-before")
-    leaves_before = leaf_enter_prefix[tour.enter(nodes_all)]
-
     vertex_class = np.full(n_vertices, VertexClass.PRIMARY, dtype=np.int64)
     vertex_owner = np.full(n_vertices, -1, dtype=np.int64)
     vertex_rank = np.full(n_vertices, -1, dtype=np.int64)
@@ -215,3 +197,113 @@ def reduce_cotree(ctx, leftist: LeftistCotree, *,
                          vertex_class=vertex_class, vertex_owner=vertex_owner,
                          vertex_rank=vertex_rank,
                          num_dummies_of=num_dummies_of, numbers=numbers)
+
+
+def _simulated(machine, tree: BinaryCotree, numbers, kind: np.ndarray,
+               marked: np.ndarray, *, work_efficient: bool, label: str):
+    """``(p, top_mark, leaf_rank, leaves_before)`` as the paper's Step 3
+    computes them: ``p(u)`` by rake contraction, the regions by an Euler-tour
+    scan, the leaf ranks by prefix sums, every step accounted."""
+    n_nodes = tree.num_nodes
+    L = numbers.subtree_leaves
+
+    # ---- p(u) by tree contraction (Lemma 2.4) --------------------------- #
+    join_const = np.zeros(n_nodes, dtype=np.int64)
+    internal = tree.internal_nodes
+    join_const[internal] = L[tree.right[internal]]
+    leaf_values = np.ones(n_nodes, dtype=np.int64)
+    p = evaluate_max_plus_tree(machine, tree.left, tree.right, tree.parent,
+                               tree.roots, kind, join_const, leaf_values,
+                               leaf_inorder=numbers.inorder,
+                               label=f"{label}.p-values")
+
+    # ---- flattened regions ---------------------------------------------- #
+    top_mark = topmost_marked_ancestor(machine, tree.left, tree.right,
+                                       tree.parent, tree.roots, marked,
+                                       work_efficient=work_efficient,
+                                       label=f"{label}.regions")
+
+    # ---- leaf ranks ------------------------------------------------------ #
+    leaves = tree.leaves
+    # rank of each leaf among all leaves in inorder
+    inorder = numbers.inorder
+    leaf_flag_by_inorder = np.zeros(n_nodes, dtype=np.int64)
+    leaf_flag_by_inorder[inorder[leaves]] = 1
+    leaf_rank_prefix = prefix_sum(machine, leaf_flag_by_inorder, inclusive=True,
+                                  label=f"{label}.leafrank")
+    leaf_rank = np.zeros(n_nodes, dtype=np.int64)
+    leaf_rank[leaves] = leaf_rank_prefix[inorder[leaves]] - 1
+
+    # number of leaves strictly to the left of each node's subtree
+    tour = numbers.tour
+    nodes_all = np.arange(n_nodes, dtype=np.int64)
+    arc_vals = np.zeros(2 * n_nodes, dtype=np.int64)
+    arc_vals[tour.enter(leaves)] = 1
+    leaf_enter_prefix = tour.prefix_over_tour(machine, arc_vals, inclusive=False,
+                                              label=f"{label}.leaves-before")
+    leaves_before = leaf_enter_prefix[tour.enter(nodes_all)]
+    return p, top_mark, leaf_rank, leaves_before
+
+
+def _p_by_left_spines(tree: BinaryCotree, numbers, kind: np.ndarray
+                      ) -> np.ndarray:
+    """``p(u)`` for every node, one right-depth per round, deepest first.
+
+    In ``Tbl`` a left child has at least as many leaves as its sibling, so
+    a node's right-depth (the right edges on its root path) is at most
+    ``log2`` of its tree's leaves.  A node is a max-plus map of its left
+    child's value: ``x -> max(x - L(w), 1)`` at a 1-node, ``x -> x + p(w)``
+    at a 0-node, whose right child ``w`` lies one right-depth deeper and
+    is known from an earlier round.  A round's internal nodes, taken in
+    descending preorder, are its left spines, each a contiguous run from
+    the node above a leaf up to the spine's top: one chain scan evaluates
+    them all.
+    """
+    p = np.ones(tree.num_nodes, dtype=np.int64)
+    pre = numbers.preorder
+    by_pre = np.empty_like(pre)
+    by_pre[pre] = np.arange(len(pre), dtype=np.int64)
+    desc = by_pre[::-1]
+    desc = desc[kind[desc] != LEAF]
+    if len(desc) == 0:
+        return p
+    # right-depths are at most log2 n, and int16 keys sort by radix
+    rd = numbers.right_depth[desc].astype(np.int16)
+    order = np.argsort(-rd, kind="stable")
+    rounds = np.split(desc[order], np.flatnonzero(np.diff(rd[order])) + 1)
+    left, right = tree.left, tree.right
+    L = numbers.subtree_leaves
+    for nodes in rounds:
+        w = right[nodes]
+        is_join = kind[nodes] == JOIN
+        a = np.where(is_join, -L[w], p[w])
+        b = np.where(is_join, 1, NEG_INF)
+        v = left[nodes]
+        p[nodes] = _max_plus_chains(a, b, p[v], kind[v] == LEAF)
+    return p
+
+
+def _regions_from_intervals(tree: BinaryCotree, numbers, marked: np.ndarray
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(top_mark, leaves_before)`` from the preorder intervals of ``Tbl``.
+
+    The marks on every root path are one root-path sum; the region roots
+    (marks with no marked proper ancestor) have disjoint intervals, so one
+    difference array paints every node with its region root.  Leaves keep
+    their relative order in preorder and inorder, so the leaves before a
+    node's subtree are the leaves before it in preorder (for a leaf: its
+    rank).
+    """
+    n = tree.num_nodes
+    pre, size = numbers.preorder, numbers.subtree_size
+    marks = np.flatnonzero(marked)
+    on_path = root_path_sums(pre, size, marks, 1)
+    region_roots = marks[on_path[marks] == 1]
+    paint = np.zeros(n + 1, dtype=np.int64)
+    paint[pre[region_roots]] = region_roots + 1
+    paint[pre[region_roots] + size[region_roots]] -= region_roots + 1
+    top_mark = np.cumsum(paint[:-1])[pre] - 1
+
+    is_leaf_by_pre = np.zeros(n + 1, dtype=np.int64)
+    is_leaf_by_pre[pre[tree.leaves] + 1] = 1
+    return top_mark, np.cumsum(is_leaf_by_pre)[pre]

@@ -23,6 +23,7 @@ import numpy as np
 from ..cograph import Cotree, CSRGraph, FlatCotree, Graph, PathCover
 from ..cograph.cotree import JOIN, LEAF, UNION
 from ..cograph.flat import _from_lists, _parent_csr
+from ..cograph.operations import _as_cotree
 
 __all__ = [
     "cotree_to_json", "cotree_from_json",
@@ -37,8 +38,9 @@ __all__ = [
 # cotrees
 # --------------------------------------------------------------------------- #
 
-def cotree_to_json(tree: Cotree) -> Dict:
+def cotree_to_json(tree: Union[Cotree, FlatCotree]) -> Dict:
     """JSON-serialisable dict representation of a cotree."""
+    tree = _as_cotree(tree)
     return {
         "type": "cotree",
         "kind": [int(k) for k in tree.kind],
@@ -71,12 +73,13 @@ def cotree_from_json(data: Dict) -> Cotree:
     return _flat_from_json(data).to_cotree()
 
 
-def cotree_to_text(tree: Cotree) -> str:
+def cotree_to_text(tree: Union[Cotree, FlatCotree]) -> str:
     """Compact text form: ``*`` = join, ``+`` = union, leaves by vertex id.
 
     Iterative (an explicit stack of nodes and literal pieces), so any tree
     height is fine.
     """
+    tree = _as_cotree(tree)
     out: List[str] = []
     stack: List[Union[int, str]] = [tree.root]
     while stack:

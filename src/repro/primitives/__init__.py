@@ -30,14 +30,20 @@ from .tree_contraction import (
     mp_constant,
     mp_identity,
 )
-from .tree_numbering import TreeNumbers, compute_tree_numbers, renumber_swapped
+from .tree_numbering import (
+    TreeNumbers,
+    compute_tree_numbers,
+    inorder_numbers,
+    renumber_swapped,
+)
 
 __all__ = [
     "prefix_sum", "prefix_sum_hillis_steele", "prefix_max", "total_sum",
     "NEG_INF",
     "wyllie_list_ranking", "work_efficient_list_ranking", "list_ranks",
     "EulerTour", "build_euler_tour",
-    "TreeNumbers", "compute_tree_numbers", "renumber_swapped",
+    "TreeNumbers", "compute_tree_numbers", "inorder_numbers",
+    "renumber_swapped",
     "match_brackets",
     "topmost_marked_ancestor", "topmost_marked_ancestor_jumping",
     "evaluate_max_plus_tree", "mp_identity", "mp_constant", "mp_compose",

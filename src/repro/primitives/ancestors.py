@@ -33,14 +33,11 @@ __all__ = ["topmost_marked_ancestor", "topmost_marked_ancestor_jumping"]
 def topmost_marked_ancestor(ctx, left, right, parent,
                             roots: Sequence[int], marked, *,
                             work_efficient: bool = True,
-                            tour=None,
                             label: str = "topmark") -> np.ndarray:
     """For every node of a binary forest, the marked ancestor closest to the
     root (the node itself counts), or ``-1`` when the root path is unmarked.
 
     EREW: one Euler tour, two scans, and permutation scatters/gathers.
-    A caller that already holds the forest's :class:`EulerTour` (built with
-    the same roots order) can pass it as ``tour`` to skip rebuilding it.
     """
     marked = np.asarray(marked, dtype=bool)
     left = np.asarray(left, dtype=np.int64)
@@ -51,10 +48,9 @@ def topmost_marked_ancestor(ctx, left, right, parent,
     if n == 0:
         return np.full(0, -1, dtype=np.int64)
 
-    if tour is None:
-        tour = build_euler_tour(machine, left, right, parent, roots,
-                                work_efficient=work_efficient,
-                                label=f"{label}.euler")
+    tour = build_euler_tour(machine, left, right, parent, roots,
+                            work_efficient=work_efficient,
+                            label=f"{label}.euler")
     nodes = np.arange(n, dtype=np.int64)
     enter_pos = tour.enter_position(nodes)
     exit_pos = tour.exit_position(nodes)

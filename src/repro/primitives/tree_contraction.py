@@ -12,6 +12,9 @@ contraction [1, 13].  This module implements that computation from scratch:
 * the *max-plus* function class ``f(x) = max(x + a, b)`` (with ``a`` possibly
   ``-inf``), which is closed under composition and under partial evaluation
   of both node operators — the invariant that makes contraction work;
+* the segmented scan of that class along chains of one-child maps
+  (:func:`_max_plus_chains`), shared by the cotree-DP engine's heavy-path
+  contraction and Step 3's left-spine evaluation off the simulator;
 * the rake-based contraction schedule of Abrahamson–Dadoun–Kirkpatrick–
   Przytycka [1]: in each round all odd-ranked leaves that are left children
   are raked simultaneously, then all odd-ranked right children, after which
@@ -90,6 +93,42 @@ def mp_compose(a1, b1, a2, b2) -> Tuple[np.ndarray, np.ndarray]:
 def mp_apply(a, b, x) -> np.ndarray:
     """Apply ``f(x) = max(x + a, b)`` elementwise."""
     return np.maximum(_sat_add(x, a), np.asarray(b, dtype=np.int64))
+
+
+def _max_plus_chains(a: np.ndarray, b: np.ndarray, below: np.ndarray,
+                     bottom: np.ndarray) -> np.ndarray:
+    """Values along chains of maps ``x -> max(x + a, b)`` (``a`` finite).
+
+    The chains are contiguous runs, each starting where ``bottom`` is set;
+    ``below`` holds every node's heavy-child value, known at each bottom.
+    Unrolled, node ``i`` of a chain over leaf value ``x`` is worth
+    ``A_i + x + max(0, max_{j <= i} (b_j - A_j - x))`` with ``A`` the
+    chain's prefix sum of ``a``: one segmented sum and one segmented
+    running max.  The running max is one ``maximum.accumulate`` once each
+    chain is lifted above the values of all chains before it; should the
+    lifts overflow (values near ``2**62``), pairwise doubling over slices
+    takes ``log2(longest chain)`` steps instead.
+    """
+    starts = np.flatnonzero(bottom)
+    pos = np.arange(len(a), dtype=np.int64)
+    first = np.maximum.accumulate(np.where(bottom, pos, 0))
+    A = np.cumsum(a)
+    A += a[first] - A[first]
+    x = below[first]
+    best = np.maximum(b - A - x, 0)
+    span = np.maximum.reduceat(best, starts) + 1
+    if span.sum(dtype=np.float64) < 2.0 ** 61:
+        lift = np.repeat(np.cumsum(span) - span, np.diff(np.append(
+            starts, len(a))))
+        best = np.maximum.accumulate(best + lift) - lift
+    else:
+        pos -= first                                # index within the chain
+        h = 1
+        while h <= int(pos.max()):
+            best[h:] = np.where(pos[h:] >= h,
+                                np.maximum(best[h:], best[:-h]), best[h:])
+            h *= 2
+    return A + x + best
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ Given a binary forest, this module computes (all in ``O(log n)`` rounds and
 ``O(n)`` work on top of one Euler tour):
 
 * preorder, inorder and postorder numbers,
-* depths,
+* depths (and right-depths: the right edges on each root path),
 * subtree sizes and subtree *leaf* counts ``L(u)`` (the quantity the paper's
   Step 2 needs),
 
@@ -15,7 +15,8 @@ numbering (:func:`repro._dfs.multiway_numbering`) and a few root-path sums
 over it, bit-identical to the tour; without scipy the throughput backend
 ranks the tour like the simulator does.  Step 2's leftist reordering needs
 only the leaf counts before its swap and renumbers after it from the same
-intervals (:func:`renumber_swapped`).
+intervals (:func:`renumber_swapped`); Steps 6 and 8 read only inorder
+numbers and subtree sizes (:func:`inorder_numbers`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .._dfs import multiway_numbering, root_path_sums, two_slot_csr
 from ..backends import resolve_context
 from .euler_tour import EulerTour, build_euler_tour
 
-__all__ = ["TreeNumbers", "compute_tree_numbers", "renumber_swapped"]
+__all__ = ["TreeNumbers", "compute_tree_numbers", "inorder_numbers",
+           "renumber_swapped"]
 
 
 @dataclass
@@ -43,6 +45,8 @@ class TreeNumbers:
     subtree_size: np.ndarray
     subtree_leaves: np.ndarray
     tour: EulerTour
+    #: right edges on every root path (``depth`` less the left edges)
+    right_depth: np.ndarray
 
 
 def compute_tree_numbers(ctx, left, right, parent,
@@ -130,9 +134,14 @@ def compute_tree_numbers(ctx, left, right, parent,
                                       label=f"{label}.inorder")
     inorder = in_prefix[tick_arc] - 1
 
+    # a left child's inorder offset is 1 less than its preorder offset (see
+    # _numbers_from_intervals): the left edges on a root path number
+    # preorder - inorder + the node's left subtree, the rest are right edges
+    left_size = np.where(left != -1, subtree_size[np.maximum(left, 0)], 0)
     return TreeNumbers(preorder=preorder, inorder=inorder, postorder=postorder,
                        depth=depth, subtree_size=subtree_size,
-                       subtree_leaves=subtree_leaves, tour=tour)
+                       subtree_leaves=subtree_leaves, tour=tour,
+                       right_depth=depth - preorder + inorder - left_size)
 
 
 def _leaf_counts_and_intervals(ctx, left, right, parent,
@@ -160,6 +169,42 @@ def _leaf_counts_and_intervals(ctx, left, right, parent,
     numbers = compute_tree_numbers(machine, left, right, parent, roots,
                                    work_efficient=work_efficient, label=label)
     return numbers.subtree_leaves, (numbers.preorder, numbers.subtree_size)
+
+
+def inorder_numbers(ctx, left, right, parent, roots: Sequence[int], *,
+                    work_efficient: bool = True,
+                    label: str = "numbering") -> Tuple[np.ndarray, np.ndarray]:
+    """``(inorder, subtree_size)`` of a binary forest, numbered as
+    :func:`compute_tree_numbers` numbers it.  Steps 6 and 8 read nothing
+    else.
+
+    Off the simulator they come from one DFS interval numbering and one
+    root-path sum: a subtree's inorder block starts where its parent's
+    does (left child), 1 plus the left sibling's subtree later (right
+    child) or after the earlier roots' nodes (root), and the node itself
+    follows its left subtree.  The simulator takes them from
+    :func:`compute_tree_numbers`, so the PRAM cost report is unchanged.
+    """
+    machine = resolve_context(ctx)
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    if len(left) and not machine.simulates:
+        intervals = multiway_numbering(*two_slot_csr(left, right), roots)
+        if intervals is not None:
+            order, size = intervals
+            roots = np.asarray(roots, dtype=np.int64)
+            has_left = np.flatnonzero(left >= 0)
+            has_right = np.flatnonzero(right >= 0)
+            left_size = np.zeros(len(left), dtype=np.int64)
+            left_size[has_left] = size[left[has_left]]
+            offset = np.zeros(len(left), dtype=np.int64)
+            offset[roots] = np.cumsum(size[roots]) - size[roots]
+            offset[right[has_right]] = left_size[has_right] + 1
+            return (root_path_sums(order, size, slice(None), offset)
+                    + left_size, size)
+    numbers = compute_tree_numbers(machine, left, right, parent, roots,
+                                   work_efficient=work_efficient, label=label)
+    return numbers.inorder, numbers.subtree_size
 
 
 def renumber_swapped(ctx, numbers, left, right, parent,
@@ -242,7 +287,8 @@ def _numbers_from_intervals(intervals, left: np.ndarray, right: np.ndarray,
     side[right[has_right]] = 1
     counts = root_path_sums(order, size, every, side)
     lefts = counts >> 32
-    depth = lefts + (counts & 0xFFFFFFFF)
+    rights = counts & 0xFFFFFFFF
+    depth = lefts + rights
     inorder = preorder - lefts + left_size
 
     position = np.empty(2 * n, dtype=np.int64)
@@ -253,4 +299,5 @@ def _numbers_from_intervals(intervals, left: np.ndarray, right: np.ndarray,
                        subtree_size=size,
                        subtree_leaves=_interval_leaves(intervals, left, right),
                        tour=EulerTour.from_positions(position, left, right,
-                                                     parent, roots))
+                                                     parent, roots),
+                       right_depth=rights)

@@ -165,6 +165,17 @@ class TestSerialisation:
         back = cotree_from_text(cotree_to_text(t))
         assert Graph.from_cotree(back) == Graph.from_cotree(t)
 
+    @pytest.mark.parametrize("tree", [
+        random_cotree(5, seed=1), random_cotree(40, seed=3), clique(1),
+        caterpillar_cotree(30)])
+    def test_flat_cotrees_serialise_like_their_cotree(self, tree):
+        from repro.cograph.flat import as_flat_cotree
+        from repro.io.wire import from_bytes, to_bytes
+        flat = as_flat_cotree(tree)
+        for same in (flat, from_bytes(to_bytes(flat))):
+            assert cotree_to_text(same) == cotree_to_text(tree)
+            assert cotree_to_json(same) == cotree_to_json(tree)
+
     def test_text_form_single_vertex(self):
         assert cotree_to_text(clique(1)) == "0"
         assert cotree_from_text("5").num_vertices == 1

@@ -36,10 +36,10 @@ from repro.core.binarize import binarize_parallel
 from repro.core.leftist import leftist_reorder
 from repro.pram import PRAM
 from repro.primitives import build_euler_tour, compute_tree_numbers, \
-    renumber_swapped
+    inorder_numbers, renumber_swapped
 
 NUMBER_FIELDS = ("preorder", "inorder", "postorder", "depth",
-                 "subtree_size", "subtree_leaves")
+                 "subtree_size", "subtree_leaves", "right_depth")
 
 
 def assert_same_numbers(simulated, fast, tag=""):
@@ -52,10 +52,14 @@ def assert_same_numbers(simulated, fast, tag=""):
 
 
 def assert_numbers_match(left, right, parent, roots, tag=""):
-    assert_same_numbers(compute_tree_numbers(PRAM(), left, right, parent,
-                                             roots),
-                        compute_tree_numbers(None, left, right, parent,
-                                             roots), tag)
+    simulated = compute_tree_numbers(PRAM(), left, right, parent, roots)
+    assert_same_numbers(simulated, compute_tree_numbers(None, left, right,
+                                                        parent, roots), tag)
+    # Steps 6 and 8 number only inorder and sizes, on either engine
+    for ctx in (PRAM(), None):
+        inorder, size = inorder_numbers(ctx, left, right, parent, roots)
+        assert np.array_equal(inorder, simulated.inorder), tag
+        assert np.array_equal(size, simulated.subtree_size), tag
 
 
 def random_binary_forest(rng, n):

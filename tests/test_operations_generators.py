@@ -175,6 +175,34 @@ class TestGenerators:
     def test_caterpillar_alternating_is_canonical(self):
         assert caterpillar_cotree(15).is_canonical()
 
+    @staticmethod
+    def _threshold_by_folding(seq):
+        """The creation sequence read one vertex at a time, each step a
+        canonical join or union with the tree so far."""
+        tree = Cotree.single_vertex(0)
+        for i, bit in enumerate(seq[1:], start=1):
+            step = join_cotrees if bit else union_cotrees
+            tree = step(tree, Cotree.single_vertex(i))
+        return tree
+
+    def test_threshold_arrays_match_the_fold(self):
+        import itertools
+        rng = np.random.default_rng(11)
+        seqs = [list(bits) for n in range(1, 9)
+                for bits in itertools.product([0, 1], repeat=n)]
+        seqs += [rng.integers(0, 2, int(rng.integers(9, 200))).tolist()
+                 for _ in range(10)]
+        for seq in seqs:
+            got = as_flat_cotree(threshold_cograph(seq))
+            want = as_flat_cotree(self._threshold_by_folding(seq))
+            for field in ("kind", "child_offset", "child_index", "parent",
+                          "leaf_vertex"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), \
+                    (seq, field)
+            assert got.root == want.root
+            got.validate()
+
     def test_threshold_graph_all_ones_is_clique(self):
         t = threshold_cograph([1, 1, 1, 1])
         assert Graph.from_cotree(t) == Graph.from_cotree(clique(4))
