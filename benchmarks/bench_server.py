@@ -17,6 +17,9 @@ of the pipeline a deployment actually sees:
 4. **Graceful drain.**  The shutdown path drains in-flight work and
    reports it (exercised implicitly: every scenario ends in a clean
    ``stop()`` that must return drained=True).
+5. **The process pool.**  Fresh small cotrees from a few clients on a
+   two-worker pool with ``batch_small=0`` and no cache, so every request
+   takes the executor hop (ungated: reported, not checked).
 
 Run standalone for the CI smoke configuration::
 
@@ -29,7 +32,9 @@ import argparse
 import asyncio
 import http.client
 import json
+import math
 import os
+import random
 import statistics
 import sys
 import time
@@ -49,6 +54,7 @@ FULL_REQUESTS, SMOKE_REQUESTS = 2_000, 300
 FULL_CLIENTS, SMOKE_CLIENTS = 16, 8
 DISTINCT_INSTANCES = 24
 BURST_SIZE = 12
+POOLED_CLIENTS = 3
 
 COLUMNS = ["scenario", "requests", "clients", "seconds", "req/s",
            "p50_ms", "p99_ms", "detail"]
@@ -207,6 +213,39 @@ async def run_saturation_burst(burst: int):
     return row, {"served": statuses[200], "rejected_429": statuses[429]}
 
 
+async def run_pooled_fresh(requests: int, clients: int):
+    """Fresh 16-512 vertex cotrees, every one solved by a pool worker."""
+    rng = random.Random(0)
+    tasks = ("path_cover", "max_clique", "path_cover_size")
+    payloads = [{"problem": cotree_to_text(random_cotree(
+                     round(math.exp(rng.uniform(math.log(16),
+                                                math.log(512)))),
+                     seed=s)),
+                 "task": tasks[s % len(tasks)],
+                 "options": {"backend": "fast"}}
+                for s in range(requests)]
+    settings = Settings(port=0, jobs=2, batch_small=0, cache_size=0,
+                        queue_limit=max(64, clients * 4), log_level="ERROR")
+    server = ReproServer(settings)
+    async with server:
+        await _drive(server, 1, payloads[:1])        # fork the workers
+        t0 = time.perf_counter()
+        results = await _drive(server, clients, payloads)
+        seconds = time.perf_counter() - t0
+        statuses = Counter(status for status, _, _ in results)
+        assert statuses == {200: requests}, f"unexpected statuses {statuses}"
+        routes = Counter(json.loads(body)["provenance"]["route"]
+                         for _, body, _ in results)
+        assert routes == {"pool": requests}, f"unexpected routes {routes}"
+    await server.stop()
+    latencies = [ms for _, _, ms in results]
+    row = _row("fresh cotrees on the pool (jobs=2)", requests, clients,
+               seconds, latencies,
+               "16-512 vertices, batch_small=0, no cache")
+    return row, {"req_per_s": round(requests / seconds, 1),
+                 "p50_ms": row["p50_ms"], "p99_ms": row["p99_ms"]}
+
+
 # --------------------------------------------------------------------------- #
 # harness entry points
 # --------------------------------------------------------------------------- #
@@ -220,11 +259,13 @@ def run_all(*, smoke: bool):
                                                             clients)
         hot_row, hot_stats = await run_cache_hot_traffic(requests // 2,
                                                          clients)
+        pooled_row, pooled_stats = await run_pooled_fresh(requests // 2,
+                                                          POOLED_CLIENTS)
         burst_row, burst_stats = await run_saturation_burst(BURST_SIZE)
-        return ([mixed_row, hot_row, burst_row],
+        return ([mixed_row, hot_row, pooled_row, burst_row],
                 {"smoke": smoke, "requests": requests, "clients": clients,
                  "mixed": mixed_stats, "cache_hot": hot_stats,
-                 "saturation": burst_stats})
+                 "saturation": burst_stats, "pooled": pooled_stats})
 
     return asyncio.run(scenarios())
 

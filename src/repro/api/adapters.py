@@ -65,16 +65,17 @@ TreeLike = Union[Cotree, BinaryCotree, FlatCotree]
 class Problem:
     """One adapted instance, ready for any registered task.
 
-    Exactly one of ``tree`` / ``graph`` / ``instance`` is set at
-    construction; :meth:`cotree` converts (and caches) on demand.
+    Exactly one of ``tree`` / ``graph`` is set at construction; a bit
+    vector sets ``instance`` too, and its Fig. 2 cotree is the ``tree``.
 
     Attributes
     ----------
     source_format:
         which adapter produced this problem (see :data:`SOURCE_FORMATS`).
     tree:
-        the cotree, when the input already was one; parsed text and JSON
-        give a :class:`~repro.cograph.FlatCotree`, not yet validated.
+        the cotree, when the input already was one or a bit vector;
+        parsed text and JSON give a :class:`~repro.cograph.FlatCotree`,
+        not yet validated.
     graph:
         the explicit graph as a :class:`~repro.cograph.CSRGraph`, when the
         input was graph-like.  Kept so the ``recognition`` task can answer
@@ -97,31 +98,8 @@ class Problem:
     instance: Optional[LowerBoundInstance] = None
     source: Optional[str] = None
     digest: Optional[bytes] = None
-    _cached_tree: Optional[TreeLike] = field(default=None, repr=False)
     _checked_tree: Optional[TreeLike] = field(default=None, repr=False)
     _cached_md: Optional[FlatCotree] = field(default=None, repr=False)
-
-    def cotree(self) -> Union[Cotree, BinaryCotree]:
-        """The instance's cotree as a :class:`Cotree` / ``BinaryCotree``,
-        converting from a graph or a :class:`FlatCotree` if necessary.
-
-        Raises
-        ------
-        NotACographError
-            when the underlying graph is not a cograph.
-        """
-        if self._cached_tree is None:
-            if self.instance is not None:
-                tree = self.instance.cotree
-            elif self.tree is not None:
-                tree = self.tree
-            elif self.graph is not None:
-                tree = self.pipeline_tree()
-            else:  # pragma: no cover - constructors always set one
-                raise ValueError("empty Problem")
-            self._cached_tree = tree.to_cotree() \
-                if isinstance(tree, FlatCotree) else tree
-        return self._cached_tree
 
     def pipeline_tree(self) -> TreeLike:
         """The tree every tree task consumes: the instance's cotree as a
@@ -135,7 +113,7 @@ class Problem:
             self._checked_tree = md if md is not None and not md.has_primes \
                 else decompose(self.graph)
         if self._checked_tree is None:
-            tree = self.tree if self.tree is not None else self.cotree()
+            tree = self.tree
             self._checked_tree = (tree if isinstance(tree, BinaryCotree)
                                   else as_flat_cotree(tree)).validate()
         return self._checked_tree
@@ -161,8 +139,6 @@ class Problem:
         """Number of vertices of the instance."""
         if self.tree is not None:
             return self.tree.num_vertices
-        if self.instance is not None:
-            return self.instance.cotree.num_vertices
         return self.graph.n
 
     def provenance(self) -> Dict[str, Any]:
@@ -203,8 +179,8 @@ def as_problem(obj: Any, *, task: Optional[str] = None,
     if isinstance(obj, (Graph, CSRGraph)):
         return Problem(source_format="graph", graph=obj if isinstance(
             obj, CSRGraph) else obj.to_csr())
-    if isinstance(obj, LowerBoundInstance):
-        return Problem(source_format="bits", instance=obj)
+    if isinstance(obj, LowerBoundInstance):   # its Fig. 2 cotree is the tree
+        return Problem(source_format="bits", tree=obj.cotree, instance=obj)
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return _from_wire(obj)
     if isinstance(obj, os.PathLike):
@@ -398,8 +374,7 @@ def _bits(values, task: Optional[str]) -> Problem:
     if not all(int(v) in (0, 1) for v in values):
         raise ValueError(
             "lower-bound bit vectors must contain only 0/1 values")
-    return Problem(source_format="bits",
-                   instance=or_instance_cotree([int(v) for v in values]))
+    return as_problem(or_instance_cotree([int(v) for v in values]))
 
 
 # --------------------------------------------------------------------------- #

@@ -66,8 +66,7 @@ def _eligible_flat(prob: Problem):
     than the sweep."""
     try:
         flat = prob.pipeline_tree() if prob.graph is not None else \
-            as_flat_cotree(prob.tree if prob.tree is not None
-                           else prob.cotree())
+            as_flat_cotree(prob.tree)
     except NotACographError:
         return None
     if flat.has_primes or flat.num_vertices < 1:   # MD trees don't pack
@@ -114,7 +113,7 @@ def _solve_forest_problems(probs: List[Problem], task: str,
         sweep_keys.append(key)
 
     if sweep_flats:
-        swept = _ROOT_ARRAY_BODIES[task](pack(sweep_flats), options, True)
+        swept = _ROOT_ARRAY_BODIES[task](pack(sweep_flats), options)
         for i, solution, key in zip(sweep_idx, swept, sweep_keys):
             solution.provenance["route"] = "forest"
             for name, value in probs[i].provenance().items():

@@ -8,8 +8,7 @@ rows of one private table (see below):
 =============================  ============================================
 ``path_cover``                 the minimum path cover itself (the paper's
                                main theorem)
-``path_cover_size``            just ``p(root)`` — the Lemma 2.4 cotree DP,
-                               fast unless the options pick an engine
+``path_cover_size``            just ``p(root)`` — the Lemma 2.4 cotree DP
 ``hamiltonian_path``           a Hamiltonian path witness, or ``None``
 ``hamiltonian_cycle``          a Hamiltonian cycle witness, or ``None``
 ``recognition``                is the input graph a cograph at all?
@@ -33,13 +32,15 @@ solve passes the instance's own tree (one root, no copy); the forest sweep
 (``_covers_per_root``, ``_per_root``) knows there is more than one root.
 The DP tasks, the Hamiltonicity decisions and the path count behind
 ``lower_bound`` run :func:`~repro.core.run_cotree_dp` over
-:class:`~repro.cograph.FlatCotree` CSR arrays on whichever backend the
-options select, level by level or, on deep trees, by heavy-path
-contraction.  The extremal-set tasks (``max_clique``,
-``max_independent_set`` and both weighted variants) are **MD-capable**:
-their DP specs carry prime combiners, so they consume the modular
-decomposition tree of *any* graph whose prime quotients are spiders
-(P4-sparse graphs) or small (arity <= 16) — not just cographs.
+:class:`~repro.cograph.FlatCotree` CSR arrays, level by level or, on deep
+trees, by heavy-path contraction.  One function, :func:`engine`, picks
+every task's engine: the options' choice when they make one, else the
+PRAM simulator for ``path_cover`` and the fast engine for the rest.  The
+extremal-set tasks (``max_clique``, ``max_independent_set`` and both
+weighted variants) are **MD-capable**: their DP specs carry prime
+combiners, so they consume the modular decomposition tree of *any* graph
+whose prime quotients are spiders (P4-sparse graphs) or small
+(arity <= 16) — not just cographs.
 """
 
 from __future__ import annotations
@@ -86,29 +87,36 @@ from .options import SolveOptions
 from .registry import MD_GRAPH_CLASSES, get_task, register_task
 from .solution import Solution
 
-__all__ = ["runs_fast_engine"]  # tasks are reached through the registry
+__all__ = ["engine", "runs_fast_engine"]  # tasks: via the registry
+
+
+def engine(task: str, options: SolveOptions) -> str:
+    """The engine ``task`` runs on under ``options``: the options' own
+    choice when they pick one (:attr:`SolveOptions.picks_engine`), else
+    the PRAM simulator for ``path_cover``, the paper's algorithm, and the
+    fast engine for every extension of it."""
+    if options.picks_engine:
+        return options.resolved_backend
+    return "pram" if task == "path_cover" else "fast"
 
 
 # --------------------------------------------------------------------------- #
 # path cover
 # --------------------------------------------------------------------------- #
 
-def _engine(options: SolveOptions, fast_default: bool) -> Optional[str]:
-    """The backend a body runs on: the fast engine when ``fast_default``
-    is set and the options pick none, else the options' own choice."""
-    return "fast" if fast_default and not options.picks_engine \
-        else options.backend
-
-
 def _cover_body(tree, options: SolveOptions,
-                fast_default: bool = False) -> List[Solution]:
-    """The minimum path cover of every root of ``tree``, one Solution each.
+                task: str = "path_cover") -> List[Solution]:
+    """The minimum path cover of every root of ``tree``, one Solution each,
+    on ``task``'s engine.
 
     A solo solve passes the instance's own tree (one root); the forest
-    sweep passes a packed :class:`~repro.cograph.FlatForest`, and
+    sweep passes a packed :class:`~repro.cograph.FlatForest`, which runs
+    on the fast engine unless the options pick one, and
     :func:`_covers_per_root` splits the one cover back per instance.
     """
-    if options.method == "sequential":
+    backend = "fast" if isinstance(tree, FlatForest) \
+        and not options.picks_engine else engine(task, options)
+    if backend == "sequential":
         cover = sequential_path_cover(tree)
         if options.validate:
             cover.validate(CographAdjacencyOracle(tree),
@@ -121,7 +129,7 @@ def _cover_body(tree, options: SolveOptions,
     # the parallel pipeline consumes FlatCotree inputs natively — no
     # object-per-node conversion on the hot path
     kwargs = options.solver_kwargs()
-    kwargs["backend"] = _engine(options, fast_default)
+    kwargs["backend"] = backend
     result = minimum_path_cover_parallel(tree, **kwargs)
     return [Solution(task="path_cover", answer=cover, backend=result.backend,
                      options=options, cover=cover, num_paths=cover.num_paths,
@@ -161,16 +169,17 @@ def _task_path_cover(problem: Problem, options: SolveOptions) -> Solution:
 
 def _hamiltonicity_task(problem: Problem, options: SolveOptions, task: str,
                         witness_of) -> Solution:
-    """Decide from the ``path_cover_size`` run; build the witness with the
-    ``path_cover`` body under the options' engine."""
+    """Decide from the ``path_cover_size`` DP; build the witness with the
+    ``path_cover`` body.  Both run on ``task``'s engine."""
     run, seconds = _run_dp(problem.pipeline_tree(), options,
-                           PATH_COVER_SIZE_DP, fast_default=True)
+                           PATH_COVER_SIZE_DP, task)
     t0 = time.perf_counter()
-    witness = witness_of(run, lambda tree: _cover_body(tree, options)[0].cover)
+    witness = witness_of(
+        run, lambda tree: _cover_body(tree, options, task)[0].cover)
     seconds["witness"] = time.perf_counter() - t0
     size = run.root("p")
     return Solution(task=task, answer=witness,
-                    backend=options.resolved_backend, options=options,
+                    backend=engine(task, options), options=options,
                     num_paths=size, stage_seconds=seconds,
                     provenance={"min_path_cover": size})
 
@@ -223,26 +232,22 @@ def _task_recognition(problem: Problem, options: SolveOptions) -> Solution:
 # --------------------------------------------------------------------------- #
 
 def _run_dp(tree, options: SolveOptions, dp: CotreeDP,
-            fast_default: bool = False
-            ) -> Tuple[CotreeDPRun, Dict[str, float]]:
-    """Execute one :class:`~repro.core.CotreeDP` on ``tree`` under the
-    options' engine.
+            task: str) -> Tuple[CotreeDPRun, Dict[str, float]]:
+    """Execute one :class:`~repro.core.CotreeDP` on ``tree`` on ``task``'s
+    :func:`engine`.
 
-    ``method="sequential"`` runs the generic postorder evaluator;
-    ``method="parallel"`` runs :func:`~repro.core.run_cotree_dp` on the
-    configured backend (the paper's PRAM machine by default, so the DP
-    inherits the EREW accounting), or on the fast engine when
-    ``fast_default`` is set and the options pick none.  The
-    ``work_efficient`` knob has no effect here — the engine has a single
-    variant — and is deliberately tolerated so option sets can sweep
-    across tasks.
+    ``"sequential"`` runs the generic postorder evaluator; a parallel
+    engine runs :func:`~repro.core.run_cotree_dp` on it (the PRAM machine
+    inherits the EREW accounting).  The ``work_efficient`` knob has no
+    effect here — the engine has a single variant — and is deliberately
+    tolerated so option sets can sweep across tasks.
     """
     t0 = time.perf_counter()
-    if options.method == "sequential":
+    backend = engine(task, options)
+    if backend == "sequential":
         run = run_cotree_dp_sequential(dp, tree)
     else:
-        ctx = _build_context(tree.num_vertices, None,
-                             _engine(options, fast_default),
+        ctx = _build_context(tree.num_vertices, None, backend,
                              options.num_processors, options.mode,
                              options.record_steps)
         run = run_cotree_dp(dp, tree, ctx)
@@ -413,8 +418,6 @@ class _DPTask(NamedTuple):
     summary: str
     #: run on the modular decomposition tree (prime combiners in the spec)
     md: bool = False
-    #: run on the fast engine when the options pick none
-    fast_default: bool = False
     weighted: bool = False
 
 
@@ -423,9 +426,8 @@ class _DPTask(NamedTuple):
 _DP_TASKS: Dict[str, _DPTask] = {
     "path_cover_size": _DPTask(
         PATH_COVER_SIZE_DP, "p", None, lambda p, _: (p, p),
-        _sequential_check(PATH_COVER_SIZE_DP, "p"), fast_default=True,
-        summary="p(root) only (Lemma 2.4 cotree DP; the fast engine "
-                "unless the options pick one)"),
+        _sequential_check(PATH_COVER_SIZE_DP, "p"),
+        summary="p(root) only (Lemma 2.4 cotree DP)"),
     "max_clique": _DPTask(
         MAX_CLIQUE_DP, "omega", "set", _vertex_set_answer("size"),
         _vertex_set_check(adjacent=True, what="max_clique"), md=True,
@@ -474,10 +476,10 @@ _DP_TASKS: Dict[str, _DPTask] = {
 
 
 def _dp_body(task: str, entry: _DPTask, tree, options: SolveOptions,
-             fast_default: bool = False, weights=None) -> List[Solution]:
+             weights=None) -> List[Solution]:
     """One table task over every root of ``tree``, one Solution each."""
     dp = entry.spec(weights) if entry.weighted else entry.spec
-    run, seconds = _run_dp(tree, options, dp, fast_default)
+    run, seconds = _run_dp(tree, options, dp, task)
     values = run.root_values(entry.field).tolist()
     witnesses = [None] * len(values)
     if entry.witness is not None:
@@ -514,8 +516,7 @@ def _solve_dp(task: str, entry: _DPTask, problem: Problem,
         else None
     tree = problem.decomposition_tree() if entry.md \
         else problem.pipeline_tree()
-    [solution] = _dp_body(task, entry, tree, options, entry.fast_default,
-                          weights)
+    [solution] = _dp_body(task, entry, tree, options, weights)
     if options.validate:
         entry.check(problem, solution.answer, weights)
     return solution
@@ -529,8 +530,8 @@ for _task, _entry in _DP_TASKS.items():
         functools.partial(_solve_dp, _task, _entry))
 
 
-#: ``(tree, options, fast_default) -> one Solution per root`` of every task
-#: that answers a root array; the forest sweep runs the unweighted ones.
+#: ``(tree, options) -> one Solution per root`` of every task that answers
+#: a root array; the forest sweep runs the unweighted ones.
 _ROOT_ARRAY_BODIES: Dict[str, Callable[..., List[Solution]]] = {
     "path_cover": _cover_body,
     **{task: functools.partial(_dp_body, task, entry)
@@ -540,15 +541,10 @@ _ROOT_ARRAY_BODIES: Dict[str, Callable[..., List[Solution]]] = {
 
 def runs_fast_engine(task: str, options: SolveOptions) -> bool:
     """Whether solving ``task`` under ``options`` runs the fast engine or
-    none: an explicit ``backend="fast"``, a task that runs no pipeline
-    (``recognition``), or a ``fast_default`` DP row whose options pick no
-    engine.  The server's inline route keys on it."""
-    if options.resolved_backend == "fast" \
-            or not get_task(task).runs_pipeline:
-        return True
-    entry = _DP_TASKS.get(task)
-    return entry is not None and entry.fast_default \
-        and not options.picks_engine
+    none (a task that runs no pipeline, such as ``recognition``).  The
+    server's inline route keys on it."""
+    return not get_task(task).runs_pipeline \
+        or engine(task, options) == "fast"
 
 
 # --------------------------------------------------------------------------- #
@@ -566,7 +562,7 @@ def _task_lower_bound(problem: Problem, options: SolveOptions) -> Solution:
             "task='lower_bound')), not a general cograph")
     instance = problem.instance
     run, seconds = _run_dp(problem.pipeline_tree(), options,
-                           PATH_COVER_SIZE_DP)
+                           PATH_COVER_SIZE_DP, "lower_bound")
     num_paths = run.root("p")
     bits = [int(b) for b in instance.bits]
     expected = expected_path_count(bits)

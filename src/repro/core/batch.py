@@ -312,14 +312,15 @@ class _Done:
 class _Entry:
     """One in-flight chunk: its future plus what is needed to re-run it."""
 
-    __slots__ = ("future", "payloads", "attempts", "started")
+    __slots__ = ("future", "payloads", "attempts", "started", "executor")
 
     def __init__(self, future, payloads: List, attempts: List[int],
-                 started: float) -> None:
+                 started: float, executor=None) -> None:
         self.future = future
         self.payloads = payloads
         self.attempts = attempts     # per-item retry count, parallel list
         self.started = started       # first submission (deadline anchor)
+        self.executor = executor     # what it ran on (None: never submitted)
 
 
 def stream_out(worker, payloads: Iterable, *, jobs: Optional[int] = None,
@@ -404,7 +405,8 @@ def _submit(pool: WorkerPool, worker, payloads: List, attempts: List[int],
             pool.rebuild(broken=executor)
             continue
         return _Entry(future, list(payloads), list(attempts),
-                      started if started is not None else time.monotonic())
+                      started if started is not None else time.monotonic(),
+                      executor)
     raise RuntimeError(
         "worker pool kept breaking during submission (3 rebuilds)")
 
@@ -430,23 +432,26 @@ def _wait(entry: _Entry, policy: RetryPolicy) -> List:
 
 def _heal(pool: WorkerPool, pending: deque, worker,
           policy: RetryPolicy, crashes: int) -> None:
-    """Rebuild a broken pool and reconstruct the in-flight window.
+    """Rebuild the executor the head entry broke on (unless another stream
+    sharing the pool already did) and reconstruct the in-flight window.
 
-    Chunks that completed before the crash keep their results.  Lost
-    chunks that were plausibly *running* when the worker died — the first
-    ``pool.jobs`` of them, since at most that many run at once — are the
-    suspects: their items are marked as crash failures so :func:`_settle`
-    re-runs them one at a time with unambiguous blame.  Lost chunks that
-    were still queued never executed, so they are resubmitted as-is
-    (resubmission is not a retry: attempts are untouched).
+    Chunks that completed before the crash, or run on a newer executor,
+    keep their results.  Lost chunks that were plausibly *running* when
+    the worker died — the first ``pool.jobs`` of them, since at most that
+    many run at once — are the suspects: their items are marked as crash
+    failures so :func:`_settle` re-runs them one at a time with
+    unambiguous blame.  Lost chunks that were still queued never
+    executed, so they are resubmitted as-is (resubmission is not a retry:
+    attempts are untouched).
     """
-    pool.rebuild()
+    broken = pending[0].executor
+    pool.rebuild(broken=broken)
     policy.sleep(crashes)  # consecutive crashes back off exponentially
     suspects = pool.jobs
     replaced: deque = deque()
     for entry in pending:
         future = entry.future
-        if isinstance(future, _Done):
+        if entry.executor is not broken:   # resolved, or on a live executor
             replaced.append(entry)
             continue
         if future.done():
@@ -497,7 +502,7 @@ def _settle(entry: _Entry, results: List, pool: WorkerPool, worker,
             try:
                 out[i] = _wait(sub, policy)[0]
             except _BROKEN:
-                pool.rebuild()
+                pool.rebuild(broken=sub.executor)
                 out[i] = _ItemFailure("crash", _CRASH_MSG)
     for i, r in enumerate(out):
         if isinstance(r, _ItemFailure):

@@ -380,6 +380,10 @@ class ServerApp:
         else:
             solution = await self._admitted_call(_solve_payload, payload)
             route = "serial" if self.pool.serial else "pool"
+            if not isinstance(solution, Solution):   # a mangled result
+                raise HTTPError(500, f"worker returned a corrupt result "
+                                     f"({type(solution).__name__}, not a "
+                                     f"Solution)")
         for name, value in req.problem.provenance().items():
             solution.provenance.setdefault(name, value)
         solution.provenance.setdefault("route", route)

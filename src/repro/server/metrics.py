@@ -152,7 +152,7 @@ class Metrics:
             lines.append(f"repro_timeouts_total {self.timeouts_total}")
             header("repro_internal_errors_total", "counter",
                    "Requests answered 500 (worker crash after retries, "
-                   "or an unexpected exception).")
+                   "corrupt result, or an unexpected exception).")
             lines.append(f"repro_internal_errors_total "
                          f"{self.internal_errors_total}")
             header("repro_breaker_rejections_total", "counter",

@@ -25,6 +25,7 @@ from repro.cograph import (
     clique,
     independent_set,
     minimum_path_cover_size,
+    random_cotree,
 )
 from repro.core import (
     hamiltonian_cycle,
@@ -33,6 +34,7 @@ from repro.core import (
     has_hamiltonian_path,
     minimum_path_cover_parallel,
 )
+from repro.api.tasks import _DP_TASKS, engine, runs_fast_engine
 from repro.pram import AccessMode
 
 BACKENDS = ("pram", "fast")
@@ -375,3 +377,43 @@ def test_one_vertex_pram_report_is_the_pipelines_cost():
     assert solution.cover.paths == [[0]]
     assert solution.report.rounds > 0 and solution.report.work > 0
     assert "extract" in solution.stage_seconds
+
+
+# --------------------------------------------------------------------------- #
+# the engine rule: only path_cover defaults to the simulator
+# --------------------------------------------------------------------------- #
+
+def _instance(task):
+    """A small input every registered task accepts, with its options."""
+    spec = get_task(task)
+    if spec.input_kind == "bits":
+        return [1, 0, 1, 1], {}
+    weights = {"weights": list(range(1, 13))} if spec.uses_weights else {}
+    return random_cotree(12, seed=3), weights
+
+
+@pytest.mark.parametrize("task", task_names())
+def test_default_solve_runs_the_engine_the_rule_names(task):
+    problem, extra = _instance(task)
+    solution = solve(problem, task, **extra)
+    ran = engine(task, SolveOptions())
+    if not get_task(task).runs_pipeline:
+        assert solution.backend == "sequential"
+    else:
+        assert solution.backend == ran
+        assert ran == ("pram" if task == "path_cover" else "fast")
+    # the accounting comes with the simulator, and only with it
+    assert (solution.report is not None) == (solution.backend == "pram")
+    assert (solution.machine is not None) == (solution.backend == "pram")
+    # the server's inline route keys on the engine the solve reports
+    assert runs_fast_engine(task, SolveOptions()) == (
+        solution.backend != "pram")
+
+
+@pytest.mark.parametrize("task", sorted(_DP_TASKS))
+def test_pram_backend_still_runs_the_simulator_on_every_dp_task(task):
+    problem, extra = _instance(task)
+    solution = solve(problem, task, backend="pram", **extra)
+    assert solution.backend == "pram"
+    assert solution.report is not None and solution.report.rounds > 0
+    assert not runs_fast_engine(task, SolveOptions(backend="pram"))

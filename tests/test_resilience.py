@@ -29,6 +29,7 @@ import asyncio
 import json
 import os
 import re
+import threading
 import time
 
 import pytest
@@ -357,6 +358,30 @@ class TestWorkerPoolHealing:
             assert pool.restarts == 2
         finally:
             pool.close()
+
+    def test_streams_sharing_a_pool_rebuild_it_once(self, arm):
+        # both streams see the same generation-0 crash; only the first to
+        # heal rebuilds, the second finds the executor it saw break gone
+        arm(kill_task=3, once=True)
+        start = threading.Barrier(2)
+        outs = [None, None]
+        with WorkerPool(2) as pool:
+            def run(slot):
+                payloads = [(i, i + slot) for i in range(12)]
+                start.wait()
+                outs[slot] = list(stream_out(_square, payloads, pool=pool))
+
+            threads = [threading.Thread(target=run, args=(slot,))
+                       for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert pool.restarts == 1
+            assert pool.quarantined == 0
+        for slot, out in enumerate(outs):
+            assert out == [(i, (i + slot) ** 2) for i in range(12)]
 
     def test_serial_pool_has_no_executor_to_heal(self):
         with WorkerPool(1) as pool:
@@ -691,6 +716,18 @@ class TestServerResilience:
         assert "worker crash" in error["message"]
         assert "request_id" in error
 
+    def test_corrupt_worker_result_is_a_named_500(self, arm):
+        arm(corrupt_task=1, once=False)   # every pooled solve is mangled
+
+        async def scenario(app):
+            return await app.dispatch("POST", "/v1/solve", solve_body())
+
+        r = run_app(scenario, jobs=2, batch_small=0)
+        assert r.status == 500
+        error = r.json()["error"]
+        assert "corrupt" in error["message"]
+        assert "request_id" in error
+
     def test_batch_poison_degrades_one_record(self, arm):
         trees = _trees(3, size=20)
         arm(kill_index=1, once=False)
@@ -762,6 +799,25 @@ class TestInlineSolve:
                 for r in (size, recognised)] == ["serial", "serial"]
         assert h.json()["pool"]["restarts"] == 0
 
+    def test_default_dp_task_inline_and_default_path_cover_pooled(self):
+        """Only ``path_cover`` defaults to the simulator, so a default
+        ``max_clique`` solves inline and a default ``path_cover`` keeps
+        the pool."""
+        text = cotree_to_text(random_cotree(512, seed=4))
+
+        async def scenario(app):
+            clique = await app.dispatch("POST", "/v1/solve",
+                                        solve_body(text, task="max_clique"))
+            cover = await app.dispatch("POST", "/v1/solve", solve_body())
+            return clique, cover
+
+        clique, cover = run_app(scenario, jobs=2)
+        assert [r.status for r in (clique, cover)] == [200, 200]
+        assert clique.json()["backend"] == "fast"
+        assert clique.json()["provenance"]["route"] == "serial"
+        assert cover.json()["backend"] == "pram"
+        assert cover.json()["provenance"]["route"] == "pool"
+
     def test_inline_route_keys_on_the_engine_the_solve_runs(self):
         from repro.api import SolveOptions
         from repro.api.tasks import runs_fast_engine
@@ -770,7 +826,7 @@ class TestInlineSolve:
         assert runs_fast_engine("recognition", default)
         assert runs_fast_engine("path_cover", SolveOptions(backend="fast"))
         assert not runs_fast_engine("path_cover", default)
-        assert not runs_fast_engine("max_clique", default)
+        assert runs_fast_engine("max_clique", default)
         for picked in (SolveOptions(backend="pram"),
                        SolveOptions(method="sequential"),
                        SolveOptions(validate=True)):
