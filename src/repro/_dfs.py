@@ -6,12 +6,13 @@ numberings the direct computation is a depth-first search run in compiled
 code: :func:`scipy.sparse.csgraph.depth_first_order` visits the entries of
 every CSR row in stored order.
 
-:func:`multiway_numbering` numbers any CSR forest (multiway cotrees, and
-binary forests as two-slot rows) with one such DFS on the first-child /
-next-sibling form, the roots chained as siblings, and returns every
-subtree's preorder interval ``[pre, pre + size)``.  No CSR row holds more
-than two entries, so the cost is linear in nodes, arity and roots alike.
-An interval numbering is all the rest needs:
+:func:`multiway_numbering` numbers a multiway CSR forest (a cotree) and
+:func:`binary_numbering` a binary forest straight from its ``left`` /
+``right`` slots; both run one such DFS on the first-child / next-sibling
+form, the roots chained as siblings, and return every subtree's preorder
+interval ``[pre, pre + size)``.  No CSR row holds more than two entries,
+so the cost is linear in nodes, arity and roots alike.  An interval
+numbering is all the rest needs:
 
 * :func:`root_path_sums` sums per-node weights over every root path
   (depths, offsets along the path) with one difference array over the
@@ -42,9 +43,9 @@ try:  # pragma: no cover - exercised indirectly (scipy ships in CI and dev)
 except ImportError:  # pragma: no cover - numpy-only environments
     HAVE_SPARSE_DFS = False
 
-__all__ = ["HAVE_SPARSE_DFS", "chase_pointers", "depth_by_doubling",
-           "multiway_numbering", "root_path_sums", "sibling_chain_preorder",
-           "two_slot_csr"]
+__all__ = ["HAVE_SPARSE_DFS", "binary_numbering", "chase_pointers",
+           "depth_by_doubling", "multiway_numbering", "root_path_sums",
+           "sibling_chain_preorder", "two_slot_csr"]
 
 
 def chase_pointers(g: np.ndarray) -> np.ndarray:
@@ -96,11 +97,14 @@ def sibling_chain_preorder(first: np.ndarray, nxt: np.ndarray,
     Returns ``None`` when some node is unreachable from ``root``.
     """
     n = len(first)
-    slots = np.column_stack((first, nxt)).ravel()
+    slots = np.empty(2 * n, dtype=np.int32)
+    slots[0::2] = first
+    slots[1::2] = nxt
     used = slots >= 0
+    indices = slots[np.flatnonzero(used)]  # faster than a boolean mask
     indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(used, dtype=np.int32)[1::2]
-    indices = slots[used].astype(np.int32)
+    np.cumsum(used[0::2].view(np.int8) + used[1::2].view(np.int8),
+              dtype=np.int32, out=indptr[1:])
     graph = _csr_matrix((np.ones(len(indices), dtype=np.float64), indices,
                          indptr), shape=(n, n))
     seq = _depth_first_order(graph, root, directed=True,
@@ -151,9 +155,7 @@ def multiway_numbering(child_offset, child_index, roots, *,
         return None
     # the binary form is a forest only if every node is exactly one root
     # or one child slot; reachability is checked by the DFS itself
-    slots = np.concatenate([child_index, roots])
-    if len(slots) != n or slots.min() < 0 or slots.max() >= n or \
-            np.bincount(slots, minlength=n).max() != 1:
+    if not _one_slot_each(np.concatenate([child_index, roots]), n):
         return None
     deg = np.diff(child_offset)
     has_kids = np.flatnonzero(deg > 0)
@@ -181,13 +183,75 @@ def multiway_numbering(child_offset, child_index, roots, *,
     older = np.append(kids[pos], roots[:-1])
     nxt = np.full(n, -1, dtype=np.int64)
     nxt[older] = np.append(kids[pos + 1], roots[1:])
-    pre = sibling_chain_preorder(first, nxt, int(roots[0]))
+    return _chain_intervals(first, nxt, int(roots[0]), kids[ends], has_kids)
+
+
+def binary_numbering(left, right, roots
+                     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(preorder, subtree_size)`` of a binary forest.
+
+    The first-child / next-sibling form comes straight from the child
+    slots: a node's first child is its left child (its right one when it
+    has no left), a left child's next sibling is its right sibling, and
+    the roots are chained as siblings in the given order (``-1`` entries
+    are skipped).  So the one DFS visits the forest's own preorder, and no
+    CSR row holds more than two entries.  Returns ``None`` when scipy is
+    unavailable or the arrays are not a forest rooted at ``roots``.
+    """
+    if not HAVE_SPARSE_DFS:
+        return None
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    roots = np.asarray(roots, dtype=np.int64)
+    roots = roots[roots >= 0]
+    n = len(left)
+    if len(roots) == 0 or n >= np.iinfo(np.int32).max:
+        return None
+    # (index arrays, not boolean masks: a mask gather mispredicts on
+    # irregular trees)
+    with_left = np.flatnonzero(left >= 0)
+    with_right = np.flatnonzero(right >= 0)
+    # a forest only if every node is exactly one root or one child slot;
+    # reachability is checked by the DFS itself
+    if not _one_slot_each(np.concatenate([left[with_left],
+                                          right[with_right], roots]), n):
+        return None
+    first = np.where(left >= 0, left, right)
+    nxt = np.full(n, -1, dtype=np.int64)
+    nxt[left[with_left]] = right[with_left]     # -1 without a right child
+    nxt[roots[:-1]] = roots[1:]
+    last = np.where(right >= 0, right, left)
+    parents = np.flatnonzero(last >= 0)
+    return _chain_intervals(first, nxt, int(roots[0]), last[parents],
+                            parents)
+
+
+def _one_slot_each(slots: np.ndarray, n: int) -> bool:
+    """Whether ``slots`` lists every node of ``0 .. n-1`` exactly once
+    (``n`` entries, all in range, none missed)."""
+    if len(slots) != n or slots.min() < 0 or slots.max() >= n:
+        return False
+    hit = np.zeros(n, dtype=bool)
+    hit[slots] = True
+    return bool(hit.all())
+
+
+def _chain_intervals(first: np.ndarray, nxt: np.ndarray, root: int,
+                     last: np.ndarray, parents: np.ndarray
+                     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(preorder, subtree_size)`` of a first-child / next-sibling forest
+    whose node ``parents[i]`` has the last child ``last[i]``: one DFS
+    (:func:`sibling_chain_preorder`), then every subtree ends where the
+    next sibling of its nearest ancestor-or-self that has one begins (the
+    end of the chain for the last root)."""
+    pre = sibling_chain_preorder(first, nxt, root)
     if pre is None:
         return None
+    n = len(first)
     # climb from every last child to its parent, up to the nearest node
     # with a next sibling (or the last root)
     up = np.arange(n, dtype=np.int64)
-    up[kids[ends]] = has_kids
+    up[last] = parents
     top = chase_pointers(up)
     after = nxt[top]
     end = np.where(after >= 0, pre[np.maximum(after, 0)], n)

@@ -1,11 +1,14 @@
 """Step 8 — read the minimum path cover off the path trees.
 
 After dummy removal every tree of the forest is a *path tree*: its inorder
-traversal is one path of the minimum path cover (Fig. 6).  The inorder
-numbers come from the same Euler-tour machinery as everywhere else (off the
-simulator, from one DFS interval numbering), after
-which each vertex knows its path (the tree it belongs to) and its position on
-that path, and the cover is assembled with one permutation scatter.
+traversal is one path of the minimum path cover (Fig. 6).  Off the simulator
+Step 6 hands its inorder sequence on (:attr:`PathForest.chain`) and Step 7
+only splices dummies out of it, so the cover is that sequence with the
+dummies dropped, cut at the tree boundaries.  Otherwise (the simulator, or
+a forest that skipped Step 6) the inorder numbers come from the same
+Euler-tour machinery as everywhere else, after which each vertex knows its
+path (the tree it belongs to) and its position on that path, and the cover
+is assembled with one permutation scatter.
 """
 
 from __future__ import annotations
@@ -37,20 +40,28 @@ def extract_paths(ctx, forest: PathForest, *,
     if num_real == 0:
         return PathCover([])
 
-    inorder, size = inorder_numbers(machine, left, right, parent, roots,
-                                    work_efficient=work_efficient,
-                                    label=f"{label}.numbers")
+    if forest.chain is not None and not machine.simulates:
+        # Step 6's sequence: the real vertices before a tree's start in it
+        # are the vertices of the paths before that tree
+        sequence, tree_start = forest.chain
+        real = np.flatnonzero(sequence < num_real)
+        order = sequence[real]
+        starts = np.searchsorted(real, tree_start)
+    else:
+        inorder, size = inorder_numbers(machine, left, right, parent, roots,
+                                        work_efficient=work_efficient,
+                                        label=f"{label}.numbers")
 
-    # path id of every vertex = index of its tree in the chained tour; the
-    # chained inorder is contiguous per tree, so the boundaries are the
-    # prefix sums of the root subtree sizes.
-    sizes = size[roots]
-    starts = prefix_sum(machine, sizes, inclusive=False,
-                        label=f"{label}.starts")
+        # path id of every vertex = index of its tree in the chained tour;
+        # the chained inorder is contiguous per tree, so the boundaries are
+        # the prefix sums of the root subtree sizes.
+        sizes = size[roots]
+        starts = prefix_sum(machine, sizes, inclusive=False,
+                            label=f"{label}.starts")
 
-    with machine.step(active=num_real, label=f"{label}:permute"):
-        order = np.empty(num_real, dtype=np.int64)
-        order[inorder] = np.arange(num_real)
+        with machine.step(active=num_real, label=f"{label}:permute"):
+            order = np.empty(num_real, dtype=np.int64)
+            order[inorder] = np.arange(num_real)
 
     # materialise the cover with C-level slicing: one tolist for the whole
     # permutation, then per-path list slices (no per-node Python work)

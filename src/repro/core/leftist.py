@@ -78,7 +78,7 @@ def leftist_reorder(ctx, tree: BinaryCotree, *,
         out.right = right_arr.data
 
     # renumber after the swap: the orders change, every subtree's node set
-    # does not
+    # (so its leaf count) does not
     return LeftistCotree(tree=out, numbers=renumber_swapped(
-        machine, intervals, out.left, out.right, out.parent, roots,
+        machine, intervals, out.left, out.right, out.parent, roots, leaves=L,
         work_efficient=work_efficient, label=f"{label}.renumber"))

@@ -13,7 +13,9 @@ dummy removal.
   Section 3.  Illegal insert vertices are exchanged (together with their
   subtrees) with legal dummy vertices of the same 1-node.  A dummy's
   slot is judged by the neighbours outside the dummy's subtree, since
-  that subtree leaves with it.
+  that subtree leaves with it.  Off the simulator the stage hands its
+  inorder sequence on, updated for the exchanges, so Step 8 reads the
+  paths off it without numbering the forest again.
 
 * **Step 7** (:func:`remove_dummies`): dummy vertices (which by construction
   have at most one child, on the right) are spliced out, turning the pseudo
@@ -23,10 +25,11 @@ dummy removal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from .._dfs import depth_by_doubling
 from ..backends import resolve_context
 from ..primitives import inorder_numbers, match_brackets, prefix_max, prefix_sum
 from .brackets import ROLE_L, ROLE_P, ROLE_R, BracketSequence
@@ -42,6 +45,12 @@ class PathForest:
 
     Node ids ``0 .. num_real-1`` are cograph vertices; ids
     ``num_real .. num_real+num_dummies-1`` are dummy vertices.
+
+    ``chain``, when known, is ``(sequence, tree_start)``: the forest's
+    inorder sequence (node ids, the trees chained in root order) and the
+    position where each tree starts.  Dropping the dummies from it gives
+    the chained inorder of the real vertices whether or not the dummies
+    are spliced out yet, since a dummy has at most a right child.
     """
 
     parent: np.ndarray
@@ -50,6 +59,7 @@ class PathForest:
     num_real: int
     num_dummies: int
     dummy_owner: np.ndarray
+    chain: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def num_nodes(self) -> int:
@@ -68,7 +78,7 @@ class PathForest:
     def copy(self) -> "PathForest":
         return PathForest(self.parent.copy(), self.left.copy(),
                           self.right.copy(), self.num_real, self.num_dummies,
-                          self.dummy_owner.copy())
+                          self.dummy_owner.copy(), self.chain)
 
 
 # --------------------------------------------------------------------------- #
@@ -139,9 +149,11 @@ def legalize_forest(ctx, forest: PathForest,
     """Exchange illegal insert vertices with legal dummy vertices.
 
     Returns the legalised forest (a copy) and the number of exchanges made.
+    Off the simulator the copy carries its ``chain``.
     """
     machine = resolve_context(ctx)
     forest = forest.copy()
+    forest.chain = None                 # the exchanges below would stale it
     n_total = forest.num_nodes
     num_real = forest.num_real
 
@@ -158,7 +170,8 @@ def legalize_forest(ctx, forest: PathForest,
 
     movable = np.flatnonzero((node_class == VertexClass.INSERT) |
                              (node_class == DUMMY))
-    if len(movable) == 0:
+    # nothing can move: off the simulator Step 8 still reads the numbering
+    if len(movable) == 0 and machine.simulates:
         return forest, 0
 
     roots = forest.roots()
@@ -174,6 +187,10 @@ def legalize_forest(ctx, forest: PathForest,
     tree_sizes = size[roots]
     tree_start = prefix_sum(machine, tree_sizes, inclusive=False,
                             label=f"{label}.boundaries")
+    if not machine.simulates:
+        forest.chain = (node_at_pos, tree_start)
+    if len(movable) == 0:
+        return forest, 0
     tree_id_of_pos = np.zeros(n_total, dtype=np.int64)
     tree_id_of_pos[tree_start] = 1
     tree_id_of_pos = np.cumsum(tree_id_of_pos) - 1
@@ -201,12 +218,9 @@ def legalize_forest(ctx, forest: PathForest,
     def real_neighbour(positions: np.ndarray, side_left: bool) -> np.ndarray:
         """Nearest non-dummy inorder neighbour within the same tree (or -1)."""
         q = left_real[positions] if side_left else right_real[positions]
-        ok = (q >= 0) & (q < n_total)
-        same = np.zeros(len(positions), dtype=bool)
-        same[ok] = tree_id_of_pos[q[ok]] == tree_id_of_pos[positions[ok]]
-        out = np.full(len(positions), -1, dtype=np.int64)
-        out[ok & same] = node_at_pos[q[ok & same]]
-        return out
+        at = np.maximum(q, 0)
+        same = (q >= 0) & (tree_id_of_pos[at] == tree_id_of_pos[positions])
+        return np.where(same, node_at_pos[at], -1)
 
     # An insert keeps its subtree when it moves, so it is judged by its own
     # nearest real neighbours.  A dummy leaves with its subtree (later
@@ -224,12 +238,12 @@ def legalize_forest(ctx, forest: PathForest,
         next_nb = real_neighbour(np.where(is_insert, pos, pos + below_right),
                                  False)
 
+        movable_owner = node_owner[movable]
+
         def is_bad(nb):
-            bad = np.zeros(len(movable), dtype=bool)
-            ok = nb != -1
-            bad[ok] = ((node_class[nb[ok]] == VertexClass.BRIDGE) &
-                       (node_owner[nb[ok]] == node_owner[movable[ok]]))
-            return bad
+            at = np.maximum(nb, 0)
+            return ((nb != -1) & (node_class[at] == VertexClass.BRIDGE) &
+                    (node_owner[at] == movable_owner))
 
         illegal = is_bad(prev_nb) | is_bad(next_nb)
 
@@ -267,6 +281,9 @@ def legalize_forest(ctx, forest: PathForest,
             f"owner {owner}: more illegal inserts than legal dummies")
     x = ins_sorted
     d = dum_sorted[d_idx]
+    if not machine.simulates:
+        forest.chain = _exchanged_chain(node_at_pos, tree_start, inorder,
+                                        size, forest.left, x, d)
 
     # exchange positions (subtrees travel with their roots)
     parent = forest.parent
@@ -282,6 +299,100 @@ def legalize_forest(ctx, forest: PathForest,
         _set_child(left, right, px, x_is_left, d)
 
     return forest, int(len(x))
+
+
+def _exchanged_chain(sequence: np.ndarray, tree_start: np.ndarray,
+                     inorder: np.ndarray, size: np.ndarray, left: np.ndarray,
+                     x: np.ndarray, d: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sequence, tree_start)`` of a chained inorder after every subtree
+    ``x[i]`` swapped places with the subtree ``d[i]``.
+
+    Every subtree is a block of the sequence: node ``v``'s holds
+    ``size[v]`` positions and starts its left subtree's size before
+    ``inorder[v]``.  Call the blocks of ``x`` and ``d`` slots.  Partner
+    slots are disjoint, but one pair's slot can lie inside another's, so
+    the slot of ``x[i]`` receives ``d[i]``'s subtree together with what
+    the slots inside that subtree received in turn.  The slots nest as a
+    laminar family, and the subtree moving into slot ``s`` hangs, in the
+    new forest, inside the subtree owning the innermost slot around
+    ``s``.  New sizes follow bottom-up over that nesting (innermost
+    first); every cut of the sequence at a slot boundary is then placed by
+    a prefix sum of the partner-minus-own sizes of the slots before it in
+    its enclosing slot, top-down.  Work is linear in the sequence plus
+    ``O(k log k)`` for ``k`` pairs, with one vectorised round per nesting
+    level.
+    """
+    n = len(sequence)
+    k = len(x)
+    top = 2 * k                         # a slot holding the whole sequence
+    slots = np.concatenate([x, d])
+    lchild = left[slots]
+    start = inorder[slots] - np.where(lchild >= 0, size[lchild], 0)
+    width = size[slots]
+    # slots by start, an enclosing slot before the slots it encloses
+    order = np.lexsort((-width, start))
+    start = np.append(start[order], 0)
+    width = np.append(width[order], n)
+    rank = np.empty(top, dtype=np.int64)
+    rank[order] = np.arange(top)
+    partner = rank[(order + k) % top]
+    ends = np.sort(start[:top] + width[:top])
+    # the slots open at a point are a chain; the innermost one open before
+    # index `before` is the last with nesting depth `count - 1`
+    depth = np.arange(top) - np.searchsorted(ends, start[:top], side="right")
+    key = depth * top + np.arange(top)
+    by_key = np.argsort(key)
+
+    def innermost(count, before):
+        at = np.searchsorted(key[by_key], (count - 1) * top + before)
+        return np.where(count > 0, by_key[np.maximum(at - 1, 0)], top)
+
+    enclosing = innermost(depth, np.arange(top))
+    cuts = np.sort(np.concatenate(([0], start[:top], ends)))
+    cuts = cuts[cuts < n]               # a repeated cut cuts an empty piece
+    opened = np.searchsorted(start[:top], cuts, side="right")
+    cut_owner = innermost(opened - np.searchsorted(ends, cuts, side="right"),
+                          opened)
+
+    # the subtree of slot i moves into slot partner[i], so it hangs inside
+    # the subtree owning enclosing[partner[i]]
+    host = np.append(enclosing[partner], -1)
+    level = depth_by_doubling(host)
+    by_level = np.argsort(level, kind="stable")
+    bounds = np.searchsorted(level[by_level], np.arange(level.max() + 2))
+    levels = [by_level[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    new_width = width.copy()
+    for group in levels[:0:-1]:
+        np.add.at(new_width, host[group],
+                  new_width[group] - width[partner[group]])
+
+    # the offset of every tree start, slot and cut inside its enclosing
+    # slot's new block: its old offset plus the growth of the slots before
+    # it there (a tree start comes before a slot starting with the tree)
+    trees = len(tree_start)
+    region = np.concatenate([np.full(trees, top), enclosing, cut_owner])
+    at = np.concatenate([tree_start, start[:top], cuts])
+    grown = np.zeros(len(at), dtype=np.int64)
+    grown[trees:trees + top] = new_width[partner] - width[:top]
+    by_region = np.lexsort((at, region))
+    seen = np.cumsum(grown[by_region]) - grown[by_region]
+    ordered = region[by_region]
+    first = np.flatnonzero(np.concatenate(([True],
+                                           ordered[1:] != ordered[:-1])))
+    seen -= np.repeat(seen[first], np.diff(np.append(first, len(at))))
+    offset = np.empty(len(at), dtype=np.int64)
+    offset[by_region] = seen + at[by_region] - start[ordered]
+
+    new_start = np.zeros(top + 1, dtype=np.int64)
+    for group in levels[1:]:
+        new_start[group] = new_start[host[group]] + \
+            offset[trees + partner[group]]
+    cut_start = new_start[cut_owner] + offset[trees + top:]
+    shift = np.repeat(cut_start - cuts, np.diff(np.append(cuts, n)))
+    moved = np.empty(n, dtype=np.int64)
+    moved[np.arange(n) + shift] = sequence
+    return moved, offset[:trees]
 
 
 def _set_child(left: np.ndarray, right: np.ndarray, parents: np.ndarray,

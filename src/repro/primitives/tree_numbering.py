@@ -11,22 +11,24 @@ Given a binary forest, this module computes (all in ``O(log n)`` rounds and
 each as a plain NumPy array indexed by node id.
 
 Off the simulator the same numbers come from one C-level DFS interval
-numbering (:func:`repro._dfs.multiway_numbering`) and a few root-path sums
-over it, bit-identical to the tour; without scipy the throughput backend
-ranks the tour like the simulator does.  Step 2's leftist reordering needs
-only the leaf counts before its swap and renumbers after it from the same
-intervals (:func:`renumber_swapped`); Steps 6 and 8 read only inorder
+numbering (:func:`repro._dfs.binary_numbering`) and root-path sums over
+it, bit-identical to the tour; without scipy the throughput backend ranks
+the tour like the simulator does.  Only preorder, subtree sizes, leaf
+counts and right-depths are computed up front; depths, inorder, postorder
+and the tour follow from them on first read.  Step 2's leftist reordering
+needs only the leaf counts before its swap and renumbers after it from the
+same intervals (:func:`renumber_swapped`); Step 6 reads only inorder
 numbers and subtree sizes (:func:`inorder_numbers`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._dfs import multiway_numbering, root_path_sums, two_slot_csr
+from .._dfs import binary_numbering, root_path_sums
 from ..backends import resolve_context
 from .euler_tour import EulerTour, build_euler_tour
 
@@ -34,19 +36,68 @@ __all__ = ["TreeNumbers", "compute_tree_numbers", "inorder_numbers",
            "renumber_swapped"]
 
 
-@dataclass
 class TreeNumbers:
-    """Bundle of per-node tree statistics (arrays indexed by node id)."""
+    """Bundle of per-node tree statistics (arrays indexed by node id).
 
-    preorder: np.ndarray
-    inorder: np.ndarray
-    postorder: np.ndarray
-    depth: np.ndarray
-    subtree_size: np.ndarray
-    subtree_leaves: np.ndarray
-    tour: EulerTour
-    #: right edges on every root path (``depth`` less the left edges)
-    right_depth: np.ndarray
+    ``preorder``, ``subtree_size``, ``subtree_leaves`` (the paper's
+    ``L(u)``) and ``right_depth`` (the right edges on every root path) are
+    always present.  ``depth``, ``inorder``, ``postorder`` and the Euler
+    ``tour`` follow from them and the forest: unless given, each is
+    derived on first read, since Steps 3 and 4 off the simulator read none
+    of them.
+    """
+
+    def __init__(self, left, right, parent, roots, *, preorder: np.ndarray,
+                 subtree_size: np.ndarray, subtree_leaves: np.ndarray,
+                 right_depth: np.ndarray, depth=None, inorder=None,
+                 postorder=None, tour=None) -> None:
+        self.preorder = preorder
+        self.subtree_size = subtree_size
+        self.subtree_leaves = subtree_leaves
+        self.right_depth = right_depth
+        self._forest = (left, right, parent, roots)
+        given = {"depth": depth, "inorder": inorder, "postorder": postorder,
+                 "tour": tour}
+        # a given number shadows its lazy derivation
+        self.__dict__.update((k, v) for k, v in given.items()
+                             if v is not None)
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        # the preorder intervals delimit every subtree
+        parent = self._forest[2]
+        return root_path_sums(self.preorder, self.subtree_size, slice(None),
+                              (parent >= 0).astype(np.int64))
+
+    @cached_property
+    def inorder(self) -> np.ndarray:
+        # a left child's inorder offset is 1 less than its preorder offset,
+        # and a node follows its left subtree
+        lefts = self.depth - self.right_depth
+        return self.preorder - lefts + _left_sizes(self._forest[0],
+                                                   self.subtree_size)
+
+    @cached_property
+    def postorder(self) -> np.ndarray:
+        # the nodes before a node in preorder, less its ancestors, plus its
+        # proper descendants
+        return self.preorder + self.subtree_size - self.depth - 1
+
+    @cached_property
+    def tour(self) -> EulerTour:
+        # enter(v) follows the enter and exit arcs of the nodes before v
+        # in preorder, less its ancestors' exits; exit(v) closes its subtree
+        enter = 2 * self.preorder - self.depth
+        position = np.concatenate([enter, enter + 2 * self.subtree_size - 1])
+        return EulerTour.from_positions(position, *self._forest)
+
+
+def _left_sizes(left: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The size of every node's left subtree (``0`` without one)."""
+    has_left = np.flatnonzero(left >= 0)
+    out = np.zeros(len(left), dtype=np.int64)
+    out[has_left] = size[left[has_left]]
+    return out
 
 
 def compute_tree_numbers(ctx, left, right, parent,
@@ -76,7 +127,7 @@ def compute_tree_numbers(ctx, left, right, parent,
     # (the backend-parity tests cross-check every field against the
     # simulator).
     if n and not machine.simulates:
-        intervals = multiway_numbering(*two_slot_csr(left, right), roots)
+        intervals = binary_numbering(left, right, roots)
         if intervals is not None:
             return _numbers_from_intervals(intervals, left, right, parent,
                                            roots)
@@ -135,13 +186,14 @@ def compute_tree_numbers(ctx, left, right, parent,
     inorder = in_prefix[tick_arc] - 1
 
     # a left child's inorder offset is 1 less than its preorder offset (see
-    # _numbers_from_intervals): the left edges on a root path number
+    # TreeNumbers.inorder): the left edges on a root path number
     # preorder - inorder + the node's left subtree, the rest are right edges
-    left_size = np.where(left != -1, subtree_size[np.maximum(left, 0)], 0)
-    return TreeNumbers(preorder=preorder, inorder=inorder, postorder=postorder,
-                       depth=depth, subtree_size=subtree_size,
-                       subtree_leaves=subtree_leaves, tour=tour,
-                       right_depth=depth - preorder + inorder - left_size)
+    right_depth = depth - preorder + inorder - _left_sizes(left, subtree_size)
+    return TreeNumbers(left, right, parent, roots, preorder=preorder,
+                       subtree_size=subtree_size,
+                       subtree_leaves=subtree_leaves, right_depth=right_depth,
+                       inorder=inorder, postorder=postorder, depth=depth,
+                       tour=tour)
 
 
 def _leaf_counts_and_intervals(ctx, left, right, parent,
@@ -163,7 +215,7 @@ def _leaf_counts_and_intervals(ctx, left, right, parent,
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
     if len(left) and not machine.simulates:
-        intervals = multiway_numbering(*two_slot_csr(left, right), roots)
+        intervals = binary_numbering(left, right, roots)
         if intervals is not None:
             return _interval_leaves(intervals, left, right), intervals
     numbers = compute_tree_numbers(machine, left, right, parent, roots,
@@ -175,8 +227,8 @@ def inorder_numbers(ctx, left, right, parent, roots: Sequence[int], *,
                     work_efficient: bool = True,
                     label: str = "numbering") -> Tuple[np.ndarray, np.ndarray]:
     """``(inorder, subtree_size)`` of a binary forest, numbered as
-    :func:`compute_tree_numbers` numbers it.  Steps 6 and 8 read nothing
-    else.
+    :func:`compute_tree_numbers` numbers it.  Step 6 (and Step 8 when no
+    Step 6 numbering reaches it) reads nothing else.
 
     Off the simulator they come from one DFS interval numbering and one
     root-path sum: a subtree's inorder block starts where its parent's
@@ -189,14 +241,12 @@ def inorder_numbers(ctx, left, right, parent, roots: Sequence[int], *,
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
     if len(left) and not machine.simulates:
-        intervals = multiway_numbering(*two_slot_csr(left, right), roots)
+        intervals = binary_numbering(left, right, roots)
         if intervals is not None:
             order, size = intervals
             roots = np.asarray(roots, dtype=np.int64)
-            has_left = np.flatnonzero(left >= 0)
             has_right = np.flatnonzero(right >= 0)
-            left_size = np.zeros(len(left), dtype=np.int64)
-            left_size[has_left] = size[left[has_left]]
+            left_size = _left_sizes(left, size)
             offset = np.zeros(len(left), dtype=np.int64)
             offset[roots] = np.cumsum(size[roots]) - size[roots]
             offset[right[has_right]] = left_size[has_right] + 1
@@ -208,29 +258,35 @@ def inorder_numbers(ctx, left, right, parent, roots: Sequence[int], *,
 
 
 def renumber_swapped(ctx, numbers, left, right, parent,
-                     roots: Sequence[int], *, work_efficient: bool = True,
+                     roots: Sequence[int], *,
+                     leaves: Optional[np.ndarray] = None,
+                     work_efficient: bool = True,
                      label: str = "renumber") -> TreeNumbers:
     """:func:`compute_tree_numbers` of a forest whose children were swapped
     after ``numbers`` was computed: the pre-swap :class:`TreeNumbers`, or
-    just its interval numbering ``(order, size)``.
+    just its interval numbering ``(order, size)`` and, when known, its
+    leaf counts ``leaves``.
 
     A swap reorders a subtree but keeps its node set, so the intervals
-    still delimit every subtree of the swapped forest: off the simulator
-    every number is derived from them without a second traversal.  The
-    simulator renumbers with a fresh Euler tour, so the PRAM cost report
-    accounts every step.
+    still delimit every subtree of the swapped forest and the leaf counts
+    still hold: off the simulator the rest is derived from them without a
+    second traversal.  The simulator renumbers with a fresh Euler tour, so
+    the PRAM cost report accounts every step.
     """
     machine = resolve_context(ctx)
     if machine.simulates:
         return compute_tree_numbers(machine, left, right, parent, roots,
                                     work_efficient=work_efficient,
                                     label=label)
-    intervals = (numbers.preorder, numbers.subtree_size) \
-        if isinstance(numbers, TreeNumbers) else numbers
+    if isinstance(numbers, TreeNumbers):
+        intervals = (numbers.preorder, numbers.subtree_size)
+        leaves = numbers.subtree_leaves
+    else:
+        intervals = numbers
     return _numbers_from_intervals(
         intervals, np.asarray(left, dtype=np.int64),
         np.asarray(right, dtype=np.int64),
-        np.asarray(parent, dtype=np.int64), roots)
+        np.asarray(parent, dtype=np.int64), roots, leaves)
 
 
 def _interval_leaves(intervals, left: np.ndarray,
@@ -244,60 +300,33 @@ def _interval_leaves(intervals, left: np.ndarray,
 
 
 def _numbers_from_intervals(intervals, left: np.ndarray, right: np.ndarray,
-                            parent: np.ndarray, roots) -> TreeNumbers:
-    """Every number of a binary forest from one interval numbering.
+                            parent: np.ndarray, roots,
+                            leaves: Optional[np.ndarray] = None
+                            ) -> TreeNumbers:
+    """The numbers of a binary forest from one interval numbering.
 
     ``intervals`` is any ``(order, size)`` pair under which every subtree
     is the interval ``[order, order + size)``; the exact child order comes
-    from ``left`` / ``right`` alone.  Each number is a root-path sum of an
-    offset every node takes from its parent (a root from the earlier
-    roots' nodes):
-
-    * preorder: a left child comes 1 after its parent, a right child 1
-      plus its left sibling's subtree after it;
-    * inorder: a subtree's block starts with its parent's block (left
-      child) or 1 plus the left sibling's subtree later (right child), and
-      the node itself follows its left subtree;
-    * depth: the non-root nodes on the path.
-
-    Then ``postorder = pre + size - depth - 1`` (the nodes before a node in
-    preorder, less its ancestors, plus its proper descendants) and the
-    Euler-tour positions are ``enter = 2 * pre - depth`` and
-    ``exit = enter + 2 * size - 1``.
+    from ``left`` / ``right`` alone.  One root-path sum gives the preorder
+    (high 32 bits: a left child comes 1 after its parent, a right child 1
+    plus its left sibling's subtree after it, a root after the earlier
+    roots' nodes) and the right-depth (low 32 bits: the right children on
+    the path).  The leaf counts are counted over the intervals unless
+    ``leaves`` gives them; the other numbers are derived on first read
+    (:class:`TreeNumbers`).
     """
     order, size = intervals
-    n = len(left)
     roots = np.asarray(roots, dtype=np.int64)
-    every = slice(None)
-
     has_left = np.flatnonzero(left >= 0)
     has_right = np.flatnonzero(right >= 0)
-    left_size = np.zeros(n, dtype=np.int64)
-    left_size[has_left] = size[left[has_left]]
-    offset = np.zeros(n, dtype=np.int64)
-    offset[roots] = np.cumsum(size[roots]) - size[roots]
-    offset[left[has_left]] = 1
-    offset[right[has_right]] = left_size[has_right] + 1
-    preorder = root_path_sums(order, size, every, offset)
-    # one sum counts the left children on every root path (high 32 bits)
-    # and the right children (low 32 bits); a left child's inorder offset
-    # is 1 less than its preorder offset, the others' are equal
-    side = np.zeros(n, dtype=np.int64)
-    side[left[has_left]] = 1 << 32
-    side[right[has_right]] = 1
-    counts = root_path_sums(order, size, every, side)
-    lefts = counts >> 32
-    rights = counts & 0xFFFFFFFF
-    depth = lefts + rights
-    inorder = preorder - lefts + left_size
-
-    position = np.empty(2 * n, dtype=np.int64)
-    position[:n] = 2 * preorder - depth
-    position[n:] = position[:n] + 2 * size - 1
-    return TreeNumbers(preorder=preorder, inorder=inorder,
-                       postorder=preorder + size - depth - 1, depth=depth,
-                       subtree_size=size,
-                       subtree_leaves=_interval_leaves(intervals, left, right),
-                       tour=EulerTour.from_positions(position, left, right,
-                                                     parent, roots),
-                       right_depth=rights)
+    step = np.zeros(len(left), dtype=np.int64)
+    step[roots] = (np.cumsum(size[roots]) - size[roots]) << 32
+    step[left[has_left]] = 1 << 32
+    step[right[has_right]] = \
+        ((_left_sizes(left, size)[has_right] + 1) << 32) | 1
+    sums = root_path_sums(order, size, slice(None), step)
+    if leaves is None:
+        leaves = _interval_leaves(intervals, left, right)
+    return TreeNumbers(left, right, parent, roots, preorder=sums >> 32,
+                       subtree_size=size, subtree_leaves=leaves,
+                       right_depth=sums & 0xFFFFFFFF)

@@ -175,7 +175,7 @@ class ServerApp:
             if settings.breaker_threshold > 0 else None)
         self._exec_sem: Optional[asyncio.Semaphore] = None
         self._idle: Optional[asyncio.Event] = None
-        self._connections: set = set()
+        self._connections: dict = {}    # writer -> its handler task
         # a dedicated thread executor for in-process solves and batch
         # workers: sharing the loop's default executor with an embedding
         # application could starve either side
@@ -566,7 +566,7 @@ class ServerApp:
     async def handle_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         """One client connection: parse, dispatch, respond, keep alive."""
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -598,7 +598,7 @@ class ServerApp:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass                        # client went away mid-request
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -608,11 +608,15 @@ class ServerApp:
                 # closed either way, so ending quietly is correct here
                 pass
 
-    def close_connections(self) -> None:
-        """Force-close lingering keep-alive connections (post-drain)."""
-        for writer in list(self._connections):
+    def close_connections(self) -> List[asyncio.Task]:
+        """Force-close lingering keep-alive connections (post-drain) and
+        return their handler tasks: a handler waiting for a request reads
+        the close as end of input and returns."""
+        handlers = list(self._connections.values())
+        for writer in self._connections:
             writer.close()
         self._connections.clear()
+        return handlers
 
 
 # --------------------------------------------------------------------------- #

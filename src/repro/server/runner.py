@@ -86,7 +86,16 @@ class ReproServer:
         self.log.info("drained" if drained else "drain timed out", extra={
             "event": "shutdown", "drained": drained,
             "abandoned": self.app.admitted})
-        self.app.close_connections()
+        # await every connection handler, so none is left for the loop's
+        # teardown to cancel: an idle one reads the close as end of input;
+        # one still solving gets the drain budget once more, then is
+        # cancelled
+        handlers = self.app.close_connections()
+        if handlers:
+            _, stuck = await asyncio.wait(handlers, timeout=timeout)
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
         self.app.close()
         flush_logging()
         return drained

@@ -2,14 +2,17 @@
 
 On the throughput backend ``compute_tree_numbers`` derives every field of
 :class:`TreeNumbers` (and the tour positions) from one interval numbering
-by ``repro._dfs.multiway_numbering``; every field must match the
+by ``repro._dfs.binary_numbering``; every field must match the
 PRAM-simulated Euler tour exactly — on single trees, chained multi-root
 forests (in arbitrary chain order) and forests containing unary nodes (the
-dummy chains of Step 7).  The leftist reordering derives its renumbering
-from the same intervals and is held to the same parity.  A structural pin
-counts the DFS calls a solve makes and the entries of every CSR row the
-kernel builds: a row listing every root would be rescanned on every
-return, quadratic in the number of roots.
+dummy chains of Step 7) — and the numbers the multiway adapter's
+intervals give.  The leftist reordering derives its renumbering from the
+same intervals and is held to the same parity; Step 8 reads Step 6's
+inorder sequence, updated for the exchanges, and must read the inorder a
+fresh numbering gives.  A structural pin counts the DFS calls a solve
+makes and the entries of every CSR row the kernel builds: a row listing
+every root would be rescanned on every return, quadratic in the number of
+roots.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import pytest
 
 import repro
 import repro._dfs as dfs
-from repro._dfs import HAVE_SPARSE_DFS, multiway_numbering, two_slot_csr
+import repro.core.path_trees as path_trees
+from repro._dfs import HAVE_SPARSE_DFS, binary_numbering, multiway_numbering, \
+    two_slot_csr
 from repro.cograph import (
     FlatCotree,
     balanced_cotree,
@@ -32,11 +37,13 @@ from repro.cograph import (
     union_of_cliques,
 )
 from repro.cograph.forest import pack
+from repro.core import Pipeline, extract_paths
 from repro.core.binarize import binarize_parallel
 from repro.core.leftist import leftist_reorder
 from repro.pram import PRAM
 from repro.primitives import build_euler_tour, compute_tree_numbers, \
     inorder_numbers, renumber_swapped
+from repro.primitives.tree_numbering import _numbers_from_intervals
 
 NUMBER_FIELDS = ("preorder", "inorder", "postorder", "depth",
                  "subtree_size", "subtree_leaves", "right_depth")
@@ -130,6 +137,57 @@ class TestKernelParity:
             assert np.array_equal(sim.successor, fast.successor)
 
 
+def _binary_forests():
+    """(name, left, right, parent, roots) of the adapter parity table."""
+    rng = np.random.default_rng(11)
+    lone = np.full(10_000, -1, dtype=np.int64)
+    out = [("one-node", np.array([-1]), np.array([-1]), np.array([-1]),
+            np.array([0])),
+           ("edgeless", lone, lone, lone, rng.permutation(10_000))]
+    for name, tree in (("caterpillar", caterpillar_cotree(300)),
+                       ("balanced", balanced_cotree(5, branching=3))):
+        b = binarize_cotree(tree)
+        out.append((name, b.left, b.right, b.parent, b.roots))
+    for trial in range(8):
+        n = int(rng.integers(1, 400))
+        out.append((f"random-{trial}",) + random_binary_forest(rng, n))
+    return out
+
+
+@pytest.mark.skipif(not HAVE_SPARSE_DFS, reason="scipy not installed")
+class TestBinaryAdapter:
+    """``binary_numbering`` builds the first-child / next-sibling form
+    straight from ``left`` / ``right``; the multiway adapter over the
+    two-slot CSR form (leaf children visited last) is the reference."""
+
+    @pytest.mark.parametrize("case", _binary_forests(), ids=lambda c: c[0])
+    def test_numbers_match_the_multiway_adapter(self, case):
+        name, left, right, parent, roots = case
+        intervals = binary_numbering(left, right, roots)
+        reference = multiway_numbering(*two_slot_csr(left, right), roots)
+        args = (left, right, parent, roots)
+        assert_same_numbers(_numbers_from_intervals(reference, *args),
+                            _numbers_from_intervals(intervals, *args), name)
+        # with no leaf-last swap the DFS order is the forest's preorder
+        simulated = compute_tree_numbers(PRAM(), *args)
+        assert np.array_equal(intervals[0], simulated.preorder), name
+        assert np.array_equal(intervals[1], simulated.subtree_size), name
+
+    @pytest.mark.parametrize("case", [
+        # node 1 in two child slots, node 3 in none
+        ("two-slots", [1, -1, 1, -1], [-1, -1, -1, -1], [0, 2]),
+        # nodes 1 and 2 are each other's child: every node fills one slot,
+        # but the cycle is unreachable from the root
+        ("detached-cycle", [-1, 2, 1], [-1, -1, -1], [0]),
+        ("root-twice", [1, -1], [-1, -1], [0, 0]),
+    ], ids=lambda c: c[0])
+    def test_non_forests_are_refused_like_the_multiway_adapter(self, case):
+        _, left, right, roots = case
+        left, right = np.array(left), np.array(right)
+        assert binary_numbering(left, right, roots) is None
+        assert multiway_numbering(*two_slot_csr(left, right), roots) is None
+
+
 @pytest.mark.skipif(not HAVE_SPARSE_DFS, reason="scipy not installed")
 class TestKernelContract:
 
@@ -163,6 +221,7 @@ class TestKernelContract:
         b = binarize_cotree(random_cotree(12, seed=1))
         offset, kids = two_slot_csr(b.left, b.right)
         assert dfs.multiway_numbering(offset, kids, [b.root]) is None
+        assert dfs.binary_numbering(b.left, b.right, [b.root]) is None
         # the numbering entry point silently falls back to list ranking
         assert_numbers_match(b.left, b.right, b.parent, [b.root], "no-scipy")
         rng = np.random.default_rng(3)
@@ -271,9 +330,29 @@ def test_fast_path_cover_numbers_each_tree_once(name, dfs_calls):
     tree = FlatCotree.from_cotree(PIN_INPUTS[name]())
     solution = repro.solve(tree, backend="fast")
     assert solution.num_paths == (10_000 if name == "edgeless" else 5_000)
-    # leftist (Tb), legalize (Step 6's pseudo forest), extract (Step 8)
-    assert 1 <= len(dfs_calls) <= 3, dfs_calls
+    # leftist (Tb) and legalize (Step 6's pseudo forest); Step 8 reads
+    # Step 6's sequence
+    assert len(dfs_calls) == 2, dfs_calls
     assert max(dfs_calls) <= 2, dfs_calls
+
+
+@pytest.mark.skipif(not HAVE_SPARSE_DFS, reason="scipy not installed")
+@pytest.mark.parametrize("tree", [random_cotree(300, seed=2),
+                                  independent_set(50),
+                                  balanced_cotree(4, branching=3)],
+                         ids=["random", "edgeless", "balanced"])
+def test_extract_makes_no_dfs_off_the_simulator(tree, dfs_calls):
+    flat = FlatCotree.from_cotree(tree)
+    run = Pipeline.until("compress").run(flat, None)
+    dfs_calls.clear()
+    cover = extract_paths(None, run.state.forest)
+    assert dfs_calls == []
+    assert Pipeline.default().run(flat, PRAM()).cover.paths == cover.paths
+    # without Step 6 (the A2 ablation) Step 8 numbers the forest itself
+    ablated = Pipeline.until("compress").without("legalize").run(flat, None)
+    dfs_calls.clear()
+    extract_paths(None, ablated.state.forest)
+    assert len(dfs_calls) == 1, dfs_calls
 
 
 @pytest.mark.skipif(not HAVE_SPARSE_DFS, reason="scipy not installed")
@@ -283,3 +362,52 @@ def test_canonical_key_numbers_each_tree_at_most_twice(name, dfs_calls):
     canonical_key(tree)
     assert 1 <= len(dfs_calls) <= 2, dfs_calls
     assert max(dfs_calls) <= 2, dfs_calls
+
+
+# --------------------------------------------------------------------------- #
+# Step 8 reads Step 6's inorder sequence, updated for the exchanges
+# --------------------------------------------------------------------------- #
+
+def _nested_pairs(args):
+    """Exchange pairs whose slot lies inside another pair's slot."""
+    _, _, inorder, size, left, x, d = args
+    slots = np.concatenate([x, d])
+    below = left[slots]
+    start = inorder[slots] - np.where(below >= 0, size[below], 0)
+    end = start + size[slots]
+    pair = np.concatenate([np.arange(len(x))] * 2)
+    inside = ((start[:, None] >= start[None, :]) &
+              (end[:, None] <= end[None, :]) &
+              (pair[:, None] != pair[None, :]))
+    return len(np.unique(pair[inside.any(axis=1)]))
+
+
+def test_step8_sequence_matches_a_fresh_numbering(monkeypatch):
+    calls = []
+    inner = path_trees._exchanged_chain
+
+    def spy(*args):
+        calls.append(_nested_pairs(args))
+        return inner(*args)
+
+    monkeypatch.setattr(path_trees, "_exchanged_chain", spy)
+    rng = np.random.default_rng(2024)
+    sizes = [1, 2, 3, 2000] + rng.integers(4, 2000, size=56).tolist()
+    for seed, n in enumerate(sizes):
+        run = Pipeline.until("compress").run(
+            FlatCotree.from_cotree(random_cotree(n, seed=seed)), None)
+        forest = run.state.forest
+        real = forest.num_real
+        left, right = forest.left[:real], forest.right[:real]
+        parent = forest.parent[:real]
+        roots = np.flatnonzero(parent == -1)
+        inorder, size = inorder_numbers(None, left, right, parent, roots)
+        fresh = np.empty(real, dtype=np.int64)
+        fresh[inorder] = np.arange(real)
+        sequence, tree_start = forest.chain
+        kept = np.flatnonzero(sequence < real)
+        assert np.array_equal(sequence[kept], fresh), (seed, n)
+        assert np.array_equal(np.searchsorted(kept, tree_start),
+                              np.cumsum(size[roots]) - size[roots]), (seed, n)
+    assert len(calls) > 10
+    assert sum(calls) > 0, "no exchange slot lay inside another pair's"

@@ -1112,6 +1112,39 @@ class TestWire:
         assert raw.startswith(b"HTTP/1.1 400")
         assert b"Connection: close" in raw
 
+    @pytest.mark.parametrize("drain_times_out", [False, True])
+    def test_stop_with_an_idle_connection_logs_no_loop_exception(
+            self, drain_times_out):
+        # a keep-alive client that sent nothing, after a clean or a
+        # timed-out drain: stop() must see its handler end, not leave it
+        # for asyncio.run's teardown to cancel, which logs a
+        # CancelledError from connection_made's callback
+        errors = []
+
+        async def timed_out(timeout):
+            return False
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context))
+            server = ReproServer(Settings(port=0, jobs=1, log_level="ERROR"))
+            if drain_times_out:
+                server.app.drain = timed_out
+            await server.start()
+            _, writer = await asyncio.open_connection("127.0.0.1",
+                                                      server.port)
+            for _ in range(200):                # until the server accepts
+                if server.app._connections:
+                    break
+                await asyncio.sleep(0.01)
+            assert server.app._connections
+            drained = await server.stop()
+            writer.close()
+            return drained
+
+        assert asyncio.run(scenario()) is not drain_times_out
+        assert errors == []
+
     def test_serve_subprocess_sigterm_drains_to_exit_0(self):
         env = dict(os.environ, PYTHONPATH="src", REPRO_LOG_FORMAT="json")
         proc = subprocess.Popen(
