@@ -39,7 +39,8 @@ from .._dfs import (
 )
 from .cotree import JOIN, LEAF, PRIME, Cotree, CotreeError
 
-__all__ = ["FlatCotree", "as_flat_cotree", "canonical_key"]
+__all__ = ["FlatCotree", "LevelSchedule", "as_flat_cotree", "canonical_key",
+           "gather_children"]
 
 
 class FlatCotree:
@@ -88,7 +89,8 @@ class FlatCotree:
                  "leaf_vertex", "root", "roots",
                  "q_offset", "q_edge_u", "q_edge_v", "spider",
                  "_leaves", "_internal", "_vertices", "_degrees",
-                 "_has_primes", "_depth", "_intervals", "_ordered")
+                 "_has_primes", "_depth", "_schedule", "_intervals",
+                 "_ordered")
 
     def __init__(self, kind, child_offset, child_index, parent, leaf_vertex,
                  root: int, *, q_offset=None, q_edge_u=None, q_edge_v=None,
@@ -107,6 +109,7 @@ class FlatCotree:
         self._degrees = None
         self._has_primes = None
         self._depth = None
+        self._schedule = None
         self._intervals = None
         self._ordered = None
         empty = np.empty(0, dtype=np.int64)
@@ -213,6 +216,15 @@ class FlatCotree:
         if self._depth is None:
             self._depth = _depth_by_doubling(self.parent)
         return self._depth
+
+    @property
+    def level_schedule(self) -> "LevelSchedule":
+        """The internal nodes level by level with their children gathered
+        once (cached): the order the cotree-DP level sweep and its
+        top-down witnesses walk."""
+        if self._schedule is None:
+            self._schedule = LevelSchedule(self)
+        return self._schedule
 
     @property
     def intervals(self):
@@ -327,7 +339,10 @@ class FlatCotree:
                 f"parent[{u}] = {parent[u]}, but child_index / roots make "
                 f"node {u} " + (f"the child of node {owner[u]}"
                                 if owner[u] >= 0 else "a root")))
-        self.depth                          # refuses a cycle by name
+        # ids that only rise (or only fall) from parent to child admit no
+        # cycle; any other tree takes the depth, which refuses one by name
+        if not ((above < kids).all() or (above > kids).all()):
+            self.depth
         vertices = self.leaf_vertex[self.leaves]
         nv, names = len(vertices), None
         if sparse_ids and nv and int(vertices.max()) >= nv:
@@ -370,25 +385,34 @@ class FlatCotree:
         _refuse((spider != 0) & ~prime, lambda u: (
             f"spider[{u}] = {spider[u]} flags non-prime node {u}"))
         host = np.repeat(np.arange(n, dtype=np.int64), width)
-        order = np.lexsort((ev, eu, host))
-        twice = np.zeros(len(eu), dtype=bool)
-        twice[order[1:]] = (np.diff(host[order]) == 0) \
-            & (np.diff(eu[order]) == 0) & (np.diff(ev[order]) == 0)
         # a spider lists exactly md's [feet, body, (head)] layout edges
         k, thin, flagged = degree // 2, spider == 1, spider != 0
-        kk = k[host]
+        kk, layout = k[host], flagged[host]
         foot = np.where(thin[host], ev == eu + kk,
                         (ev >= kk) & (ev < 2 * kk) & (ev != eu + kk))
-        _refuse((eu < 0) | (eu >= ev) | (ev >= degree[host]) | twice
-                | (flagged[host] & ~np.where(eu >= kk, ev <= 2 * kk, foot)),
-                lambda i: (
-                    f"q_edge_u / q_edge_v[{i}] = ({eu[i]}, {ev[i]}) is not a "
-                    f"quotient edge of prime node {host[i]}: two of its "
-                    f"{degree[host[i]]} child slots u < v, listed once"
-                    + (", in its spider layout" if flagged[host[i]] else "")))
+        bad = (eu < 0) | (eu >= ev) | (ev >= degree[host]) \
+            | (layout & ~np.where(eu >= kk, ev <= 2 * kk, foot))
         count = k * (k - 1) // 2 + np.where(thin, k, k * (k - 1)) \
             + degree % 2 * k
-        _refuse(flagged & ((k < 2) | (width != count)), lambda u: (
+        misfit = flagged & ((k < 2) | (width != count))
+        # only generic primes need a sort to find a repeated edge: a
+        # spider's, all in its layout, are checked by code
+        sort = ~layout
+        if bad.any() or misfit.any() \
+                or _spider_repeats(host, eu, ev, degree, flagged):
+            sort[:] = True              # refusing: locate as always
+        twice = np.zeros(len(eu), dtype=bool)
+        if sort.any():
+            at = np.flatnonzero(sort)
+            at = at[np.lexsort((ev[at], eu[at], host[at]))]
+            twice[at[1:]] = (np.diff(host[at]) == 0) \
+                & (np.diff(eu[at]) == 0) & (np.diff(ev[at]) == 0)
+        _refuse(bad | twice, lambda i: (
+            f"q_edge_u / q_edge_v[{i}] = ({eu[i]}, {ev[i]}) is not a "
+            f"quotient edge of prime node {host[i]}: two of its "
+            f"{degree[host[i]]} child slots u < v, listed once"
+            + (", in its spider layout" if flagged[host[i]] else "")))
+        _refuse(misfit, lambda u: (
             f"spider[{u}] = {spider[u]}, but prime node {u} with {degree[u]} "
             f"children and {width[u]} quotient edges is no "
             f"{'thin' if thin[u] else 'thick'} spider"))
@@ -526,6 +550,100 @@ class FlatCotree:
 
     def __hash__(self) -> int:
         return hash(canonical_key(self))
+
+
+class LevelSchedule:
+    """A tree's internal nodes grouped by depth, deepest level first, with
+    their children gathered once (:attr:`FlatCotree.level_schedule`).
+
+    Inside a level the nodes run by kind (union, join, prime) and by
+    ascending id within a kind, so every ``(level, kind)`` group is one
+    block of :attr:`nodes` and its children one block of :attr:`children`.
+    The order is one stable sort of a ``(level, kind)`` key, a radix sort
+    while the key fits 16 bits (height below ``2**16 / 3``).
+    """
+
+    __slots__ = ("nodes", "children", "seg", "levels")
+
+    def __init__(self, flat: FlatCotree) -> None:
+        inner = flat.internal_nodes
+        depth = flat.depth[inner]
+        height = int(depth.max()) if len(inner) else 0
+        # the level from the bottom times PRIME plus the kind (1..PRIME)
+        top = PRIME * (height + 1)
+        key = ((height - depth) * PRIME + flat.kind[inner]).astype(
+            np.min_scalar_type(top))
+        order = np.argsort(key, kind="stable")
+        #: internal node ids in schedule order
+        self.nodes = inner[order]
+        #: the children of :attr:`nodes` back to back; node ``i``'s are
+        #: ``children[seg[i]:seg[i + 1]]``
+        self.children, self.seg = gather_children(flat, self.nodes)
+        bounds = np.searchsorted(key[order], np.arange(1, top + 2)).tolist()
+        #: ``(depth, groups)`` per level, deepest first; ``groups`` lists
+        #: the level's ``(kind, lo, hi)`` blocks of :attr:`nodes`
+        self.levels: List[Tuple[int, List[Tuple[int, int, int]]]] = []
+        for level in range(height + 1):
+            cut = bounds[level * PRIME:(level + 1) * PRIME + 1]
+            groups = [(kind, lo, hi) for kind, lo, hi in zip(
+                range(1, PRIME + 1), cut, cut[1:]) if hi > lo]
+            if groups:
+                self.levels.append((height - level, groups))
+
+    def block(self, lo: int, hi: int
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(nodes, children, seg_offsets)`` of ``nodes[lo:hi]``: their
+        children back to back and each node's ``[start, end)`` in them."""
+        seg = self.seg[lo:hi + 1]
+        return self.nodes[lo:hi], self.children[seg[0]:seg[-1]], seg - seg[0]
+
+    def of_kind(self, kind: int
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`block` of every node of ``kind``: its blocks of each
+        level, deepest level first, joined."""
+        # the empty block first keeps a kind the tree lacks well formed
+        nodes, children, segs = zip(self.block(0, 0), *(
+            self.block(lo, hi) for _, groups in self.levels
+            for k, lo, hi in groups if k == kind))
+        counts = np.concatenate([np.diff(part) for part in segs])
+        return np.concatenate(nodes), np.concatenate(children), \
+            np.append(0, np.cumsum(counts))
+
+
+def gather_children(flat: FlatCotree, nodes: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Contiguous per-node child segments of ``nodes``.
+
+    Returns ``(child_nodes, seg_offsets)`` where ``child_nodes`` lists the
+    children of every node in ``nodes`` back to back and ``seg_offsets``
+    (length ``len(nodes) + 1``) delimits each node's block.  Pure index
+    arithmetic — no Python loop over nodes.
+    """
+    starts = flat.child_offset[nodes]
+    counts = flat.child_offset[nodes + 1] - starts
+    seg_offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(counts, out=seg_offsets[1:])
+    # slot of child j of node i: starts[i] + (j - seg_offsets[i])
+    pos = np.arange(int(seg_offsets[-1]), dtype=np.int64)
+    pos -= np.repeat(seg_offsets[:-1] - starts, counts)
+    return flat.child_index[pos], seg_offsets
+
+
+def _spider_repeats(host: np.ndarray, eu: np.ndarray, ev: np.ndarray,
+                    degree: np.ndarray, flagged: np.ndarray) -> bool:
+    """Whether a spider lists a child-slot pair ``(u, v)`` twice: each
+    spider's pairs take the codes ``u * degree + v`` in a block of
+    ``degree**2`` of its own, so a repeat is a code hit twice.  The slots
+    must lie in ``0..degree - 1`` and each spider list as many edges as
+    its layout has, which makes ``degree**2`` at most nine times that."""
+    on = flagged[host]
+    if not on.all():
+        host, eu, ev = host[on], eu[on], ev[on]
+    block = np.where(flagged, degree * degree, 0)
+    code = (np.cumsum(block) - block)[host] + eu * degree[host] + ev
+    hit = np.zeros(int(block.sum()), dtype=bool)
+    hit[code] = True
+    return int(np.count_nonzero(hit)) < len(code)
 
 
 def _refuse(bad: np.ndarray, message) -> None:

@@ -58,6 +58,7 @@ import numpy as np
 from .._dfs import root_path_sums
 from ..backends import ExecutionContext, resolve_context
 from ..cograph import FlatCotree, as_flat_cotree
+from ..cograph.flat import gather_children
 from ..cograph.cotree import JOIN, LEAF, PRIME, UNION, CotreeError, \
     prime_refusal
 from ..cograph.md import SPIDER_THIN
@@ -279,25 +280,6 @@ class CotreeDPRun:
 # execution
 # --------------------------------------------------------------------------- #
 
-def _gather_level_children(flat: FlatCotree, nodes: np.ndarray):
-    """Contiguous per-node child segments for one level.
-
-    Returns ``(child_nodes, seg_offsets)`` where ``child_nodes`` lists the
-    children of every node in ``nodes`` back to back and ``seg_offsets``
-    (length ``len(nodes) + 1``) delimits each node's block.  Pure index
-    arithmetic — no Python loop over nodes.
-    """
-    starts = flat.child_offset[nodes]
-    counts = flat.child_offset[nodes + 1] - starts
-    seg_offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(counts, out=seg_offsets[1:])
-    total = int(seg_offsets[-1])
-    pos = (np.arange(total, dtype=np.int64)
-           - np.repeat(seg_offsets[:-1], counts)
-           + np.repeat(starts, counts))
-    return flat.child_index[pos], seg_offsets
-
-
 def _segmented_reduce(ctx: ExecutionContext, values: np.ndarray,
                       seg_offsets: np.ndarray, op: str,
                       label: str) -> np.ndarray:
@@ -327,11 +309,12 @@ def _segmented_reduce(ctx: ExecutionContext, values: np.ndarray,
     return buf[seg_offsets[:-1]]
 
 
-def _combine_level(ctx: ExecutionContext, dp: CotreeDP, flat: FlatCotree,
+def _combine_level(ctx: ExecutionContext, dp: CotreeDP,
                    values: Dict[str, np.ndarray], nodes: np.ndarray,
+                   child_nodes: np.ndarray, seg_offsets: np.ndarray,
                    combine: Combine, label: str) -> None:
-    """Apply one :class:`Combine` to all same-kind nodes of one level."""
-    child_nodes, seg_offsets = _gather_level_children(flat, nodes)
+    """Apply one :class:`Combine` to all same-kind nodes of one level,
+    given their gathered children."""
     child_values = {f: values[f][child_nodes] for f in dp.fields}
     if combine.prepare is not None:
         with ctx.step(active=len(child_nodes), label=f"{label}:prepare"):
@@ -407,7 +390,7 @@ def _spider_prime_values(flat: FlatCotree, value: np.ndarray,
     in or out).  Ties prefer the base option, then the smallest pair.
     """
     rctx = ctx if ctx is not None else resolve_context(None)
-    child_nodes, seg = _gather_level_children(flat, nodes)
+    child_nodes, seg = gather_children(flat, nodes)
     counts = np.diff(seg)
     k = counts // 2
     has_head = (counts % 2) == 1
@@ -684,7 +667,7 @@ def _contract(dp: CotreeDP, flat: FlatCotree, values: Dict[str, np.ndarray],
 def _fold_light(dp: CotreeDP, flat: FlatCotree, values, nodes: np.ndarray,
                 combine: Combine, heavy: np.ndarray) -> Dict[str, np.ndarray]:
     """``combine``'s reductions over every node's light children."""
-    child_nodes, seg = _gather_level_children(flat, nodes)
+    child_nodes, seg = gather_children(flat, nodes)
     counts = np.diff(seg)
     child_nodes = child_nodes[child_nodes != np.repeat(heavy[nodes], counts)]
     counts -= 1
@@ -743,7 +726,6 @@ def run_cotree_dp(dp: CotreeDP, tree, ctx=None, *,
             values[f][leaves] = leaf_values[f]
 
     prime_choice = _check_prime_support(dp, flat)
-    internal = flat.internal_nodes
     maps = {UNION: _one_child_map(dp, dp.union),
             JOIN: _one_child_map(dp, dp.join)}
     depth = flat.depth
@@ -758,34 +740,25 @@ def run_cotree_dp(dp: CotreeDP, tree, ctx=None, *,
                            ctx=context, backend=context.name,
                            schedule="contraction", rounds=rounds,
                            paths=paths)
-    rounds = 0
-    if len(internal):
-        order = internal[np.argsort(-depth[internal], kind="stable")]
-        level_starts = np.flatnonzero(
-            np.diff(depth[order], prepend=depth[order[0]] + 1))
-        bounds = np.append(level_starts, len(order))
-        rounds = len(level_starts)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            level_nodes = order[lo:hi]
-            d = int(depth[level_nodes[0]])
-            for kind, combine in ((UNION, dp.union), (JOIN, dp.join)):
-                sel = level_nodes[flat.kind[level_nodes] == kind]
-                if len(sel):
-                    _combine_level(context, dp, flat, values, sel, combine,
-                                   f"{tag}:L{d}")
-            if prime_choice is not None:
-                sel = level_nodes[flat.kind[level_nodes] == PRIME]
-                if len(sel):
-                    vals, choices = _prime_values(
-                        flat, values[dp.fields[0]], sel,
-                        dp.prime.select, context, f"{tag}:L{d}")
-                    with context.step(active=len(sel),
-                                      label=f"{tag}:L{d}:store"):
-                        values[dp.fields[0]][sel] = vals
-                        prime_choice[sel] = choices
+    schedule = flat.level_schedule
+    for d, groups in schedule.levels:
+        for kind, lo, hi in groups:
+            sel, kids, seg = schedule.block(lo, hi)
+            if kind != PRIME:
+                _combine_level(context, dp, values, sel, kids, seg,
+                               dp.union if kind == UNION else dp.join,
+                               f"{tag}:L{d}")
+                continue
+            vals, choices = _prime_values(flat, values[dp.fields[0]], sel,
+                                          dp.prime.select, context,
+                                          f"{tag}:L{d}")
+            with context.step(active=len(sel), label=f"{tag}:L{d}:store"):
+                values[dp.fields[0]][sel] = vals
+                prime_choice[sel] = choices
     return CotreeDPRun(dp=dp, tree=flat, values=values, depth=depth,
                        ctx=context, backend=context.name,
-                       prime_choice=prime_choice, rounds=rounds)
+                       prime_choice=prime_choice,
+                       rounds=len(schedule.levels))
 
 
 def run_cotree_dp_sequential(dp: CotreeDP, tree) -> CotreeDPRun:
@@ -807,9 +780,7 @@ def run_cotree_dp_sequential(dp: CotreeDP, tree) -> CotreeDPRun:
         values[f][leaves] = leaf_values[f]
 
     prime_choice = _check_prime_support(dp, flat)
-    depth = flat.depth
-    internal = flat.internal_nodes
-    order = internal[np.argsort(-depth[internal], kind="stable")]
+    order = flat.level_schedule.nodes
     for u in order.tolist():
         if flat.kind[u] == PRIME:
             sel = np.asarray([u], dtype=np.int64)
@@ -833,7 +804,7 @@ def run_cotree_dp_sequential(dp: CotreeDP, tree) -> CotreeDPRun:
             reduced = {k: v[0] for k, v in combine.finish(reduced).items()}
         for f in dp.fields:
             values[f][u] = reduced[f]
-    return CotreeDPRun(dp=dp, tree=flat, values=values, depth=depth,
+    return CotreeDPRun(dp=dp, tree=flat, values=values, depth=flat.depth,
                        ctx=None, backend="sequential",
                        prime_choice=prime_choice, schedule="sequential",
                        rounds=len(order))
@@ -843,17 +814,19 @@ def run_cotree_dp_sequential(dp: CotreeDP, tree) -> CotreeDPRun:
 # witness reconstruction helpers
 # --------------------------------------------------------------------------- #
 
-def _levels_top_down(run: CotreeDPRun):
-    """Internal nodes grouped by depth, shallowest first."""
-    flat, depth = run.tree, run.depth
-    internal = flat.internal_nodes
-    if not len(internal):
-        return []
-    order = internal[np.argsort(depth[internal], kind="stable")]
-    level_starts = np.flatnonzero(
-        np.diff(depth[order], prepend=depth[order[0]] - 1))
-    bounds = np.append(level_starts, len(order))
-    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _witness_children(run: CotreeDPRun):
+    """``(children, seg_offsets, levels)`` for a witness pass: after a
+    level run the level schedule's gathered children, and each level's
+    ``[lo, hi)`` slice of them, shallowest level first; after a
+    contraction, which builds no schedule, the CSR arrays and no levels."""
+    flat = run.tree
+    if run.paths is not None:
+        return flat.child_index, flat.child_offset, []
+    schedule = flat.level_schedule
+    seg = schedule.seg
+    return schedule.children, seg, [
+        (int(seg[groups[0][1]]), int(seg[groups[-1][2]]))
+        for _, groups in reversed(schedule.levels)]
 
 
 def _step(run: CotreeDPRun, active: int, label: str):
@@ -885,10 +858,15 @@ def selected_subtree_vertices(run: CotreeDPRun, pick_at: int,
     value = run.values[field_name]
 
     # chosen child per pick_at node, via one packed segmented argmax
+    kids, _, levels = _witness_children(run)
+    if run.paths is not None:
+        pick_nodes = np.flatnonzero(flat.kind == pick_at)
+        child_nodes, seg_offsets = gather_children(flat, pick_nodes)
+    else:
+        pick_nodes, child_nodes, seg_offsets = \
+            flat.level_schedule.of_kind(pick_at)
     chosen = np.full(n, -1, dtype=np.int64)
-    pick_nodes = np.flatnonzero((flat.kind != LEAF) & (flat.kind == pick_at))
     if len(pick_nodes):
-        child_nodes, seg_offsets = _gather_level_children(flat, pick_nodes)
         with _step(run, len(child_nodes), f"dp.{run.dp.name}:witness-pack"):
             packed = value[child_nodes] * np.int64(n) + (
                 np.int64(n - 1) - child_nodes)
@@ -897,28 +875,20 @@ def selected_subtree_vertices(run: CotreeDPRun, pick_at: int,
             packed, seg_offsets, "max", f"dp.{run.dp.name}:witness-argmax")
         chosen[pick_nodes] = np.int64(n - 1) - best % np.int64(n)
 
-    has_primes = getattr(flat, "has_primes", False)
-    slot_of = None
-    if has_primes:
+    # which child edges the witness keeps
+    parents = flat.parent[kids]
+    kept = (flat.kind[parents] != pick_at) | (chosen[parents] == kids)
+    if getattr(flat, "has_primes", False):
+        prime = flat.kind[parents] == PRIME
         slot_of = np.full(n, -1, dtype=np.int64)
         slot_of[flat.child_index] = (
             np.arange(len(flat.child_index), dtype=np.int64)
             - np.repeat(flat.child_offset[:-1], np.diff(flat.child_offset)))
-
-    def keep(child_nodes: np.ndarray) -> np.ndarray:
-        parents = flat.parent[child_nodes]
-        kept = (flat.kind[parents] != pick_at) | \
-            (chosen[parents] == child_nodes)
-        if has_primes:
-            pk = flat.kind[parents] == PRIME
-            if pk.any():
-                kept[pk] = _prime_keep(run, child_nodes[pk], parents[pk],
-                                       slot_of)
-        return kept
+        kept[prime] = _prime_keep(run, kids[prime], parents[prime], slot_of)
 
     if run.paths is not None:
         # selected iff no dropped edge lies on the root path
-        dropped = flat.child_index[~keep(flat.child_index)]
+        dropped = kids[~kept]
         selected = root_path_sums(
             run.paths.pre, run.paths.size, dropped,
             np.ones(len(dropped), dtype=np.int64)) == 0
@@ -926,14 +896,12 @@ def selected_subtree_vertices(run: CotreeDPRun, pick_at: int,
         selected = np.zeros(n, dtype=bool)
         roots = flat.roots
         selected[roots[roots >= 0]] = True
-        for level_nodes in _levels_top_down(run):
-            sel = level_nodes[selected[level_nodes]]
-            if not len(sel):
-                continue
-            child_nodes, _ = _gather_level_children(flat, sel)
-            with _step(run, len(child_nodes),
-                       f"dp.{run.dp.name}:witness-select"):
-                selected[child_nodes[keep(child_nodes)]] = True
+        for lo, hi in levels:
+            live = selected[parents[lo:hi]]
+            active = int(np.count_nonzero(live))
+            if active:
+                with _step(run, active, f"dp.{run.dp.name}:witness-select"):
+                    selected[kids[lo:hi][live & kept[lo:hi]]] = True
 
     picked_leaves = flat.leaves[selected[flat.leaves]]
     return np.sort(flat.leaf_vertex[picked_leaves])
@@ -1007,39 +975,34 @@ def class_assignment(run: CotreeDPRun, accumulate_at: int,
         raise ValueError(f"dp.{run.dp.name}: class-assignment witnesses "
                          f"have no prime-node rule; cograph inputs only")
 
-    # exclusive prefix of sibling values, per child slot of the CSR array
-    sib_prefix = np.zeros(len(flat.child_index), dtype=np.int64)
-    if len(flat.child_index):
-        with _step(run, len(flat.child_index),
+    # exclusive prefix of sibling values, per child
+    kids, seg, levels = _witness_children(run)
+    sib_prefix = np.zeros(len(kids), dtype=np.int64)
+    if len(kids):
+        with _step(run, len(kids),
                    f"dp.{run.dp.name}:witness-sibling-prefix"):
-            vals = value[flat.child_index].astype(np.int64, copy=False)
+            vals = value[kids].astype(np.int64, copy=False)
             glob = np.cumsum(vals)
             excl = glob - vals
-            starts = flat.child_offset[:-1]
-            counts = np.diff(flat.child_offset)
+            starts = seg[:-1]
+            counts = np.diff(seg)
             base = np.repeat(excl[starts[counts > 0]], counts[counts > 0])
             sib_prefix = excl - base
 
     leaves = flat.leaves
     vertex_ids = flat.leaf_vertex[leaves]
 
-    # the offset shift of every child slot of the CSR array; a node's
-    # offset is the sum of the shifts on its root path
-    kids = flat.child_index
-    shift = np.where(flat.kind[flat.parent[kids]] == accumulate_at,
-                     sib_prefix, 0)
+    # the offset shift of every child; a node's offset is the sum of the
+    # shifts on its root path
+    parents = flat.parent[kids]
+    shift = np.where(flat.kind[parents] == accumulate_at, sib_prefix, 0)
     if run.paths is not None:
         offset = root_path_sums(run.paths.pre, run.paths.size, kids, shift)
     else:
-        slot_of = np.full(n, -1, dtype=np.int64)
-        slot_of[kids] = np.arange(len(kids), dtype=np.int64)
         offset = np.zeros(n, dtype=np.int64)
-        for level_nodes in _levels_top_down(run):
-            child_nodes, _ = _gather_level_children(flat, level_nodes)
-            with _step(run, len(child_nodes),
-                       f"dp.{run.dp.name}:witness-offset"):
-                offset[child_nodes] = offset[flat.parent[child_nodes]] + \
-                    shift[slot_of[child_nodes]]
+        for lo, hi in levels:
+            with _step(run, hi - lo, f"dp.{run.dp.name}:witness-offset"):
+                offset[kids[lo:hi]] = offset[parents[lo:hi]] + shift[lo:hi]
 
     classes = np.empty(len(leaves), dtype=np.int64)
     classes[vertex_ids] = offset[leaves]

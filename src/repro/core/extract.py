@@ -63,9 +63,11 @@ def extract_paths(ctx, forest: PathForest, *,
             order = np.empty(num_real, dtype=np.int64)
             order[inorder] = np.arange(num_real)
 
-    # materialise the cover with C-level slicing: one tolist for the whole
-    # permutation, then per-path list slices (no per-node Python work)
+    # materialise the cover: one tolist for the whole permutation, then
+    # one pass cutting it into paths; a cover of one-vertex paths (an
+    # edgeless graph) wraps each vertex instead of slicing
     flat = order.tolist()
-    bounds = starts.tolist() + [num_real]
-    paths = [flat[bounds[i]:bounds[i + 1]] for i in range(len(roots))]
-    return PathCover(paths)
+    if len(roots) == num_real:
+        return PathCover([[v] for v in flat])
+    cut = starts.tolist()
+    return PathCover([flat[a:b] for a, b in zip(cut, cut[1:] + [num_real])])

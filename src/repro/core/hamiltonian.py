@@ -25,13 +25,9 @@ import numpy as np
 
 from ..cograph import FlatCotree, PathCover
 from ..cograph.cotree import JOIN, LEAF, CotreeError
+from ..cograph.flat import gather_children
 from ..pram import PRAM
-from .dp import (
-    PATH_COVER_SIZE_DP,
-    CotreeDPRun,
-    _gather_level_children,
-    run_cotree_dp,
-)
+from .dp import PATH_COVER_SIZE_DP, CotreeDPRun, run_cotree_dp
 from .solver import minimum_path_cover_parallel
 
 __all__ = ["has_hamiltonian_path", "has_hamiltonian_cycle",
@@ -132,7 +128,7 @@ def _split_root_child(flat: FlatCotree,
     level = np.array([child], dtype=np.int64)
     while len(level):
         drop[level] = True
-        level = _gather_level_children(flat, level)[0]
+        level = gather_children(flat, level)[0]
     is_leaf = flat.kind == LEAF
     dropped = flat.leaf_vertex[drop & is_leaf]
     new_root = root
