@@ -33,13 +33,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 
 from ._version import __version__
 from .api import (
     METHOD_NAMES,
     SolutionCache,
     SolveOptions,
-    as_problem,
     solve,
     solve_stream,
     task_names,
@@ -135,10 +135,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           "vertices in vectorized forest batches instead "
                           "of the worker pool")
     run.add_argument("--on-error", default="fail", choices=("fail", "emit"),
-                     help="for --stream: on a malformed input line or an "
-                          "instance whose worker retries are exhausted, "
-                          "'fail' (default) stops with an error after the "
-                          "valid prefix; 'emit' writes a structured "
+                     help="for --stream: on an input line the task refuses "
+                          "(malformed, not a cograph, ...) or an instance "
+                          "whose worker retries are exhausted, 'fail' "
+                          "(default) stops with an error after the valid "
+                          "prefix; 'emit' writes a structured "
                           '{"error": ...} record in that slot and continues')
     run.add_argument("--retries", type=int, default=None, metavar="N",
                      help="for --stream: per-instance re-runs after a "
@@ -237,19 +238,14 @@ def _parse_bits(text: str, task: str):
     return [int(c) for c in digits]
 
 
-def _iter_jsonl(lines, task: str, on_error: str = "fail",
-                pending_errors=None):
-    """Lazily turn stdin lines into problems (blank lines skipped).
+def _iter_jsonl(lines, task: str, line_numbers: deque):
+    """Lazily turn stdin lines into problems (blank lines skipped),
+    appending each one's line number to ``line_numbers``.
 
-    With ``on_error="fail"`` (the historical behaviour) a malformed line
-    raises and kills the stream after the valid prefix.  With ``"emit"``
-    each line is adapted eagerly so a bad one is caught *here*: a record
-    ``{"error": ..., "line": N}`` is parked in ``pending_errors`` under
-    the index of the next good problem (so the consumer can interleave it
-    at the right position in the output) and the stream continues.
+    Nothing is adapted here: a line the task refuses is refused in its
+    stream slot, like every other instance.
     """
     bits_task = _takes_bits(task)
-    good = 0
     for line_no, raw in enumerate(lines, 1):
         raw = raw.strip()
         if not raw:
@@ -259,52 +255,16 @@ def _iter_jsonl(lines, task: str, on_error: str = "fail",
         except json.JSONDecodeError:
             # bare cotree text like (0 + (1 * 2)) is accepted unquoted
             value = raw
-        try:
-            if bits_task and isinstance(value, (str, int)):
-                # "101" JSON-parses to the integer 101; both spellings are
-                # bit strings here
-                value = _parse_bits(str(value), task)
-            if on_error == "emit":
-                # adapt and validate now so a hopeless line surfaces per
-                # line, not as a worker crash deep inside the stream engine
-                value = as_problem(value, task=task)
-                if value.tree is not None:
-                    value.pipeline_tree()
-        except (ValueError, TypeError) as exc:
-            if on_error != "emit":
-                raise
-            pending_errors.setdefault(good, []).append(
-                {"error": str(exc), "line": line_no})
-            continue
-        yield value
-        good += 1
-
-
-def _iter_wire_frames(stream, task: str, on_error: str = "fail",
-                      pending_errors=None):
-    """Lazily decode u32 length-prefixed wire frames from a binary stream.
-
-    The ``--format binary`` counterpart of :func:`_iter_jsonl`: with
-    ``on_error="emit"`` a frame that fails wire validation parks a record
-    ``{"error": ..., "frame": N}`` and the stream continues; a *truncated*
-    stream always fails — once the framing is lost there is no next frame
-    to resynchronise on.
-    """
-    from .io.wire import read_frames
-    good = 0
-    for frame_no, payload in enumerate(read_frames(stream), 1):
-        if on_error == "emit":
+        if bits_task and isinstance(value, (str, int)):
+            # "101" JSON-parses to the integer 101; both spellings are
+            # bit strings here.  Anything else goes on as it came, for
+            # the task to refuse.
             try:
-                value = as_problem(payload, task=task)
-            except (ValueError, TypeError) as exc:
-                pending_errors.setdefault(good, []).append(
-                    {"error": str(exc), "frame": frame_no})
-                continue
-        else:
-            # workers adapt the raw bytes themselves (zero-copy per worker)
-            value = payload
+                value = _parse_bits(str(value), task)
+            except ValueError:
+                pass
+        line_numbers.append(line_no)
         yield value
-        good += 1
 
 
 def _print_solution(solution, as_json: bool) -> None:
@@ -350,46 +310,40 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 base_delay=args.retry_backoff
                 if args.retry_backoff is not None else defaults.base_delay,
                 deadline=args.deadline)
-        pending_errors = {}
+        line_numbers: deque = deque()
         if args.format == "binary":
-            instances = _iter_wire_frames(sys.stdin.buffer, args.task,
-                                          args.on_error, pending_errors)
+            # each frame is one instance; a truncated stream still fails,
+            # as there is no next frame to resynchronise on
+            from .io.wire import read_frames
+            instances = read_frames(sys.stdin.buffer)
         else:
-            instances = _iter_jsonl(sys.stdin, args.task, args.on_error,
-                                    pending_errors)
+            instances = _iter_jsonl(sys.stdin, args.task, line_numbers)
         stream = solve_stream(
             instances,
             args.task, options=options, jobs=args.jobs,
             window=args.window, chunksize=args.chunksize,
             retry=retry, on_error=args.on_error)
         count = skipped = failed = 0
-
-        def flush_errors(records) -> None:
-            nonlocal skipped
-            for record in records:
-                print(json.dumps(record))
-                skipped += 1
-
         for solution in stream:
-            # error records for malformed lines between this solution and
-            # the previous one go out first, keeping input order
-            flush_errors(pending_errors.pop(
-                solution.provenance["batch_index"], ()))
-            if solution.backend == "error":
+            facts = solution.provenance
+            index = facts["batch_index"]
+            where = {"frame": index + 1} if args.format == "binary" \
+                else {"line": line_numbers.popleft()}
+            if solution.backend != "error":
+                _print_solution(solution, args.json)
+                count += 1
+            elif facts["error_kind"] == "refused":
+                # a malformed or refused input, in its slot
+                print(json.dumps({"error": facts["error"], **where}))
+                skipped += 1
+            else:
                 # a quarantined instance (worker crash / deadline /
-                # corruption survived every retry): same record shape as
-                # the malformed-line errors, in the instance's slot
+                # corruption survived every retry)
                 print(json.dumps({
-                    "error": solution.provenance.get("error"),
-                    "error_kind": solution.provenance.get("error_kind"),
-                    "attempts": solution.provenance.get("attempts"),
-                    "batch_index": solution.provenance.get("batch_index")}))
+                    "error": facts["error"],
+                    "error_kind": facts["error_kind"],
+                    "attempts": facts["attempts"], "batch_index": index}))
                 failed += 1
-                continue
-            _print_solution(solution, args.json)
-            count += 1
-        for index in sorted(pending_errors):    # trailing malformed lines
-            flush_errors(pending_errors.pop(index))
         if cache is not None:
             print(f"cache: {cache.stats()}", file=sys.stderr)
         tail = f", skipped {skipped} malformed line(s)" if skipped else ""

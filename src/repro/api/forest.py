@@ -19,7 +19,8 @@ cotree-DP tasks.  Anything the sweep cannot take — an unsupported task,
 non-default engine options, a non-cograph input — silently falls back to
 a per-instance :func:`~repro.api.solve` (``provenance["route"] ==
 "serial"``); swept solutions report ``"forest"``.  A tree the validator
-refuses raises, as a solo solve does.  A configured
+refuses is solved on its own, so :func:`solve_forest` raises as a solo
+solve does and a stream refuses that instance alone.  A configured
 :class:`~repro.api.SolutionCache` is consulted per instance *before*
 packing, so repeat instances skip the sweep entirely.
 
@@ -79,30 +80,42 @@ def _eligible_flat(prob: Problem):
 # --------------------------------------------------------------------------- #
 
 def _solve_forest_problems(probs: List[Problem], task: str,
-                           options: SolveOptions) -> List[Solution]:
+                           options: SolveOptions) -> List[Any]:
     """Solve already-adapted problems, forest-sweeping whatever qualifies.
 
     The workhorse behind :func:`solve_forest` and the ``batch_small``
     routing of the stream front door; does *not* stamp ``batch_index``.
+    A refused instance's slot holds the ``ValueError`` that refused it,
+    so its neighbours are still answered.
     """
     cache = options.cache
     solo_opts = options.with_(batch_small=None)
-    results: List[Optional[Solution]] = [None] * len(probs)
 
+    def solo(prob: Problem):
+        """The per-instance fallback; solve() handles the cache itself."""
+        try:
+            solution = solve(prob, task, options=solo_opts)
+        except ValueError as exc:
+            return exc
+        if solution.provenance.get("cache") != "hit":
+            solution.provenance.setdefault("route", "serial")
+        return solution
+
+    results: List[Any] = [None] * len(probs)
     sweep_idx: List[int] = []
     sweep_flats = []
     sweep_keys: List[Optional[Tuple]] = []
     supported = _forest_supported(task, options)
     for i, prob in enumerate(probs):
         flat = _eligible_flat(prob) if supported else None
+        try:
+            key = cache.key_for(prob, task, options) \
+                if flat is not None and cache is not None else None
+        except ValueError:
+            flat = None      # a refused tree: its solo solve says why
         if flat is None:
-            # per-instance fallback; solve() handles the cache itself
-            solution = solve(prob, task, options=solo_opts)
-            if solution.provenance.get("cache") != "hit":
-                solution.provenance.setdefault("route", "serial")
-            results[i] = solution
+            results[i] = solo(prob)
             continue
-        key = cache.key_for(prob, task, options) if cache is not None else None
         if key is not None:
             hit = cache.get(key)
             if hit is not None:
@@ -113,8 +126,15 @@ def _solve_forest_problems(probs: List[Problem], task: str,
         sweep_keys.append(key)
 
     if sweep_flats:
-        swept = _ROOT_ARRAY_BODIES[task](pack(sweep_flats), options)
+        try:
+            swept = _ROOT_ARRAY_BODIES[task](pack(sweep_flats), options)
+        except ValueError:
+            # the packed validation refused a tree: solo solves find it
+            swept = [None] * len(sweep_idx)
         for i, solution, key in zip(sweep_idx, swept, sweep_keys):
+            if solution is None:
+                results[i] = solo(probs[i])
+                continue
             solution.provenance["route"] = "forest"
             for name, value in probs[i].provenance().items():
                 solution.provenance.setdefault(name, value)
@@ -154,5 +174,7 @@ def solve_forest(problems, task: str = "path_cover", *,
     probs = [as_problem(raw, task=task) for raw in problems]
     solutions = _solve_forest_problems(probs, task, opts)
     for index, solution in enumerate(solutions):
+        if isinstance(solution, Exception):
+            raise solution
         solution.provenance["batch_index"] = index
     return solutions

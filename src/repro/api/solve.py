@@ -159,26 +159,34 @@ def solve(problem: Any, task: str = "path_cover", *,
     return solution
 
 
-def _solve_one_payload(payload) -> Solution:
-    """Worker body (module level so it pickles under multiprocessing)."""
+def _solve_one_payload(payload):
+    """Worker body (module level so it pickles under multiprocessing).
+
+    A refused instance answers the ``ValueError`` that refused it, in its
+    slot: a client's mistake is not a worker failure to heal.
+    """
     index, problem, task, options = payload
-    solution = solve(problem, task, options=options).without_machine()
+    try:
+        solution = solve(problem, task, options=options).without_machine()
+    except ValueError as exc:
+        return exc
     solution.provenance["batch_index"] = index
     return solution
 
 
 def _error_solution(task: str, options: SolveOptions,
-                    outcome: ErrorOutcome, index: int) -> Solution:
-    """The degraded :class:`Solution` one quarantined stream item yields.
+                    outcome: ErrorOutcome, index: int,
+                    route: str) -> Solution:
+    """The degraded :class:`Solution` one failed stream item yields.
 
     ``answer`` is ``None`` and ``backend`` is ``"error"``; the structured
-    failure (kind, message, attempt count) travels in ``provenance`` so
-    JSONL consumers can tell a quarantined item from a real answer without
-    a side channel.  Never cached.
+    failure (kind, message, attempt count) and the ``route`` the item ran
+    on travel in ``provenance`` so JSONL consumers can tell a failed item
+    from a real answer without a side channel.  Never cached.
     """
     return Solution(
         task=task, answer=None, backend="error", options=options,
-        provenance={"batch_index": index, "route": "pool",
+        provenance={"batch_index": index, "route": route,
                     **outcome.to_dict()})
 
 
@@ -233,12 +241,15 @@ def solve_stream(problems: Iterable[Any], task: str = "path_cover", *,
         A SIGKILLed worker mid-stream loses zero results: lost in-flight
         items are re-run on a rebuilt pool and still yield in order.
     on_error:
-        what a *quarantined* item (retries exhausted, deadline expired,
-        or corrupted worker result) yields: ``"fail"`` (default) raises
-        :class:`~repro.core.WorkerCrashError`; ``"emit"`` degrades to a
-        structured error :class:`Solution` (``backend="error"``,
-        ``answer=None``, failure details in ``provenance``) in the item's
-        ordered slot, and the stream keeps flowing.
+        what a *refused* item (a ``ValueError`` or ``TypeError`` adapting
+        it, a ``ValueError`` solving it) or a *quarantined* one (retries
+        exhausted, deadline expired, or corrupted worker result) yields:
+        ``"fail"`` (default) raises its own exception, or
+        :class:`~repro.core.WorkerCrashError`, after the in-order prefix;
+        ``"emit"`` degrades to a structured error :class:`Solution`
+        (``backend="error"``, ``answer=None``, ``error_kind`` and the
+        ``route`` in ``provenance``) in the item's ordered slot, and the
+        stream keeps flowing.  Refusals are never retried or cached.
 
     Yields
     ------
@@ -267,21 +278,36 @@ def solve_stream(problems: Iterable[Any], task: str = "path_cover", *,
         from .forest import _forest_supported, _solve_forest_problems
         forest_ok = _forest_supported(task, opts)
 
+    def refusal(index: int, exc: Exception, route: str) -> Solution:
+        """A refused item's error record; under ``"fail"``, its raise."""
+        if on_error != "emit":
+            raise exc
+        return _error_solution(task, worker_opts,
+                               ErrorOutcome(str(exc), kind="refused"),
+                               index, route)
+
     def flush_forest(buffered):
         """Sweep the buffered small instances; Resolved, in buffer order."""
         solutions = _solve_forest_problems([p for _, p in buffered],
                                            task, opts)
-        out = []
         for (index, _), solution in zip(buffered, solutions):
+            if isinstance(solution, Exception):
+                yield Resolved(refusal(index, solution, "serial"))
+                continue
             solution.provenance["batch_index"] = index
-            out.append(Resolved(solution.without_machine()))
-        return out
+            yield Resolved(solution.without_machine())
 
     def payloads():
         buffer = []
         for index, raw in enumerate(problems):
-            prob = as_problem(raw, task=task)
-            if forest_ok and prob.num_vertices <= threshold:
+            try:
+                prob = as_problem(raw, task=task)
+                small = forest_ok and prob.num_vertices <= threshold
+                key = cache.key_for(prob, task, worker_opts) \
+                    if cache is not None and not small else None
+            except (ValueError, TypeError) as exc:
+                prob, small = exc, False
+            if small:
                 buffer.append((index, prob))
                 if len(buffer) >= _FOREST_FLUSH:
                     yield from flush_forest(buffer)
@@ -292,16 +318,17 @@ def solve_stream(problems: Iterable[Any], task: str = "path_cover", *,
             if buffer:
                 yield from flush_forest(buffer)
                 buffer = []
-            if cache is not None:
-                key = cache.key_for(prob, task, worker_opts)
-                if key is not None:
-                    hit = cache.get(key)
-                    if hit is not None:
-                        hit = _from_cache(hit, prob)
-                        hit.provenance["batch_index"] = index
-                        yield Resolved(hit.without_machine())
-                        continue
-                    keys[index] = key
+            if isinstance(prob, Exception):
+                yield Resolved(refusal(index, prob, "serial"))
+                continue
+            if key is not None:
+                hit = cache.get(key)
+                if hit is not None:
+                    hit = _from_cache(hit, prob)
+                    hit.provenance["batch_index"] = index
+                    yield Resolved(hit.without_machine())
+                    continue
+                keys[index] = key
             yield (index, prob, task, worker_opts)
         if buffer:
             yield from flush_forest(buffer)
@@ -318,16 +345,20 @@ def solve_stream(problems: Iterable[Any], task: str = "path_cover", *,
                 _solve_one_payload, payloads(), jobs=jobs, window=window,
                 chunksize=chunksize, pool=pool, retry=retry)):
             if not isinstance(item, Solution):
+                keys.pop(position, None)  # never cache a failure
+                if isinstance(item, Exception):
+                    yield refusal(position, item, pool_route)
+                    continue
                 if not isinstance(item, ErrorOutcome):
                     # a fault-corrupted (or otherwise mangled) worker
                     # result: never trust it, never retry it
                     item = ErrorOutcome(
                         error=f"worker returned {type(item).__name__} "
                               f"instead of a Solution", kind="corrupt")
-                keys.pop(position, None)  # never cache a failure
                 if on_error != "emit":
                     raise WorkerCrashError(item)
-                yield _error_solution(task, worker_opts, item, position)
+                yield _error_solution(task, worker_opts, item, position,
+                                      pool_route)
                 continue
             solution = item
             if cache is not None:
@@ -361,8 +392,8 @@ def solve_many(problems: Iterable[Any], task: str = "path_cover", *,
     :class:`~repro.core.WorkerPool` to reuse warm workers across calls.
     Live PRAM machines never cross process boundaries; batch solutions
     always have ``machine=None``.  ``retry`` / ``on_error`` behave as in
-    :func:`solve_stream` (worker crashes heal by default; quarantined
-    items raise unless ``on_error="emit"``).
+    :func:`solve_stream` (worker crashes heal by default; refused and
+    quarantined items raise unless ``on_error="emit"``).
     """
     problems = list(problems)
     n_jobs = pool.jobs if pool is not None else resolve_jobs(jobs)

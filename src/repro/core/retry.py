@@ -9,9 +9,10 @@ inputs as routine events.  The vocabulary for that lives here:
   item: capped exponential backoff with jitter, plus an optional per-item
   wall-clock deadline.
 * :class:`ErrorOutcome` — the structured record an item degrades to when
-  its retries are exhausted (quarantine) or its deadline expires.  It
-  flows through :func:`repro.core.batch.stream_out` *in the item's ordered
-  slot*, so a crashed worker never disturbs stream order.
+  its retries are exhausted (quarantine), its deadline expires or its
+  input is refused.  It flows through
+  :func:`repro.core.batch.stream_out` *in the item's ordered slot*, so a
+  crashed worker never disturbs stream order.
 * :class:`WorkerCrashError` — raised by the strict (``on_error="fail"``)
   paths when an :class:`ErrorOutcome` surfaces.
 * :class:`CircuitBreaker` — the classic closed / open / half-open state
@@ -110,7 +111,10 @@ class ErrorOutcome:
       every attempt;
     * ``"deadline"`` — the item exceeded :attr:`RetryPolicy.deadline`;
     * ``"corrupt"`` — the worker returned a value of the wrong shape
-      (detected by the caller, e.g. :func:`repro.api.solve_stream`).
+      (detected by the caller, e.g. :func:`repro.api.solve_stream`);
+    * ``"refused"`` — the input itself was refused (a ``ValueError``
+      adapting or solving it); never retried, and no fault of the pool
+      (built by :func:`repro.api.solve_stream`, not the engine).
 
     ``attempts`` counts total executions (first run included); ``payload``
     is the original payload when available, so callers can recover e.g.

@@ -39,14 +39,19 @@ Robustness is structural, not bolted on:
 * **Graceful drain** — :meth:`begin_drain` refuses new work with ``503``
   while in-flight requests run to completion; :meth:`drain` waits for the
   last one.
-* **Self-healing workers** — a solve whose worker process dies
+* **Self-healing workers** — pool solves run through the stream engine
+  (:func:`~repro.api.solve_many`): a solve whose worker process dies
   (``BrokenProcessPool``) or OOMs rebuilds the pool and re-runs, up to
   ``Settings.retries`` times with exponential backoff, before answering
   a structured 500; pool restart/retry counters surface in ``/healthz``
   and ``/metrics``.
+* **Refusals are the client's** — a problem the solve refuses (a
+  ``ValueError``) is a ``400`` on every route, and a refused batch
+  record answers in its slot.
 * **Circuit breaker** — ``Settings.breaker_threshold`` consecutive solve
-  failures open the breaker: ``/v1/*`` answers ``503`` + ``Retry-After``
-  without touching the pool until a half-open probe succeeds.
+  failures (5xx) open the breaker: ``/v1/*`` answers ``503`` +
+  ``Retry-After`` without touching the pool until a half-open probe
+  succeeds.
 
 The HTTP layer is a deliberately small stdlib-only HTTP/1.1 subset
 (request line + headers + ``Content-Length`` bodies, keep-alive): the
@@ -60,19 +65,17 @@ import json
 import math
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api import SolutionCache, SolveOptions, solve, solve_many, task_names
 from ..api.registry import TASKS
 from ..api.solution import Solution
-from ..api.solve import _from_cache
+from ..api.solve import _error_solution, _from_cache
 from ..api.tasks import runs_fast_engine
-from ..cograph.cotree import CotreeError
-from ..core import faults as _faults
 from ..core.batch import WorkerPool
-from ..core.retry import CircuitBreaker, RetryPolicy
+from ..core.retry import CircuitBreaker, ErrorOutcome, RetryPolicy
 from .._version import __version__
 from .logging_config import get_logger, new_request_id, request_id_var
 from .metrics import Metrics
@@ -127,17 +130,16 @@ def _run_solve(payload: Tuple) -> Solution:
     return solve(problem, task, options=options).without_machine()
 
 
-def _solve_payload(payload: Tuple) -> Solution:
-    """Worker body for one solve (module level so it pickles).
+_PERSISTED = "worker {kind} persisted through {attempts} attempt(s); {error}"
 
-    Consults the process's armed :class:`~repro.core.faults.FaultPlan`
-    like the streaming engine's worker entrypoint does, so chaos tests
-    can kill/delay the single-solve offload path too.
-    """
-    plan = _faults.active_plan()
-    if plan is not None:
-        return plan.apply(_run_solve, payload)
-    return _run_solve(payload)
+#: what a pool solve's failed slot answers, by ``error_kind``
+_POOL_FAILURES = {
+    "refused": (400, "problem: {error}"),
+    "deadline": (504, "request exceeded request_timeout={timeout}s"),
+    "crash": (500, _PERSISTED),
+    "memory": (500, _PERSISTED),
+    "corrupt": (500, "corrupt worker result: {error}"),
+}
 
 
 class ServerApp:
@@ -164,11 +166,14 @@ class ServerApp:
         self._admitted = 0            # queued + executing
         self._in_flight = 0           # executing
         self._draining = False
-        # crash-recovery policy for offloaded solves and batch streams
+        # crash recovery for pool solves and batch streams; an item's
+        # wait ends at the request's deadline, so its thread is free when
+        # the 504 is
         self.retry_policy = RetryPolicy(
             max_retries=settings.retries,
             base_delay=settings.retry_backoff,
-            max_delay=max(2.0, settings.retry_backoff))
+            max_delay=max(2.0, settings.retry_backoff),
+            deadline=settings.request_timeout)
         self.breaker: Optional[CircuitBreaker] = (
             CircuitBreaker(threshold=settings.breaker_threshold,
                            cooldown=settings.breaker_cooldown)
@@ -258,67 +263,28 @@ class ServerApp:
             in_flight=self._in_flight,
             queue_depth=max(0, self._admitted - self._in_flight))
 
-    async def _offload(self, fn, *args, use_pool: bool) -> Any:
-        """Run CPU-bound work off the event loop, bounded by the
-        execution semaphore (never more than ``pool.jobs`` at once).
-
-        ``use_pool=True`` sends a picklable module-level callable to the
-        worker processes (a thread for the in-process degenerate case);
-        ``use_pool=False`` runs on a thread regardless — a small inline
-        solve, or the batch worker, a bound method that fans into the
-        pool *itself*.
-
-        Pool-bound work self-heals: a worker process dying mid-solve
-        (``BrokenProcessPool``) or raising ``MemoryError`` rebuilds the
-        executor and re-runs the call, up to ``Settings.retries`` times
-        with backoff, before degrading to a structured 500.
-        """
+    async def _offload(self, fn, *args) -> Any:
+        """Run CPU-bound work on the server's thread executor, off the
+        event loop, bounded by the execution semaphore (never more than
+        ``pool.jobs`` at once).  Pool solves and batches fan into the
+        worker pool from there, healing in the stream engine."""
         async with self._exec_sem:
             self._in_flight += 1
             self._update_gauges()
             try:
-                loop = asyncio.get_running_loop()
-                if not use_pool or self.pool.serial:
-                    return await loop.run_in_executor(
-                        self._threads, fn, *args)
-                attempt = 0
-                while True:
-                    executor = self.pool.executor
-                    try:
-                        return await loop.run_in_executor(
-                            executor, fn, *args)
-                    except (BrokenExecutor, MemoryError) as exc:
-                        kind = "crash" if isinstance(exc, BrokenExecutor) \
-                            else "memory"
-                        if kind == "crash":
-                            self.pool.rebuild(broken=executor)
-                        attempt += 1
-                        self.log.warning(
-                            "worker failure", extra={
-                                "event": "worker_failure", "kind": kind,
-                                "attempt": attempt,
-                                "pool_restarts": self.pool.restarts})
-                        if attempt > self.settings.retries:
-                            raise HTTPError(
-                                500, f"worker {kind} persisted through "
-                                     f"{attempt} attempt(s); pool rebuilt "
-                                     f"(restarts={self.pool.restarts})"
-                            ) from None
-                        self.pool.note_retry()
-                        await asyncio.sleep(
-                            self.retry_policy.delay_for(attempt))
+                return await asyncio.get_running_loop().run_in_executor(
+                    self._threads, fn, *args)
             finally:
                 self._in_flight -= 1
                 self._update_gauges()
 
-    async def _admitted_call(self, fn, *args, use_pool: bool = True) -> Any:
+    async def _admitted_call(self, fn, *args) -> Any:
         """Admission + semaphore + timeout around one offloaded call."""
         self._ensure_async_state()
         self._admit()
         try:
-            return await asyncio.wait_for(
-                self._offload(fn, *args, use_pool=use_pool),
-                self.settings.request_timeout)
+            return await asyncio.wait_for(self._offload(fn, *args),
+                                          self.settings.request_timeout)
         except asyncio.TimeoutError:
             raise HTTPError(
                 504, f"request exceeded "
@@ -366,27 +332,25 @@ class ServerApp:
         server, no earlier inline solve still running, solves on the
         server's thread executor; it runs :func:`_run_solve`, because a
         :class:`~repro.core.faults.FaultPlan` scripts worker processes, not
-        the server.  Any other travels
-        unflattened to the pool, where the worker checks its tree once:
-        the PRAM simulator would hold the server's GIL for tens of
-        milliseconds, and concurrent solves would share it."""
+        the server.  Any other travels unflattened to the pool, where the
+        worker checks its tree once: the PRAM simulator would hold the
+        server's GIL for tens of milliseconds, and concurrent solves would
+        share it.  A refused problem is a 400 on either route."""
         payload = (req.problem, req.task, req.options)
-        if (req.problem.num_vertices <= self.settings.batch_small
-                and runs_fast_engine(req.task, req.options)
-                and self._admitted == 0 and not self._inline.locked()):
-            solution = await self._admitted_call(self._solve_inline, payload,
-                                                 use_pool=False)
-            route = "serial"
-        else:
-            solution = await self._admitted_call(_solve_payload, payload)
-            route = "serial" if self.pool.serial else "pool"
-            if not isinstance(solution, Solution):   # a mangled result
-                raise HTTPError(500, f"worker returned a corrupt result "
-                                     f"({type(solution).__name__}, not a "
-                                     f"Solution)")
+        try:
+            if (req.problem.num_vertices <= self.settings.batch_small
+                    and runs_fast_engine(req.task, req.options)
+                    and self._admitted == 0 and not self._inline.locked()):
+                solution = await self._admitted_call(self._solve_inline,
+                                                     payload)
+            else:
+                solution = await self._admitted_call(self._solve_pooled,
+                                                     payload)
+        except ValueError as exc:
+            raise HTTPError(400, f"problem: {exc}") from None
         for name, value in req.problem.provenance().items():
             solution.provenance.setdefault(name, value)
-        solution.provenance.setdefault("route", route)
+        solution.provenance.setdefault("route", "serial")
         return solution
 
     def _solve_inline(self, payload: Tuple) -> Solution:
@@ -396,6 +360,24 @@ class ServerApp:
         with self._inline:
             return _run_solve(payload)
 
+    def _solve_pooled(self, payload: Tuple) -> Solution:
+        """One solve through the stream engine on the server's pool,
+        healing under :attr:`retry_policy`; a failed slot answers its
+        status from :data:`_POOL_FAILURES`."""
+        problem, task, options = payload
+        [solution] = solve_many([problem], task, options=options,
+                                pool=self.pool, retry=self.retry_policy,
+                                on_error="emit")
+        del solution.provenance["batch_index"]   # a single solve has none
+        if solution.backend == "error":
+            facts = solution.provenance
+            status, message = _POOL_FAILURES[facts["error_kind"]]
+            raise HTTPError(status, message.format(
+                kind=facts["error_kind"], error=facts["error"],
+                attempts=facts["attempts"],
+                timeout=self.settings.request_timeout))
+        return solution
+
     def _batch_worker(self, requests: List[SolveRequest]) -> List[Dict]:
         """Solve one validated batch (runs on a worker thread).
 
@@ -404,9 +386,10 @@ class ServerApp:
         the ``batch_small`` forest routing, so tiny instances are swept
         vectorized and big ones fan out over the warm pool.  Results come
         back in request order.  Worker crashes heal under the server's
-        retry policy; a record whose retries are exhausted comes back as
-        a structured error solution (``backend="error"``) in its slot
-        instead of failing the whole batch.
+        retry policy; a refused record, or one whose retries are
+        exhausted, comes back as a structured error solution
+        (``backend="error"``) in its slot instead of failing the whole
+        batch, as does each record of a group whose options are refused.
         """
         threshold = self.settings.batch_small or None
         groups: Dict[Tuple, List[int]] = {}
@@ -419,11 +402,16 @@ class ServerApp:
             first = requests[indices[0]]
             options = first.options.with_(cache=self.cache,
                                           batch_small=threshold)
-            pool = None if self.pool.serial else self.pool
-            solutions = solve_many([requests[i].problem for i in indices],
-                                   first.task, options=options, pool=pool,
-                                   retry=self.retry_policy,
-                                   on_error="emit")
+            try:
+                solutions = solve_many(
+                    [requests[i].problem for i in indices], first.task,
+                    options=options, pool=self.pool,
+                    retry=self.retry_policy, on_error="emit")
+            except ValueError as exc:      # options refused up front
+                refusal = ErrorOutcome(str(exc), kind="refused")
+                solutions = [_error_solution(first.task, first.options,
+                                             refusal, i, "serial")
+                             for i in indices]
             for i, solution in zip(indices, solutions):
                 solution.provenance["batch_index"] = i
                 out[i] = solution.to_json_dict()
@@ -521,7 +509,7 @@ class ServerApp:
                         max_batch=self.settings.max_batch,
                         max_vertices=len(body))
                 solutions = await self._admitted_call(
-                    self._batch_worker, requests, use_pool=False)
+                    self._batch_worker, requests)
                 response = _json_response(
                     200, {"count": len(solutions), "solutions": solutions})
             else:
@@ -531,9 +519,6 @@ class ServerApp:
                 400, "request failed validation", errors=exc.errors))
         except HTTPError as exc:
             response = _error_response(exc)
-        except CotreeError as exc:
-            # a malformed input tree found mid-solve: the client's fault
-            response = _error_response(HTTPError(400, f"problem: {exc}"))
         except Exception as exc:
             self.log.exception("unhandled error", extra={"path": path})
             # never a bodyless 500: the client gets a structured JSON

@@ -308,3 +308,43 @@ def test_stream_on_error_fail_stays_the_default(monkeypatch, capsys):
 def test_on_error_without_stream_exits_2(capsys):
     assert main(["solve", "(0 + 1)", "--on-error", "emit"]) == 2
     assert "--on-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]])
+def test_stream_on_error_emit_answers_past_a_solve_time_refusal(monkeypatch,
+                                                                capsys, jobs):
+    # a P4 edge list adapts fine; only the solve finds it is no cograph
+    _feed_stdin(monkeypatch, ['"(0 + 1)"', "[[0, 1], [1, 2], [2, 3]]",
+                              '"(0 * 1)"'])
+    assert main(["solve", "--stream", "--on-error", "emit", "--task",
+                 "chromatic_number", "--json", *jobs]) == 0
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert len(records) == 3
+    assert records[1] == {"error": records[1]["error"], "line": 2}
+    assert "not a cograph" in records[1]["error"]
+    assert [records[i]["answer"]["chromatic_number"] for i in (0, 2)] == \
+        [1, 2]
+    assert "solved 2 instance(s), skipped 1 malformed line(s)" \
+        in captured.err
+
+
+def test_binary_stream_on_error_emit_names_the_refused_frame(monkeypatch,
+                                                             capsys):
+    import io
+    import sys
+    from repro.cograph import as_flat_cotree, md_tree
+    from repro.io.wire import frame, to_bytes
+    prime = md_tree(Graph(4, [(0, 1), (1, 2), (2, 3)]))   # no cotree
+    frames = [to_bytes(as_flat_cotree(clique(2))), to_bytes(prime),
+              to_bytes(as_flat_cotree(clique(3)))]
+    stdin = io.TextIOWrapper(io.BytesIO(b"".join(map(frame, frames))))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["solve", "--stream", "--format", "binary", "--on-error",
+                 "emit", "--json"]) == 0
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r.get("frame") for r in records] == [None, 2, None]
+    assert "prime nodes" in records[1]["error"]
+    assert [records[i]["num_paths"] for i in (0, 2)] == [1, 1]
+    assert "skipped 1 malformed line(s)" in captured.err

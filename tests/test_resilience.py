@@ -728,6 +728,42 @@ class TestServerResilience:
         assert "corrupt" in error["message"]
         assert "request_id" in error
 
+    def test_a_504d_pool_solve_frees_its_server_thread_at_the_deadline(
+            self, arm, monkeypatch):
+        import sys
+        # the package's ``solve`` attribute is the function: reach the
+        # module itself
+        solve_module = sys.modules["repro.api.solve"]
+        real = solve_module.stream_out
+        returned = []
+
+        def traced(*args, **kwargs):
+            try:
+                yield from real(*args, **kwargs)
+            finally:
+                returned.append(time.monotonic())
+
+        monkeypatch.setattr(solve_module, "stream_out", traced)
+        arm(delay_task=1, delay_seconds=2.0, once=False)
+
+        async def scenario(app):
+            started = time.monotonic()
+            # the default path_cover runs the simulator: the pool route
+            late = await app.dispatch("POST", "/v1/solve", solve_body())
+            again = await app.dispatch("POST", "/v1/solve",
+                                       solve_body(options=FAST_OPTIONS))
+            while not returned and time.monotonic() - started < 1.5:
+                await asyncio.sleep(0.02)
+            return late, again, [t - started for t in returned]
+
+        late, again, held = run_app(scenario, jobs=2, request_timeout=0.3)
+        assert late.status == 504
+        assert "request_timeout" in late.json()["error"]["message"]
+        assert again.status == 200
+        # the thread left stream_out at the deadline, not when the
+        # worker's 2 s delay ended
+        assert held and held[0] < 1.0
+
     def test_batch_poison_degrades_one_record(self, arm):
         trees = _trees(3, size=20)
         arm(kill_index=1, once=False)

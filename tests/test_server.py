@@ -1218,3 +1218,80 @@ class TestCacheConcurrency:
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == 8 * 200
         assert len(cache) <= 8                  # the bound held throughout
+
+
+# --------------------------------------------------------------------------- #
+# refused problems: a 400 or an in-slot record on every route
+# --------------------------------------------------------------------------- #
+
+P4 = [[0, 1], [1, 2], [2, 3]]
+
+#: bodies that parse but whose solve refuses them, with a fragment of the
+#: refusal
+REFUSED = [
+    ({"problem": SMALL, "task": "max_weight_clique",
+      "options": {"weights": [1, 2]}}, "weights length 2"),
+    ({"problem": SMALL, "task": "path_cover_size",
+      "options": {"weights": [1, 2, 3]}}, "takes no vertex weights"),
+    ({"problem": SMALL, "task": "lower_bound"}, "0/1 bit vector"),
+    ({"problem": P4, "task": "chromatic_number"}, "not a cograph"),
+    ({"problem": P4}, "not a cograph"),
+    ({"problem": [[i, i + 1] for i in range(19)], "task": "max_clique"},
+     "capped at 16"),
+]
+
+
+class TestRefusedProblems:
+    @pytest.mark.parametrize("settings", [
+        {"jobs": 1}, {"jobs": 2, "batch_small": 0}], ids=["jobs1", "pool"])
+    def test_refused_solves_are_400s_that_spare_breaker_and_pool(
+            self, settings):
+        async def scenario(app):
+            refused = [await app.dispatch("POST", "/v1/solve",
+                                          json.dumps(body).encode())
+                       for body, _ in REFUSED]
+            breaker = app.breaker.snapshot()
+            valid = await app.dispatch(
+                "POST", "/v1/solve", solve_body(task="path_cover_size"))
+            return refused, breaker, valid, app.pool.health()
+
+        refused, breaker, valid, health = run_app(scenario, **settings)
+        for response, (_, fragment) in zip(refused, REFUSED):
+            assert response.status == 400, response.json()
+            message = response.json()["error"]["message"]
+            assert message.startswith("problem: ") and fragment in message
+        assert breaker["state"] == "closed"
+        assert breaker["consecutive_failures"] == 0
+        assert valid.status == 200 and valid.json()["answer"] == 2
+        assert (health["restarts"], health["retries"]) == (0, 0)
+
+    @pytest.mark.parametrize("settings, route", [
+        ({}, "forest"), ({"jobs": 2, "batch_small": 0}, "pool")],
+        ids=["forest", "pool"])
+    def test_batch_answers_around_its_refused_records(self, settings, route):
+        records = [{"problem": "(0 * 1)", "task": "chromatic_number"},
+                   {"problem": P4, "task": "chromatic_number"},
+                   {"problem": "(0 + 1)", "task": "chromatic_number"},
+                   {"problem": SMALL, "task": "path_cover_size",
+                    "options": {"weights": [1, 2, 3]}}]
+
+        async def scenario(app):
+            r = await app.dispatch("POST", "/v1/solve_batch",
+                                   json.dumps(records).encode())
+            return r, app.breaker.snapshot()
+
+        r, breaker = run_app(scenario, **settings)
+        assert r.status == 200
+        solutions = r.json()["solutions"]
+        assert [s["provenance"]["batch_index"] for s in solutions] == \
+            [0, 1, 2, 3]
+        for i, fragment in ((1, "not a cograph"),
+                            (3, "takes no vertex weights")):
+            assert solutions[i]["backend"] == "error"
+            assert solutions[i]["provenance"]["error_kind"] == "refused"
+            assert fragment in solutions[i]["provenance"]["error"]
+        assert [solutions[i]["answer"]["chromatic_number"]
+                for i in (0, 2)] == [2, 1]
+        assert [solutions[i]["provenance"]["route"] for i in (0, 2)] == \
+            [route, route]
+        assert breaker["consecutive_failures"] == 0

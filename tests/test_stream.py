@@ -415,3 +415,83 @@ class TestStreamErrors:
         pickle.dumps(entry)  # must not drag the cache along
         hit = solve("(0 * 1)", cache=cache)
         assert hit.cache_status == "hit"
+
+
+# --------------------------------------------------------------------------- #
+# refusals travel in their slot
+# --------------------------------------------------------------------------- #
+
+P4_EDGES = [(0, 1), (1, 2), (2, 3)]
+#: a cograph, a P4 the solve refuses, a cograph, a line no adapter reads
+MIXED = ["(0 * 1)", P4_EDGES, "(0 + 1)", "not a problem at all"]
+
+
+class TestRefusalsInSlot:
+    @pytest.mark.parametrize("config, p4_route", [
+        ({}, "serial"),
+        ({"jobs": 2}, "pool"),
+        ({"batch_small": 64}, "serial"),
+        ({"cache": SolutionCache()}, "serial"),
+    ], ids=["serial", "pool", "forest", "cache"])
+    def test_emit_yields_each_refusal_in_its_slot(self, config, p4_route):
+        out = list(solve_stream(iter(MIXED), "chromatic_number",
+                                on_error="emit", **config))
+        assert [s.provenance["batch_index"] for s in out] == [0, 1, 2, 3]
+        assert [s.answer["chromatic_number"] for s in (out[0], out[2])] \
+            == [2, 1]
+        for s, route, fragment in ((out[1], p4_route, "not a cograph"),
+                                   (out[3], "serial", "neither cotree")):
+            assert s.backend == "error" and s.answer is None
+            assert s.provenance["error_kind"] == "refused"
+            assert s.provenance["attempts"] == 1
+            assert s.provenance["route"] == route
+            assert fragment in s.provenance["error"]
+
+    def test_fail_raises_the_refused_items_own_exception_after_the_prefix(
+            self):
+        from repro.cograph import NotACographError
+        for config in ({}, {"jobs": 2}, {"batch_small": 64}):
+            out = []
+            with pytest.raises(NotACographError):
+                for s in solve_stream(iter(MIXED), "chromatic_number",
+                                      window=8, **config):
+                    out.append(s)
+            assert [s.answer["chromatic_number"] for s in out] == [2]
+
+    def test_refusals_never_touch_the_pool_counters(self):
+        with WorkerPool(2) as pool:
+            out = solve_many([P4_EDGES] * 3 + ["(0 * 1)"],
+                             "chromatic_number", pool=pool, on_error="emit")
+            health = pool.health()
+        assert [s.backend for s in out] == ["error"] * 3 + ["fast"]
+        assert (health["restarts"], health["retries"],
+                health["quarantined"]) == (0, 0, 0)
+
+    def test_refusals_are_never_cached(self):
+        cache = SolutionCache()
+        prime_path = [(i, i + 1) for i in range(19)]   # past the prime cap
+        out = list(solve_stream(
+            ["(0 * 1)", prime_path, prime_path, "(0 * 1)"], "max_clique",
+            cache=cache, on_error="emit"))
+        assert [s.backend for s in out] == ["fast", "error", "error", "fast"]
+        assert [s.provenance.get("cache") for s in out] == \
+            ["miss", None, None, "hit"]
+        assert "capped at 16" in out[2].provenance["error"]
+        assert len(cache) == 1
+
+    def test_a_tree_the_packed_sweep_refuses_is_refused_alone(self):
+        from repro.io import cotree_to_json
+        sparse = cotree_to_json(Cotree.from_nested(("union", 0,
+                                                    ("join", 2, 7))))
+        out = list(solve_stream(["(0 * 1)", sparse, "(0 + 1)"],
+                                "path_cover", backend="fast",
+                                batch_small=64, on_error="emit"))
+        # the packed pass fails whole, so its instances solve one by one
+        assert [s.provenance["route"] for s in out] == ["serial"] * 3
+        assert out[1].provenance["error_kind"] == "refused"
+        assert "vertex id 7 is out of range" in out[1].provenance["error"]
+        assert [out[0].num_paths, out[2].num_paths] == [1, 2]
+        # the eager forest door still raises, as a solo solve does
+        from repro.api import solve_forest
+        with pytest.raises(ValueError, match="vertex id 7 is out of range"):
+            solve_forest(["(0 * 1)", sparse], "path_cover", backend="fast")
