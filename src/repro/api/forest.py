@@ -18,9 +18,10 @@ Supported tasks (:data:`FOREST_TASKS`): ``path_cover`` plus the unweighted
 cotree-DP tasks.  Anything the sweep cannot take — an unsupported task,
 non-default engine options, a non-cograph input — silently falls back to
 a per-instance :func:`~repro.api.solve` (``provenance["route"] ==
-"serial"``); swept solutions report ``"forest"``.  A tree the validator
-refuses is solved on its own, so :func:`solve_forest` raises as a solo
-solve does and a stream refuses that instance alone.  A configured
+"serial"``); swept solutions report ``"forest"``.  A tree the packed
+validation refuses is solved on its own and the rest are swept, so
+:func:`solve_forest` raises as a solo solve does and a stream refuses
+that instance alone.  A configured
 :class:`~repro.api.SolutionCache` is consulted per instance *before*
 packing, so repeat instances skip the sweep entirely.
 
@@ -51,9 +52,10 @@ FOREST_TASKS = tuple(task for task in _ROOT_ARRAY_BODIES
 def _forest_supported(task: str, options: SolveOptions) -> bool:
     """Can this (task, options) pair run as one packed sweep at all?
 
-    The sweep is the raw vectorized engine: it has no simulator, no
-    accounting, no per-instance validation.  Any option that asks for one
-    of those sends every instance down the serial fallback instead.
+    The sweep runs the fast engine.  The pipeline solves a packed forest
+    on the simulator too, but a swept instance would then carry the whole
+    sweep's PRAM cost report instead of its own, so any option that picks
+    an engine sends every instance down the serial fallback instead.
     """
     return (task in FOREST_TASKS and options.backend in (None, "fast")
             and not options.with_(backend=None).picks_engine)
@@ -91,12 +93,17 @@ def _solve_forest_problems(probs: List[Problem], task: str,
     cache = options.cache
     solo_opts = options.with_(batch_small=None)
 
-    def solo(prob: Problem):
-        """The per-instance fallback; solve() handles the cache itself."""
+    def solo(prob: Problem, key=None):
+        """The per-instance fallback.  solve() handles the cache itself,
+        unless ``key`` says this instance was looked up already."""
         try:
-            solution = solve(prob, task, options=solo_opts)
+            solution = solve(prob, task, options=solo_opts if key is None
+                             else solo_opts.with_(cache=None))
         except ValueError as exc:
             return exc
+        if key is not None:
+            solution.provenance["cache"] = "miss"
+            cache.put(key, solution)
         if solution.provenance.get("cache") != "hit":
             solution.provenance.setdefault("route", "serial")
         return solution
@@ -126,14 +133,10 @@ def _solve_forest_problems(probs: List[Problem], task: str,
         sweep_keys.append(key)
 
     if sweep_flats:
-        try:
-            swept = _ROOT_ARRAY_BODIES[task](pack(sweep_flats), options)
-        except ValueError:
-            # the packed validation refused a tree: solo solves find it
-            swept = [None] * len(sweep_idx)
+        swept = _sweep(task, sweep_flats, options)
         for i, solution, key in zip(sweep_idx, swept, sweep_keys):
             if solution is None:
-                results[i] = solo(probs[i])
+                results[i] = solo(probs[i], key)
                 continue
             solution.provenance["route"] = "forest"
             for name, value in probs[i].provenance().items():
@@ -143,6 +146,31 @@ def _solve_forest_problems(probs: List[Problem], task: str,
                 cache.put(key, solution)
             results[i] = solution
     return results
+
+
+def _sweep(task: str, flats: list, options: SolveOptions) -> list:
+    """The task body's solutions for ``flats`` packed into one forest.
+    When the packed validation refuses a tree, the trees that refuse on
+    their own get ``None`` (their solo solves say why) and the rest are
+    swept again; a refusal no single tree explains gives every slot
+    ``None``."""
+    try:
+        return _ROOT_ARRAY_BODIES[task](pack(flats), options)
+    except ValueError:
+        refused = [not _validates(flat) for flat in flats]
+        kept = [flat for flat, bad in zip(flats, refused) if not bad]
+        if len(kept) == len(flats):
+            return [None] * len(flats)
+        rest = iter(_sweep(task, kept, options) if kept else ())
+        return [None if bad else next(rest) for bad in refused]
+
+
+def _validates(flat) -> bool:
+    try:
+        flat.validate()
+    except ValueError:
+        return False
+    return True
 
 
 def solve_forest(problems, task: str = "path_cover", *,

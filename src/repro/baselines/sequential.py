@@ -26,6 +26,7 @@ import numpy as np
 from ..cograph import (
     BinaryCotree,
     Cotree,
+    CotreeError,
     FlatCotree,
     PathCover,
     as_flat_cotree,
@@ -81,6 +82,10 @@ def sequential_path_cover(tree: Union[Cotree, BinaryCotree, FlatCotree], *,
     -------
     PathCover or (PathCover, SequentialStats)
     """
+    num_trees = 1 if isinstance(tree, Cotree) else len(tree.roots)
+    if num_trees > 1:
+        raise CotreeError(f"a forest of {num_trees} trees has no single "
+                          f"sequential path cover; solve each tree")
     if isinstance(tree, BinaryCotree):
         binary = make_leftist(tree)
     else:

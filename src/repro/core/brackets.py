@@ -51,9 +51,10 @@ class BracketSequence:
     :data:`ROLE_R`; ``is_square`` selects square vs round brackets and
     ``is_open`` opening vs closing ones.
 
-    ``segment_of`` is ``None`` for single-instance sequences; for a packed
-    forest it assigns every bracket position its instance index, so that the
-    bracket matcher never pairs brackets across instances.
+    Every close bracket of either class (square, round) is matched inside
+    its own tree.  A packed forest's sequence is its instances' sequences
+    laid end to end in root order, so matching it pairs no bracket across
+    two instances (:func:`~repro.primitives.match_brackets`).
     """
 
     vertex: np.ndarray
@@ -64,7 +65,6 @@ class BracketSequence:
     num_dummies: int
     dummy_owner: np.ndarray      # owning active 1-node of each dummy
     dummy_ids: np.ndarray        # the dummy vertex ids (num_real + arange)
-    segment_of: np.ndarray = None   # per-position instance index (forests)
 
     def __len__(self) -> int:
         return len(self.vertex)
@@ -121,22 +121,6 @@ def generate_brackets(ctx, reduced: ReducedCotree, *,
     block_start = np.zeros(n_nodes, dtype=np.int64)
     block_start[np.arange(n_nodes)] = offset_by_pre[pre]
     total = int(len_by_pre.sum())
-
-    # ---- per-instance segmentation (packed forests) ----------------------- #
-    # preorder numbers are chained per instance in roots order, so instance i
-    # occupies one contiguous preorder interval and hence one contiguous
-    # bracket interval; its boundaries fall out of the same offset prefix.
-    # A single tree stays unsegmented: the PRAM bracket matcher has no
-    # segment support.
-    segment_of = None
-    if len(tree.roots) > 1:
-        sizes = reduced.numbers.subtree_size[tree.roots]
-        pre_bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=pre_bounds[1:])
-        off = np.append(offset_by_pre, total)
-        seg_bounds = off[pre_bounds]
-        segment_of = np.repeat(np.arange(len(sizes), dtype=np.int64),
-                               np.diff(seg_bounds))
 
     # ---- dummy id allocation ---------------------------------------------- #
     num_dummies_of = reduced.num_dummies_of
@@ -231,8 +215,7 @@ def generate_brackets(ctx, reduced: ReducedCotree, *,
     return BracketSequence(vertex=out_vertex, role=out_role,
                            is_square=out_square, is_open=out_open,
                            num_real=n_vertices, num_dummies=total_dummies,
-                           dummy_owner=dummy_owner, dummy_ids=dummy_ids,
-                           segment_of=segment_of)
+                           dummy_owner=dummy_owner, dummy_ids=dummy_ids)
 
 
 def render_brackets(seq: BracketSequence, names=None) -> str:

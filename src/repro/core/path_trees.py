@@ -86,7 +86,6 @@ class PathForest:
 # --------------------------------------------------------------------------- #
 
 def build_pseudo_forest(ctx, seq: BracketSequence, *,
-                        block_prepass: bool = True,
                         label: str = "pseudo") -> PathForest:
     """Match the brackets and convert the matched pairs into tree edges."""
     machine = resolve_context(ctx)
@@ -95,16 +94,12 @@ def build_pseudo_forest(ctx, seq: BracketSequence, *,
     left = np.full(total_nodes, -1, dtype=np.int64)
     right = np.full(total_nodes, -1, dtype=np.int64)
 
-    seg_all = getattr(seq, "segment_of", None)
     for square in (True, False):
         positions = np.flatnonzero(seq.is_square == square)
         if len(positions) == 0:
             continue
         sub_open = seq.is_open[positions]
         sub_match = match_brackets(machine, sub_open,
-                                   block_prepass=block_prepass,
-                                   segment_id=None if seg_all is None
-                                   else seg_all[positions],
                                    label=f"{label}.match-{'sq' if square else 'rd'}")
         matched = np.flatnonzero(sub_match >= 0)
         if len(matched) == 0:

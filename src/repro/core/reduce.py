@@ -120,8 +120,9 @@ class ReducedCotree:
         return self.p[t.left[u]] > self.leaf_count[t.right[u]]
 
     def minimum_path_count(self) -> int:
-        """``p(root)`` — the size of a minimum path cover."""
-        return int(self.p[self.tree.root])
+        """The size of a minimum path cover: ``p(root)``, summed over the
+        roots of a packed forest."""
+        return int(self.p[self.tree.roots].sum())
 
 
 def reduce_cotree(ctx, leftist: LeftistCotree, *,

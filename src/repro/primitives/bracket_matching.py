@@ -16,15 +16,21 @@ Algorithm (the classic depth-grouping reduction):
    positions by level each close matches the immediately preceding element
    of its group iff that element is an open.
 
-Grouping is performed by a stable sort on (level, position).  The sort is
+Grouping is performed by a stable sort on the level.  The sort is
 executed with ``ceil(log2 n)`` accounted rounds of ``n`` active processors —
 the depth of Cole's EREW merge sort — so the *time* accounting matches the
-paper's Lemma 5.1(3) while the *work* of this step is ``O(n log n)``; an
-optional block pre-pass (``block_prepass=True``, the default) first resolves
-all matches that fall inside blocks of ``log2 n`` consecutive positions using
-``O(n)`` work, which empirically removes the bulk of the sequence.  The
-remaining gap to the cited ``O(n)``-work bound of [9] is discussed in
-EXPERIMENTS.md (E8).
+paper's Lemma 5.1(3) while the *work* of this step is ``O(n log n)``; on the
+simulator a block pre-pass first resolves all matches that fall inside
+blocks of ``log2 n`` consecutive positions using ``O(n)`` work, which
+empirically removes the bulk of the sequence.  The remaining gap to the
+cited ``O(n)``-work bound of [9] is discussed in EXPERIMENTS.md (E8).
+
+Trees and packed forests take the same matcher.  In the stack matching of
+a concatenation ``A·B``, a close in ``B`` reaches into ``A`` only when
+``B`` alone leaves it unmatched; every close bracket of ``B(R)`` is matched
+inside its own tree (Step 4's sequence has that property), so a forest's
+sequence ``B(R_1)···B(R_k)`` matches exactly as its blocks do, and no pair
+crosses two instances.
 """
 
 from __future__ import annotations
@@ -37,10 +43,7 @@ from .scan import prefix_sum
 __all__ = ["match_brackets"]
 
 
-def match_brackets(ctx, is_open, *,
-                   block_prepass: bool = True,
-                   segment_id=None,
-                   label: str = "match") -> np.ndarray:
+def match_brackets(ctx, is_open, *, label: str = "match") -> np.ndarray:
     """Match every bracket of the sequence.
 
     Parameters
@@ -49,14 +52,6 @@ def match_brackets(ctx, is_open, *,
         execution context (or a raw PRAM machine / backend name / ``None``).
     is_open:
         boolean array; ``True`` for ``(`` / ``[``, ``False`` for ``)`` / ``]``.
-    block_prepass:
-        resolve intra-block matches sequentially per block first (work
-        efficient); the residue is matched by the sorting method.
-    segment_id:
-        optional per-position segment index: brackets only match within
-        their own segment (used by the forest path to keep instances
-        disjoint).  Fast backend only — the simulated path is
-        single-instance.
 
     Returns
     -------
@@ -75,16 +70,11 @@ def match_brackets(ctx, is_open, *,
         # the match relation is unique, so the block pre-pass (a per-block
         # Python loop that only exists to make the simulated *work* linear)
         # is pure overhead here: one global level-grouping pass suffices.
-        return _match_by_levels(machine, is_open, segment_id=segment_id,
-                                label=label)
-
-    if segment_id is not None:
-        raise ValueError("segment_id requires the fast backend; the "
-                         "simulated matcher is single-instance")
+        return _match_by_levels(machine, is_open, label=label)
 
     unresolved = np.ones(n, dtype=bool)
 
-    if block_prepass and n >= 8:
+    if n >= 8:
         _intra_block_matching(machine, is_open, match, unresolved, label=label)
 
     residual = np.flatnonzero(unresolved)
@@ -150,9 +140,6 @@ def _intra_block_matching(machine, is_open: np.ndarray,
                 unresolved[open_pos] = False
                 depth[pop_rows] -= 1
             # closes with an empty stack stay unresolved for the global pass
-            empty_rows = np.flatnonzero(col_close & (depth == 0))
-            # (nothing to do: they remain marked unresolved)
-            del empty_rows
 
 
 # --------------------------------------------------------------------------- #
@@ -160,36 +147,19 @@ def _intra_block_matching(machine, is_open: np.ndarray,
 # --------------------------------------------------------------------------- #
 
 def _match_by_levels(machine, is_open: np.ndarray, *,
-                     segment_id=None, label: str) -> np.ndarray:
-    """Match a bracket sequence by grouping positions by nesting level.
-
-    With ``segment_id`` (contiguous runs of equal ids) the nesting depth is
-    re-based per segment and groups are keyed by ``(segment, level)``, so
-    matches never cross a segment boundary — the forest path relies on this.
-    """
+                     label: str) -> np.ndarray:
+    """Match a bracket sequence by grouping positions by nesting level."""
     n = len(is_open)
     delta = np.where(is_open, 1, -1).astype(np.int64)
     depth_after = prefix_sum(machine, delta, inclusive=True,
                              label=f"{label}.depth")
-    seg = None
-    if segment_id is not None:
-        seg = np.asarray(segment_id, dtype=np.int64)
-        # depth relative to the segment start: subtract the global depth just
-        # before each segment's first position
-        starts = np.flatnonzero(np.diff(seg, prepend=seg[0] - 1))
-        run_lengths = np.diff(np.append(starts, n))
-        base = np.repeat(depth_after[starts] - delta[starts], run_lengths)
-        depth_after = depth_after - base
     # level of an open = depth after it; level of a close = depth before it
     level = np.where(is_open, depth_after, depth_after + 1)
 
     # Stable sort by (level, position).  Accounted as ceil(log2 n) rounds of
     # n processors (Cole's EREW merge sort depth); see the module docstring
     # for the work discussion.
-    if seg is None:
-        order = np.lexsort((np.arange(n), level))
-    else:
-        order = np.lexsort((np.arange(n), level, seg))
+    order = np.argsort(level, kind="stable")
     if machine.simulates:
         sort_rounds = max(1, int(np.ceil(np.log2(max(n, 2)))))
         for _ in range(sort_rounds):
@@ -203,9 +173,6 @@ def _match_by_levels(machine, is_open: np.ndarray, *,
     with machine.step(active=n, label=f"{label}:pair"):
         same_group_as_prev = np.zeros(n, dtype=bool)
         same_group_as_prev[1:] = sorted_level[1:] == sorted_level[:-1]
-        if seg is not None:
-            sorted_seg = seg[order]
-            same_group_as_prev[1:] &= sorted_seg[1:] == sorted_seg[:-1]
         prev_is_open = np.zeros(n, dtype=bool)
         prev_is_open[1:] = sorted_open[:-1]
         # a close matches the immediately preceding element of its group iff

@@ -1,25 +1,34 @@
 """A tree is a forest of one: the root array is the only way the pipeline
 describes a tree, so a one-instance pack runs exactly like the tree on the
-PRAM simulator, and the multi-root rake schedule passes the EREW checker."""
+PRAM simulator, and the multi-root rake schedule passes the EREW checker.
+A packed forest of many runs the whole pipeline on either engine: no
+bracket of ``B(R)`` pairs across two instances."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.api.tasks import _covers_per_root
+from repro.baselines.sequential import sequential_path_cover
 from repro.cograph import (
+    CotreeError,
     as_flat_cotree,
     balanced_cotree,
     caterpillar_cotree,
     clique,
+    independent_set,
     pack,
     random_cotree,
     single_vertex,
+    threshold_cograph,
 )
+from repro.core import minimum_path_cover_parallel
 from repro.core.binarize import binarize_parallel
+from repro.core.path_trees import build_pseudo_forest
 from repro.core.pipeline import Pipeline
 from repro.pram import PRAM, AccessMode
-from repro.primitives import evaluate_max_plus_tree
+from repro.primitives import evaluate_max_plus_tree, match_brackets
 
 SHAPES = {
     "random": lambda: random_cotree(200, seed=19),
@@ -113,3 +122,102 @@ def test_multi_root_rake_schedule_passes_the_erew_checker():
         assert np.array_equal(values[block], solo_values)
         base += solo.num_nodes
     assert base == forest.num_nodes
+
+
+# --------------------------------------------------------------------------- #
+# Step 5 on a packed forest: brackets never pair across instances
+# --------------------------------------------------------------------------- #
+
+BRACKET_SHAPES = {
+    "random": lambda: random_cotree(90, seed=5),
+    "caterpillar": lambda: caterpillar_cotree(40),
+    "balanced": lambda: balanced_cotree(5),
+    "threshold": lambda: threshold_cograph([1, 0, 1, 1, 0, 0, 1, 0, 1]),
+    "clique": lambda: clique(7),
+    "independent set": lambda: independent_set(6),
+    "single vertex": lambda: single_vertex(0),
+}
+ENGINES = {
+    "fast": lambda: "fast",
+    "pram": lambda: PRAM(mode=AccessMode.EREW),
+}
+
+
+def _brackets(tree, engine):
+    return Pipeline.until("brackets").run(tree, engine).state.brackets
+
+
+def _matches(seq, engine):
+    """``match_brackets`` of each bracket class (square, round)."""
+    return [match_brackets(engine, seq.is_open[seq.is_square == square])
+            for square in (True, False)]
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("shape", sorted(BRACKET_SHAPES))
+def test_every_close_bracket_is_matched_inside_its_tree(shape, engine):
+    make = ENGINES[engine]
+    seq = _brackets(as_flat_cotree(BRACKET_SHAPES[shape]()), make())
+    for square, match in zip((True, False), _matches(seq, make())):
+        closes = ~seq.is_open[seq.is_square == square]
+        assert np.all(match[closes] >= 0), (shape, square)
+
+
+def test_a_forest_sequence_matches_as_its_blocks():
+    trees = [as_flat_cotree(make()) for make in BRACKET_SHAPES.values()]
+    for engine in ENGINES.values():
+        forest_seq = _brackets(pack(trees), engine())
+        blocks = [_brackets(tree, engine()) for tree in trees]
+        assert len(forest_seq) == sum(len(seq) for seq in blocks)
+        for cls, forest_match in enumerate(_matches(forest_seq, engine())):
+            base, expected = 0, []
+            for seq in blocks:
+                match = _matches(seq, engine())[cls]
+                expected.append(np.where(match >= 0, match + base, -1))
+                base += len(match)
+            assert np.array_equal(forest_match, np.concatenate(expected))
+
+        # Step 5 takes the forest's sequence on either engine
+        pseudo = build_pseudo_forest(engine(), forest_seq)
+        reference = build_pseudo_forest("fast", forest_seq)
+        for field in ("parent", "left", "right"):
+            assert np.array_equal(getattr(pseudo, field),
+                                  getattr(reference, field))
+
+
+def test_a_mixed_forest_solves_on_the_erew_simulator():
+    trees = [as_flat_cotree(t) for t in (
+        single_vertex(0), random_cotree(40, seed=3), clique(2),
+        caterpillar_cotree(17), single_vertex(0), clique(2),
+        random_cotree(23, seed=8))]
+    forest = pack(trees)
+    machine = PRAM(mode=AccessMode.EREW, record_steps=True)
+    simulated = Pipeline.default().run(forest, machine).state
+    fast = Pipeline.default().run(forest, "fast").state
+    assert "step5.pseudo.match-sq:pair" in machine.report().by_label
+
+    def paths(cover):
+        return [[int(v) for v in path] for path in cover.paths]
+
+    per_instance = [paths(cover) for cover, _ in
+                    _covers_per_root(forest, simulated)]
+    assert per_instance == [paths(cover) for cover, _ in
+                            _covers_per_root(forest, fast)]
+    for tree, own in zip(trees, per_instance):
+        assert own == paths(Pipeline.default().run(tree, "fast").state.cover)
+
+
+@pytest.mark.parametrize("backend", ["fast", "pram"])
+def test_a_forest_path_count_sums_its_instances(backend):
+    trees = [random_cotree(n, seed=n) for n in (3, 9, 20, 1, 14)]
+    result = minimum_path_cover_parallel(pack(trees), backend=backend,
+                                         validate=True)
+    solo = [minimum_path_cover_parallel(t, backend=backend).p_root
+            for t in trees]
+    assert result.p_root == result.num_paths == sum(solo)
+
+
+def test_the_sequential_baseline_refuses_a_forest_by_name():
+    trees = [random_cotree(n, seed=n) for n in (3, 9, 20)]
+    with pytest.raises(CotreeError, match="a forest of 3 trees"):
+        sequential_path_cover(pack(trees))

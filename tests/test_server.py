@@ -1295,3 +1295,28 @@ class TestRefusedProblems:
         assert [solutions[i]["provenance"]["route"] for i in (0, 2)] == \
             [route, route]
         assert breaker["consecutive_failures"] == 0
+
+    def test_a_tree_the_pack_refuses_costs_only_its_own_slot(self):
+        # leaf id 9 is out of range: only the packed validation sees it
+        bad = {"type": "cotree", "kind": [1, 0, 0],
+               "children": [[1, 2], [], []], "leaf_vertex": [-1, 0, 9],
+               "root": 0}
+        records = [{"problem": problem, "task": "path_cover",
+                    "options": {"backend": "fast"}}
+                   for problem in (bad, "(0 * 1)", "(0 + 1)")]
+
+        async def scenario(app):
+            r = await app.dispatch("POST", "/v1/solve_batch",
+                                   json.dumps(records).encode())
+            return r, app.cache.stats()
+
+        r, stats = run_app(scenario, jobs=1)
+        assert r.status == 200
+        refused, *good = r.json()["solutions"]
+        assert refused["backend"] == "error"
+        assert refused["provenance"]["error_kind"] == "refused"
+        assert "vertex id 9 is out of range" in refused["provenance"]["error"]
+        assert [s["provenance"]["route"] for s in good] == \
+            ["forest", "forest"]
+        assert [s["num_paths"] for s in good] == [1, 2]
+        assert stats["misses"] == 3

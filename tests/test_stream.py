@@ -486,8 +486,9 @@ class TestRefusalsInSlot:
         out = list(solve_stream(["(0 * 1)", sparse, "(0 + 1)"],
                                 "path_cover", backend="fast",
                                 batch_small=64, on_error="emit"))
-        # the packed pass fails whole, so its instances solve one by one
-        assert [s.provenance["route"] for s in out] == ["serial"] * 3
+        # only the refused tree leaves the sweep
+        assert [s.provenance["route"] for s in out] == \
+            ["forest", "serial", "forest"]
         assert out[1].provenance["error_kind"] == "refused"
         assert "vertex id 7 is out of range" in out[1].provenance["error"]
         assert [out[0].num_paths, out[2].num_paths] == [1, 2]
